@@ -8,13 +8,18 @@
 //! truncation or overrun so corrupt files degrade into a typed refusal, not
 //! a panic.
 
-/// FNV-1a offset basis (the digest family used across the repo).
+/// FNV-1a offset basis (the standard one).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
+/// The multiplier, shared with [`crate::Trace`] digests. It is *not* the
+/// standard FNV-64 prime `0x100_0000_01b3` (one more zero nibble), so these
+/// digests are an FNV-1a variant distinct from the standard family that
+/// the farm's journal and checkpoint seals and
+/// [`crate::Machine::state_fingerprint`] use. It stays as it is: changing
+/// it would change every recorded trace digest and checkpoint seal.
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a digest of `bytes` — the seal used by checkpoint files (and, with
-/// the same constants, the sweep journal and trace digests).
+/// FNV-1a-style digest of `bytes` with this module's multiplier (see
+/// `FNV_PRIME`) — the seal used by checkpoint files.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -175,6 +180,14 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_known_answer_pins_the_nonstandard_multiplier() {
+        // Standard FNV-1a-64 gives 0xaf63dc4c8601ec8c for "a"; this variant
+        // must keep producing its own value.
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+    }
 
     #[test]
     fn roundtrip_all_primitives() {

@@ -45,6 +45,8 @@ pub enum TraceMode {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Not the standard FNV-64 prime: see [`crate::persist::fnv1a`]. Fixed,
+/// because every recorded trace digest depends on it.
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// An ordered record of every committed transition of a machine run.
@@ -186,9 +188,11 @@ impl Trace {
         self.total - self.events.len() as u64
     }
 
-    /// FNV-1a digest over the *full* pushed event stream (independent of the
-    /// retention mode); equal digests mean equal traces (up to hash
-    /// collision), handy for determinism property tests.
+    /// FNV-1a-style digest over the *full* pushed event stream (independent
+    /// of the retention mode; the multiplier is the one
+    /// [`crate::persist::fnv1a`] documents, not the standard FNV prime);
+    /// equal digests mean equal traces (up to hash collision), handy for
+    /// determinism property tests.
     pub fn digest(&self) -> u64 {
         self.hash
     }

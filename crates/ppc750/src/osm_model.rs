@@ -821,6 +821,12 @@ impl PpcOsmSim {
         &mut self.machine
     }
 
+    /// Unwraps the underlying machine (manager handles stay in
+    /// `shared.ids`).
+    pub fn into_machine(self) -> Machine<PpcShared> {
+        self.machine
+    }
+
     /// Captures a full mid-run checkpoint (machine, managers, oracle,
     /// memory system, predictor).
     ///

@@ -595,6 +595,12 @@ impl SaOsmSim {
         &mut self.machine
     }
 
+    /// Unwraps the underlying machine (manager handles stay in
+    /// `shared.ids`).
+    pub fn into_machine(self) -> Machine<SaShared> {
+        self.machine
+    }
+
     /// The operation state machine spec (Fig. 6).
     pub fn spec(&self) -> &Arc<StateMachineSpec> {
         &self.spec

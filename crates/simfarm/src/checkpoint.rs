@@ -32,7 +32,7 @@
 //! from cycle 0 again. Checkpointing is strictly best-effort: an unwritable
 //! checkpoint directory slows recovery but never changes a job's result.
 
-use crate::job::SimJob;
+use crate::job::{fnv, SimJob};
 use crate::journal::jobs_digest;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -43,18 +43,6 @@ const VERSION: u32 = 1;
 /// Fixed-size prefix: magic + version + job_digest + cycle + trace_hash +
 /// trace_total + machine_len.
 const PREFIX_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8 + 4;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut digest = FNV_OFFSET;
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
 
 /// One decoded mid-job checkpoint: where the machine was cut, the running
 /// trace digest state, and the model's own sealed snapshot bytes.

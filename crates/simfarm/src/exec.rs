@@ -26,6 +26,9 @@
 //!   cooperative [`crate::SimJob::deadline_ms`], plus grace) → the parent
 //!   SIGKILLs the child and reports [`JobOutcome::DeadlineExceeded`] — the
 //!   deadline is now *enforced*, not just requested;
+//! * a requested budget that `ulimit` refused (the shim exits with a
+//!   reserved code and never starts the child) → [`JobOutcome::Failed`]
+//!   naming the budget;
 //! * anything else (spawn failure, exit without a result frame) →
 //!   [`JobOutcome::Failed`].
 //!
@@ -37,7 +40,7 @@
 use crate::checkpoint::CheckpointCtl;
 use crate::job::{JobOutcome, JobResult, SimJob};
 use crate::journal::{self, StreamRecord};
-use crate::observe::{AttemptSpan, JobTiming};
+use crate::observe::{AttemptSpan, FarmObserver};
 use crate::supervise::{run_attempt, supervise};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -129,6 +132,44 @@ fn exit_signal(_status: &ExitStatus) -> Option<i32> {
     None
 }
 
+/// Exit codes the spawn shim reserves for a requested budget that `ulimit`
+/// refused to apply: the child is never started, so a budget can fail but
+/// never be silently dropped.
+const MEMORY_BUDGET_EXIT: i32 = 121;
+const CPU_BUDGET_EXIT: i32 = 122;
+
+/// The `sh` shim that applies the address-space (`mem_kb`, `ulimit -v`) and
+/// CPU (`cpu_secs`, `ulimit -t`) budgets and then `exec`s the arguments
+/// appended to the returned command. An empty budget is not applied; one
+/// that `ulimit` refuses exits with its reserved code instead of running
+/// the child unbounded.
+fn budget_shim(mem_kb: &str, cpu_secs: &str) -> Command {
+    let mut cmd = Command::new("sh");
+    cmd.arg("-c")
+        .arg(format!(
+            "[ -z \"$1\" ] || ulimit -v \"$1\" 2>/dev/null || exit {MEMORY_BUDGET_EXIT}; \
+             [ -z \"$2\" ] || ulimit -t \"$2\" 2>/dev/null || exit {CPU_BUDGET_EXIT}; \
+             shift 2; exec \"$@\""
+        ))
+        .arg("sh")
+        .arg(mem_kb)
+        .arg(cpu_secs);
+    cmd
+}
+
+/// The typed failure for a child the shim refused to start because a
+/// budget could not be applied, if that is how it exited.
+fn unapplied_budget(status: &ExitStatus) -> Option<JobOutcome> {
+    let budget = match status.code() {
+        Some(MEMORY_BUDGET_EXIT) => "memory (ulimit -v)",
+        Some(CPU_BUDGET_EXIT) => "cpu (ulimit -t)",
+        _ => return None,
+    };
+    Some(JobOutcome::Failed(format!(
+        "isolated worker not started: its {budget} budget could not be applied"
+    )))
+}
+
 /// Spawns one child attempt and waits for it, hard-killing on wall-clock
 /// overrun. Returns the exit status, the raw stdout bytes, and whether the
 /// parent had to kill the child.
@@ -140,17 +181,12 @@ fn spawn_and_collect(
 ) -> io::Result<(ExitStatus, Vec<u8>, bool)> {
     let mem_kb = iso
         .memory_limit_mb
-        .map_or_else(|| "unlimited".to_owned(), |mb| mb.saturating_mul(1024).to_string());
+        .map_or_else(String::new, |mb| mb.saturating_mul(1024).to_string());
     let cpu_secs = iso
         .cpu_limit_secs
-        .map_or_else(|| "unlimited".to_owned(), |s| s.to_string());
-    let mut cmd = Command::new("sh");
-    cmd.arg("-c")
-        .arg("ulimit -v \"$1\" 2>/dev/null; ulimit -t \"$2\" 2>/dev/null; shift 2; exec \"$@\"")
-        .arg("sh")
-        .arg(mem_kb)
-        .arg(cpu_secs)
-        .arg(&iso.exe)
+        .map_or_else(String::new, |s| s.to_string());
+    let mut cmd = budget_shim(&mem_kb, &cpu_secs);
+    cmd.arg(&iso.exe)
         .arg("--run-one")
         .arg(&iso.manifest)
         .arg(index.to_string());
@@ -243,6 +279,9 @@ pub(crate) fn run_child_attempt(
     if let Some(signal) = exit_signal(&status) {
         return JobResult::aborted(job, JobOutcome::Killed { signal });
     }
+    if let Some(outcome) = unapplied_budget(&status) {
+        return JobResult::aborted(job, outcome);
+    }
     match final_result {
         Some(result) => *result,
         None => JobResult::aborted(
@@ -258,44 +297,21 @@ pub(crate) fn run_child_attempt(
 /// in-parent retry/quarantine loop over [`run_child_attempt`]s. Each retry
 /// spawns a fresh child, which restores from the job's last durable
 /// checkpoint — so a child killed mid-job resumes, it does not start over.
+/// Given the farm observer's `clock`, each spawned child is recorded as an
+/// [`AttemptSpan`]; its setup/simulate/teardown breakdown lives inside the
+/// child and is not reported back, so the span's [`crate::JobTiming`] is
+/// zero.
 pub(crate) fn run_child_supervised(
     iso: &ProcessIsolation,
     jobs: &[SimJob],
     index: usize,
     ckpt_dir: Option<&Path>,
     on_partial: &mut dyn FnMut(u64),
-) -> JobResult {
-    supervise(&jobs[index], |_| {
+    clock: Option<&FarmObserver>,
+) -> (JobResult, Vec<AttemptSpan>) {
+    supervise(&jobs[index], clock, |_| {
         run_child_attempt(iso, jobs, index, ckpt_dir, on_partial)
     })
-}
-
-/// [`run_child_supervised`] with farm observability: one [`AttemptSpan`]
-/// per spawned child. The setup/simulate/teardown breakdown lives inside
-/// the child and is not reported back, so spans carry wall-clock bounds
-/// with a zero [`JobTiming`] breakdown.
-pub(crate) fn run_child_supervised_observed(
-    iso: &ProcessIsolation,
-    jobs: &[SimJob],
-    index: usize,
-    ckpt_dir: Option<&Path>,
-    on_partial: &mut dyn FnMut(u64),
-    now_ns: impl Fn() -> u64,
-) -> (JobResult, Vec<AttemptSpan>) {
-    let mut spans = Vec::new();
-    let result = supervise(&jobs[index], |attempt| {
-        let start_ns = now_ns();
-        let result = run_child_attempt(iso, jobs, index, ckpt_dir, on_partial);
-        spans.push(AttemptSpan {
-            attempt,
-            start_ns,
-            end_ns: now_ns(),
-            timing: JobTiming::default(),
-            healthy: result.outcome.is_healthy(),
-        });
-        result
-    });
-    (result, spans)
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +367,7 @@ fn run_one(args: &[String]) -> Result<(), String> {
         .as_deref()
         .and_then(|dir| CheckpointCtl::new(job, index, dir))
         .map(|ctl| ctl.with_notify(move |cycle| emit_partial(index, cycle)));
-    let result = run_attempt(job, ctl.as_mut());
+    let result = run_attempt(job, ctl.as_mut(), None);
 
     let frame = journal::record_bytes(index, &result).map_err(|e| e.to_string())?;
     let mut stdout = io::stdout().lock();
@@ -403,6 +419,32 @@ mod tests {
             2,
             "bad index"
         );
+    }
+
+    #[test]
+    fn a_budget_the_shell_rejects_fails_instead_of_running_unbounded() {
+        let run = |mem_kb: &str, cpu_secs: &str| {
+            budget_shim(mem_kb, cpu_secs)
+                .arg("true")
+                .status()
+                .expect("sh spawns")
+        };
+        let status = run("not-a-number", "");
+        assert_eq!(status.code(), Some(MEMORY_BUDGET_EXIT));
+        assert!(
+            matches!(unapplied_budget(&status), Some(JobOutcome::Failed(m)) if m.contains("memory")),
+            "{status}"
+        );
+        let status = run("", "-1");
+        assert_eq!(status.code(), Some(CPU_BUDGET_EXIT));
+        assert!(
+            matches!(unapplied_budget(&status), Some(JobOutcome::Failed(m)) if m.contains("cpu")),
+            "{status}"
+        );
+        // No budget requested: nothing is applied and the child runs.
+        let status = run("", "");
+        assert!(status.success(), "{status}");
+        assert!(unapplied_budget(&status).is_none());
     }
 
     #[test]

@@ -8,22 +8,29 @@
 //! wall-clock deadline is a pure function of the [`SimJob`], which is what
 //! the farm's determinism-under-failure guarantee rests on.
 
-use crate::checkpoint::CheckpointCtl;
+use crate::checkpoint::{CheckpointCtl, JobCheckpoint};
 use crate::observe::JobTiming;
+use minirisc::{Iss, SparseMemory};
 use osm_core::{
-    FaultPlan, FaultStats, MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
+    FaultHandle, FaultInjector, FaultPlan, FaultStats, HardwareLayer, InertBehavior, Machine,
+    ManagerId, MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
 };
-use ppc750::{PpcConfig, PpcOsmSim};
-use sa1100::{SaConfig, SaOsmSim};
+use ppc750::{PpcConfig, PpcOsmSim, PpcShared};
+use sa1100::{SaConfig, SaOsmSim, SaShared};
 use std::fmt;
 use std::time::{Duration, Instant};
-use vliw::{schedule, VliwConfig, VliwIr, VliwProgram, VliwSim};
+use vliw::{schedule, VliwConfig, VliwIr, VliwProgram, VliwShared, VliwSim};
 use workloads::{kernels40, mediabench, random_program, specint_mix, Workload};
 
-/// FNV-1a offset basis (same constants as `osm_core::Trace`, so ISS digests
-/// live in the same hash family as OSM trace digests).
+/// FNV-1a-64 offset basis and prime, the standard parameters. Every farm
+/// digest uses them: ISS `(pc, taken)` digests, ADL workload spellings, the
+/// journal's job-list digest and record seals, and the checkpoint seal.
+///
+/// `osm_core`'s trace digests and checkpoint seals share the offset basis
+/// but multiply by `0x1000_0000_01b3`, not this prime: they are a different
+/// hash family. Neither side may change its constants — that would change
+/// every recorded digest, journal and checkpoint.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Default stall budget armed on every OSM job: comfortably above any
@@ -39,6 +46,7 @@ pub const DEFAULT_RETRIES: u32 = 1;
 /// Cycles run between cooperative deadline/cancellation checks.
 const DEADLINE_CHUNK: u64 = 2048;
 
+/// Folds `bytes` into a running FNV-1a digest.
 #[inline]
 fn fnv_mix(mut digest: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -46,6 +54,11 @@ fn fnv_mix(mut digest: u64, bytes: &[u8]) -> u64 {
         digest = digest.wrapping_mul(FNV_PRIME);
     }
     digest
+}
+
+/// FNV-1a digest of `bytes`.
+pub(crate) fn fnv(bytes: &[u8]) -> u64 {
+    fnv_mix(FNV_OFFSET, bytes)
 }
 
 /// Which machine model a [`SimJob`] runs.
@@ -180,8 +193,7 @@ impl WorkloadSpec {
             WorkloadSpec::Ilp { iters, body } => format!("ilp:{iters}:{body}"),
             WorkloadSpec::ChaosPanic => "chaos:panic".to_owned(),
             WorkloadSpec::AdlMachine { source, osms } => {
-                let digest = fnv_mix(FNV_OFFSET, source.as_bytes());
-                format!("adl:{osms}@{digest:016x}")
+                format!("adl:{osms}@{:016x}", fnv(source.as_bytes()))
             }
         }
     }
@@ -557,9 +569,9 @@ impl Deadline {
     }
 }
 
-/// Phase-boundary stopwatch for [`run_job_timed`]: records into its target
-/// only when one is attached, so the plain [`run_job`] path never touches
-/// the clock and stays the pre-observability hot path.
+/// Phase-boundary stopwatch for [`run_job_with`]: records into its target
+/// only when one is attached, so a run without timing never touches the
+/// clock.
 struct PhaseTimer<'a> {
     out: Option<(&'a mut JobTiming, Instant)>,
 }
@@ -623,49 +635,6 @@ fn checkpoint_stride(ctl: &Option<&mut CheckpointCtl<'_>>) -> u64 {
         .max(1)
 }
 
-/// Drives one OSM simulator in `stride`-cycle slices (see
-/// [`checkpoint_stride`]) so the wall deadline is checked — and checkpoints
-/// come due — cooperatively. `chunk(target)` must advance the machine to
-/// `target` cycles (or halt/error) and report `(halted, cycle, result)`.
-/// `start_cycle` is where the machine already stands (nonzero after a
-/// checkpoint restore). Returns the outcome and the last chunk's result
-/// (`None` only if the very first chunk errored).
-fn drive_osm<R>(
-    job: &SimJob,
-    start_cycle: u64,
-    stride: u64,
-    mut chunk: impl FnMut(u64) -> Result<(bool, u64, R), ModelError>,
-) -> (JobOutcome, Option<R>) {
-    let deadline = Deadline::start(job.deadline_ms);
-    let mut cycles = start_cycle;
-    let mut last = None;
-    loop {
-        let target = cycles.saturating_add(stride).min(job.max_cycles);
-        match chunk(target) {
-            Ok((halted, cycle, res)) => {
-                cycles = cycle;
-                last = Some(res);
-                if halted {
-                    return (JobOutcome::Halted, last);
-                }
-                if cycles >= job.max_cycles {
-                    return (JobOutcome::BudgetExhausted, last);
-                }
-                if deadline.expired() {
-                    return (
-                        JobOutcome::DeadlineExceeded {
-                            cycles,
-                            deadline_ms: deadline.ms,
-                        },
-                        last,
-                    );
-                }
-            }
-            Err(e) => return (outcome_from_model_error(e), last),
-        }
-    }
-}
-
 /// Runs one job to completion on the calling thread.
 ///
 /// Never panics on bad input — unknown workloads and model errors are
@@ -675,490 +644,419 @@ fn drive_osm<R>(
 /// isolates. Arms the job's stall budget on the model watchdog and checks
 /// the wall deadline cooperatively.
 pub fn run_job(job: &SimJob) -> JobResult {
-    run_job_inner(job, None, None)
+    run_job_with(job, None, None)
 }
 
-/// [`run_job`] with a setup/sim/teardown wall-time breakdown for the farm
-/// observer. Timing is wall-clock derived and therefore nondeterministic —
-/// the [`JobResult`] itself is bit-identical to the untimed run's (the
-/// clock is only read at the three phase boundaries, never inside the
-/// simulation).
-pub fn run_job_timed(job: &SimJob) -> (JobResult, JobTiming) {
-    let mut timing = JobTiming::default();
-    let result = run_job_inner(job, Some(&mut timing), None);
-    (result, timing)
-}
-
-/// [`run_job`] under a durable checkpoint controller: restores from the
-/// controller's last valid checkpoint (if any), re-seeds the trace digest
-/// so the final digest equals an uninterrupted run's, and seals fresh
-/// checkpoints every [`SimJob::checkpoint_every`] cycles. With `ctl = None`
-/// this *is* [`run_job`], byte for byte.
-pub fn run_job_checkpointed(job: &SimJob, ctl: Option<&mut CheckpointCtl<'_>>) -> JobResult {
-    run_job_inner(job, None, ctl)
-}
-
-/// [`run_job_checkpointed`] with the farm observer's timing breakdown
-/// (checkpoint I/O lands in the sim phase; restore lands in setup).
-pub fn run_job_checkpointed_timed(
+/// [`run_job`] with the farm's two optional riders:
+///
+/// * `ctl`, a durable checkpoint controller: the run restores from the
+///   controller's last valid checkpoint (if any), re-seeds the trace digest
+///   so the final digest equals an uninterrupted run's, and seals fresh
+///   checkpoints every [`SimJob::checkpoint_every`] cycles;
+/// * `timing`, which receives the setup/sim/teardown wall-time breakdown
+///   (restore lands in setup, checkpoint I/O in sim). The clock is read
+///   only at the three phase boundaries, never inside the simulation, and
+///   the [`JobResult`] is bit-identical to an untimed run's.
+///
+/// With both `None` this *is* [`run_job`].
+pub fn run_job_with(
     job: &SimJob,
     ctl: Option<&mut CheckpointCtl<'_>>,
-) -> (JobResult, JobTiming) {
-    let mut timing = JobTiming::default();
-    let result = run_job_inner(job, Some(&mut timing), ctl);
-    (result, timing)
-}
-
-fn run_job_inner(
-    job: &SimJob,
     timing: Option<&mut JobTiming>,
-    ctl: Option<&mut CheckpointCtl<'_>>,
 ) -> JobResult {
     if matches!(job.workload, WorkloadSpec::ChaosPanic) {
         panic!("chaos:panic workload fired (job `{}`)", job.name);
     }
-    let mut timer = PhaseTimer::new(timing);
+    let timer = PhaseTimer::new(timing);
     match job.model {
-        ModelKind::Sa1100 => run_sa1100(job, &mut timer, ctl),
-        ModelKind::Ppc750 => run_ppc750(job, &mut timer, ctl),
-        ModelKind::MiniRiscIss => run_iss(job, &mut timer, ctl),
-        ModelKind::Vliw => run_vliw(job, &mut timer, ctl),
-        ModelKind::Adl => run_adl(job, &mut timer, ctl),
+        ModelKind::Sa1100 => drive::<Machine<SaShared>>(job, timer, ctl),
+        ModelKind::Ppc750 => drive::<Machine<PpcShared>>(job, timer, ctl),
+        ModelKind::MiniRiscIss => drive::<IssRun>(job, timer, ctl),
+        ModelKind::Vliw => drive::<Machine<VliwShared>>(job, timer, ctl),
+        ModelKind::Adl => drive::<Machine<()>>(job, timer, ctl),
     }
 }
 
-/// Runs an inline-ADL machine job: load the source, spawn `osms` instances
-/// round-robin over the declared classes with the inert behavior, and drive
-/// to the cycle budget. ADL machines have no halt concept, so healthy runs
-/// end in [`JobOutcome::BudgetExhausted`]; deadlocks, watchdog stalls and
-/// synthesis failures surface through the usual typed outcomes. Faults (if
-/// any) install on the first declared manager, mirroring the fetch-side
-/// convention of the named models.
-fn run_adl(
+/// The one model driver: build the simulator, restore its last durable
+/// checkpoint, advance it in [`checkpoint_stride`] slices — so the wall
+/// deadline is checked, and checkpoints come due, between slices — and
+/// assemble the [`JobResult`].
+fn drive<M: Simulator>(
     job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
+    mut timer: PhaseTimer<'_>,
     mut ctl: Option<&mut CheckpointCtl<'_>>,
 ) -> JobResult {
-    use osm_core::{FaultInjector, InertBehavior, Machine, ManagerId};
-
-    let WorkloadSpec::AdlMachine { source, osms } = &job.workload else {
-        return JobResult::failed(
-            job,
-            format!(
-                "the adl model needs an inline `WorkloadSpec::AdlMachine` workload, got `{}`",
-                job.workload.spelling()
-            ),
-        );
+    let (mut sim, faults) = match M::build(job) {
+        Ok(built) => built,
+        Err(message) => return JobResult::failed(job, message),
     };
-    let synth = match osm_adl::load(source) {
-        Ok(s) => s,
-        Err(e) => return JobResult::failed(job, format!("adl load failed: {e}")),
-    };
-    if synth.specs.is_empty() {
-        return JobResult::failed(job, "adl machine declares no osm classes".to_owned());
+    let restored_from = sim.resume(ctl.as_deref().and_then(CheckpointCtl::load));
+    if let (Some(ctl), Some(cycle)) = (ctl.as_deref_mut(), restored_from) {
+        ctl.mark_restored(cycle);
     }
-    let mut machine: Machine<()> = Machine::new(());
-    synth.install_managers(&mut machine);
-    for k in 0..*osms {
-        let (_, spec) = &synth.specs[(k as usize) % synth.specs.len()];
-        machine.add_osm(spec, InertBehavior);
-    }
-    machine.set_scheduler_mode(job.scheduler);
-    machine.set_stall_limit(job.stall_budget);
-    if job.observability {
-        machine.enable_event_log();
-        machine.enable_metrics();
-        machine.enable_stall_attribution();
-    }
-    let handle = job.faults.clone().and_then(|plan| {
-        (!machine.managers.is_empty())
-            .then(|| FaultInjector::install(&mut machine.managers, ManagerId(0), plan))
-    });
-    // Synthesized machines use the osm-core checkpoint codec directly (unit
-    // shared state encodes as zero bytes).
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            let decoded = machine
-                .decode_checkpoint(&ckpt.machine, |b| b.is_empty().then_some(()))
-                .ok();
-            if decoded.is_some_and(|c| machine.restore(&c).is_ok()) {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    machine.enable_trace_with(trace);
     timer.setup_done();
     let stride = checkpoint_stride(&ctl);
-    let (outcome, _last) = drive_osm(job, start_cycle, stride, |target| {
-        let remaining = target.saturating_sub(machine.cycle());
-        machine.run(remaining)?;
-        let cycle = machine.cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if cycle < job.max_cycles && ctl.due(cycle) {
-                let bytes = machine
-                    .checkpoint()
-                    .and_then(|c| machine.encode_checkpoint(&c, &[]));
-                if let (Ok(bytes), Some(t)) = (bytes, machine.trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((false, cycle, ()))
-    });
-    timer.sim_done();
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles: machine.cycle(),
-        retired: machine.stats.transitions,
-        exit_code: 0,
-        digest: machine.take_trace().map(|t| t.digest()).unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(machine.stats.clone()),
-        metrics: machine.metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
-
-fn run_sa1100(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    let workload = match job.workload.resolve(job.seed) {
-        Ok(w) => w,
-        Err(e) => return JobResult::failed(job, e),
-    };
-    let mut sim = SaOsmSim::new(SaConfig::paper(), &workload.program());
-    sim.machine_mut().set_scheduler_mode(job.scheduler);
-    sim.set_stall_limit(job.stall_budget);
-    if job.observability {
-        sim.enable_observability();
-    }
-    let fetch = sim.ids.mf;
-    let handle = job.faults.clone().map(|plan| sim.inject_faults(fetch, plan));
-    // Restore the last durable checkpoint the machine accepts (faults must
-    // already be installed so the manager shapes match), then continue the
-    // trace digest from the checkpointed hash — the final digest equals an
-    // uninterrupted run's.
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if sim.restore_checkpoint_bytes(&ckpt.machine).is_ok() {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    sim.machine_mut().enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, last) = drive_osm(job, start_cycle, stride, |target| {
-        let res = sim.run_to_halt(target)?;
-        let halted = sim.machine().shared.halted;
-        let cycle = sim.machine().cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
-                if let (Ok(bytes), Some(t)) = (sim.checkpoint_bytes(), sim.machine().trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((halted, cycle, res))
-    });
-    timer.sim_done();
-    let (cycles, retired, exit_code) = match &last {
-        Some(res) => (res.cycles, res.retired, res.exit_code),
-        None => (sim.machine().cycle(), 0, 0),
-    };
-    let cycles = if last.is_some() && !outcome.is_healthy() && !matches!(outcome, JobOutcome::DeadlineExceeded { .. }) {
-        sim.machine().cycle()
-    } else {
-        cycles
-    };
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles,
-        retired,
-        exit_code,
-        digest: sim
-            .machine_mut()
-            .take_trace()
-            .map(|t| t.digest())
-            .unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(sim.machine().stats.clone()),
-        metrics: sim.metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
-
-fn run_ppc750(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    let workload = match job.workload.resolve(job.seed) {
-        Ok(w) => w,
-        Err(e) => return JobResult::failed(job, e),
-    };
-    let mut sim = PpcOsmSim::new(PpcConfig::paper(), &workload.program());
-    sim.machine_mut().set_scheduler_mode(job.scheduler);
-    sim.set_stall_limit(job.stall_budget);
-    if job.observability {
-        sim.enable_observability();
-    }
-    let fetch_queue = sim.ids.fq;
-    let handle = job
-        .faults
-        .clone()
-        .map(|plan| sim.inject_faults(fetch_queue, plan));
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if sim.restore_checkpoint_bytes(&ckpt.machine).is_ok() {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    sim.machine_mut().enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, last) = drive_osm(job, start_cycle, stride, |target| {
-        let res = sim.run_to_halt(target)?;
-        let halted = sim.machine().shared.halted;
-        let cycle = sim.machine().cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
-                if let (Ok(bytes), Some(t)) = (sim.checkpoint_bytes(), sim.machine().trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((halted, cycle, res))
-    });
-    timer.sim_done();
-    let (cycles, retired, exit_code) = match &last {
-        Some(res) => (res.cycles, res.retired, res.exit_code),
-        None => (sim.machine().cycle(), 0, 0),
-    };
-    let cycles = if last.is_some() && !outcome.is_healthy() && !matches!(outcome, JobOutcome::DeadlineExceeded { .. }) {
-        sim.machine().cycle()
-    } else {
-        cycles
-    };
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles,
-        retired,
-        exit_code,
-        digest: sim
-            .machine_mut()
-            .take_trace()
-            .map(|t| t.digest())
-            .unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(sim.machine().stats.clone()),
-        metrics: sim.metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
-
-fn run_vliw(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    let WorkloadSpec::Ilp { iters, body } = job.workload else {
-        return JobResult::failed(
-            job,
-            format!(
-                "the vliw model needs an `ilp:<iters>:<body>` workload, got `{}`",
-                job.workload.spelling()
-            ),
-        );
-    };
-    let program = ilp_program(iters, body);
-    let mut sim = VliwSim::new(VliwConfig::default(), &program);
-    sim.machine_mut().set_scheduler_mode(job.scheduler);
-    sim.set_stall_limit(job.stall_budget);
-    if job.observability {
-        sim.machine_mut().enable_event_log();
-        sim.machine_mut().enable_metrics();
-        sim.machine_mut().enable_stall_attribution();
-    }
-    let fetch = sim.ids().mf;
-    let handle = job.faults.clone().map(|plan| sim.inject_faults(fetch, plan));
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if sim.restore_checkpoint_bytes(&ckpt.machine).is_ok() {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    sim.machine_mut().enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, last) = drive_osm(job, start_cycle, stride, |target| {
-        let res = sim.run_to_halt(target)?;
-        let halted = sim.halted();
-        let cycle = sim.machine().cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
-                if let (Ok(bytes), Some(t)) = (sim.checkpoint_bytes(), sim.machine().trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((halted, cycle, res))
-    });
-    timer.sim_done();
-    let (cycles, retired, exit_code) = match &last {
-        Some(res) => (res.cycles, res.retired_ops, res.exit_code),
-        None => (sim.machine().cycle(), 0, 0),
-    };
-    let cycles = if last.is_some() && !outcome.is_healthy() && !matches!(outcome, JobOutcome::DeadlineExceeded { .. }) {
-        sim.machine().cycle()
-    } else {
-        cycles
-    };
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles,
-        retired,
-        exit_code,
-        digest: sim
-            .machine_mut()
-            .take_trace()
-            .map(|t| t.digest())
-            .unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(sim.machine().stats.clone()),
-        metrics: sim.machine().metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
-
-fn run_iss(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    use minirisc::{Iss, SparseMemory};
-    let workload = match job.workload.resolve(job.seed) {
-        Ok(w) => w,
-        Err(e) => return JobResult::failed(job, e),
-    };
-    let mut iss = Iss::with_program(SparseMemory::new(), &workload.program());
-    // ISS checkpoints carry the complete simulator state; the running
-    // `(pc, taken)` digest accumulator rides in the trace fields.
-    let mut digest = FNV_OFFSET;
-    let mut steps = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if iss.import_state(&ckpt.machine) {
-                digest = ckpt.trace_hash;
-                steps = ckpt.trace_total;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    timer.setup_done();
     let deadline = Deadline::start(job.deadline_ms);
-    let stride = checkpoint_stride(&ctl);
+    let mut progress = (0, 0);
     let outcome = loop {
-        if iss.halted {
+        let target = sim.cycle().saturating_add(stride).min(job.max_cycles);
+        let halted = match sim.advance(target) {
+            Ok(halted) => halted,
+            Err(outcome) => break outcome,
+        };
+        progress = sim.progress();
+        let cycle = sim.cycle();
+        if let Some(ctl) = ctl.as_deref_mut() {
+            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
+                if let Some((trace_hash, trace_total, machine)) = sim.snapshot() {
+                    ctl.save(cycle, trace_hash, trace_total, &machine);
+                }
+            }
+        }
+        if halted {
             break JobOutcome::Halted;
         }
-        if steps >= job.max_cycles {
+        if cycle >= job.max_cycles {
             break JobOutcome::BudgetExhausted;
         }
-        if steps.is_multiple_of(stride) && steps > 0 {
-            if deadline.expired() {
-                break JobOutcome::DeadlineExceeded {
-                    cycles: steps,
-                    deadline_ms: job.deadline_ms.unwrap_or(0),
-                };
-            }
-            if let Some(ctl) = ctl.as_deref_mut() {
-                if ctl.due(steps) {
-                    ctl.save(steps, digest, steps, &iss.export_state());
-                }
-            }
+        if deadline.expired() {
+            break JobOutcome::DeadlineExceeded {
+                cycles: cycle,
+                deadline_ms: deadline.ms,
+            };
         }
-        match iss.step() {
-            Ok(executed) => {
-                digest = fnv_mix(digest, &executed.pc.to_le_bytes());
-                digest = fnv_mix(digest, &executed.taken.unwrap_or(0).to_le_bytes());
-            }
-            Err(e) => break JobOutcome::Failed(e.to_string()),
-        }
-        steps += 1;
     };
     timer.sim_done();
+    if M::LIVE_PROGRESS {
+        progress = sim.progress();
+    }
+    let (digest, stats, metrics) = sim.finish();
     let result = JobResult {
         name: job.name.clone(),
         model: job.model,
         workload: job.workload.spelling(),
         outcome,
-        cycles: iss.retired,
-        retired: iss.retired,
-        exit_code: iss.exit_code,
+        cycles: sim.cycle(),
+        retired: progress.0,
+        exit_code: progress.1,
         digest,
         attempts: 1,
         restored_from,
-        stats: None,
-        metrics: None,
-        fault_stats: None,
+        stats,
+        metrics,
+        fault_stats: faults.map(|h| h.stats()),
     };
     timer.teardown_done();
     result
+}
+
+/// A simulator [`drive`] can run: every OSM model as a [`Machine`] over its
+/// [`OsmModel`] shared state, and the ISS as an [`IssRun`].
+trait Simulator: Sized {
+    /// Whether the result's `(retired, exit_code)` is read from the final
+    /// state (`true`), or frozen at the last chunk that completed without
+    /// error and `(0, 0)` when the first chunk failed (`false`).
+    const LIVE_PROGRESS: bool;
+
+    /// Resolves the job's workload and builds the simulator with the job's
+    /// scheduler, stall budget, observability and fault plan armed. `Err`
+    /// carries the failure message.
+    fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String>;
+
+    /// Restores `ckpt` if the simulator accepts it, then starts the run's
+    /// digest — continued from the checkpoint when restored. Returns the
+    /// restored cycle.
+    fn resume(&mut self, ckpt: Option<JobCheckpoint>) -> Option<u64>;
+
+    /// Cycles (ISS: instructions) run so far.
+    fn cycle(&self) -> u64;
+
+    /// Runs until `target` cycles or halt; `Ok(true)` once halted.
+    fn advance(&mut self, target: u64) -> Result<bool, JobOutcome>;
+
+    /// Instructions retired and the program's exit code so far.
+    fn progress(&self) -> (u64, u32);
+
+    /// The running digest state and the encoded machine, for a checkpoint:
+    /// `(trace_hash, trace_total, machine)`. `None` if the state cannot be
+    /// encoded (the save is skipped).
+    fn snapshot(&self) -> Option<(u64, u64, Vec<u8>)>;
+
+    /// Ends the run: the final digest, scheduler stats and metrics.
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>);
+}
+
+/// What the farm needs to know about one OSM model beyond its [`Machine`],
+/// keyed by the model's shared hardware state.
+trait OsmModel: HardwareLayer + Clone + 'static {
+    /// See [`Simulator::LIVE_PROGRESS`].
+    const LIVE_PROGRESS: bool = false;
+
+    /// Resolves the job's workload and builds the machine, plus the
+    /// fetch-side manager a fault plan is installed in front of (`None`
+    /// when the machine has no managers).
+    fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String>;
+
+    /// True once the program has halted.
+    fn halted(&self) -> bool {
+        false
+    }
+
+    /// Instructions retired and the program's exit code so far.
+    fn progress(machine: &Machine<Self>) -> (u64, u32);
+
+    /// The shared state's section of a machine checkpoint.
+    fn encode(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    /// Decodes [`OsmModel::encode`] output against a same-construction
+    /// template.
+    fn decode(bytes: &[u8], template: &Self) -> Option<Self>;
+}
+
+impl<S: OsmModel> Simulator for Machine<S> {
+    const LIVE_PROGRESS: bool = S::LIVE_PROGRESS;
+
+    fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String> {
+        let (mut machine, fetch) = S::build(job)?;
+        machine.set_scheduler_mode(job.scheduler);
+        machine.set_stall_limit(job.stall_budget);
+        if job.observability {
+            machine.enable_event_log();
+            machine.enable_metrics();
+            machine.enable_stall_attribution();
+        }
+        let faults = fetch
+            .zip(job.faults.clone())
+            .map(|(target, plan)| FaultInjector::install(&mut machine.managers, target, plan));
+        Ok((machine, faults))
+    }
+
+    fn resume(&mut self, ckpt: Option<JobCheckpoint>) -> Option<u64> {
+        // Faults are installed by now, so the manager shapes match.
+        let ckpt = ckpt.filter(|c| {
+            self.decode_checkpoint(&c.machine, |b| S::decode(b, &self.shared))
+                .and_then(|decoded| self.restore(&decoded))
+                .is_ok()
+        });
+        self.enable_trace_with(match &ckpt {
+            Some(c) => Trace::digest_only_resumed(c.trace_hash, c.trace_total),
+            None => Trace::digest_only(),
+        });
+        ckpt.map(|c| c.cycle)
+    }
+
+    fn cycle(&self) -> u64 {
+        Machine::cycle(self)
+    }
+
+    fn advance(&mut self, target: u64) -> Result<bool, JobOutcome> {
+        let remaining = target.saturating_sub(Machine::cycle(self));
+        self.run_until(remaining, |m| m.shared.halted())
+            .map_err(outcome_from_model_error)?;
+        Ok(self.shared.halted())
+    }
+
+    fn progress(&self) -> (u64, u32) {
+        S::progress(self)
+    }
+
+    fn snapshot(&self) -> Option<(u64, u64, Vec<u8>)> {
+        let machine = self
+            .checkpoint()
+            .and_then(|c| self.encode_checkpoint(&c, &c.shared().encode()))
+            .ok()?;
+        let trace = self.trace()?;
+        Some((trace.digest(), trace.total(), machine))
+    }
+
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
+        let digest = self.take_trace().map_or(0, |t| t.digest());
+        (digest, Some(self.stats.clone()), self.metrics_report())
+    }
+}
+
+impl OsmModel for SaShared {
+    fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String> {
+        let program = job.workload.resolve(job.seed)?.program();
+        let sim = SaOsmSim::new(SaConfig::paper(), &program);
+        let fetch = sim.ids.mf;
+        Ok((sim.into_machine(), Some(fetch)))
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
+    }
+
+    fn progress(machine: &Machine<Self>) -> (u64, u32) {
+        (machine.shared.retired, machine.shared.exit_code)
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        self.encode_state()
+    }
+
+    fn decode(bytes: &[u8], template: &Self) -> Option<Self> {
+        SaShared::decode_state(bytes, template)
+    }
+}
+
+impl OsmModel for PpcShared {
+    fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String> {
+        let program = job.workload.resolve(job.seed)?.program();
+        let sim = PpcOsmSim::new(PpcConfig::paper(), &program);
+        let fetch_queue = sim.ids.fq;
+        Ok((sim.into_machine(), Some(fetch_queue)))
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
+    }
+
+    fn progress(machine: &Machine<Self>) -> (u64, u32) {
+        (machine.shared.retired, machine.shared.oracle.exit_code)
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        self.encode_state()
+    }
+
+    fn decode(bytes: &[u8], template: &Self) -> Option<Self> {
+        PpcShared::decode_state(bytes, template)
+    }
+}
+
+/// VLIW jobs run the synthetic [`WorkloadSpec::Ilp`] loop; `retired`
+/// counts operations.
+impl OsmModel for VliwShared {
+    fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String> {
+        let WorkloadSpec::Ilp { iters, body } = job.workload else {
+            return Err(format!(
+                "the vliw model needs an `ilp:<iters>:<body>` workload, got `{}`",
+                job.workload.spelling()
+            ));
+        };
+        let sim = VliwSim::new(VliwConfig::default(), &ilp_program(iters, body));
+        let fetch = sim.ids().mf;
+        Ok((sim.into_machine(), Some(fetch)))
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
+    }
+
+    fn progress(machine: &Machine<Self>) -> (u64, u32) {
+        (machine.shared.retired_ops, machine.shared.exit_code)
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        self.encode_state()
+    }
+
+    fn decode(bytes: &[u8], template: &Self) -> Option<Self> {
+        VliwShared::decode_state(bytes, template)
+    }
+}
+
+/// Inline-ADL machines: the source is loaded and `osms` instances are
+/// spawned round-robin over the declared classes with the inert behavior —
+/// the workload *is* the machine structure. They never halt, so healthy
+/// runs exhaust their budget; `retired` counts transitions (read at the end
+/// of the run). Faults install on the first declared manager, mirroring
+/// the fetch-side convention of the named models, and the unit shared state
+/// encodes as zero bytes.
+impl OsmModel for () {
+    const LIVE_PROGRESS: bool = true;
+
+    fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String> {
+        let WorkloadSpec::AdlMachine { source, osms } = &job.workload else {
+            return Err(format!(
+                "the adl model needs an inline `WorkloadSpec::AdlMachine` workload, got `{}`",
+                job.workload.spelling()
+            ));
+        };
+        let synth = osm_adl::load(source).map_err(|e| format!("adl load failed: {e}"))?;
+        if synth.specs.is_empty() {
+            return Err("adl machine declares no osm classes".to_owned());
+        }
+        let mut machine = Machine::new(());
+        synth.install_managers(&mut machine);
+        for k in 0..*osms as usize {
+            let (_, spec) = &synth.specs[k % synth.specs.len()];
+            machine.add_osm(spec, InertBehavior);
+        }
+        let fetch = (!machine.managers.is_empty()).then_some(ManagerId(0));
+        Ok((machine, fetch))
+    }
+
+    fn progress(machine: &Machine<Self>) -> (u64, u32) {
+        (machine.stats.transitions, 0)
+    }
+
+    fn decode(bytes: &[u8], _template: &Self) -> Option<Self> {
+        bytes.is_empty().then_some(())
+    }
+}
+
+/// The ISS as a [`Simulator`]: it steps one instruction at a time and folds
+/// every executed `(pc, taken)` pair into an FNV-1a digest (the ISS has no
+/// transition trace). It has no token managers, so the scheduler, stall
+/// budget, observability and fault plan do not apply. A checkpoint carries
+/// the complete simulator state, with the digest in the trace fields.
+struct IssRun {
+    iss: Iss<SparseMemory>,
+    digest: u64,
+}
+
+impl Simulator for IssRun {
+    const LIVE_PROGRESS: bool = true;
+
+    fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String> {
+        let program = job.workload.resolve(job.seed)?.program();
+        let iss = Iss::with_program(SparseMemory::new(), &program);
+        Ok((
+            IssRun {
+                iss,
+                digest: FNV_OFFSET,
+            },
+            None,
+        ))
+    }
+
+    fn resume(&mut self, ckpt: Option<JobCheckpoint>) -> Option<u64> {
+        let ckpt = ckpt.filter(|c| self.iss.import_state(&c.machine))?;
+        self.digest = ckpt.trace_hash;
+        Some(ckpt.cycle)
+    }
+
+    fn cycle(&self) -> u64 {
+        self.iss.retired
+    }
+
+    fn advance(&mut self, target: u64) -> Result<bool, JobOutcome> {
+        while !self.iss.halted && self.iss.retired < target {
+            let executed = self
+                .iss
+                .step()
+                .map_err(|e| JobOutcome::Failed(e.to_string()))?;
+            self.digest = fnv_mix(self.digest, &executed.pc.to_le_bytes());
+            self.digest = fnv_mix(self.digest, &executed.taken.unwrap_or(0).to_le_bytes());
+        }
+        Ok(self.iss.halted)
+    }
+
+    fn progress(&self) -> (u64, u32) {
+        (self.iss.retired, self.iss.exit_code)
+    }
+
+    fn snapshot(&self) -> Option<(u64, u64, Vec<u8>)> {
+        Some((self.digest, self.iss.retired, self.iss.export_state()))
+    }
+
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
+        (self.digest, None, None)
+    }
 }
 
 /// Builds the standard ILP workload: a countdown loop whose body is `body`
@@ -1202,6 +1100,13 @@ fn ilp_program(iters: i32, body: usize) -> VliwProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_is_standard_fnv1a_64() {
+        assert_eq!(fnv(b""), FNV_OFFSET);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv_mix(fnv(b"fo"), b"o"), fnv(b"foo"));
+    }
 
     #[test]
     fn workload_spec_parses_all_forms() {

@@ -50,7 +50,7 @@
 //! farm moves on.
 
 use crate::error::JournalError;
-use crate::job::{JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
+use crate::job::{fnv, JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
 use bench::json::{parse, Json};
 use osm_core::{FaultStats, MetricsReport, StallKind, Stats};
 use std::collections::BTreeMap;
@@ -61,18 +61,6 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"OSMFARMJ";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut digest = FNV_OFFSET;
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
 
 /// FNV-1a digest of the canonical job-list encoding: every field that
 /// affects a job's behavior, in job order. Two job lists with equal digests

@@ -100,9 +100,8 @@ pub use checkpoint::{CheckpointCtl, JobCheckpoint};
 pub use error::{FarmError, JournalError};
 pub use exec::{IsolationMode, ProcessIsolation};
 pub use job::{
-    run_job, run_job_checkpointed, run_job_checkpointed_timed, run_job_timed, JobOutcome,
-    JobResult, ModelKind, SimJob, StallSummary, WorkloadSpec, DEFAULT_RETRIES,
-    DEFAULT_STALL_BUDGET,
+    run_job, run_job_with, JobOutcome, JobResult, ModelKind, SimJob, StallSummary, WorkloadSpec,
+    DEFAULT_RETRIES, DEFAULT_STALL_BUDGET,
 };
 pub use journal::{read_journal, JournalReplay, JournalWriter};
 pub use manifest::{parse_manifest, Manifest, ManifestError};

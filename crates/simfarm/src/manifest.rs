@@ -58,8 +58,8 @@ pub struct Manifest {
     pub workers: Option<usize>,
     /// Top-level `"farm_observability"` flag: attach a
     /// [`crate::FarmObserver`] to the sweep (worker telemetry, job spans,
-    /// farm-trace export). Off by default — the disabled farm runs the
-    /// exact pre-observer hot loop. Distinct from per-job
+    /// farm-trace export). Off by default — the disabled farm reads no
+    /// clock. Distinct from per-job
     /// `"observability"`, which enables the *machine*-level event log and
     /// metrics inside each job.
     pub farm_observability: bool,

@@ -18,10 +18,11 @@
 //! — none of it may leak into `canonical_text()`/`canonical_json()`. The
 //! observer records per *job* (a whole simulation, typically 10⁴–10⁶
 //! cycles), never per cycle: one `Instant::now()` pair per phase boundary
-//! and one short mutex-protected push per completed job. With no observer
-//! attached the farm runs the exact pre-observer worker loop — no clock
-//! reads, no extra branches inside the simulation itself — which is what
-//! keeps the `simfarm_smoke` speedup floor honest.
+//! and one short mutex-protected push per completed job. Workers run one
+//! loop either way; with no observer attached it reads no clock, and
+//! nothing is added inside the simulation itself. The `farm_mixed`
+//! benchmark workload and the `simfarm_smoke` speedup floor keep this
+//! honest.
 
 use osm_core::export::{json_escape, TraceJsonBuilder};
 use std::sync::{Arc, Mutex};
@@ -51,8 +52,8 @@ impl JobTiming {
 }
 
 /// One supervised attempt as observed on a worker. A panicked attempt keeps
-/// its span (the crash is part of the schedule) but loses its phase
-/// breakdown — the timing lived on the unwound stack.
+/// its span (the crash is part of the schedule) but reports a zero phase
+/// breakdown — its phases never completed.
 #[derive(Debug, Clone)]
 pub struct AttemptSpan {
     /// 1-based attempt number within the job's supervision loop.

@@ -32,9 +32,7 @@ use crate::exec::{self, ProcessIsolation};
 use crate::job::{JobResult, SimJob};
 use crate::journal::JournalWriter;
 use crate::observe::{FarmObserver, FarmSchedule, JobSpan, WorkerTelemetry};
-use crate::supervise::{
-    run_job_supervised, run_job_supervised_ckpt, run_job_supervised_observed, CancelToken,
-};
+use crate::supervise::{run_job_supervised, run_job_supervised_with, CancelToken};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -72,8 +70,8 @@ pub struct FarmOptions {
     /// Farm-scope observability: when present, workers record per-job
     /// lifecycle spans and per-worker telemetry into it, and the finished
     /// [`FarmSchedule`] is attached to the returned [`SweepRun`]. When
-    /// absent the workers run the exact pre-observer hot loop — results are
-    /// bit-identical either way (timing never feeds back into execution).
+    /// absent the workers read no clock — results are bit-identical either
+    /// way (timing never feeds back into execution).
     pub observer: Option<FarmObserver>,
     /// Directory for durable mid-job checkpoints. When present, every job
     /// that opted in ([`SimJob::checkpoint_every`]) seals a checkpoint on
@@ -253,11 +251,11 @@ pub fn run_farm(
             let observer = observer.clone();
             let ckpt_dir = checkpoint_dir.as_deref();
             let isolation = isolation.as_ref();
-            scope.spawn(move || match observer {
-                None => worker_plain(deques, me, &cancel, &tx, jobs, ckpt_dir, isolation),
-                Some(obs) => {
-                    worker_observed(deques, me, &cancel, &tx, jobs, &obs, ckpt_dir, isolation)
-                }
+            scope.spawn(move || {
+                let observer = observer.as_ref();
+                worker(
+                    deques, me, &cancel, &tx, jobs, ckpt_dir, isolation, observer,
+                )
             });
         }
         drop(tx);
@@ -338,10 +336,14 @@ fn job_ckpt_ctl<'a>(
     )
 }
 
-/// The worker body when no observer is attached: the pre-observability hot
-/// loop, with no clock reads and no telemetry bookkeeping.
+/// A worker's loop: pop or steal the next job, run it supervised (in a
+/// child process under `isolation`, otherwise on this thread) and report
+/// the result. With an observer attached it also keeps busy/idle and
+/// pop-vs-steal telemetry and records one [`JobSpan`] per job; the clock is
+/// read only at job and attempt boundaries, and the results are
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
-fn worker_plain(
+fn worker(
     deques: &[Mutex<VecDeque<usize>>],
     me: usize,
     cancel: &CancelToken,
@@ -349,47 +351,17 @@ fn worker_plain(
     jobs: &[SimJob],
     ckpt_dir: Option<&Path>,
     isolation: Option<&ProcessIsolation>,
+    obs: Option<&FarmObserver>,
 ) {
-    while !cancel.is_cancelled() {
-        let Some((idx, _stolen)) = next_job(deques, me) else { break };
-        let result = match isolation {
-            Some(iso) => exec::run_child_supervised(iso, jobs, idx, ckpt_dir, &mut |cycle| {
-                let _ = tx.send(Msg::Partial(idx, cycle));
-            }),
-            None => {
-                let mut ctl = job_ckpt_ctl(jobs, idx, ckpt_dir, tx);
-                run_job_supervised_ckpt(&jobs[idx], ctl.as_mut())
-            }
-        };
-        if tx.send(Msg::Result(idx, Box::new(result))).is_err() {
-            break;
-        }
-    }
-}
-
-/// The worker body with a [`FarmObserver`] attached: the same job flow,
-/// plus busy/idle accounting, pop-vs-steal counting, and one recorded
-/// [`JobSpan`] per completed job. Timing is read only at job boundaries —
-/// the simulation itself is bit-identical to the plain path.
-#[allow(clippy::too_many_arguments)]
-fn worker_observed(
-    deques: &[Mutex<VecDeque<usize>>],
-    me: usize,
-    cancel: &CancelToken,
-    tx: &mpsc::Sender<Msg>,
-    jobs: &[SimJob],
-    obs: &FarmObserver,
-    ckpt_dir: Option<&Path>,
-    isolation: Option<&ProcessIsolation>,
-) {
+    let now_ns = || obs.map_or(0, FarmObserver::now_ns);
     let mut telemetry = WorkerTelemetry {
         worker: me,
         ..WorkerTelemetry::default()
     };
-    let mut idle_mark = obs.now_ns();
+    let mut idle_mark = now_ns();
     while !cancel.is_cancelled() {
         let Some((idx, stolen)) = next_job(deques, me) else { break };
-        let started_ns = obs.now_ns();
+        let started_ns = now_ns();
         telemetry.idle_ns += started_ns.saturating_sub(idle_mark);
         if stolen {
             telemetry.steals += 1;
@@ -397,7 +369,7 @@ fn worker_observed(
             telemetry.own_pops += 1;
         }
         let (result, attempts) = match isolation {
-            Some(iso) => exec::run_child_supervised_observed(
+            Some(iso) => exec::run_child_supervised(
                 iso,
                 jobs,
                 idx,
@@ -405,34 +377,38 @@ fn worker_observed(
                 &mut |cycle| {
                     let _ = tx.send(Msg::Partial(idx, cycle));
                 },
-                || obs.now_ns(),
+                obs,
             ),
             None => {
                 let mut ctl = job_ckpt_ctl(jobs, idx, ckpt_dir, tx);
-                run_job_supervised_observed(&jobs[idx], ctl.as_mut(), || obs.now_ns())
+                run_job_supervised_with(&jobs[idx], ctl.as_mut(), obs)
             }
         };
-        let finished_ns = obs.now_ns();
+        let finished_ns = now_ns();
         telemetry.busy_ns += finished_ns.saturating_sub(started_ns);
         telemetry.jobs_completed += 1;
         idle_mark = finished_ns;
-        obs.record_span(JobSpan {
-            index: idx,
-            name: result.name.clone(),
-            worker: me,
-            stolen,
-            started_ns,
-            finished_ns,
-            attempts,
-            outcome: result.outcome.label(),
-            cycles: result.cycles,
-        });
+        if let Some(obs) = obs {
+            obs.record_span(JobSpan {
+                index: idx,
+                name: result.name.clone(),
+                worker: me,
+                stolen,
+                started_ns,
+                finished_ns,
+                attempts,
+                outcome: result.outcome.label(),
+                cycles: result.cycles,
+            });
+        }
         if tx.send(Msg::Result(idx, Box::new(result))).is_err() {
             break;
         }
     }
-    telemetry.idle_ns += obs.now_ns().saturating_sub(idle_mark);
-    obs.record_worker(telemetry);
+    if let Some(obs) = obs {
+        telemetry.idle_ns += now_ns().saturating_sub(idle_mark);
+        obs.record_worker(telemetry);
+    }
 }
 
 /// Pops the next index: own deque front first, then steal from the back of

@@ -11,10 +11,8 @@
 //! [`SimJob`], independent of worker count and scheduling.
 
 use crate::checkpoint::CheckpointCtl;
-use crate::job::{
-    run_job_checkpointed, run_job_checkpointed_timed, JobOutcome, JobResult, SimJob,
-};
-use crate::observe::{AttemptSpan, JobTiming};
+use crate::job::{run_job_with, JobOutcome, JobResult, SimJob};
+use crate::observe::{AttemptSpan, FarmObserver, JobTiming};
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,54 +108,71 @@ fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, (String, Option<String>)> 
     result.map_err(|payload| (payload_string(payload), captured))
 }
 
-/// One isolated attempt: a panic anywhere inside the job runner is caught
-/// (silently — see [`install_quiet_panic_hook`]) and reported as
+/// One crash-isolated attempt: a panic anywhere inside the job runner is
+/// caught (silently — see [`install_quiet_panic_hook`]) and reported as
 /// [`JobOutcome::Panicked`] with the payload and captured backtrace.
-pub(crate) fn run_attempt(job: &SimJob, ctl: Option<&mut CheckpointCtl<'_>>) -> JobResult {
-    match quiet_catch(AssertUnwindSafe(|| run_job_checkpointed(job, ctl))) {
+/// `timing` receives the setup/sim/teardown breakdown; a panicking attempt
+/// reports zeros.
+pub(crate) fn run_attempt(
+    job: &SimJob,
+    ctl: Option<&mut CheckpointCtl<'_>>,
+    mut timing: Option<&mut JobTiming>,
+) -> JobResult {
+    match quiet_catch(AssertUnwindSafe(|| {
+        run_job_with(job, ctl, timing.as_deref_mut())
+    })) {
         Ok(result) => result,
         Err((payload, backtrace)) => {
+            if let Some(timing) = timing {
+                *timing = JobTiming::default();
+            }
             JobResult::aborted(job, JobOutcome::Panicked { payload, backtrace })
         }
     }
 }
 
-/// One isolated, *timed* attempt: like [`run_attempt`] but with the
-/// setup/sim/teardown breakdown. A panicking attempt loses its breakdown
-/// (the timing lived on the unwound stack) and reports zeros.
-fn run_attempt_timed(
+/// The retry/quarantine loop under every supervised path: up to
+/// `1 + job.retries` attempts, quarantine once every attempt came back
+/// unhealthy. `attempt_fn` must already be crash-isolated. With a `clock`
+/// (the farm observer), each attempt gets a phase-timing slot and is
+/// recorded as an [`AttemptSpan`] timestamped on that clock; without one,
+/// no clock is read and no spans are returned.
+pub(crate) fn supervise(
     job: &SimJob,
-    ctl: Option<&mut CheckpointCtl<'_>>,
-) -> (JobResult, JobTiming) {
-    match quiet_catch(AssertUnwindSafe(|| run_job_checkpointed_timed(job, ctl))) {
-        Ok(pair) => pair,
-        Err((payload, backtrace)) => (
-            JobResult::aborted(job, JobOutcome::Panicked { payload, backtrace }),
-            JobTiming::default(),
-        ),
-    }
-}
-
-/// The retry/quarantine loop shared by the plain and observed supervised
-/// runners: up to `1 + job.retries` attempts, quarantine once every attempt
-/// came back unhealthy. `attempt_fn` receives the 1-based attempt number
-/// and must already be crash-isolated.
-pub(crate) fn supervise(job: &SimJob, mut attempt_fn: impl FnMut(u32) -> JobResult) -> JobResult {
+    clock: Option<&FarmObserver>,
+    mut attempt_fn: impl FnMut(Option<&mut JobTiming>) -> JobResult,
+) -> (JobResult, Vec<AttemptSpan>) {
     let attempts_allowed = job.retries.saturating_add(1);
+    let mut spans = Vec::new();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let mut result = attempt_fn(attempt);
+        let mut result = match clock {
+            None => attempt_fn(None),
+            Some(clock) => {
+                let start_ns = clock.now_ns();
+                let mut timing = JobTiming::default();
+                let result = attempt_fn(Some(&mut timing));
+                spans.push(AttemptSpan {
+                    attempt,
+                    start_ns,
+                    end_ns: clock.now_ns(),
+                    timing,
+                    healthy: result.outcome.is_healthy(),
+                });
+                result
+            }
+        };
         result.attempts = attempt;
         if result.outcome.is_healthy() {
-            return result;
+            return (result, spans);
         }
         if attempt >= attempts_allowed {
             result.outcome = JobOutcome::Quarantined {
                 attempts: attempt,
                 last: Box::new(result.outcome),
             };
-            return result;
+            return (result, spans);
         }
     }
 }
@@ -169,43 +184,21 @@ pub(crate) fn supervise(job: &SimJob, mut attempt_fn: impl FnMut(u32) -> JobResu
 /// (cycles, digest, stats) with its outcome wrapped in
 /// [`JobOutcome::Quarantined`].
 pub fn run_job_supervised(job: &SimJob) -> JobResult {
-    supervise(job, |_| run_attempt(job, None))
+    run_job_supervised_with(job, None, None).0
 }
 
-/// [`run_job_supervised`] under an optional durable checkpoint controller:
-/// every attempt restores from the job's last valid checkpoint (so a retry
-/// after a mid-job crash continues from where the machine durably stood,
-/// not from cycle 0) and keeps sealing new checkpoints as it advances.
-pub(crate) fn run_job_supervised_ckpt(
+/// [`run_job_supervised`] as a farm worker runs it in-process: under an
+/// optional durable checkpoint controller — every attempt restores from the
+/// job's last valid checkpoint (so a retry after a mid-job crash continues
+/// from where the machine durably stood, not from cycle 0) and keeps
+/// sealing new ones — and, given the farm observer's `clock`, with one
+/// [`AttemptSpan`] per attempt.
+pub(crate) fn run_job_supervised_with(
     job: &SimJob,
     mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    supervise(job, |_| run_attempt(job, ctl.as_deref_mut()))
-}
-
-/// [`run_job_supervised`] with farm observability: returns the same
-/// deterministic [`JobResult`] plus one [`AttemptSpan`] per attempt, with
-/// timestamps taken from `now_ns` (the farm observer's clock). Only called
-/// by the farm when a [`crate::FarmObserver`] is attached.
-pub(crate) fn run_job_supervised_observed(
-    job: &SimJob,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-    now_ns: impl Fn() -> u64,
+    clock: Option<&FarmObserver>,
 ) -> (JobResult, Vec<AttemptSpan>) {
-    let mut spans = Vec::new();
-    let result = supervise(job, |attempt| {
-        let start_ns = now_ns();
-        let (result, timing) = run_attempt_timed(job, ctl.as_deref_mut());
-        spans.push(AttemptSpan {
-            attempt,
-            start_ns,
-            end_ns: now_ns(),
-            timing,
-            healthy: result.outcome.is_healthy(),
-        });
-        result
-    });
-    (result, spans)
+    supervise(job, clock, |timing| run_attempt(job, ctl.as_deref_mut(), timing))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 use osm_fuzz::{generate, GenConfig};
 use proptest::prelude::*;
 use simfarm::{
-    journal, parse_manifest, run_farm, run_job, run_job_checkpointed, CheckpointCtl, FarmOptions,
+    journal, parse_manifest, run_farm, run_job, run_job_with, CheckpointCtl, FarmOptions,
     FarmReport, JournalWriter, ModelKind, ProcessIsolation, SimJob, WorkloadSpec,
 };
 use std::path::PathBuf;
@@ -62,7 +62,7 @@ fn assert_checkpoint_roundtrip(mut job: SimJob, checkpoint_every: u64) {
 
     // First checkpointed run: same digest, leaves a sealed checkpoint.
     let mut ctl = CheckpointCtl::new(&job, 0, &scratch.0).expect("checkpointing enabled");
-    let first = run_job_checkpointed(&job, Some(&mut ctl));
+    let first = run_job_with(&job, Some(&mut ctl), None);
     assert_eq!(first.digest, baseline.digest, "{}: checkpointing changed the digest", job.name);
     assert_eq!(first.cycles, baseline.cycles, "{}", job.name);
     assert!(first.restored_from.is_none(), "{}: nothing to restore from yet", job.name);
@@ -76,7 +76,7 @@ fn assert_checkpoint_roundtrip(mut job: SimJob, checkpoint_every: u64) {
 
     // Second run restores mid-job and continues to the same digest.
     let mut ctl = CheckpointCtl::new(&job, 0, &scratch.0).expect("checkpointing enabled");
-    let second = run_job_checkpointed(&job, Some(&mut ctl));
+    let second = run_job_with(&job, Some(&mut ctl), None);
     let restored = second
         .restored_from
         .unwrap_or_else(|| panic!("{}: second run did not restore", job.name));

@@ -156,11 +156,14 @@ pub struct VliwShared {
     program: Arc<VliwProgram>,
     next_bundle: usize,
     stop_fetch: bool,
-    halted: bool,
-    exit_code: u32,
+    /// True once the halting bundle has retired.
+    pub halted: bool,
+    /// Program exit code.
+    pub exit_code: u32,
     output: Vec<u8>,
     young: Vec<OsmId>,
-    retired_ops: u64,
+    /// Retired operations.
+    pub retired_ops: u64,
     retired_bundles: u64,
     squashed: u64,
     fetch_timer: u32,
@@ -525,6 +528,11 @@ impl VliwSim {
     /// observer installation, A/B experiments).
     pub fn machine_mut(&mut self) -> &mut Machine<VliwShared> {
         &mut self.machine
+    }
+
+    /// Unwraps the underlying machine.
+    pub fn into_machine(self) -> Machine<VliwShared> {
+        self.machine
     }
 
     /// Manager handles (targets for [`VliwSim::inject_faults`]).
