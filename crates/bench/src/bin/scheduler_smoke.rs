@@ -7,7 +7,10 @@
 //!    transition event) on all four workload families: the synthetic
 //!    sparse-waiter machine, the SA-1100 OSM model on a MediaBench kernel,
 //!    the PPC-750 OSM model on the same MiniRISC program, and the VLIW
-//!    lockstep core.
+//!    lockstep core. A fifth workload, the contended ADL machine (the
+//!    costliest of `perf`'s `adl_contended` suite), runs with no observers
+//!    attached — the untracked director that `Machine::run` users get — so
+//!    it is compared by `Machine::state_fingerprint` after every cycle.
 //! 2. **No performance regression** — measured two ways on the sparse
 //!    workload:
 //!    * *Deterministic effort gate*: the number of edge evaluations the
@@ -19,6 +22,9 @@
 //!      clock) must stay above the 1.5x acceptance floor. Wall-clock
 //!      ratios on shared CI hosts are ~15% noisy, which is why the 2%
 //!      regression gate rides on the deterministic counter instead.
+//!    * *Contended floor*: on the contended machine, where every cycle
+//!      commits 61 transitions under Fig. 3 restarts, the seed/fast
+//!      speedup (minimum-of-N) must stay above 4x.
 //!
 //! Run with: `cargo run --release -p bench --bin scheduler_smoke`
 //! Flags:    `-- --bless` rewrites `BENCH_3.json` from this machine.
@@ -51,6 +57,34 @@ const TIMING_REPS: usize = 3;
 const DENSE_TIMING_REPS: usize = 25;
 /// Absolute acceptance floor for the sparse speedup.
 const SPEEDUP_FLOOR: f64 = 1.5;
+
+/// The costliest machine of the `perf` benchmark's `adl_contended` suite
+/// (seed 1, machine 5). Every `op1` wedges in `S1` (its release finds no
+/// held token), so each cycle all 61 `op0`s move, each move a Fig. 3
+/// restart, past 61 blocked OSMs.
+const CONTENDED_SOURCE: &str = "machine fuzz_e1e861ebac7dd8c8 {
+    manager m0 : counting(2, per_cycle);
+    manager m1 : counting(1, per_cycle);
+    manager m2 : exclusive(1);
+    osm op0 {
+        states S0, S1;
+        initial S0;
+        edge e0 : S0 -> S1 { inquire m2[0]; inquire m0[any]; }
+        edge e1 : S1 -> S0 { }
+    }
+    osm op1 {
+        states S0, S1, S2;
+        initial S0;
+        edge e0 : S0 -> S1 { }
+        edge e1 : S1 -> S2 { allocate m1[any]; release m1[held]; }
+        edge e2 : S2 -> S0 { }
+        edge b2 : S2 -> S0 priority -1 { }
+    }
+}";
+const CONTENDED_OSMS: usize = 122;
+const CONTENDED_CYCLES: u64 = 5_000;
+/// Acceptance floor for the contended speedup.
+const CONTENDED_FLOOR: f64 = 4.0;
 
 fn baseline_path() -> PathBuf {
     // crates/bench -> repository root.
@@ -103,6 +137,42 @@ fn run_sparse(mode: SchedulerMode) -> (u64, f64, u64) {
     let secs = start.elapsed().as_secs_f64();
     let evals = m.stats.condition_failures;
     (m.take_trace().expect("trace on").digest(), secs, evals)
+}
+
+/// The contended machine: `CONTENDED_OSMS` inert OSMs round-robin over
+/// the classes, no observers.
+fn contended_machine(mode: SchedulerMode) -> Machine<()> {
+    let synth = osm_adl::load(CONTENDED_SOURCE).expect("contended source loads");
+    let mut m: Machine<()> = Machine::new(());
+    synth.install_managers(&mut m);
+    for k in 0..CONTENDED_OSMS {
+        m.add_osm(&synth.specs[k % synth.specs.len()].1, InertBehavior);
+    }
+    m.set_scheduler_mode(mode);
+    m
+}
+
+/// Steps the contended machine in both modes in lockstep; returns the
+/// first cycle after which their state fingerprints differ, if any.
+fn contended_divergence() -> Option<u64> {
+    let mut fast = contended_machine(SchedulerMode::Fast);
+    let mut seed = contended_machine(SchedulerMode::Seed);
+    for _ in 0..CONTENDED_CYCLES {
+        fast.step().expect("no deadlock");
+        seed.step().expect("no deadlock");
+        if fast.state_fingerprint() != seed.state_fingerprint() {
+            return Some(seed.cycle());
+        }
+    }
+    None
+}
+
+/// Wall seconds for `CONTENDED_CYCLES` cycles of the contended machine.
+fn run_contended(mode: SchedulerMode) -> f64 {
+    let mut m = contended_machine(mode);
+    let start = Instant::now();
+    m.run(CONTENDED_CYCLES).expect("no deadlock");
+    start.elapsed().as_secs_f64()
 }
 
 fn vliw_program() -> vliw::VliwProgram {
@@ -227,6 +297,15 @@ fn main() -> ExitCode {
         );
         failed |= !ok;
     }
+    let divergence = contended_divergence();
+    println!(
+        "fingerprint adl_contended  fast==seed after each of {CONTENDED_CYCLES} untracked cycles  {}",
+        match divergence {
+            None => "ok".to_owned(),
+            Some(cycle) => format!("MISMATCH at cycle {cycle}"),
+        }
+    );
+    failed |= divergence.is_some();
     if failed {
         eprintln!("scheduler_smoke: FAIL — fast scheduler is not cycle-exact");
         return ExitCode::FAILURE;
@@ -249,6 +328,17 @@ fn main() -> ExitCode {
         seed_min * 1e3,
         fast_min * 1e3,
         speedup
+    );
+    let (mut contended_fast, mut contended_seed) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TIMING_REPS {
+        contended_fast = contended_fast.min(run_contended(SchedulerMode::Fast));
+        contended_seed = contended_seed.min(run_contended(SchedulerMode::Seed));
+    }
+    let contended_speedup = contended_seed / contended_fast;
+    println!(
+        "contended timing: seed {:.1} ms, fast {:.1} ms, speedup {contended_speedup:.2}x (min of {TIMING_REPS})",
+        contended_seed * 1e3,
+        contended_fast * 1e3,
     );
 
     // Dense parity: the fast path cannot help a machine whose OSMs move
@@ -340,6 +430,14 @@ fn main() -> ExitCode {
         eprintln!(
             "scheduler_smoke: FAIL — sparse speedup {speedup:.2}x fell below the \
              {SPEEDUP_FLOOR}x acceptance floor (baseline {base_speedup:.2}x)"
+        );
+        return ExitCode::FAILURE;
+    }
+    println!("contended floor: measured {contended_speedup:.2}x, floor {CONTENDED_FLOOR}x");
+    if contended_speedup < CONTENDED_FLOOR {
+        eprintln!(
+            "scheduler_smoke: FAIL — contended speedup {contended_speedup:.2}x fell below \
+             the {CONTENDED_FLOOR}x acceptance floor"
         );
         return ExitCode::FAILURE;
     }

@@ -170,7 +170,7 @@ struct SensEntry {
     /// The state the OSM was blocked in when the record was taken.
     state: crate::ids::StateId,
     /// Behavior veto bitmap over the state's out-edges (bit k = edge k
-    /// enabled) at record time.
+    /// vetoed) at record time.
     veto_mask: u64,
     /// Number of live entries in `mgrs`/`epochs`.
     n: u8,
@@ -231,7 +231,24 @@ pub(crate) struct Scratch {
     /// Steps left on the reference scheduler before the fast path is probed
     /// again (see [`ADAPT_WINDOW`]); 0 = fast path active.
     pub(crate) adapt_cooldown: u32,
+    // --- per-step resume bookkeeping (RestartPolicy::Restart) ---
+    /// Service positions of the unmoved (hence blocked) OSMs below the
+    /// cursor, ascending.
+    blocked: Vec<usize>,
+    /// Lowest position in `blocked` whose proof any commit may break (no
+    /// valid record, unskippable, or a vetoed edge); [`NO_POS`] if none.
+    unproven: usize,
+    /// Per manager: the lowest position in `blocked` whose skip proof rests
+    /// on it, and its epoch at that proof; position [`NO_POS`] if none.
+    wake: Vec<(usize, u64)>,
+    /// Managers with a live `wake` registration.
+    wake_mgrs: Vec<ManagerId>,
+    /// `ManagerTable::generation()` when `wake` was last checked.
+    wake_generation: u64,
 }
+
+/// "No position" marker of the resume bookkeeping.
+const NO_POS: usize = usize::MAX;
 
 /// Length (in control steps) of the fast path's self-observation window.
 /// At the end of each window, if the skips granted did not outnumber the
@@ -260,6 +277,75 @@ impl Scratch {
         self.adapt_evals = 0;
         self.adapt_steps = 0;
         self.adapt_cooldown = 0;
+    }
+
+    /// Starts a step's resume bookkeeping with nothing registered.
+    fn begin_resume(&mut self, managers: &ManagerTable) {
+        self.blocked.clear();
+        self.unproven = NO_POS;
+        for m in self.wake_mgrs.drain(..) {
+            self.wake[m.index()].0 = NO_POS;
+        }
+        self.wake.resize(managers.len(), (NO_POS, 0));
+        self.wake_generation = managers.generation();
+    }
+
+    /// Registers OSM `oi`, just found blocked at service position `pos`. A
+    /// valid, skippable record with no vetoed edge stays a proof until one
+    /// of its recorded managers' epochs moves: a veto that appears later can
+    /// only disable an edge that was failing anyway. Any other record may
+    /// be broken by any commit.
+    #[inline]
+    fn register_blocked(&mut self, pos: usize, oi: usize) {
+        self.blocked.push(pos);
+        let e = &self.sens[oi];
+        if !(e.valid && e.skippable && e.veto_mask == 0) {
+            self.unproven = self.unproven.min(pos);
+            return;
+        }
+        for (&m, &epoch) in e.mgrs.iter().zip(&e.epochs).take(e.n as usize) {
+            // A dangling manager id never changes: nothing to register.
+            if let Some(w) = self.wake.get_mut(m.index()) {
+                if w.0 == NO_POS {
+                    *w = (pos, epoch);
+                    self.wake_mgrs.push(m);
+                }
+            }
+        }
+    }
+
+    /// Where the scan resumes after the OSM at `pos` committed: the lowest
+    /// registered position whose proof the commit may have broken (unproven,
+    /// or registered under a manager whose epoch moved), else `pos + 1`.
+    /// Registrations from the resume point up are dropped, as the scan
+    /// visits those positions again.
+    fn resume_after_commit(&mut self, pos: usize, managers: &ManagerTable) -> usize {
+        let mut resume = self.unproven.min(pos + 1);
+        let generation = managers.generation();
+        if generation != self.wake_generation {
+            self.wake_generation = generation;
+            for &m in &self.wake_mgrs {
+                let (at, epoch) = self.wake[m.index()];
+                if managers.epoch(m) != epoch {
+                    resume = resume.min(at);
+                }
+            }
+        }
+        if resume <= pos {
+            let keep = self.blocked.partition_point(|&p| p < resume);
+            self.blocked.truncate(keep);
+            self.unproven = NO_POS;
+            let wake = &mut self.wake;
+            self.wake_mgrs.retain(|m| {
+                let w = &mut wake[m.index()].0;
+                let keep = *w < resume;
+                if !keep {
+                    *w = NO_POS;
+                }
+                keep
+            });
+        }
+        resume
     }
 }
 
@@ -1208,6 +1294,14 @@ fn charge_blocked<S>(
 /// the one-Denied-per-condition-failure reconciliation is preserved; its
 /// stall attribution is charged from the persisted record instead.
 ///
+/// Under [`RestartPolicy::Restart`] one cursor walks the service order and
+/// every unmoved OSM below it is proven blocked against the current state.
+/// After a commit, instead of rescanning from the top, the cursor resumes at
+/// the lowest blocked OSM whose proof the commit may have broken, or past
+/// the OSM that moved (see [`Scratch::resume_after_commit`]). That performs
+/// the rescan's evaluations in its order and drops only its repeated skip
+/// proofs, which are still counted as skips for the adaptation window.
+///
 /// # Errors
 /// Returns [`ModelError::Deadlock`] exactly as the reference scheduler does;
 /// the idle-step diagnostic scan is elided only when nothing was evaluated
@@ -1256,31 +1350,45 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
     let mut step_skips: u64 = 0;
     let mut step_evals: u64 = 0;
 
+    // Service positions: `0..in_flight` are the in-flight OSMs, seniors
+    // first (== the reference list's age-ranked prefix); `in_flight + oi`
+    // is idle OSM `oi` (== its IDLE_AGE tail, where ties break by id).
+    // `active` only grows within a step, and what it gains has moved, so a
+    // position names the same OSM for the whole step.
     let mut active = std::mem::take(&mut scratch.active);
-    'outer: loop {
-        // Phase 1: in-flight OSMs, seniors first (== the reference list's
-        // age-ranked prefix).
-        let mut ai = 0;
-        while ai < active.len() {
-            let id = active[ai];
+    let in_flight = active.len();
+    let restart = policy == RestartPolicy::Restart;
+    if restart {
+        scratch.begin_resume(managers);
+    }
+    let mut pos = 0;
+    while pos < in_flight + n {
+        let (id, oi) = if pos < in_flight {
+            let id = active[pos];
             if id == TOMBSTONE {
-                ai += 1;
+                pos += 1;
                 continue;
             }
-            let oi = id.index();
-            if scratch.moved[oi] == seq {
-                ai += 1;
+            (id, id.index())
+        } else {
+            let oi = pos - in_flight;
+            if osms[oi].age != IDLE_AGE {
+                pos += 1;
                 continue;
             }
-            let spec = &specs[osms[oi].spec_idx as usize];
-            if can_skip(&osms[oi], spec, managers, shared, &scratch.sens[oi]) {
-                if TRACKING {
-                    scratch.first_fail[oi] = scratch.sens[oi].fail;
-                }
-                step_skips += 1;
-                ai += 1;
-                continue;
+            (osms[oi].id, oi)
+        };
+        if scratch.moved[oi] == seq {
+            pos += 1;
+            continue;
+        }
+        let spec = &specs[osms[oi].spec_idx as usize];
+        if can_skip(&osms[oi], spec, managers, shared, &scratch.sens[oi]) {
+            if TRACKING {
+                scratch.first_fail[oi] = scratch.sens[oi].fail;
             }
+            step_skips += 1;
+        } else {
             any_evaluated = true;
             step_evals += 1;
             let served = serve_osm_fast::<S, TRACKING>(
@@ -1299,79 +1407,43 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
                 scratch.moved[oi] = seq;
                 moved_count += 1;
                 transitions += 1;
-                debug_assert!(!served.dispatched, "in-flight OSM cannot dispatch");
+                debug_assert!(
+                    pos >= in_flight || !served.dispatched,
+                    "in-flight OSM cannot dispatch"
+                );
                 if served.completed {
                     completions += 1;
-                    active[ai] = TOMBSTONE;
-                    scratch.active_dead += 1;
-                }
-                if policy == RestartPolicy::Restart {
-                    if moved_count < n {
-                        stats.restarts += 1;
-                        step_restarts += 1;
+                    // An idle OSM completes by an initial-state self-loop,
+                    // without ever joining `active`.
+                    if pos < in_flight {
+                        active[pos] = TOMBSTONE;
+                        scratch.active_dead += 1;
                     }
-                    continue 'outer;
-                }
-            }
-            ai += 1;
-        }
-        // Phase 2: idle OSMs in id order (== the reference list's IDLE_AGE
-        // tail, where ties break by id).
-        let mut oi = 0;
-        while oi < n {
-            if osms[oi].age != IDLE_AGE || scratch.moved[oi] == seq {
-                oi += 1;
-                continue;
-            }
-            let id = osms[oi].id;
-            let spec = &specs[osms[oi].spec_idx as usize];
-            if can_skip(&osms[oi], spec, managers, shared, &scratch.sens[oi]) {
-                if TRACKING {
-                    scratch.first_fail[oi] = scratch.sens[oi].fail;
-                }
-                step_skips += 1;
-                oi += 1;
-                continue;
-            }
-            any_evaluated = true;
-            step_evals += 1;
-            let served = serve_osm_fast::<S, TRACKING>(
-                osms,
-                id,
-                specs,
-                managers,
-                shared,
-                cycle,
-                age_counter,
-                stats,
-                observers,
-                scratch,
-            );
-            if served.moved {
-                scratch.moved[oi] = seq;
-                moved_count += 1;
-                transitions += 1;
-                if served.dispatched {
-                    // Freshly dispatched: joins the in-flight list. Its age
-                    // is the largest assigned so far, so pushing keeps the
-                    // list sorted.
+                } else if served.dispatched {
+                    // Joins the in-flight list. Its age is the largest
+                    // assigned so far, so pushing keeps the list sorted.
                     active.push(id);
-                } else if served.completed {
-                    // Initial-state self-loop: completes without ever
-                    // becoming in-flight.
-                    completions += 1;
                 }
-                if policy == RestartPolicy::Restart {
+                if restart {
                     if moved_count < n {
                         stats.restarts += 1;
                         step_restarts += 1;
                     }
-                    continue 'outer;
+                    // Fig. 3 rescans from the top here. Every blocked OSM
+                    // below the resume point would pass its skip proof again,
+                    // so the rescan is cut short and they count as skips.
+                    pos = scratch.resume_after_commit(pos, managers);
+                    step_skips += scratch.blocked.len() as u64;
+                    continue;
                 }
+                pos += 1;
+                continue;
             }
-            oi += 1;
         }
-        break;
+        if restart {
+            scratch.register_blocked(pos, oi);
+        }
+        pos += 1;
     }
 
     // Everything unmoved is blocked; charge its first blocking (manager,

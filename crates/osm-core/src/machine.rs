@@ -1799,6 +1799,251 @@ mod tests {
         assert_eq!(m.osm(op).state_name(), "I", "unblock did not wake the OSM");
     }
 
+    /// Per step: the state fingerprint and the state names of OSMs 0 and 1.
+    type StepLog = Vec<(u64, String, String)>;
+
+    /// Runs `steps` cycles of `build()` under `mode` (default `Restart`
+    /// policy), with a digest trace when `tracked`. Returns the step log,
+    /// the trace digest (0 untracked) and the edge evaluations that failed
+    /// or were vetoed.
+    fn run_logged<S: HardwareLayer + 'static>(
+        build: &dyn Fn() -> Machine<S>,
+        mode: SchedulerMode,
+        tracked: bool,
+        steps: u64,
+    ) -> (StepLog, u64, u64) {
+        let mut m = build();
+        m.set_scheduler_mode(mode);
+        if tracked {
+            m.enable_trace_with(Trace::digest_only());
+        }
+        let mut log = Vec::new();
+        for _ in 0..steps {
+            m.step().unwrap();
+            log.push((
+                m.state_fingerprint(),
+                m.osm(OsmId(0)).state_name().to_owned(),
+                m.osm(OsmId(1)).state_name().to_owned(),
+            ));
+        }
+        let effort = m.stats.condition_failures + m.stats.vetoed_edges;
+        (log, m.trace_digest().unwrap_or(0), effort)
+    }
+
+    /// Checks, tracked and untracked, that the fast scheduler matches the
+    /// seed one step for step, that the senior OSM 0 leaves `wait` in the
+    /// very cycle (index `cycle`) the junior OSM 1 reaches `woken`, and that
+    /// the fast path skipped evaluations on the way.
+    fn assert_senior_wakes_in_step<S: HardwareLayer + 'static>(
+        build: &dyn Fn() -> Machine<S>,
+        wait: &str,
+        woken: &str,
+        cycle: usize,
+    ) {
+        for tracked in [false, true] {
+            let (fast, fast_digest, fast_evals) =
+                run_logged(build, SchedulerMode::Fast, tracked, 12);
+            let (seed, seed_digest, seed_evals) =
+                run_logged(build, SchedulerMode::Seed, tracked, 12);
+            assert_eq!(fast, seed, "tracked={tracked}");
+            assert_eq!(fast_digest, seed_digest, "tracked={tracked}");
+            assert!(fast_evals < seed_evals, "fast path never skipped");
+            assert_eq!(
+                (fast[cycle - 1].1.as_str(), fast[cycle].2.as_str()),
+                (wait, woken)
+            );
+            assert_ne!(
+                fast[cycle].1, wait,
+                "senior did not move in the junior's cycle"
+            );
+        }
+    }
+
+    #[test]
+    fn restart_wakes_senior_denied_earlier_in_the_step() {
+        // The senior waits for the pool unit the junior holds for three
+        // cycles. From its second denial on it is skipped on a proof that
+        // rests on the pool; the junior's release later in the same step
+        // moves the pool's epoch, and the senior must take the unit at
+        // once, as Fig. 3's rescan would.
+        let build = || {
+            let mut m: Machine<()> = Machine::new(());
+            let pool = m.add_manager(ExclusivePool::new("P", 1));
+            let senior = {
+                let mut b = SpecBuilder::new("senior");
+                let i = b.state("I");
+                let w = b.state("W");
+                let d = b.state("D");
+                b.initial(i);
+                b.edge(i, w);
+                b.edge(w, d).allocate(pool, IdentExpr::Const(0));
+                b.edge(d, i).release(pool, IdentExpr::AnyHeld);
+                b.build().unwrap()
+            };
+            let junior = {
+                let mut b = SpecBuilder::new("junior");
+                let i = b.state("I");
+                let h1 = b.state("H1");
+                let h2 = b.state("H2");
+                let h3 = b.state("H3");
+                b.initial(i);
+                b.edge(i, h1).allocate(pool, IdentExpr::Const(0));
+                b.edge(h1, h2);
+                b.edge(h2, h3);
+                b.edge(h3, i).release(pool, IdentExpr::AnyHeld);
+                b.build().unwrap()
+            };
+            m.add_osm(&senior, InertBehavior);
+            m.add_osm(&junior, InertBehavior);
+            m
+        };
+        assert_senior_wakes_in_step(&build, "W", "I", 3);
+    }
+
+    #[test]
+    fn restart_wakes_senior_whose_veto_a_junior_lifted() {
+        // The senior's only way on is vetoed until a shared flag is set,
+        // which the junior's `open` transition does. No manager epoch moves,
+        // so only the vetoed edge in the senior's record can wake it.
+        #[derive(Default)]
+        struct Flag {
+            open: bool,
+        }
+        impl HardwareLayer for Flag {}
+        struct Gated;
+        impl Behavior<Flag> for Gated {
+            fn edge_enabled(
+                &self,
+                edge: &Edge,
+                _: &crate::osm::OsmView<'_>,
+                shared: &Flag,
+            ) -> bool {
+                edge.name != "go" || shared.open
+            }
+            fn on_transition(&mut self, _: &Edge, _: &mut TransitionCtx<'_, Flag>) {}
+        }
+        struct Opener;
+        impl Behavior<Flag> for Opener {
+            fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, Flag>) {
+                if edge.name == "open" {
+                    ctx.shared.open = true;
+                }
+            }
+        }
+        let build = || {
+            let mut m: Machine<Flag> = Machine::new(Flag::default());
+            let gated = {
+                let mut b = SpecBuilder::new("gated");
+                let i = b.state("I");
+                let w = b.state("W");
+                let d = b.state("D");
+                b.initial(i);
+                b.edge(i, w);
+                b.edge(w, d).named("go");
+                b.edge(d, i);
+                b.build().unwrap()
+            };
+            let opener = {
+                let mut b = SpecBuilder::new("opener");
+                let i = b.state("I");
+                let j1 = b.state("J1");
+                let j2 = b.state("J2");
+                b.initial(i);
+                b.edge(i, j1);
+                b.edge(j1, j2);
+                b.edge(j2, i).named("open");
+                b.build().unwrap()
+            };
+            m.add_osm(&gated, Gated);
+            m.add_osm(&opener, Opener);
+            m
+        };
+        assert_senior_wakes_in_step(&build, "W", "I", 2);
+    }
+
+    /// The costliest generated ADL machine of the contended benchmark suite
+    /// (`fuzz_e1e861ebac7dd8c8`, built here by hand), with 122 OSMs
+    /// round-robin over its two classes. Every `op1` wedges in `S1`; each
+    /// cycle all 61 `op0`s move, each move a Fig. 3 restart.
+    fn contended_machine() -> Machine<()> {
+        use crate::pools::CountingPool;
+        let mut m: Machine<()> = Machine::new(());
+        let m0 = m.add_manager(CountingPool::per_cycle("m0", 2));
+        let m1 = m.add_manager(CountingPool::per_cycle("m1", 1));
+        let m2 = m.add_manager(ExclusivePool::new("m2", 1));
+        let op0 = {
+            let mut b = SpecBuilder::new("op0");
+            let s0 = b.state("S0");
+            let s1 = b.state("S1");
+            b.initial(s0);
+            b.edge(s0, s1)
+                .named("e0")
+                .inquire(m2, IdentExpr::Const(0))
+                .inquire(m0, IdentExpr::ANY);
+            b.edge(s1, s0).named("e1");
+            b.build().unwrap()
+        };
+        let op1 = {
+            let mut b = SpecBuilder::new("op1");
+            let s0 = b.state("S0");
+            let s1 = b.state("S1");
+            let s2 = b.state("S2");
+            b.initial(s0);
+            b.edge(s0, s1).named("e0");
+            b.edge(s1, s2)
+                .named("e1")
+                .allocate(m1, IdentExpr::ANY)
+                .release(m1, IdentExpr::AnyHeld);
+            b.edge(s2, s0).named("e2");
+            b.edge(s2, s0).named("b2").priority(-1);
+            b.build().unwrap()
+        };
+        for k in 0..122 {
+            m.add_osm(if k % 2 == 0 { &op0 } else { &op1 }, InertBehavior);
+        }
+        m
+    }
+
+    #[test]
+    fn contended_machine_stays_on_the_fast_path() {
+        // The resumed scan still counts the skip proofs Fig. 3's rescans
+        // would have repeated; without them this machine's adaptation
+        // window sees more evaluations than skips and parks on `Seed`.
+        let mut m = contended_machine();
+        m.run(1_000).unwrap();
+        assert_eq!(m.stats.transitions, 61_000 + 61);
+        assert_eq!(m.scratch.adapt_cooldown, 0, "parked on the seed scheduler");
+    }
+
+    #[test]
+    fn dense_machine_parks_on_the_seed_scheduler() {
+        use crate::pools::CountingPool;
+        // One dispatch per cycle through a per-cycle pool: the refill at
+        // every clock invalidates each waiter's record, so every waiter is
+        // evaluated every cycle and the skip machinery cannot pay for itself.
+        let mut m: Machine<()> = Machine::new(());
+        let bw = m.add_manager(CountingPool::per_cycle("bw", 1));
+        let spec = {
+            let mut b = SpecBuilder::new("op");
+            let i = b.state("I");
+            let a = b.state("A");
+            b.initial(i);
+            b.edge(i, a)
+                .allocate(bw, IdentExpr::ANY)
+                .discard(bw, IdentExpr::AnyHeld);
+            b.edge(a, i);
+            b.build().unwrap()
+        };
+        for _ in 0..16 {
+            m.add_osm(&spec, InertBehavior);
+        }
+        m.run(1_000).unwrap();
+        assert!(
+            m.scratch.adapt_cooldown > 0,
+            "dense machine stayed on the fast path"
+        );
+    }
+
     #[test]
     fn fallible_registration_reports_ok_ids() {
         let mut m: Machine<()> = Machine::new(());

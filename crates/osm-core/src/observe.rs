@@ -206,7 +206,7 @@ pub trait Observer: Any + Send {
     }
 
     /// End of one control step. `restarts` is the number of Fig. 3
-    /// outer-loop rescans the director performed this step (0 under
+    /// outer-loop restart events this step (0 under
     /// [`crate::RestartPolicy::NoRestart`]); summed over a run it equals
     /// [`crate::Stats::restarts`].
     fn on_cycle_end(&mut self, cycle: u64, transitions: u32, completions: u32, restarts: u32) {
@@ -509,7 +509,7 @@ impl MetricsCollector {
         self.stall_charges
     }
 
-    /// Director outer-loop rescans observed (equals
+    /// Director outer-loop restart events observed (equals
     /// [`crate::Stats::restarts`] when installed for a whole run).
     pub fn restarts(&self) -> u64 {
         self.restarts
@@ -800,7 +800,7 @@ pub struct MetricsReport {
     /// Total token denials; reconciles with
     /// [`crate::Stats::condition_failures`].
     pub token_denials: u64,
-    /// Director outer-loop rescans (see [`crate::Stats::restarts`]).
+    /// Director outer-loop restart events (see [`crate::Stats::restarts`]).
     pub restarts: u64,
     /// Per-state occupancy, in `(spec, state)` order.
     pub states: Vec<StateOccupancy>,

@@ -30,13 +30,15 @@ pub struct Stats {
     pub vetoed_edges: u64,
     /// Control steps in which no OSM transitioned (global stall steps).
     pub idle_steps: u64,
-    /// Director outer-loop rescans actually performed: under
+    /// Restart events of the Fig. 3 outer loop: under
     /// [`crate::RestartPolicy::Restart`], every committed transition after
-    /// which unserved OSMs remain re-enters the Fig. 3 outer loop from the
-    /// top, and exactly those re-entries are counted (a transition that
-    /// empties the list performs no rescan and counts nothing). Always 0
-    /// under [`crate::RestartPolicy::NoRestart`]. Mode-invariant across
-    /// [`crate::SchedulerMode`]s.
+    /// which unserved OSMs remain counts once (a transition that leaves no
+    /// OSM unserved counts nothing). The reference scheduler performs each
+    /// as a rescan from the top; the fast path resumes its scan instead
+    /// (it re-checks only what the transition can have unblocked), but the
+    /// count is the same, so it is mode-invariant across
+    /// [`crate::SchedulerMode`]s. Always 0 under
+    /// [`crate::RestartPolicy::NoRestart`].
     pub restarts: u64,
     named: BTreeMap<Cow<'static, str>, u64>,
 }

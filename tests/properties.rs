@@ -5,13 +5,18 @@
 //! * random programs behave identically on the ISS, both StrongARM
 //!   simulators and both PPC-750 simulators (functional equivalence), with
 //!   deterministic, pairwise-equal timing;
-//! * the OSM director is deterministic (trace digests repeat).
+//! * the OSM director is deterministic (trace digests repeat);
+//! * the fast scheduler matches the seed one with no observers attached
+//!   (the untracked director that plain `Machine::run` users execute).
 
+use osm_fuzz::{generate, GenConfig};
 use osm_repro::minirisc::{
     assemble, decode, encode, AluOp, BranchCond, FpCmpCond, FpuOp, FReg, Instr, Iss, MemWidth,
     MulOp, Reg, SparseMemory,
 };
-use osm_repro::osm_core::{RestartPolicy, SchedulerMode};
+use osm_repro::osm_core::{
+    FaultInjector, HardwareLayer, InertBehavior, Machine, ManagerId, RestartPolicy, SchedulerMode,
+};
 use osm_repro::ppc750::{PpcConfig, PpcOsmSim, PpcPortSim};
 use osm_repro::sa1100::{RefSim, SaConfig, SaOsmSim};
 use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
@@ -403,5 +408,104 @@ proptest! {
             sim.machine_mut().take_trace().expect("trace on").digest()
         };
         prop_assert_eq!(digest(()), digest(()));
+    }
+}
+
+/// Steps `fast` under the fast scheduler and `seed` under the seed one in
+/// lockstep until `done(&fast)` or `max_steps`, with no observers or stall
+/// tracker attached, so both run the untracked director. The state
+/// fingerprints must agree after every step, and so must the mode-invariant
+/// counters at the end.
+fn untracked_lockstep<S: HardwareLayer + 'static>(
+    mut fast: Machine<S>,
+    mut seed: Machine<S>,
+    max_steps: u64,
+    done: impl Fn(&Machine<S>) -> bool,
+) -> Result<(), TestCaseError> {
+    fast.set_scheduler_mode(SchedulerMode::Fast);
+    seed.set_scheduler_mode(SchedulerMode::Seed);
+    for _ in 0..max_steps {
+        if done(&fast) {
+            break;
+        }
+        let (a, b) = (fast.step(), seed.step());
+        prop_assert_eq!(&a, &b, "cycle {}", seed.cycle());
+        prop_assert_eq!(
+            fast.state_fingerprint(),
+            seed.state_fingerprint(),
+            "cycle {}",
+            seed.cycle()
+        );
+        if a.is_err() {
+            break;
+        }
+    }
+    let counters = |m: &Machine<S>| (m.stats.transitions, m.stats.restarts, m.stats.idle_steps);
+    prop_assert_eq!(counters(&fast), counters(&seed));
+    Ok(())
+}
+
+/// A generated ADL machine (default `Restart` policy) with its fault plan,
+/// if any, installed on manager 0.
+fn adl_machine(case: &osm_fuzz::FuzzCase) -> Machine<()> {
+    let synth = osm_repro::osm_adl::load(&case.source).expect("generated source loads");
+    let mut m: Machine<()> = Machine::new(());
+    synth.install_managers(&mut m);
+    for k in 0..case.osms as usize {
+        m.add_osm(&synth.specs[k % synth.specs.len()].1, InertBehavior);
+    }
+    if let Some(plan) = &case.faults {
+        if !m.managers.is_empty() {
+            FaultInjector::install(&mut m.managers, ManagerId(0), plan.clone());
+        }
+    }
+    m
+}
+
+proptest! {
+    // Generated machines are cheap; a wrong resume after a restart shows
+    // in a few percent of them, so many cases are drawn.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn untracked_fast_scheduler_matches_seed_on_generated_machines(
+        seed in any::<u64>(),
+        crowded in any::<bool>(),
+    ) {
+        // `crowded` draws more classes and OSMs, so that juniors often
+        // free what a blocked senior waits for within one step.
+        let config = if crowded {
+            GenConfig { classes: (2, 3), osms: (4, 16), ..GenConfig::default() }
+        } else {
+            GenConfig::default()
+        };
+        let case = generate(seed, &config);
+        untracked_lockstep(adl_machine(&case), adl_machine(&case), case.max_cycles, |_| false)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn untracked_fast_scheduler_matches_seed_on_random_programs(
+        seed in 0u64..10_000,
+        len in 10usize..40,
+    ) {
+        let program = random_program(seed, len).program();
+        for policy in [RestartPolicy::Restart, RestartPolicy::NoRestart] {
+            let sa = || {
+                let mut m = SaOsmSim::new(SaConfig::paper(), &program).into_machine();
+                m.set_restart_policy(policy);
+                m
+            };
+            untracked_lockstep(sa(), sa(), 5_000_000, |m| m.shared.halted)?;
+            let ppc = || {
+                let mut m = PpcOsmSim::new(PpcConfig::paper(), &program).into_machine();
+                m.set_restart_policy(policy);
+                m
+            };
+            untracked_lockstep(ppc(), ppc(), 5_000_000, |m| m.shared.halted)?;
+        }
     }
 }
