@@ -188,14 +188,16 @@ pub enum ModelError {
         /// Human-readable description of every violation.
         problems: Vec<String>,
     },
-    /// [`crate::Machine::checkpoint`] was asked to snapshot a manager that
-    /// does not implement snapshot support.
+    /// [`crate::Machine::checkpoint`] (or the undo checkpoint
+    /// [`crate::Machine::restore`] takes first) met a manager or shared
+    /// state that does not implement checkpointing.
     SnapshotUnsupported {
-        /// Name (and id) of the offending manager.
+        /// Name (and id) of the offending manager, or the shared state.
         manager: String,
     },
-    /// [`crate::Machine::restore`] was given a checkpoint that does not match
-    /// the machine (wrong shape, or a component rejected its snapshot).
+    /// [`crate::Machine::restore`] was given a checkpoint that does not fit
+    /// the machine (damaged bytes, wrong shape, or a component rejected its
+    /// section). The machine is left exactly as it was.
     SnapshotMismatch {
         /// What failed to match.
         what: String,

@@ -1,30 +1,8 @@
-//! Deterministic fault injection for token managers.
-//!
-//! A [`FaultInjector`] wraps any installed [`TokenManager`] and perturbs the
-//! Λ-primitive traffic flowing through it according to a seeded
-//! [`FaultPlan`]: allocations and inquiries can be denied, releases deferred,
-//! granted tokens dropped or corrupted, and whole cycle windows blackholed.
-//!
-//! Fault decisions are *stateless*: each one is a pure hash of the plan's
-//! seed, the current cycle, the rule, the requesting OSM and the token
-//! identifier. Two consequences the rest of the system leans on:
-//!
-//! * a faulty run is exactly reproducible from the seed (and stays so across
-//!   checkpoint/restore — there is no stream position to lose);
-//! * re-evaluating the same primitive within one cycle gives the same
-//!   answer, which the director's idle-step wait-for-graph pass requires
-//!   (it re-runs edge conditions assuming they are cycle-deterministic).
-//!
-//! The injector is *transparent* to concrete-type access: its
-//! `as_any`/`as_any_mut` forward to the wrapped manager, so hardware-layer
-//! code that downcasts (e.g. a clock hook poking an
-//! [`crate::ExclusivePool`]) keeps working after wrapping. The flip side is
-//! that the injector itself cannot be found by downcasting; keep the
-//! [`FaultHandle`] returned at installation time to steer it.
+//! Deterministic fault injection for token managers (see [`FaultInjector`]).
 
 use crate::ids::{ManagerId, OsmId};
-use crate::manager::{ManagerTable, TokenManager};
-use crate::snapshot::ManagerSnapshot;
+use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
+use crate::persist::{ByteReader, ByteWriter};
 use crate::token::{Token, TokenIdent};
 use std::any::Any;
 use std::fmt;
@@ -37,6 +15,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// a corrupted token is unusable until the run is restored from a
 /// checkpoint.
 const CORRUPT_MASK: u64 = 1 << 63;
+
+/// Kind byte leading an injector's checkpoint section.
+const KIND_INJECTOR: u8 = b'F';
 
 /// The kinds of faults a [`FaultRule`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,17 +217,30 @@ impl FaultHandle {
     }
 }
 
-/// State captured by the injector's `snapshot_state` (alongside the wrapped
-/// manager's own snapshot) so faulty runs stay reproducible across
-/// checkpoint/restore.
-struct InjectorState {
-    cycle: u64,
-    corrupt_map: Vec<(u64, u64)>,
-    inner: ManagerSnapshot,
-}
-
 /// A [`TokenManager`] decorator injecting deterministic faults per a
-/// [`FaultPlan`]. See the [module docs](self) for the full protocol.
+/// [`FaultPlan`].
+///
+/// It wraps any installed [`TokenManager`] and perturbs the
+/// Λ-primitive traffic flowing through it according to a seeded
+/// [`FaultPlan`]: allocations and inquiries can be denied, releases deferred,
+/// granted tokens dropped or corrupted, and whole cycle windows blackholed.
+///
+/// Fault decisions are *stateless*: each one is a pure hash of the plan's
+/// seed, the current cycle, the rule, the requesting OSM and the token
+/// identifier. Two consequences the rest of the system leans on:
+///
+/// * a faulty run is exactly reproducible from the seed (and stays so across
+///   checkpoint/restore — there is no stream position to lose);
+/// * re-evaluating the same primitive within one cycle gives the same
+///   answer, which the director's idle-step wait-for-graph pass requires
+///   (it re-runs edge conditions assuming they are cycle-deterministic).
+///
+/// The injector is *transparent* to concrete-type access: its
+/// `as_any`/`as_any_mut` forward to the wrapped manager, so hardware-layer
+/// code that downcasts (e.g. a clock hook poking an
+/// [`crate::ExclusivePool`]) keeps working after wrapping. The flip side is
+/// that the injector itself cannot be found by downcasting; keep the
+/// [`FaultHandle`] returned at installation time to steer it.
 pub struct FaultInjector {
     inner: Box<dyn TokenManager>,
     plan: FaultPlan,
@@ -456,65 +450,43 @@ impl TokenManager for FaultInjector {
         self.inner.owned_tokens()
     }
 
+    /// The section is the injector's clock and corruption map (so faulty
+    /// runs stay reproducible across checkpoint/restore) wrapped around the
+    /// inner manager's own section.
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
         let inner = self.inner.snapshot_state()?;
-        Some(ManagerSnapshot::of(InjectorState {
-            cycle: self.cycle,
-            corrupt_map: self.corrupt_map.clone(),
-            inner,
-        }))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_INJECTOR);
+        w.put_u64(self.cycle);
+        w.put_seq(&self.corrupt_map, |w, &(corrupted, real)| {
+            w.put_u64(corrupted);
+            w.put_u64(real);
+        });
+        w.put_bytes(inner.as_bytes());
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<InjectorState>() else {
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_INJECTOR)?;
+            let cycle = r.take_u64()?;
+            let corrupt_map = r.take_vec(|r| Some((r.take_u64()?, r.take_u64()?)))?;
+            Some((cycle, corrupt_map, r.take_bytes()?))
+        });
+        let Some((cycle, corrupt_map, inner)) = parsed else {
             return false;
         };
-        if !self.inner.restore_state(&state.inner) {
+        if !self
+            .inner
+            .restore_state(&ManagerSnapshot::new(inner.to_vec()))
+        {
             return false;
         }
-        self.cycle = state.cycle;
-        self.corrupt_map = state.corrupt_map.clone();
+        self.cycle = cycle;
+        self.corrupt_map = corrupt_map;
         // Operator state (enabled flag, fault counters) is intentionally NOT
         // restored: disabling faults then restoring must not re-arm them.
         true
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<InjectorState>()?;
-        let inner = self.inner.encode_snapshot(&state.inner)?;
-        let mut w = crate::persist::ByteWriter::new();
-        w.put_u8(b'F');
-        w.put_u64(state.cycle);
-        w.put_u32(state.corrupt_map.len() as u32);
-        for &(corrupted, real) in &state.corrupt_map {
-            w.put_u64(corrupted);
-            w.put_u64(real);
-        }
-        w.put_bytes(&inner);
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = crate::persist::ByteReader::new(bytes);
-        if r.take_u8()? != b'F' {
-            return None;
-        }
-        let cycle = r.take_u64()?;
-        let n = r.take_u32()? as usize;
-        let mut corrupt_map = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let corrupted = r.take_u64()?;
-            let real = r.take_u64()?;
-            corrupt_map.push((corrupted, real));
-        }
-        let inner = self.inner.decode_snapshot(r.take_bytes()?)?;
-        r.is_done().then(|| {
-            ManagerSnapshot::of(InjectorState {
-                cycle,
-                corrupt_map,
-                inner,
-            })
-        })
     }
 
     // Transparent on purpose: hardware-layer clock hooks downcast managers

@@ -80,7 +80,6 @@ pub mod observe;
 mod osm;
 pub mod persist;
 mod pools;
-mod snapshot;
 mod spec;
 mod stats;
 mod token;
@@ -98,7 +97,7 @@ pub use ids::{EdgeId, ManagerId, OsmId, SlotId, StateId};
 pub use kernel::{DeKernel, EventFn, EventScheduler};
 pub use machine::{HardwareLayer, Machine, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use persist::{ByteReader, ByteWriter};
-pub use manager::{ManagerTable, TokenManager};
+pub use manager::{ManagerSnapshot, ManagerTable, TokenManager};
 pub use observe::{
     EventLog, ManagerUtilization, MetricsCollector, MetricsReport, ObservedEvent, Observer,
     OsmStallCause, StallCause, StallEvent, StallHistogram, StallTracker, StateOccupancy,
@@ -106,7 +105,6 @@ pub use observe::{
 };
 pub use osm::{set_slot, Behavior, InertBehavior, Osm, OsmView, TransitionCtx, IDLE_AGE};
 pub use pools::{CountingPool, ExclusivePool, RegScoreboard, ResetManager};
-pub use snapshot::{BehaviorSnapshot, Checkpoint, ManagerSnapshot, Snapshot};
 pub use spec::{Edge, EdgeHandle, SpecBuilder, StateMachineSpec};
 pub use stats::Stats;
 pub use token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};

@@ -2,15 +2,16 @@
 
 use crate::director::{self, AgeRanker, Ranker, RestartPolicy, SchedulerMode, Scratch, StepOutcome};
 use crate::error::{ModelError, StallKind, StallReport};
-use crate::ids::{ManagerId, OsmId};
-use crate::manager::{ManagerTable, TokenManager};
+use crate::ids::{ManagerId, OsmId, StateId};
+use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
 use crate::observe::{
     EventLog, MetricsCollector, MetricsReport, Observer, StallTracker, TraceSink,
 };
 use crate::osm::{Behavior, Osm};
-use crate::snapshot::{Checkpoint, OsmCheckpoint};
+use crate::persist::{fnv_mix, unseal, ByteReader, ByteWriter, FNV_OFFSET};
 use crate::spec::StateMachineSpec;
 use crate::stats::Stats;
+use crate::token::{HeldToken, Token, TokenIdent};
 use crate::trace::Trace;
 use std::sync::Arc;
 
@@ -27,9 +28,37 @@ pub trait HardwareLayer {
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {
         let _ = (cycle, managers);
     }
+
+    /// Writes the state's mutable part as its checkpoint section. Static
+    /// configuration (manager ids, tables fixed at construction) stays out:
+    /// [`HardwareLayer::decode_state`] keeps it from the machine being
+    /// restored. The default `None` declares the state non-checkpointable,
+    /// making [`Machine::checkpoint`] fail with
+    /// [`ModelError::SnapshotUnsupported`].
+    fn encode_state(&self) -> Option<Vec<u8>> {
+        None
+    }
+
+    /// Restores a section written by [`HardwareLayer::encode_state`] on a
+    /// machine of the same construction. Returns `false`, leaving the state
+    /// unchanged, if the section is malformed or does not fit this state;
+    /// the default refuses everything.
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        let _ = bytes;
+        false
+    }
 }
 
-impl HardwareLayer for () {}
+/// The unit state carries nothing: its checkpoint section is empty.
+impl HardwareLayer for () {
+    fn encode_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        bytes.is_empty()
+    }
+}
 
 /// A complete OSM machine model.
 ///
@@ -447,22 +476,15 @@ impl<S: 'static> Machine<S> {
     /// same architectural operation state — the probe differential oracles
     /// use to compare a restored checkpoint against the uninterrupted run,
     /// or the `Seed` and `Fast` schedulers at a mid-run cut, without
-    /// needing `S: Clone` or a full [`Machine::checkpoint`].
+    /// taking a full [`Machine::checkpoint`].
     ///
     /// Hardware-layer manager internals are deliberately excluded (they are
     /// not generically hashable); token conservation ties them to the
     /// buffers that *are* covered, and [`Machine::audit_tokens`] checks that
     /// tie dynamically.
     pub fn state_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut hash = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut mix = |v: u64| hash = fnv_mix(hash, v.to_le_bytes());
         mix(self.cycle);
         mix(self.osms.len() as u64);
         for osm in &self.osms {
@@ -708,358 +730,257 @@ impl<S: 'static> Machine<S> {
     }
 }
 
-impl<S: Clone + 'static> Machine<S> {
-    /// Captures a cycle-accurate checkpoint of the whole machine: OSM
-    /// states, ages, token buffers and identifier slots, behavior state,
-    /// manager state, shared hardware-layer state, statistics and scheduler
-    /// counters. The transition trace is not captured.
+impl<S: HardwareLayer + 'static> Machine<S> {
+    /// Captures a cycle-accurate checkpoint of the whole machine as the
+    /// sealed `OSMCKPT1` byte string, the one checkpoint form in memory and
+    /// on disk: OSM states, ages, token buffers and identifier slots,
+    /// behavior state, manager state, shared hardware-layer state,
+    /// statistics and scheduler counters. The transition trace is not
+    /// captured. [`Machine::restore`] reads the bytes back into this
+    /// machine or any other of the same construction.
+    ///
+    /// Layout: [`CHECKPOINT_MAGIC`], [`CHECKPOINT_VERSION`], the counters
+    /// and statistics, the shared state's section
+    /// ([`HardwareLayer::encode_state`]), per OSM its record and behavior
+    /// section (tag 0 for a stateless behavior), per manager its
+    /// [`TokenManager::snapshot_state`] section, and finally a
+    /// [`crate::persist::fnv1a`] seal over everything before it.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if any installed manager does not
-    /// implement [`TokenManager::snapshot_state`].
-    pub fn checkpoint(&self) -> Result<Checkpoint<S>, ModelError> {
-        let mut managers = Vec::with_capacity(self.managers.len());
-        for (id, m) in self.managers.iter() {
-            match m.snapshot_state() {
-                Some(snap) => managers.push(snap),
-                None => {
-                    return Err(ModelError::SnapshotUnsupported {
-                        manager: format!("{} ({id})", m.name()),
-                    })
-                }
-            }
-        }
-        let osms = self
-            .osms
-            .iter()
-            .map(|o| OsmCheckpoint {
-                state: o.state,
-                age: o.age,
-                tag: o.tag,
-                buffer: o.buffer.clone(),
-                slots: o.slots.clone(),
-                behavior: o.behavior.snapshot(),
-                last_move_cycle: o.last_move_cycle,
-            })
-            .collect();
-        Ok(Checkpoint {
-            cycle: self.cycle,
-            age_counter: self.age_counter,
-            last_transition_cycle: self.last_transition_cycle,
-            last_completion_cycle: self.last_completion_cycle,
-            stats: self.stats.clone(),
-            shared: self.shared.clone(),
-            osms,
-            managers,
-        })
+    /// [`ModelError::SnapshotUnsupported`] if the shared state or any
+    /// installed manager does not implement checkpointing.
+    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
+        Ok(self.write_checkpoint()?.into_sealed_bytes())
     }
 
-    /// Rewinds the machine to a [`Checkpoint`] previously taken from it.
-    /// Re-running from the restored state reproduces the original
-    /// continuation transition-for-transition. A checkpoint can be restored
-    /// any number of times. The transition trace is not rewound.
+    /// Rewinds the machine to bytes written by [`Machine::checkpoint`] on a
+    /// machine of the same construction. Re-running from the restored state
+    /// reproduces the original continuation transition-for-transition. The
+    /// same bytes can be restored any number of times. The transition trace
+    /// is not rewound.
+    ///
+    /// Restoring is all-or-nothing: on any error the machine is left
+    /// exactly as it was.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the checkpoint's shape does not
-    /// match the machine or a manager/behavior rejects its snapshot. The
-    /// machine may then be partially restored; restoring a matching
-    /// checkpoint recovers it.
-    pub fn restore(&mut self, ckpt: &Checkpoint<S>) -> Result<(), ModelError> {
-        if ckpt.osms.len() != self.osms.len() {
-            return Err(ModelError::SnapshotMismatch {
-                what: format!(
-                    "checkpoint has {} OSMs, machine has {}",
-                    ckpt.osms.len(),
-                    self.osms.len()
-                ),
-            });
+    /// [`ModelError::SnapshotMismatch`] if the bytes are damaged, truncated
+    /// or from a differently built machine, or a component rejects its
+    /// section; [`ModelError::SnapshotUnsupported`] if this machine cannot
+    /// be checkpointed (restoring first takes an undo checkpoint).
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        let payload =
+            unseal(bytes).ok_or_else(|| mismatch("checkpoint seal invalid or missing"))?;
+        // Sections apply one component at a time, so a section rejected
+        // late would leave the earlier ones applied; the undo image rolls
+        // them back.
+        let undo = self.write_checkpoint()?.into_bytes();
+        let applied = self.read_checkpoint(payload);
+        if applied.is_err() {
+            self.read_checkpoint(&undo)
+                .expect("a machine accepts the checkpoint it just wrote");
         }
-        if ckpt.managers.len() != self.managers.len() {
-            return Err(ModelError::SnapshotMismatch {
-                what: format!(
-                    "checkpoint has {} managers, machine has {}",
-                    ckpt.managers.len(),
-                    self.managers.len()
-                ),
-            });
-        }
-        for (i, snap) in ckpt.managers.iter().enumerate() {
-            // In range: the count above matched the registration-checked
-            // manager table.
-            let id = ManagerId(
-                crate::ids::checked_id(i, "token manager")
-                    .expect("manager count was registration-checked"),
-            );
-            let manager = self.managers.get_mut(id);
-            if !manager.restore_state(snap) {
-                return Err(ModelError::SnapshotMismatch {
-                    what: format!("manager {} ({id}) rejected its snapshot", manager.name()),
-                });
-            }
-        }
-        for (osm, snap) in self.osms.iter_mut().zip(&ckpt.osms) {
-            if !osm.behavior.restore(&snap.behavior) {
-                return Err(ModelError::SnapshotMismatch {
-                    what: format!("behavior of {} rejected its snapshot", osm.id),
-                });
-            }
-            osm.state = snap.state;
-            osm.age = snap.age;
-            osm.tag = snap.tag;
-            osm.buffer.clone_from(&snap.buffer);
-            osm.slots.clone_from(&snap.slots);
-            osm.last_move_cycle = snap.last_move_cycle;
-        }
-        self.cycle = ckpt.cycle;
-        self.age_counter = ckpt.age_counter;
-        self.last_transition_cycle = ckpt.last_transition_cycle;
-        self.last_completion_cycle = ckpt.last_completion_cycle;
-        self.stats = ckpt.stats.clone();
-        self.shared = ckpt.shared.clone();
-        // Every OSM state and age just rewound; the fast scheduler's ready
+        // Every OSM state and age was rewritten; the fast scheduler's ready
         // list and sensitivity records no longer describe the machine.
         self.scratch.invalidate_schedule();
-        Ok(())
+        applied
     }
 
-    /// Serializes a [`Checkpoint`] taken from this machine into the
-    /// versioned on-disk format: magic, format version, length-prefixed
-    /// sections, FNV-1a seal. The shared hardware-layer state is supplied
-    /// pre-encoded (`shared_bytes`) because `S` is model-specific; each
-    /// manager and stateful behavior serializes its own opaque payload
-    /// through the [`TokenManager::encode_snapshot`] /
-    /// [`Behavior::encode_snapshot`] hooks.
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager or behavior lacks an
-    /// encoding hook; [`ModelError::SnapshotMismatch`] if the checkpoint's
-    /// shape does not match this machine.
-    pub fn encode_checkpoint(
-        &self,
-        ckpt: &Checkpoint<S>,
-        shared_bytes: &[u8],
-    ) -> Result<Vec<u8>, ModelError> {
-        use crate::persist::ByteWriter;
-        use crate::snapshot::BehaviorSnapshot;
-
-        if ckpt.osms.len() != self.osms.len() || ckpt.managers.len() != self.managers.len() {
-            return Err(ModelError::SnapshotMismatch {
-                what: format!(
-                    "checkpoint shape ({} OSMs, {} managers) does not match the machine \
-                     ({} OSMs, {} managers)",
-                    ckpt.osms.len(),
-                    ckpt.managers.len(),
-                    self.osms.len(),
-                    self.managers.len()
-                ),
-            });
-        }
+    /// Everything [`Machine::checkpoint`] writes except the seal.
+    fn write_checkpoint(&self) -> Result<ByteWriter, ModelError> {
+        let shared = self
+            .shared
+            .encode_state()
+            .ok_or_else(|| ModelError::SnapshotUnsupported {
+                manager: "shared hardware-layer state".to_owned(),
+            })?;
         let mut w = ByteWriter::new();
         w.put_bytes(CHECKPOINT_MAGIC);
         w.put_u32(CHECKPOINT_VERSION);
-        w.put_u64(ckpt.cycle);
-        w.put_u64(ckpt.age_counter);
-        w.put_u64(ckpt.last_transition_cycle);
-        w.put_u64(ckpt.last_completion_cycle);
-        w.put_u64(ckpt.stats.cycles);
-        w.put_u64(ckpt.stats.transitions);
-        w.put_u64(ckpt.stats.condition_failures);
-        w.put_u64(ckpt.stats.vetoed_edges);
-        w.put_u64(ckpt.stats.idle_steps);
-        w.put_u64(ckpt.stats.restarts);
-        let named: Vec<(&str, u64)> = ckpt.stats.named().collect();
-        w.put_u32(named.len() as u32);
-        for (name, value) in named {
+        let s = &self.stats;
+        for v in [
+            self.cycle,
+            self.age_counter,
+            self.last_transition_cycle,
+            self.last_completion_cycle,
+            s.cycles,
+            s.transitions,
+            s.condition_failures,
+            s.vetoed_edges,
+            s.idle_steps,
+            s.restarts,
+        ] {
+            w.put_u64(v);
+        }
+        w.put_seq(s.named().collect::<Vec<_>>(), |w, (name, value)| {
             w.put_str(name);
             w.put_u64(value);
-        }
-        w.put_bytes(shared_bytes);
-        w.put_u32(ckpt.osms.len() as u32);
-        for (osm, snap) in self.osms.iter().zip(&ckpt.osms) {
-            w.put_u32(snap.state.0);
-            w.put_u64(snap.age);
-            w.put_u64(snap.tag);
-            w.put_u64(snap.last_move_cycle);
-            w.put_u32(snap.buffer.len() as u32);
-            for held in &snap.buffer {
+        });
+        w.put_bytes(&shared);
+        w.put_u32(self.osms.len() as u32);
+        for osm in &self.osms {
+            w.put_u32(osm.state.0);
+            w.put_u64(osm.age);
+            w.put_u64(osm.tag);
+            w.put_u64(osm.last_move_cycle);
+            w.put_seq(&osm.buffer, |w, held| {
                 w.put_u64(held.ident.0);
                 w.put_u32(held.token.manager.0);
                 w.put_u64(held.token.raw);
-            }
-            w.put_u32(snap.slots.len() as u32);
-            for slot in &snap.slots {
-                w.put_u64(slot.0);
-            }
-            match &snap.behavior {
-                BehaviorSnapshot::Stateless => w.put_u8(0),
-                state @ BehaviorSnapshot::State(_) => {
-                    let Some(bytes) = osm.behavior.encode_snapshot(state) else {
-                        return Err(ModelError::SnapshotUnsupported {
-                            manager: format!("behavior of {}", osm.id),
-                        });
-                    };
+            });
+            w.put_seq(&osm.slots, |w, slot| w.put_u64(slot.0));
+            match osm.behavior.snapshot() {
+                None => w.put_u8(0),
+                Some(section) => {
                     w.put_u8(1);
-                    w.put_bytes(&bytes);
+                    w.put_bytes(&section);
                 }
             }
         }
-        w.put_u32(ckpt.managers.len() as u32);
-        for ((id, manager), snap) in self.managers.iter().zip(&ckpt.managers) {
-            let Some(bytes) = manager.encode_snapshot(snap) else {
-                return Err(ModelError::SnapshotUnsupported {
-                    manager: format!("{} ({id})", manager.name()),
-                });
-            };
-            w.put_bytes(&bytes);
+        w.put_u32(self.managers.len() as u32);
+        for (id, manager) in self.managers.iter() {
+            let section =
+                manager
+                    .snapshot_state()
+                    .ok_or_else(|| ModelError::SnapshotUnsupported {
+                        manager: format!("{} ({id})", manager.name()),
+                    })?;
+            w.put_bytes(section.as_bytes());
         }
-        Ok(w.into_sealed_bytes())
+        Ok(w)
     }
 
-    /// Deserializes bytes produced by [`Machine::encode_checkpoint`] on a
-    /// machine of identical construction, producing a [`Checkpoint`] ready
-    /// for [`Machine::restore`]. `decode_shared` reconstructs the
-    /// model-specific shared state from its encoded section (typically
-    /// using the freshly built machine's own shared state as the template
-    /// for static configuration).
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] on any malformed, truncated,
-    /// tampered or shape-incompatible input;
-    /// [`ModelError::SnapshotUnsupported`] if a manager or behavior lacks a
-    /// decoding hook.
-    pub fn decode_checkpoint(
-        &self,
-        bytes: &[u8],
-        decode_shared: impl FnOnce(&[u8]) -> Option<S>,
-    ) -> Result<Checkpoint<S>, ModelError> {
-        use crate::ids::StateId;
-        use crate::persist::{unseal, ByteReader};
-        use crate::snapshot::BehaviorSnapshot;
-        use crate::token::{HeldToken, Token, TokenIdent};
-
-        fn bad(what: impl Into<String>) -> ModelError {
-            ModelError::SnapshotMismatch { what: what.into() }
-        }
-        let truncated = || bad("checkpoint file truncated");
-
-        let payload = unseal(bytes).ok_or_else(|| bad("checkpoint seal invalid or missing"))?;
+    /// Applies an unsealed checkpoint payload in stream order. Each
+    /// component refuses a bad section without changing, but the ones
+    /// before it are applied by then; [`Machine::restore`] rolls back.
+    fn read_checkpoint(&mut self, payload: &[u8]) -> Result<(), ModelError> {
+        let truncated = || mismatch("checkpoint truncated");
         let mut r = ByteReader::new(payload);
         if r.take_bytes().ok_or_else(truncated)? != CHECKPOINT_MAGIC {
-            return Err(bad("not a checkpoint file (bad magic)"));
+            return Err(mismatch("not a checkpoint (bad magic)"));
         }
         let version = r.take_u32().ok_or_else(truncated)?;
         if version != CHECKPOINT_VERSION {
-            return Err(bad(format!(
+            return Err(mismatch(format!(
                 "checkpoint format version {version} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
-        let cycle = r.take_u64().ok_or_else(truncated)?;
-        let age_counter = r.take_u64().ok_or_else(truncated)?;
-        let last_transition_cycle = r.take_u64().ok_or_else(truncated)?;
-        let last_completion_cycle = r.take_u64().ok_or_else(truncated)?;
+        let mut counters = [0u64; 10];
+        for c in &mut counters {
+            *c = r.take_u64().ok_or_else(truncated)?;
+        }
         let mut stats = Stats::new();
-        stats.cycles = r.take_u64().ok_or_else(truncated)?;
-        stats.transitions = r.take_u64().ok_or_else(truncated)?;
-        stats.condition_failures = r.take_u64().ok_or_else(truncated)?;
-        stats.vetoed_edges = r.take_u64().ok_or_else(truncated)?;
-        stats.idle_steps = r.take_u64().ok_or_else(truncated)?;
-        stats.restarts = r.take_u64().ok_or_else(truncated)?;
-        let named_count = r.take_u32().ok_or_else(truncated)?;
-        for _ in 0..named_count {
-            let name = r.take_str().ok_or_else(truncated)?;
-            let value = r.take_u64().ok_or_else(truncated)?;
+        let named = r
+            .take_vec(|r| Some((r.take_str()?, r.take_u64()?)))
+            .ok_or_else(truncated)?;
+        for (name, value) in named {
             stats.incr_dyn(name, value);
         }
-        let shared_bytes = r.take_bytes().ok_or_else(truncated)?;
-        let shared = decode_shared(shared_bytes)
-            .ok_or_else(|| bad("shared hardware-layer state rejected its encoding"))?;
+        [
+            self.cycle,
+            self.age_counter,
+            self.last_transition_cycle,
+            self.last_completion_cycle,
+            stats.cycles,
+            stats.transitions,
+            stats.condition_failures,
+            stats.vetoed_edges,
+            stats.idle_steps,
+            stats.restarts,
+        ] = counters;
+        self.stats = stats;
+        if !self
+            .shared
+            .decode_state(r.take_bytes().ok_or_else(truncated)?)
+        {
+            return Err(mismatch("shared hardware-layer state rejected its section"));
+        }
         let osm_count = r.take_u32().ok_or_else(truncated)? as usize;
         if osm_count != self.osms.len() {
-            return Err(bad(format!(
+            return Err(mismatch(format!(
                 "checkpoint has {osm_count} OSMs, machine has {}",
                 self.osms.len()
             )));
         }
-        let mut osms = Vec::with_capacity(osm_count);
-        for osm in &self.osms {
+        let manager_count = self.managers.len();
+        for osm in &mut self.osms {
             let state = StateId(r.take_u32().ok_or_else(truncated)?);
             let age = r.take_u64().ok_or_else(truncated)?;
             let tag = r.take_u64().ok_or_else(truncated)?;
             let last_move_cycle = r.take_u64().ok_or_else(truncated)?;
-            let buffer_len = r.take_u32().ok_or_else(truncated)? as usize;
-            let mut buffer = Vec::with_capacity(buffer_len.min(1 << 16));
-            for _ in 0..buffer_len {
-                let ident = TokenIdent(r.take_u64().ok_or_else(truncated)?);
-                let manager = ManagerId(r.take_u32().ok_or_else(truncated)?);
-                let raw = r.take_u64().ok_or_else(truncated)?;
-                buffer.push(HeldToken {
-                    ident,
-                    token: Token::new(manager, raw),
-                });
-            }
-            let slot_len = r.take_u32().ok_or_else(truncated)? as usize;
-            let mut slots = Vec::with_capacity(slot_len.min(1 << 16));
-            for _ in 0..slot_len {
-                slots.push(TokenIdent(r.take_u64().ok_or_else(truncated)?));
-            }
-            let behavior = match r.take_u8().ok_or_else(truncated)? {
-                0 => BehaviorSnapshot::Stateless,
-                1 => {
-                    let section = r.take_bytes().ok_or_else(truncated)?;
-                    osm.behavior.decode_snapshot(section).ok_or_else(|| {
-                        ModelError::SnapshotUnsupported {
-                            manager: format!("behavior of {}", osm.id),
-                        }
-                    })?
-                }
-                tag => return Err(bad(format!("unknown behavior snapshot tag {tag}"))),
+            let buffer = r
+                .take_vec(|r| {
+                    let ident = TokenIdent(r.take_u64()?);
+                    let manager = ManagerId(r.take_u32()?);
+                    let raw = r.take_u64()?;
+                    Some(HeldToken {
+                        ident,
+                        token: Token::new(manager, raw),
+                    })
+                })
+                .ok_or_else(truncated)?;
+            let slots = r
+                .take_vec(|r| r.take_u64().map(TokenIdent))
+                .ok_or_else(truncated)?;
+            let section = match r.take_u8().ok_or_else(truncated)? {
+                0 => None,
+                1 => Some(r.take_bytes().ok_or_else(truncated)?),
+                tag => return Err(mismatch(format!("unknown behavior section tag {tag}"))),
             };
-            osms.push(OsmCheckpoint {
-                state,
-                age,
-                tag,
-                buffer,
-                slots,
-                behavior,
-                last_move_cycle,
-            });
+            if state.index() >= osm.spec.state_count()
+                || buffer
+                    .iter()
+                    .any(|h| h.token.manager.index() >= manager_count)
+            {
+                return Err(mismatch(format!(
+                    "{} has a state or token its machine does not",
+                    osm.id
+                )));
+            }
+            if !osm.behavior.restore(section) {
+                return Err(mismatch(format!(
+                    "behavior of {} rejected its section",
+                    osm.id
+                )));
+            }
+            osm.state = state;
+            osm.age = age;
+            osm.tag = tag;
+            osm.buffer = buffer;
+            osm.slots = slots;
+            osm.last_move_cycle = last_move_cycle;
         }
-        let manager_count = r.take_u32().ok_or_else(truncated)? as usize;
-        if manager_count != self.managers.len() {
-            return Err(bad(format!(
-                "checkpoint has {manager_count} managers, machine has {}",
-                self.managers.len()
+        let count = r.take_u32().ok_or_else(truncated)? as usize;
+        if count != manager_count {
+            return Err(mismatch(format!(
+                "checkpoint has {count} managers, machine has {manager_count}"
             )));
         }
-        let mut managers = Vec::with_capacity(manager_count);
-        for (id, manager) in self.managers.iter() {
-            let section = r.take_bytes().ok_or_else(truncated)?;
-            let snap = manager.decode_snapshot(section).ok_or_else(|| {
-                ModelError::SnapshotUnsupported {
-                    manager: format!("{} ({id})", manager.name()),
-                }
-            })?;
-            managers.push(snap);
+        for i in 0..manager_count {
+            let section = ManagerSnapshot::new(r.take_bytes().ok_or_else(truncated)?.to_vec());
+            // In range: `i` indexes the registration-checked manager table.
+            let id = ManagerId(i as u32);
+            let manager = self.managers.get_mut(id);
+            if !manager.restore_state(&section) {
+                return Err(mismatch(format!(
+                    "manager {} ({id}) rejected its section",
+                    manager.name()
+                )));
+            }
         }
         if !r.is_done() {
-            return Err(bad("trailing bytes after the last checkpoint section"));
+            return Err(mismatch("trailing bytes after the last checkpoint section"));
         }
-        Ok(Checkpoint {
-            cycle,
-            age_counter,
-            last_transition_cycle,
-            last_completion_cycle,
-            stats,
-            shared,
-            osms,
-            managers,
-        })
+        Ok(())
     }
 }
 
-/// Magic bytes opening every serialized checkpoint.
+fn mismatch(what: impl Into<String>) -> ModelError {
+    ModelError::SnapshotMismatch { what: what.into() }
+}
+
+/// Magic bytes opening every checkpoint.
 pub const CHECKPOINT_MAGIC: &[u8] = b"OSMCKPT1";
-/// Current serialized-checkpoint format version.
+/// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 impl<S: HardwareLayer + 'static> Machine<S> {
@@ -1124,21 +1045,19 @@ impl<S: std::fmt::Debug> std::fmt::Debug for Machine<S> {
     }
 }
 
-// Compile-time Send audit: a machine (and its checkpoints) whose shared
-// hardware-layer state is `Send` must itself be `Send`, so whole simulation
-// jobs can be sharded across worker threads. Every trait object a machine
-// can own — managers, observers, behaviors, rankers, fault controls,
-// manager snapshots — is constrained to uphold this; a regression in any of
-// them fails here, not in a downstream crate.
+// Compile-time Send audit: a machine whose shared hardware-layer state is
+// `Send` must itself be `Send`, so whole simulation jobs can be sharded
+// across worker threads. Every trait object a machine can own — managers,
+// observers, behaviors, rankers, fault controls — is constrained to uphold
+// this; a regression in any of them fails here, not in a downstream crate.
+// (Checkpoints are plain bytes.)
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn machine_is_send<S: Send + 'static>() {
         assert_send::<Machine<S>>();
-        assert_send::<crate::Checkpoint<S>>();
     }
     machine_is_send::<()>();
     assert_send::<crate::FaultHandle>();
-    assert_send::<crate::snapshot::ManagerSnapshot>();
 };
 
 #[cfg(test)]
@@ -1511,9 +1430,7 @@ mod tests {
         let (o0, o1) = build(&mut m);
         m.run(2).unwrap();
         let ckpt = m.checkpoint().unwrap();
-        assert_eq!(ckpt.cycle(), 2);
-        assert_eq!(ckpt.osm_count(), 2);
-        assert_eq!(ckpt.manager_count(), 2);
+        assert!(unseal(&ckpt).is_some(), "checkpoints are sealed");
         let observe = |m: &mut Machine<()>| {
             let mut log = Vec::new();
             for _ in 0..4 {
@@ -1555,6 +1472,183 @@ mod tests {
             Err(ModelError::SnapshotMismatch { .. }) => {}
             other => panic!("expected mismatch, got {other:?}"),
         }
+    }
+
+    /// Reads past a checkpoint payload's magic, version, counters, named
+    /// statistics and shared section; returns the OSM count that follows.
+    fn skip_to_osm_records(r: &mut ByteReader<'_>) -> u32 {
+        r.take_bytes().unwrap();
+        r.take_u32().unwrap();
+        for _ in 0..10 {
+            r.take_u64().unwrap();
+        }
+        r.take_vec(|r| Some((r.take_str()?, r.take_u64()?)))
+            .unwrap();
+        r.take_bytes().unwrap();
+        r.take_u32().unwrap()
+    }
+
+    /// Appends a [`crate::persist::fnv1a`] seal to `payload`.
+    fn reseal(mut payload: Vec<u8>) -> Vec<u8> {
+        let seal = crate::persist::fnv1a(&payload);
+        payload.extend(seal.to_le_bytes());
+        payload
+    }
+
+    /// Re-seals `ckpt` with the sections of managers `from..` replaced by
+    /// `sections`: the payload is copied up to the manager sections, then
+    /// rewritten, then sealed again.
+    fn with_manager_sections(ckpt: &[u8], from: usize, sections: &[Vec<u8>]) -> Vec<u8> {
+        let payload = unseal(ckpt).expect("sealed");
+        let mut r = ByteReader::new(payload);
+        for _ in 0..skip_to_osm_records(&mut r) {
+            r.take_u32().unwrap();
+            for _ in 0..3 {
+                r.take_u64().unwrap();
+            }
+            r.take_vec(|r| Some((r.take_u64()?, r.take_u32()?, r.take_u64()?)))
+                .unwrap();
+            r.take_vec(ByteReader::take_u64).unwrap();
+            if r.take_u8().unwrap() == 1 {
+                r.take_bytes().unwrap();
+            }
+        }
+        let managers = r.take_u32().unwrap() as usize;
+        let mut out = payload[..payload.len() - r.remaining() - 4].to_vec();
+        let mut w = ByteWriter::new();
+        w.put_u32(managers as u32);
+        for i in 0..managers {
+            let kept = r.take_bytes().unwrap();
+            w.put_bytes(if i < from { kept } else { &sections[i - from] });
+        }
+        out.extend(w.into_bytes());
+        reseal(out)
+    }
+
+    /// An `ExclusivePool` section: `slots` free tokens, `blocked` flags.
+    fn exclusive_section(slots: usize, blocked: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u8(b'X');
+        w.put_seq(0..slots, |w, _| w.put_u8(0));
+        w.put_seq(0..blocked, |w, _| w.put_bool(false));
+        w.into_bytes()
+    }
+
+    /// A `RegScoreboard` section: `values` zero registers, `writers` free.
+    fn scoreboard_section(values: usize, writers: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u8(b'S');
+        w.put_seq(0..values, |w, _| w.put_u64(0));
+        w.put_seq(0..writers, |w, _| w.put_u8(0));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_refuses_short_pool_vectors_without_panicking() {
+        let build = || {
+            let mut m: Machine<()> = Machine::new(());
+            let a = m.add_manager(ExclusivePool::new("A", 2));
+            let regs = m.add_manager(RegScoreboard::new("regs", 4));
+            (m, a, regs)
+        };
+        let (m, ..) = build();
+        let ckpt = m.checkpoint().unwrap();
+        // The well-formed sections restore; each short vector is refused.
+        let good = with_manager_sections(
+            &ckpt,
+            0,
+            &[exclusive_section(2, 2), scoreboard_section(4, 4)],
+        );
+        build().0.restore(&good).unwrap();
+        for bad in [
+            [exclusive_section(2, 1), scoreboard_section(4, 4)],
+            [exclusive_section(2, 2), scoreboard_section(4, 0)],
+        ] {
+            let (mut m, a, regs) = build();
+            match m.restore(&with_manager_sections(&ckpt, 0, &bad)) {
+                Err(ModelError::SnapshotMismatch { .. }) => {}
+                other => panic!("expected mismatch, got {other:?}"),
+            }
+            m.managers
+                .downcast_mut::<ExclusivePool>(a)
+                .block_release(1, true);
+            assert!(!m.managers.downcast::<RegScoreboard>(regs).is_busy(0));
+        }
+    }
+
+    #[test]
+    fn rejected_restore_leaves_the_machine_exactly_as_it_was() {
+        let build = || {
+            let mut m: Machine<()> = Machine::new(());
+            let a = m.add_manager(ExclusivePool::new("A", 1));
+            m.add_manager(RegScoreboard::new("regs", 4));
+            let mut b = SpecBuilder::new("hold");
+            let i = b.state("I");
+            let h = b.state("H");
+            b.initial(i);
+            b.edge(i, h).allocate(a, IdentExpr::Const(0));
+            b.edge(h, i).release(a, IdentExpr::AnyHeld);
+            let spec = b.build().unwrap();
+            m.add_osm(&spec, InertBehavior);
+            m.managers
+                .downcast_mut::<ExclusivePool>(a)
+                .block_release(0, true);
+            (m, a)
+        };
+        let (mut source, a) = build();
+        source.run(3).unwrap();
+        assert_eq!(
+            source.managers.downcast::<ExclusivePool>(a).owner(0),
+            Some(OsmId(0))
+        );
+        let good = source.checkpoint().unwrap();
+        // The scoreboard section comes last, after pool A's was accepted.
+        let bad = with_manager_sections(&good, 1, &[scoreboard_section(3, 3)]);
+
+        let (mut fresh, _) = build();
+        let fingerprint = fresh.state_fingerprint();
+        let before = fresh.checkpoint().unwrap();
+        assert!(matches!(
+            fresh.restore(&bad),
+            Err(ModelError::SnapshotMismatch { .. })
+        ));
+        assert_eq!(fresh.state_fingerprint(), fingerprint);
+        assert!(
+            fresh.audit_tokens().is_empty(),
+            "{:?}",
+            fresh.audit_tokens()
+        );
+        assert_eq!(fresh.checkpoint().unwrap(), before);
+        // The machine is still usable, and still accepts the good bytes.
+        fresh.restore(&good).unwrap();
+        assert_eq!(fresh.state_fingerprint(), source.state_fingerprint());
+        assert!(fresh.audit_tokens().is_empty());
+    }
+
+    #[test]
+    fn restore_refuses_an_osm_state_its_spec_does_not_have() {
+        let build = || {
+            let mut m: Machine<()> = Machine::new(());
+            let ma = m.add_manager(ExclusivePool::new("A", 1));
+            let mb = m.add_manager(ExclusivePool::new("B", 1));
+            m.add_osm(&pipeline_spec(ma, mb), InertBehavior);
+            m
+        };
+        let ckpt = build().checkpoint().unwrap();
+        // The first OSM record opens with its state index.
+        let mut payload = unseal(&ckpt).unwrap().to_vec();
+        let mut r = ByteReader::new(&payload);
+        assert_eq!(skip_to_osm_records(&mut r), 1);
+        let at = payload.len() - r.remaining();
+        payload[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
+
+        let mut m = build();
+        assert!(matches!(
+            m.restore(&reseal(payload)),
+            Err(ModelError::SnapshotMismatch { .. })
+        ));
+        assert_eq!(m.osm(OsmId(0)).state_name(), "I");
+        m.run(3).unwrap();
     }
 
     #[test]

@@ -10,9 +10,28 @@
 
 use crate::error::ModelError;
 use crate::ids::{ManagerId, OsmId};
-use crate::snapshot::ManagerSnapshot;
 use crate::token::{Token, TokenIdent};
 use std::any::Any;
+
+/// One token manager's section of a machine checkpoint: the bytes its
+/// [`TokenManager::snapshot_state`] wrote, opaque to everything but the
+/// manager itself. [`crate::Machine::checkpoint`] stores them
+/// length-prefixed; [`crate::Machine::restore`] hands them back to
+/// [`TokenManager::restore_state`] on a manager of the same construction.
+#[derive(Debug, Clone)]
+pub struct ManagerSnapshot(Vec<u8>);
+
+impl ManagerSnapshot {
+    /// Wraps a section's bytes.
+    pub fn new(bytes: Vec<u8>) -> Self {
+        ManagerSnapshot(bytes)
+    }
+
+    /// The section's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 /// The token manager interface (TMI).
 ///
@@ -105,43 +124,37 @@ pub trait TokenManager: Any + Send {
         None
     }
 
-    /// Captures the manager's mutable state for
-    /// [`crate::Machine::checkpoint`]. The default `None` declares the
-    /// manager non-checkpointable, making `checkpoint()` fail with
-    /// [`crate::ModelError::SnapshotUnsupported`]. Implementors typically
-    /// delegate to [`crate::Snapshot::snapshot`].
+    /// Writes the manager's mutable state as its checkpoint section (build
+    /// it with [`crate::ByteWriter`], led by a kind byte so a section routed
+    /// to the wrong manager is refused). The default `None` declares the
+    /// manager non-checkpointable, making [`crate::Machine::checkpoint`]
+    /// fail with [`crate::ModelError::SnapshotUnsupported`].
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
         None
     }
 
-    /// Restores state previously captured by
-    /// [`TokenManager::snapshot_state`]. Returns `false` (leaving the
-    /// manager unchanged) if the snapshot is incompatible; the default
-    /// refuses everything.
+    /// Restores a section written by [`TokenManager::snapshot_state`] on a
+    /// manager of the same construction: parses it completely, checks its
+    /// shape against this manager, and only then applies it. Returns
+    /// `false`, leaving the manager unchanged, on any malformed, foreign or
+    /// wrong-shape section; the default refuses everything.
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
         let _ = snap;
         false
     }
 
-    /// Serializes a snapshot this manager produced via
-    /// [`TokenManager::snapshot_state`] into a stable byte encoding for the
-    /// on-disk checkpoint format ([`crate::Machine::encode_checkpoint`]).
-    /// The manager is the codec for its own opaque payload. The default
-    /// `None` declares the payload non-serializable (in-memory checkpoints
-    /// keep working; on-disk encoding fails with
-    /// [`crate::ModelError::SnapshotUnsupported`]).
+    /// Identity codec: a [`ManagerSnapshot`] already is its encoding.
+    /// Nothing in the workspace calls or overrides it; it stays only because
+    /// the `perf` benchmark's timing decorator still forwards it.
+    #[doc(hidden)]
     fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let _ = snap;
-        None
+        Some(snap.as_bytes().to_vec())
     }
 
-    /// Deserializes bytes produced by [`TokenManager::encode_snapshot`]
-    /// back into a snapshot this manager can [`TokenManager::restore_state`]
-    /// from. `None` on any malformed or foreign input; the default refuses
-    /// everything.
+    /// Identity codec; see [`TokenManager::encode_snapshot`].
+    #[doc(hidden)]
     fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let _ = bytes;
-        None
+        Some(ManagerSnapshot::new(bytes.to_vec()))
     }
 
     /// Upcast for concrete-type access from behaviors.

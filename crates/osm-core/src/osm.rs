@@ -8,7 +8,6 @@
 
 use crate::ids::{OsmId, SlotId, StateId};
 use crate::manager::ManagerTable;
-use crate::snapshot::BehaviorSnapshot;
 use crate::spec::{Edge, StateMachineSpec};
 use crate::token::{HeldToken, TokenIdent};
 use std::sync::Arc;
@@ -34,40 +33,21 @@ pub trait Behavior<S>: Send + 'static {
     /// compute, write results into managers, arm the reset manager, etc.
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, S>);
 
-    /// Captures the behavior's mutable state for
-    /// [`crate::Machine::checkpoint`]. The default declares the behavior
-    /// stateless; behaviors carrying per-operation state (decoded
+    /// Writes the behavior's mutable state as its checkpoint section for
+    /// [`crate::Machine::checkpoint`]. The default `None` declares the
+    /// behavior stateless; behaviors carrying per-operation state (decoded
     /// instruction, computed address, ...) MUST override this and
     /// [`Behavior::restore`], or a restored run will silently diverge.
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::Stateless
-    }
-
-    /// Restores state captured by [`Behavior::snapshot`]. Returns `false`
-    /// if the snapshot is incompatible. The stateless default accepts only
-    /// [`BehaviorSnapshot::Stateless`].
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        matches!(snap, BehaviorSnapshot::Stateless)
-    }
-
-    /// Serializes a [`BehaviorSnapshot::State`] payload this behavior
-    /// produced via [`Behavior::snapshot`] into a stable byte encoding for
-    /// the on-disk checkpoint format. Only called for `State` snapshots —
-    /// the machine-level codec handles the stateless case itself, so
-    /// stateless behaviors need no override. The default `None` declares
-    /// the state non-serializable.
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let _ = snap;
+    fn snapshot(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Deserializes bytes produced by [`Behavior::encode_snapshot`] back
-    /// into a snapshot this behavior can [`Behavior::restore`] from. Only
-    /// called for sections encoded from `State` snapshots. `None` on
-    /// malformed or foreign input; the default refuses everything.
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let _ = bytes;
-        None
+    /// Restores a section written by [`Behavior::snapshot`] (`None` for a
+    /// stateless one): parses it completely, then applies it. Returns
+    /// `false`, leaving the behavior unchanged, if the section is malformed
+    /// or of the wrong kind. The stateless default accepts only `None`.
+    fn restore(&mut self, section: Option<&[u8]>) -> bool {
+        section.is_none()
     }
 }
 

@@ -1,32 +1,66 @@
-//! Byte-level primitives for the on-disk checkpoint format.
+//! Byte-level primitives for the on-disk checkpoint format, and the one
+//! home of the FNV-1a digests used across the workspace.
 //!
-//! Everything a checkpoint file contains is encoded through [`ByteWriter`]
-//! and decoded through [`ByteReader`]: little-endian fixed-width integers
-//! and `u32`-length-prefixed byte sections. The framing matches the sweep
+//! Everything a checkpoint contains is encoded through [`ByteWriter`] and
+//! decoded through [`ByteReader`]: little-endian fixed-width integers and
+//! `u32`-length-prefixed byte sections. The framing matches the sweep
 //! journal's conventions (length prefixes, FNV-1a seals) so one set of
 //! tools can inspect both. Writers never fail; readers return `None` on any
 //! truncation or overrun so corrupt files degrade into a typed refusal, not
 //! a panic.
+//!
+//! # Two FNV-1a families
+//!
+//! Both start from the standard offset basis [`FNV_OFFSET`] and differ only
+//! in the multiplier. Each is fixed by digests already on record, so
+//! neither may change:
+//!
+//! * [`trace_mix`] / [`fnv1a`] multiply by `0x1000_0000_01b3`, which is
+//!   *not* the standard FNV-64 prime (one more zero nibble). They cover
+//!   [`crate::Trace`] digests and checkpoint seals.
+//! * [`fnv_mix`] / [`fnv`] are standard FNV-1a-64 (prime `0x100_0000_01b3`).
+//!   They cover [`crate::Machine::state_fingerprint`] and every digest of
+//!   the simulation farm (journal, job checkpoints, ISS traces).
 
-/// FNV-1a offset basis (the standard one).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// The multiplier, shared with [`crate::Trace`] digests. It is *not* the
-/// standard FNV-64 prime `0x100_0000_01b3` (one more zero nibble), so these
-/// digests are an FNV-1a variant distinct from the standard family that
-/// the farm's journal and checkpoint seals and
-/// [`crate::Machine::state_fingerprint`] use. It stays as it is: changing
-/// it would change every recorded trace digest and checkpoint seal.
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// FNV-1a offset basis (the standard one), shared by both families.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Multiplier of trace digests and checkpoint seals (not the FNV prime).
+const TRACE_MULT: u64 = 0x1000_0000_01b3;
+/// The standard FNV-64 prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// FNV-1a-style digest of `bytes` with this module's multiplier (see
-/// `FNV_PRIME`) — the seal used by checkpoint files.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// Folds `bytes` into a running trace digest or checkpoint seal
+/// (multiplier `0x1000_0000_01b3`; see the module docs). Generic so a
+/// caller hashing a fixed-width value can pass `v.to_le_bytes()` by value
+/// and keep the fully unrolled loop of the hot trace path.
+#[inline]
+pub fn trace_mix(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    for b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(TRACE_MULT);
     }
-    h
+    hash
+}
+
+/// Folds `bytes` into a running standard FNV-1a-64 digest (generic like
+/// [`trace_mix`]).
+#[inline]
+pub fn fnv_mix(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    for b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// The checkpoint seal: [`trace_mix`] over `bytes` from [`FNV_OFFSET`].
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    trace_mix(FNV_OFFSET, bytes.iter().copied())
+}
+
+/// Standard FNV-1a-64 of `bytes`.
+pub fn fnv(bytes: &[u8]) -> u64 {
+    fnv_mix(FNV_OFFSET, bytes.iter().copied())
 }
 
 /// Append-only little-endian byte encoder.
@@ -83,6 +117,20 @@ impl ByteWriter {
         self.put_bytes(v.as_bytes());
     }
 
+    /// Appends a `u32` item count, then each item through `put` (read back
+    /// with [`ByteReader::take_vec`]).
+    pub fn put_seq<I>(&mut self, items: I, mut put: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.put_u32(items.len() as u32);
+        for item in items {
+            put(self, item);
+        }
+    }
+
     /// Consumes the writer, returning the raw encoding.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -122,6 +170,14 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf: bytes, pos: 0 }
     }
 
+    /// Decodes all of `bytes` with `body`: `None` if it fails or leaves any
+    /// byte unread.
+    pub fn read_all<T>(bytes: &'a [u8], body: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let mut r = ByteReader::new(bytes);
+        let out = body(&mut r)?;
+        r.is_done().then_some(out)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -144,6 +200,11 @@ impl<'a> ByteReader<'a> {
     /// Reads one byte.
     pub fn take_u8(&mut self) -> Option<u8> {
         self.take(1).map(|b| b[0])
+    }
+
+    /// Reads one byte that must equal `tag` (a section's kind byte).
+    pub fn expect_u8(&mut self, tag: u8) -> Option<()> {
+        (self.take_u8()? == tag).then_some(())
     }
 
     /// Reads a bool byte; any value other than 0/1 is a decode error.
@@ -175,6 +236,19 @@ impl<'a> ByteReader<'a> {
     pub fn take_str(&mut self) -> Option<&'a str> {
         std::str::from_utf8(self.take_bytes()?).ok()
     }
+
+    /// Reads a `u32` item count, then each item through `item` (written by
+    /// [`ByteWriter::put_seq`]).
+    pub fn take_vec<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.take_u32()? as usize;
+        // Every item takes at least one byte, so a corrupt count cannot
+        // reserve more than the input could hold.
+        let mut out = Vec::with_capacity(n.min(self.remaining()));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -187,6 +261,14 @@ mod tests {
         // must keep producing its own value.
         assert_eq!(fnv1a(b""), FNV_OFFSET);
         assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(trace_mix(fnv1a(b"fo"), *b"o"), fnv1a(b"foo"));
+    }
+
+    #[test]
+    fn fnv_is_standard_fnv1a_64() {
+        assert_eq!(fnv(b""), FNV_OFFSET);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv_mix(fnv(b"fo"), *b"o"), fnv(b"foo"));
     }
 
     #[test]
@@ -198,6 +280,7 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_bytes(&[1, 2, 3]);
         w.put_str("fetch-queue");
+        w.put_seq([3u64, 4], |w, v| w.put_u64(v));
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.take_u8(), Some(7));
@@ -206,8 +289,23 @@ mod tests {
         assert_eq!(r.take_u64(), Some(u64::MAX - 3));
         assert_eq!(r.take_bytes(), Some(&[1u8, 2, 3][..]));
         assert_eq!(r.take_str(), Some("fetch-queue"));
+        assert_eq!(r.take_vec(ByteReader::take_u64), Some(vec![3, 4]));
         assert!(r.is_done());
         assert_eq!(r.take_u8(), None);
+    }
+
+    #[test]
+    fn read_all_requires_the_kind_byte_and_full_consumption() {
+        let body = |r: &mut ByteReader<'_>| {
+            r.expect_u8(b'K')?;
+            r.take_u32()
+        };
+        assert_eq!(ByteReader::read_all(&[b'K', 5, 0, 0, 0], body), Some(5));
+        assert_eq!(ByteReader::read_all(&[b'J', 5, 0, 0, 0], body), None);
+        assert_eq!(ByteReader::read_all(&[b'K', 5, 0, 0, 0, 9], body), None);
+        // A count larger than the input fails without a huge reservation.
+        let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 1]);
+        assert_eq!(r.take_vec(ByteReader::take_bool), None);
     }
 
     #[test]

@@ -16,14 +16,13 @@
 //!   the paper's control-hazard idiom.
 
 use crate::ids::{ManagerId, OsmId};
-use crate::manager::TokenManager;
+use crate::manager::{ManagerSnapshot, TokenManager};
 use crate::persist::{ByteReader, ByteWriter};
-use crate::snapshot::{ManagerSnapshot, Snapshot};
 use crate::token::{Token, TokenIdent};
 use std::any::Any;
 
-// Leading kind byte of each pool's serialized snapshot, so a payload routed
-// to the wrong manager kind is refused at decode instead of downcast time.
+// Leading kind byte of each pool's checkpoint section, so a section routed
+// to the wrong manager kind is refused.
 const KIND_EXCLUSIVE: u8 = b'X';
 const KIND_COUNTING: u8 = b'C';
 const KIND_SCOREBOARD: u8 = b'S';
@@ -55,22 +54,6 @@ fn take_slot(r: &mut ByteReader<'_>) -> Option<SlotState> {
         3 => SlotState::Releasing(OsmId(r.take_u32()?)),
         _ => return None,
     })
-}
-
-fn put_slots(w: &mut ByteWriter, slots: &[SlotState]) {
-    w.put_u32(slots.len() as u32);
-    for s in slots {
-        put_slot(w, s);
-    }
-}
-
-fn take_slots(r: &mut ByteReader<'_>) -> Option<Vec<SlotState>> {
-    let n = r.take_u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(take_slot(r)?);
-    }
-    Some(out)
 }
 
 /// Ownership state of one token in an [`ExclusivePool`].
@@ -272,42 +255,28 @@ impl TokenManager for ExclusivePool {
     }
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_EXCLUSIVE);
+        w.put_seq(&self.slots, put_slot);
+        w.put_seq(&self.release_blocked, |w, &b| w.put_bool(b));
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ExclusivePoolState>()?;
-        let mut w = ByteWriter::new();
-        w.put_u8(KIND_EXCLUSIVE);
-        put_slots(&mut w, &state.slots);
-        w.put_u32(state.release_blocked.len() as u32);
-        for &b in &state.release_blocked {
-            w.put_bool(b);
-        }
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_EXCLUSIVE {
-            return None;
-        }
-        let slots = take_slots(&mut r)?;
-        let n = r.take_u32()? as usize;
-        let mut release_blocked = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            release_blocked.push(r.take_bool()?);
-        }
-        r.is_done().then(|| {
-            ManagerSnapshot::of(ExclusivePoolState {
-                slots,
-                release_blocked,
-            })
-        })
+        let capacity = self.slots.len();
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_EXCLUSIVE)?;
+            let slots = r.take_vec(take_slot)?;
+            let release_blocked = r.take_vec(ByteReader::take_bool)?;
+            (slots.len() == capacity && release_blocked.len() == capacity)
+                .then_some((slots, release_blocked))
+        });
+        let Some((slots, release_blocked)) = parsed else {
+            return false;
+        };
+        self.slots = slots;
+        self.release_blocked = release_blocked;
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -316,33 +285,6 @@ impl TokenManager for ExclusivePool {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of an [`ExclusivePool`].
-struct ExclusivePoolState {
-    slots: Vec<SlotState>,
-    release_blocked: Vec<bool>,
-}
-
-impl Snapshot for ExclusivePool {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ExclusivePoolState {
-            slots: self.slots.clone(),
-            release_blocked: self.release_blocked.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ExclusivePoolState>() else {
-            return false;
-        };
-        if state.slots.len() != self.slots.len() {
-            return false;
-        }
-        self.slots.clone_from(&state.slots);
-        self.release_blocked.clone_from(&state.release_blocked);
-        true
     }
 }
 
@@ -455,38 +397,28 @@ impl TokenManager for CountingPool {
     }
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_COUNTING);
+        w.put_u64(self.capacity);
+        w.put_u64(self.available);
+        w.put_bool(self.refill_each_cycle);
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<CountingPoolState>()?;
-        let mut w = ByteWriter::new();
-        w.put_u8(KIND_COUNTING);
-        w.put_u64(state.capacity);
-        w.put_u64(state.available);
-        w.put_bool(state.refill_each_cycle);
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_COUNTING {
-            return None;
-        }
-        let capacity = r.take_u64()?;
-        let available = r.take_u64()?;
-        let refill_each_cycle = r.take_bool()?;
-        r.is_done().then(|| {
-            ManagerSnapshot::of(CountingPoolState {
-                capacity,
-                available,
-                refill_each_cycle,
-            })
-        })
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_COUNTING)?;
+            let capacity = r.take_u64()?;
+            let available = r.take_u64()?;
+            let refill_each_cycle = r.take_bool()?;
+            (capacity == self.capacity && refill_each_cycle == self.refill_each_cycle)
+                .then_some(available)
+        });
+        let Some(available) = parsed else {
+            return false;
+        };
+        self.available = available;
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -495,34 +427,6 @@ impl TokenManager for CountingPool {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of a [`CountingPool`].
-struct CountingPoolState {
-    capacity: u64,
-    available: u64,
-    refill_each_cycle: bool,
-}
-
-impl Snapshot for CountingPool {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(CountingPoolState {
-            capacity: self.capacity,
-            available: self.available,
-            refill_each_cycle: self.refill_each_cycle,
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<CountingPoolState>() else {
-            return false;
-        };
-        if state.capacity != self.capacity || state.refill_each_cycle != self.refill_each_cycle {
-            return false;
-        }
-        self.available = state.available;
-        true
     }
 }
 
@@ -730,38 +634,27 @@ impl TokenManager for RegScoreboard {
     }
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_SCOREBOARD);
+        w.put_seq(&self.values, |w, &v| w.put_u64(v));
+        w.put_seq(&self.writer, put_slot);
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ScoreboardState>()?;
-        let mut w = ByteWriter::new();
-        w.put_u8(KIND_SCOREBOARD);
-        w.put_u32(state.values.len() as u32);
-        for &v in &state.values {
-            w.put_u64(v);
-        }
-        put_slots(&mut w, &state.writer);
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_SCOREBOARD {
-            return None;
-        }
-        let n = r.take_u32()? as usize;
-        let mut values = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            values.push(r.take_u64()?);
-        }
-        let writer = take_slots(&mut r)?;
-        r.is_done()
-            .then(|| ManagerSnapshot::of(ScoreboardState { values, writer }))
+        let nregs = self.values.len();
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_SCOREBOARD)?;
+            let values = r.take_vec(ByteReader::take_u64)?;
+            let writer = r.take_vec(take_slot)?;
+            (values.len() == nregs && writer.len() == nregs).then_some((values, writer))
+        });
+        let Some((values, writer)) = parsed else {
+            return false;
+        };
+        self.values = values;
+        self.writer = writer;
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -770,33 +663,6 @@ impl TokenManager for RegScoreboard {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of a [`RegScoreboard`].
-struct ScoreboardState {
-    values: Vec<u64>,
-    writer: Vec<SlotState>,
-}
-
-impl Snapshot for RegScoreboard {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ScoreboardState {
-            values: self.values.clone(),
-            writer: self.writer.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ScoreboardState>() else {
-            return false;
-        };
-        if state.values.len() != self.values.len() {
-            return false;
-        }
-        self.values.clone_from(&state.values);
-        self.writer.clone_from(&state.writer);
-        true
     }
 }
 
@@ -874,35 +740,22 @@ impl TokenManager for ResetManager {
     fn discard(&mut self, _osm: OsmId, _token: Token) {}
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_RESET);
+        w.put_seq(&self.armed, |w, o| w.put_u32(o.0));
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ResetState>()?;
-        let mut w = ByteWriter::new();
-        w.put_u8(KIND_RESET);
-        w.put_u32(state.armed.len() as u32);
-        for o in &state.armed {
-            w.put_u32(o.0);
-        }
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_RESET {
-            return None;
-        }
-        let n = r.take_u32()? as usize;
-        let mut armed = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            armed.push(OsmId(r.take_u32()?));
-        }
-        r.is_done().then(|| ManagerSnapshot::of(ResetState { armed }))
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_RESET)?;
+            r.take_vec(|r| r.take_u32().map(OsmId))
+        });
+        let Some(armed) = parsed else {
+            return false;
+        };
+        self.armed = armed;
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -911,27 +764,6 @@ impl TokenManager for ResetManager {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of a [`ResetManager`].
-struct ResetState {
-    armed: Vec<OsmId>,
-}
-
-impl Snapshot for ResetManager {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ResetState {
-            armed: self.armed.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ResetState>() else {
-            return false;
-        };
-        self.armed.clone_from(&state.armed);
-        true
     }
 }
 

@@ -1,6 +1,7 @@
 //! Transition tracing, used for model validation and determinism tests.
 
 use crate::ids::{EdgeId, OsmId, StateId};
+use crate::persist::{trace_mix, FNV_OFFSET};
 use std::fmt;
 
 /// One committed state transition.
@@ -43,11 +44,6 @@ pub enum TraceMode {
     /// Keep no events, only the running digest and count.
     DigestOnly,
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// Not the standard FNV-64 prime: see [`crate::persist::fnv1a`]. Fixed,
-/// because every recorded trace digest depends on it.
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// An ordered record of every committed transition of a machine run.
 ///
@@ -140,10 +136,7 @@ impl Trace {
             ev.from.0 as u64,
             ev.to.0 as u64,
         ] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h = trace_mix(h, v.to_le_bytes());
         }
         self.hash = h;
         match self.mode {
@@ -189,8 +182,8 @@ impl Trace {
     }
 
     /// FNV-1a-style digest over the *full* pushed event stream (independent
-    /// of the retention mode; the multiplier is the one
-    /// [`crate::persist::fnv1a`] documents, not the standard FNV prime);
+    /// of the retention mode; [`crate::persist::trace_mix`], not the
+    /// standard FNV prime);
     /// equal digests mean equal traces (up to hash collision), handy for
     /// determinism property tests.
     pub fn digest(&self) -> u64 {

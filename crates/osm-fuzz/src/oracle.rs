@@ -11,7 +11,8 @@
 //! 3. **Farm parallelism** — `run_serial` vs `run_parallel` at 1, 2 and 8
 //!    workers over the whole batch (work stealing must not change any
 //!    job's result, only who runs it).
-//! 4. **Checkpoint cuts** — checkpoint at a case-chosen cycle, restore
+//! 4. **Checkpoint cuts** — checkpoint at a case-chosen cycle (the sealed
+//!    byte string, the same codec the farm writes to disk), restore it
 //!    into a fresh machine, continue: the continuation must replay the
 //!    uninterrupted run's trace tail bit-for-bit, agree on the mid-run
 //!    [`osm_core::Machine::state_fingerprint`] at the cut, and end in the

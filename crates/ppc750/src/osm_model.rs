@@ -22,11 +22,10 @@ use crate::rename::{RenameFile, ResultBus};
 use memsys::MemSystem;
 use minirisc::{decode, encode, Instr, InstrClass, Memory, Program};
 use osm_core::{
-    export, Behavior, BehaviorSnapshot, ByteReader, ByteWriter, Checkpoint, CountingPool, Edge,
-    ExclusivePool, FaultHandle, FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine,
-    ManagerId, ManagerTable, MetricsReport, ModelError, OsmId, OsmView, ResetManager,
-    RestartPolicy, SlotId, SpecBuilder, StallHistogram, StateMachineSpec, TokenIdent,
-    TransitionCtx,
+    export, Behavior, ByteReader, ByteWriter, CountingPool, Edge, ExclusivePool, FaultHandle,
+    FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable,
+    MetricsReport, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder,
+    StallHistogram, StateMachineSpec, TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -193,14 +192,10 @@ impl HardwareLayer for PpcShared {
             self.unit_timer[k] = self.unit_timer[k].saturating_sub(1);
         }
     }
-}
 
-impl PpcShared {
-    /// Serializes the mutable shared state for the on-disk checkpoint
-    /// format. Static wiring (`edge_kinds`, manager handles, configuration)
-    /// is excluded — [`PpcShared::decode_state`] takes it from a
-    /// same-construction template.
-    pub fn encode_state(&self) -> Vec<u8> {
+    /// All mutable shared state. Static wiring (`edge_kinds`, manager
+    /// handles, configuration) stays with the machine.
+    fn encode_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
         w.put_bytes(&self.oracle.export_state());
         w.put_bytes(&self.memsys.export_state());
@@ -213,10 +208,7 @@ impl PpcShared {
         w.put_u64(self.fetch_seq);
         w.put_u64(self.next_dispatch_seq);
         w.put_u64(self.next_retire_seq);
-        w.put_u32(self.phantoms.len() as u32);
-        for osm in &self.phantoms {
-            w.put_u32(osm.0);
-        }
+        w.put_seq(&self.phantoms, |w, osm| w.put_u32(osm.0));
         w.put_u32(self.fetch_stall);
         for t in self.unit_timer {
             w.put_u32(t);
@@ -225,47 +217,42 @@ impl PpcShared {
         w.put_u64(self.squashed);
         w.put_u64(self.branches);
         w.put_u64(self.mispredicts);
-        w.into_bytes()
+        Some(w.into_bytes())
     }
 
-    /// Decodes state written by [`PpcShared::encode_state`]. `template`
-    /// must come from a same-construction simulator; it supplies the static
-    /// wiring and validates shapes (memory geometry, BHT size).
-    pub fn decode_state(bytes: &[u8], template: &PpcShared) -> Option<PpcShared> {
-        let mut r = ByteReader::new(bytes);
-        let mut s = template.clone();
-        if !s.oracle.import_state(r.take_bytes()?) {
-            return None;
+    /// Decodes into a copy of the current state (which supplies the static
+    /// wiring and validates shapes: memory geometry, BHT size) and installs
+    /// it only if the whole section parses.
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        let mut s = self.clone();
+        let parsed = ByteReader::read_all(bytes, |r| {
+            (s.oracle.import_state(r.take_bytes()?)
+                && s.memsys.import_state(r.take_bytes()?)
+                && s.bht.import_state(r.take_bytes()?))
+            .then_some(())?;
+            s.now = r.take_u64()?;
+            s.next_fetch_pc = r.take_u32()?;
+            s.wrong_path = r.take_bool()?;
+            s.stop_fetch = r.take_bool()?;
+            s.halted = r.take_bool()?;
+            s.fetch_seq = r.take_u64()?;
+            s.next_dispatch_seq = r.take_u64()?;
+            s.next_retire_seq = r.take_u64()?;
+            s.phantoms = r.take_vec(|r| r.take_u32().map(OsmId))?;
+            s.fetch_stall = r.take_u32()?;
+            for t in &mut s.unit_timer {
+                *t = r.take_u32()?;
+            }
+            s.retired = r.take_u64()?;
+            s.squashed = r.take_u64()?;
+            s.branches = r.take_u64()?;
+            s.mispredicts = r.take_u64()?;
+            Some(())
+        });
+        if parsed.is_some() {
+            *self = s;
         }
-        if !s.memsys.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.bht.import_state(r.take_bytes()?) {
-            return None;
-        }
-        s.now = r.take_u64()?;
-        s.next_fetch_pc = r.take_u32()?;
-        s.wrong_path = r.take_bool()?;
-        s.stop_fetch = r.take_bool()?;
-        s.halted = r.take_bool()?;
-        s.fetch_seq = r.take_u64()?;
-        s.next_dispatch_seq = r.take_u64()?;
-        s.next_retire_seq = r.take_u64()?;
-        let n = r.take_u32()? as usize;
-        let mut phantoms = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            phantoms.push(OsmId(r.take_u32()?));
-        }
-        s.phantoms = phantoms;
-        s.fetch_stall = r.take_u32()?;
-        for t in &mut s.unit_timer {
-            *t = r.take_u32()?;
-        }
-        s.retired = r.take_u64()?;
-        s.squashed = r.take_u64()?;
-        s.branches = r.take_u64()?;
-        s.mispredicts = r.take_u64()?;
-        r.is_done().then_some(s)
+        parsed.is_some()
     }
 }
 
@@ -389,7 +376,7 @@ fn classify_edges(spec: &StateMachineSpec) -> Vec<EdgeKind> {
 }
 
 /// Per-operation behavior.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct PpcOp {
     seq: u64,
     pc: u32,
@@ -471,82 +458,74 @@ impl PpcOp {
 }
 
 impl Behavior<PpcShared> for PpcOp {
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast::<PpcOp>() {
-            Some(state) => {
-                self.clone_from(state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<PpcOp>()?;
+    fn snapshot(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
-        w.put_u64(state.seq);
-        w.put_u32(state.pc);
-        w.put_u32(encode(state.instr).ok()?);
-        w.put_bool(state.phantom);
-        w.put_bool(state.taken);
-        w.put_u32(state.next_pc);
-        w.put_bool(state.mispredicted);
-        w.put_bool(state.predicted_event);
-        match state.mem_addr {
+        w.put_u64(self.seq);
+        w.put_u32(self.pc);
+        // `instr` always comes from `decode` (or is the NOP), and every
+        // decoded instruction re-encodes.
+        w.put_u32(encode(self.instr).expect("decoded instructions re-encode"));
+        w.put_bool(self.phantom);
+        w.put_bool(self.taken);
+        w.put_u32(self.next_pc);
+        w.put_bool(self.mispredicted);
+        w.put_bool(self.predicted_event);
+        match self.mem_addr {
             None => w.put_bool(false),
             Some(a) => {
                 w.put_bool(true);
                 w.put_u32(a);
             }
         }
-        w.put_bool(state.is_halting);
+        w.put_bool(self.is_halting);
         // Unit as a tag: 0 = none, else 1 + index into `UNITS`.
-        w.put_u8(state.unit.map_or(0, |u| u.index() as u8 + 1));
-        w.put_u64(state.ready_at);
+        w.put_u8(self.unit.map_or(0, |u| u.index() as u8 + 1));
+        w.put_u64(self.ready_at);
         Some(w.into_bytes())
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        let seq = r.take_u64()?;
-        let pc = r.take_u32()?;
-        let instr = decode(r.take_u32()?).ok()?;
-        let phantom = r.take_bool()?;
-        let taken = r.take_bool()?;
-        let next_pc = r.take_u32()?;
-        let mispredicted = r.take_bool()?;
-        let predicted_event = r.take_bool()?;
-        let mem_addr = if r.take_bool()? {
-            Some(r.take_u32()?)
-        } else {
-            None
-        };
-        let is_halting = r.take_bool()?;
-        let unit = match r.take_u8()? {
-            0 => None,
-            t => Some(*UNITS.get(t as usize - 1)?),
-        };
-        let ready_at = r.take_u64()?;
-        r.is_done().then(|| {
-            BehaviorSnapshot::of(PpcOp {
-                seq,
-                pc,
-                instr,
-                phantom,
-                taken,
-                next_pc,
-                mispredicted,
-                predicted_event,
-                mem_addr,
-                is_halting,
-                unit,
-                ready_at,
+    fn restore(&mut self, section: Option<&[u8]>) -> bool {
+        let parsed = section.and_then(|bytes| {
+            ByteReader::read_all(bytes, |r| {
+                let seq = r.take_u64()?;
+                let pc = r.take_u32()?;
+                let instr = decode(r.take_u32()?).ok()?;
+                let phantom = r.take_bool()?;
+                let taken = r.take_bool()?;
+                let next_pc = r.take_u32()?;
+                let mispredicted = r.take_bool()?;
+                let predicted_event = r.take_bool()?;
+                let mem_addr = if r.take_bool()? {
+                    Some(r.take_u32()?)
+                } else {
+                    None
+                };
+                let is_halting = r.take_bool()?;
+                let unit = match r.take_u8()? {
+                    0 => None,
+                    t => Some(*UNITS.get(t as usize - 1)?),
+                };
+                Some(PpcOp {
+                    seq,
+                    pc,
+                    instr,
+                    phantom,
+                    taken,
+                    next_pc,
+                    mispredicted,
+                    predicted_event,
+                    mem_addr,
+                    is_halting,
+                    unit,
+                    ready_at: r.take_u64()?,
+                })
             })
-        })
+        });
+        let Some(op) = parsed else {
+            return false;
+        };
+        *self = op;
+        true
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &PpcShared) -> bool {
@@ -828,49 +807,26 @@ impl PpcOsmSim {
     }
 
     /// Captures a full mid-run checkpoint (machine, managers, oracle,
-    /// memory system, predictor).
+    /// memory system, predictor) as sealed bytes (see
+    /// [`osm_core::Machine::checkpoint`]). [`PpcOsmSim::restore`] replays
+    /// the continuation exactly, here or in a freshly built simulator of
+    /// the same construction.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager without snapshot
+    /// [`ModelError::SnapshotUnsupported`] if a manager without checkpoint
     /// support was installed.
-    pub fn checkpoint(&self) -> Result<Checkpoint<PpcShared>, ModelError> {
+    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
         self.machine.checkpoint()
     }
 
-    /// Rewinds the simulator to `ckpt` (which must come from this
-    /// simulator's own [`PpcOsmSim::checkpoint`]).
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the checkpoint shape does not
-    /// match this machine.
-    pub fn restore(&mut self, ckpt: &Checkpoint<PpcShared>) -> Result<(), ModelError> {
-        self.machine.restore(ckpt)
-    }
-
-    /// Serializes a full checkpoint to the versioned, digest-sealed on-disk
-    /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]).
-    ///
-    /// # Errors
-    /// Propagates checkpoint errors; [`ModelError::SnapshotUnsupported`] if
-    /// any component lacks a byte codec.
-    pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.machine.checkpoint()?;
-        let shared_bytes = ckpt.shared().encode_state();
-        self.machine.encode_checkpoint(&ckpt, &shared_bytes)
-    }
-
-    /// Restores this simulator from bytes written by
-    /// [`PpcOsmSim::checkpoint_bytes`] on a same-construction simulator.
+    /// Rewinds the simulator to bytes written by [`PpcOsmSim::checkpoint`];
+    /// all-or-nothing.
     ///
     /// # Errors
     /// [`ModelError::SnapshotMismatch`] if the bytes are damaged or were
-    /// taken from a differently-configured machine.
-    pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let template = &self.machine.shared;
-        let ckpt = self
-            .machine
-            .decode_checkpoint(bytes, |b| PpcShared::decode_state(b, template))?;
-        self.machine.restore(&ckpt)
+    /// taken from a differently configured simulator.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.machine.restore(bytes)
     }
 
     /// Installs a deterministic fault injector in front of manager
@@ -1183,8 +1139,8 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_replays_exactly() {
-        // Checkpoint mid-run (in-memory snapshot path), keep running, then
-        // rewind and verify the continuation is identical.
+        // Checkpoint mid-run, keep running, then rewind the same simulator
+        // and verify the continuation is identical.
         let p = assemble(SUM_LOOP, 0x1000).unwrap();
         let mut sim = PpcOsmSim::new(PpcConfig::paper(), &p);
         for _ in 0..25 {
@@ -1199,7 +1155,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bytes_restore_into_fresh_sim_replays_exactly() {
+    fn checkpoint_restores_into_fresh_sim_replays_exactly() {
         // Use the alternating-branch program so the checkpoint lands with
         // wrong-path phantoms, BHT training, rename traffic and squashes in
         // flight — the hardest state to round-trip through bytes.
@@ -1222,12 +1178,12 @@ mod tests {
         for _ in 0..60 {
             sim.machine_mut().step().unwrap();
         }
-        let bytes = sim.checkpoint_bytes().unwrap();
+        let bytes = sim.checkpoint().unwrap();
         let reference = sim.run_to_halt(1_000_000).unwrap();
         drop(sim); // the original is gone — restore must work from bytes alone
 
         let mut fresh = PpcOsmSim::new(PpcConfig::paper(), &p);
-        fresh.restore_checkpoint_bytes(&bytes).unwrap();
+        fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.machine().cycle(), 60);
         let replay = fresh.run_to_halt(1_000_000).unwrap();
         assert_eq!(replay, reference);
@@ -1237,7 +1193,7 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         let mut victim = PpcOsmSim::new(PpcConfig::paper(), &p);
-        assert!(victim.restore_checkpoint_bytes(&bad).is_err());
+        assert!(victim.restore(&bad).is_err());
 
         // A differently-configured machine refuses the bytes.
         let other_cfg = PpcConfig {
@@ -1245,7 +1201,7 @@ mod tests {
             ..PpcConfig::paper()
         };
         let mut other = PpcOsmSim::new(other_cfg, &p);
-        assert!(other.restore_checkpoint_bytes(&bytes).is_err());
+        assert!(other.restore(&bytes).is_err());
     }
 
     #[test]

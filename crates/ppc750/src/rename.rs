@@ -12,16 +12,14 @@
 //!   numbers of its unready producers at dispatch; its issue edge inquires
 //!   this manager until those producers have broadcast.
 
-use osm_core::{
-    ByteReader, ByteWriter, ManagerSnapshot, OsmId, Snapshot, Token, TokenIdent, TokenManager,
-};
+use osm_core::{ByteReader, ByteWriter, ManagerSnapshot, OsmId, Token, TokenIdent, TokenManager};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
-/// Byte-codec kind tag for [`RenameFile`] snapshots (rename **m**ap).
+/// Kind byte of [`RenameFile`] checkpoint sections (rename **m**ap).
 const KIND_RENAME_FILE: u8 = b'M';
-/// Byte-codec kind tag for [`ResultBus`] snapshots.
+/// Kind byte of [`ResultBus`] checkpoint sections.
 const KIND_RESULT_BUS: u8 = b'B';
 
 /// One in-flight write to an architectural register.
@@ -129,49 +127,38 @@ impl TokenManager for RenameFile {
     }
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<RenameFileState>()?;
         let mut w = ByteWriter::new();
         w.put_u8(KIND_RENAME_FILE);
-        w.put_u32(state.writes.len() as u32);
-        for stack in &state.writes {
-            w.put_u32(stack.len() as u32);
-            for e in stack {
+        w.put_seq(&self.writes, |w, stack| {
+            w.put_seq(stack, |w, e| {
                 w.put_u32(e.osm.0);
                 w.put_u64(e.seq);
                 w.put_bool(e.ready);
-            }
-        }
-        Some(w.into_bytes())
+            });
+        });
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_RENAME_FILE {
-            return None;
-        }
-        let nregs = r.take_u32()? as usize;
-        let mut writes = Vec::with_capacity(nregs.min(1 << 20));
-        for _ in 0..nregs {
-            let depth = r.take_u32()? as usize;
-            let mut stack = VecDeque::with_capacity(depth.min(1 << 20));
-            for _ in 0..depth {
-                let osm = OsmId(r.take_u32()?);
-                let seq = r.take_u64()?;
-                let ready = r.take_bool()?;
-                stack.push_back(WriteEntry { osm, seq, ready });
-            }
-            writes.push(stack);
-        }
-        r.is_done()
-            .then(|| ManagerSnapshot::of(RenameFileState { writes }))
+    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_RENAME_FILE)?;
+            let writes = r.take_vec(|r| {
+                let stack = r.take_vec(|r| {
+                    Some(WriteEntry {
+                        osm: OsmId(r.take_u32()?),
+                        seq: r.take_u64()?,
+                        ready: r.take_bool()?,
+                    })
+                })?;
+                Some(VecDeque::from(stack))
+            })?;
+            (writes.len() == self.writes.len()).then_some(writes)
+        });
+        let Some(writes) = parsed else {
+            return false;
+        };
+        self.writes = writes;
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -180,31 +167,6 @@ impl TokenManager for RenameFile {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload for [`RenameFile`]: the per-register write stacks.
-#[derive(Debug, Clone)]
-struct RenameFileState {
-    writes: Vec<VecDeque<WriteEntry>>,
-}
-
-impl Snapshot for RenameFile {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(RenameFileState {
-            writes: self.writes.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<RenameFileState>() else {
-            return false;
-        };
-        if state.writes.len() != self.writes.len() {
-            return false;
-        }
-        self.writes.clone_from(&state.writes);
-        true
     }
 }
 
@@ -279,38 +241,24 @@ impl TokenManager for ResultBus {
     fn discard(&mut self, _osm: OsmId, _token: Token) {}
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_RESULT_BUS);
+        w.put_u64(self.floor);
+        w.put_seq(&self.done, |w, &seq| w.put_u64(seq));
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ResultBusState>()?;
-        let mut w = ByteWriter::new();
-        w.put_u8(KIND_RESULT_BUS);
-        w.put_u64(state.floor);
-        w.put_u32(state.done.len() as u32);
-        for &seq in &state.done {
-            w.put_u64(seq);
-        }
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_RESULT_BUS {
-            return None;
-        }
-        let floor = r.take_u64()?;
-        let n = r.take_u32()?;
-        let mut done = BTreeSet::new();
-        for _ in 0..n {
-            done.insert(r.take_u64()?);
-        }
-        r.is_done()
-            .then(|| ManagerSnapshot::of(ResultBusState { floor, done }))
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_RESULT_BUS)?;
+            Some((r.take_u64()?, r.take_vec(ByteReader::take_u64)?))
+        });
+        let Some((floor, done)) = parsed else {
+            return false;
+        };
+        self.floor = floor;
+        self.done = done.into_iter().collect();
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -319,31 +267,6 @@ impl TokenManager for ResultBus {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload for [`ResultBus`]: retirement floor plus live broadcasts.
-#[derive(Debug, Clone)]
-struct ResultBusState {
-    floor: u64,
-    done: BTreeSet<u64>,
-}
-
-impl Snapshot for ResultBus {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ResultBusState {
-            floor: self.floor,
-            done: self.done.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ResultBusState>() else {
-            return false;
-        };
-        self.floor = state.floor;
-        self.done.clone_from(&state.done);
-        true
     }
 }
 
@@ -418,72 +341,49 @@ mod tests {
         rf.begin_write(3, OsmId(1), 10);
         rf.begin_write(3, OsmId(2), 11);
         rf.complete_write(3, 11);
-        let snap = Snapshot::snapshot(&rf);
+        rf.begin_write(5, OsmId(4), 12);
+        let snap = rf.snapshot_state().unwrap();
         rf.retire_write(3, 10);
         rf.abort_write(3, 11);
         assert_eq!(rf.depth(3), 0);
-        assert!(Snapshot::restore(&mut rf, &snap));
+        assert!(rf.restore_state(&snap));
         assert_eq!(rf.depth(3), 2);
         assert_eq!(rf.pending_producer(3), None); // 11 was complete
-        // Wrong register count is refused.
-        let mut other = RenameFile::new("gpr", 4);
-        assert!(!Snapshot::restore(&mut other, &snap));
-    }
-
-    #[test]
-    fn rename_byte_codec_roundtrip() {
-        let mut rf = RenameFile::new("gpr", 8);
-        rf.begin_write(3, OsmId(1), 10);
-        rf.begin_write(3, OsmId(2), 11);
-        rf.complete_write(3, 11);
-        rf.begin_write(5, OsmId(4), 12);
-        let snap = Snapshot::snapshot(&rf);
-        let bytes = rf.encode_snapshot(&snap).unwrap();
-        let decoded = rf.decode_snapshot(&bytes).unwrap();
         let mut fresh = RenameFile::new("gpr", 8);
-        assert!(Snapshot::restore(&mut fresh, &decoded));
-        assert_eq!(fresh.depth(3), 2);
+        assert!(fresh.restore_state(&snap));
         assert_eq!(fresh.depth(5), 1);
-        assert_eq!(fresh.pending_producer(3), None); // 11 was complete
         assert_eq!(fresh.pending_producer(5), Some(12));
-        // Truncation and a wrong kind byte are rejected.
-        assert!(rf.decode_snapshot(&bytes[..bytes.len() - 1]).is_none());
-        let mut wrong = bytes.clone();
+        // Wrong register count, truncation and a wrong kind byte are refused.
+        let mut other = RenameFile::new("gpr", 4);
+        assert!(!other.restore_state(&snap));
+        let bytes = snap.as_bytes();
+        assert!(!rf.restore_state(&ManagerSnapshot::new(bytes[..bytes.len() - 1].to_vec())));
+        let mut wrong = bytes.to_vec();
         wrong[0] = KIND_RESULT_BUS;
-        assert!(rf.decode_snapshot(&wrong).is_none());
-    }
-
-    #[test]
-    fn result_bus_byte_codec_roundtrip() {
-        let mut bus = ResultBus::new("bus");
-        bus.complete(4);
-        bus.complete(9);
-        bus.retire_up_to(3);
-        let snap = Snapshot::snapshot(&bus);
-        let bytes = bus.encode_snapshot(&snap).unwrap();
-        let decoded = bus.decode_snapshot(&bytes).unwrap();
-        let mut fresh = ResultBus::new("bus");
-        assert!(Snapshot::restore(&mut fresh, &decoded));
-        assert!(fresh.is_done(2)); // below floor
-        assert!(fresh.is_done(4));
-        assert!(fresh.is_done(9));
-        assert!(!fresh.is_done(7));
-        assert!(bus.decode_snapshot(&bytes[..bytes.len() - 1]).is_none());
+        assert!(!rf.restore_state(&ManagerSnapshot::new(wrong)));
+        assert_eq!(rf.depth(3), 2);
     }
 
     #[test]
     fn result_bus_snapshot_roundtrip() {
         let mut bus = ResultBus::new("bus");
         bus.complete(4);
+        bus.complete(9);
         bus.retire_up_to(3);
-        let snap = Snapshot::snapshot(&bus);
+        let snap = bus.snapshot_state().unwrap();
         bus.complete(7);
         bus.retire_up_to(8);
-        assert!(Snapshot::restore(&mut bus, &snap));
+        assert!(bus.restore_state(&snap));
         assert!(bus.is_done(2)); // below restored floor
         assert!(bus.is_done(4));
+        assert!(bus.is_done(9));
         assert!(!bus.is_done(7));
-        // Foreign snapshot type is refused.
-        assert!(!Snapshot::restore(&mut bus, &ManagerSnapshot::of(0u8)));
+        let mut fresh = ResultBus::new("bus");
+        assert!(fresh.restore_state(&snap));
+        assert!(fresh.is_done(9));
+        // Truncation and a foreign section are refused.
+        let bytes = snap.as_bytes();
+        assert!(!bus.restore_state(&ManagerSnapshot::new(bytes[..bytes.len() - 1].to_vec())));
+        assert!(!bus.restore_state(&ManagerSnapshot::new(vec![0])));
     }
 }

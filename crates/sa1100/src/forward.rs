@@ -16,16 +16,15 @@
 //! [`RegForwardFile::value_ident`] / [`RegForwardFile::update_ident`]).
 
 use osm_core::{
-    ByteReader, ByteWriter, ManagerId, ManagerSnapshot, OsmId, Snapshot, Token, TokenIdent,
-    TokenManager,
+    ByteReader, ByteWriter, ManagerId, ManagerSnapshot, OsmId, Token, TokenIdent, TokenManager,
 };
 use std::any::Any;
 
 /// Identifier bit distinguishing update tokens from value tokens.
 pub const UPDATE_BIT: u64 = 1 << 32;
 
-/// Kind byte leading this manager's serialized snapshot payload, so a
-/// payload misrouted to a different manager kind fails decoding.
+/// Kind byte leading this manager's checkpoint section, so a section
+/// misrouted to a different manager kind is refused.
 const KIND_FORWARD_FILE: u8 = b'W';
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,73 +223,62 @@ impl TokenManager for RegForwardFile {
         }
     }
 
+    /// The section carries the forwarding flag, so a restore onto a
+    /// differently configured file is refused instead of silently changing
+    /// hazard semantics.
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
+        let mut w = ByteWriter::new();
+        w.put_u8(KIND_FORWARD_FILE);
+        w.put_bool(self.forwarding);
+        w.put_seq(&self.writers, |w, writer| match *writer {
+            WriterState::Free => w.put_u8(0),
+            WriterState::Pending { osm } => {
+                w.put_u8(1);
+                w.put_u32(osm.0);
+            }
+            WriterState::Busy { osm, ready } => {
+                w.put_u8(2);
+                w.put_u32(osm.0);
+                w.put_bool(ready);
+            }
+            WriterState::Releasing { osm, ready } => {
+                w.put_u8(3);
+                w.put_u32(osm.0);
+                w.put_bool(ready);
+            }
+        });
+        Some(ManagerSnapshot::new(w.into_bytes()))
     }
 
     fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<RegForwardFileState>()?;
-        let mut w = ByteWriter::new();
-        w.put_u8(KIND_FORWARD_FILE);
-        w.put_bool(state.forwarding);
-        w.put_u32(state.writers.len() as u32);
-        for writer in &state.writers {
-            match *writer {
-                WriterState::Free => w.put_u8(0),
-                WriterState::Pending { osm } => {
-                    w.put_u8(1);
-                    w.put_u32(osm.0);
-                }
-                WriterState::Busy { osm, ready } => {
-                    w.put_u8(2);
-                    w.put_u32(osm.0);
-                    w.put_bool(ready);
-                }
-                WriterState::Releasing { osm, ready } => {
-                    w.put_u8(3);
-                    w.put_u32(osm.0);
-                    w.put_bool(ready);
-                }
-            }
-        }
-        Some(w.into_bytes())
-    }
-
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        if r.take_u8()? != KIND_FORWARD_FILE {
-            return None;
-        }
-        let forwarding = r.take_bool()?;
-        let n = r.take_u32()? as usize;
-        let mut writers = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            writers.push(match r.take_u8()? {
-                0 => WriterState::Free,
-                1 => WriterState::Pending {
-                    osm: OsmId(r.take_u32()?),
-                },
-                2 => WriterState::Busy {
-                    osm: OsmId(r.take_u32()?),
-                    ready: r.take_bool()?,
-                },
-                3 => WriterState::Releasing {
-                    osm: OsmId(r.take_u32()?),
-                    ready: r.take_bool()?,
-                },
-                _ => return None,
-            });
-        }
-        r.is_done().then(|| {
-            ManagerSnapshot::of(RegForwardFileState {
-                writers,
-                forwarding,
-            })
-        })
+        let parsed = ByteReader::read_all(snap.as_bytes(), |r| {
+            r.expect_u8(KIND_FORWARD_FILE)?;
+            let forwarding = r.take_bool()?;
+            let writers = r.take_vec(|r| {
+                Some(match r.take_u8()? {
+                    0 => WriterState::Free,
+                    1 => WriterState::Pending {
+                        osm: OsmId(r.take_u32()?),
+                    },
+                    2 => WriterState::Busy {
+                        osm: OsmId(r.take_u32()?),
+                        ready: r.take_bool()?,
+                    },
+                    3 => WriterState::Releasing {
+                        osm: OsmId(r.take_u32()?),
+                        ready: r.take_bool()?,
+                    },
+                    _ => return None,
+                })
+            })?;
+            (forwarding == self.forwarding && writers.len() == self.writers.len())
+                .then_some(writers)
+        });
+        let Some(writers) = parsed else {
+            return false;
+        };
+        self.writers = writers;
+        true
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -299,35 +287,6 @@ impl TokenManager for RegForwardFile {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload for [`RegForwardFile`]: per-register writer states plus
-/// the forwarding flag (captured so a restore onto a differently-configured
-/// file is refused instead of silently changing hazard semantics).
-#[derive(Debug, Clone)]
-struct RegForwardFileState {
-    writers: Vec<WriterState>,
-    forwarding: bool,
-}
-
-impl Snapshot for RegForwardFile {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(RegForwardFileState {
-            writers: self.writers.clone(),
-            forwarding: self.forwarding,
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<RegForwardFileState>() else {
-            return false;
-        };
-        if state.writers.len() != self.writers.len() || state.forwarding != self.forwarding {
-            return false;
-        }
-        self.writers.clone_from(&state.writers);
-        true
     }
 }
 
@@ -426,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_codec_round_trips_every_writer_state() {
+    fn snapshot_round_trips_every_writer_state() {
         let mut f = file(true);
         let t1 = f.prepare_allocate(OsmId(1), RegForwardFile::update_ident(1)).unwrap();
         f.commit_allocate(OsmId(1), t1);
@@ -437,19 +396,19 @@ mod tests {
         let _pending = f.prepare_allocate(OsmId(3), RegForwardFile::update_ident(3)).unwrap();
 
         let snap = f.snapshot_state().unwrap();
-        let bytes = f.encode_snapshot(&snap).expect("codec supported");
-        let decoded = f.decode_snapshot(&bytes).expect("decodes");
         let mut g = file(true);
-        assert!(g.restore_state(&decoded));
+        assert!(g.restore_state(&snap));
         assert!(g.inquire(OsmId(9), RegForwardFile::value_ident(1))); // ready survived
         assert!(!g.inquire(OsmId(9), RegForwardFile::value_ident(2)));
         assert!(g.is_busy(3)); // pending writer survived
 
-        // Damage is refused.
-        assert!(f.decode_snapshot(&bytes[..bytes.len() - 1]).is_none());
-        let mut wrong_kind = bytes.clone();
+        // Damage is refused, leaving the file unchanged.
+        let bytes = snap.as_bytes();
+        assert!(!g.restore_state(&ManagerSnapshot::new(bytes[..bytes.len() - 1].to_vec())));
+        let mut wrong_kind = bytes.to_vec();
         wrong_kind[0] = b'X';
-        assert!(f.decode_snapshot(&wrong_kind).is_none());
+        assert!(!g.restore_state(&ManagerSnapshot::new(wrong_kind)));
+        assert!(g.is_busy(3));
     }
 
     #[test]
@@ -459,18 +418,18 @@ mod tests {
         let t = f.prepare_allocate(w, RegForwardFile::update_ident(3)).unwrap();
         f.commit_allocate(w, t);
         f.mark_ready(3);
-        let snap = Snapshot::snapshot(&f);
+        let snap = f.snapshot_state().unwrap();
         f.commit_release(w, t);
         assert!(!f.is_busy(3));
-        assert!(Snapshot::restore(&mut f, &snap));
+        assert!(f.restore_state(&snap));
         assert!(f.is_busy(3));
         assert!(f.inquire(OsmId(2), RegForwardFile::value_ident(3))); // ready survived
         // Shape/config mismatches are refused.
         let mut other = RegForwardFile::new("rf2", 4, true);
         other.attach(ManagerId(1));
-        assert!(!Snapshot::restore(&mut other, &snap));
+        assert!(!other.restore_state(&snap));
         let mut noforward = RegForwardFile::new("rf3", 8, false);
         noforward.attach(ManagerId(2));
-        assert!(!Snapshot::restore(&mut noforward, &snap));
+        assert!(!noforward.restore_state(&snap));
     }
 }

@@ -23,10 +23,10 @@ use minirisc::{
 };
 use memsys::MemSystem;
 use osm_core::{
-    export, Behavior, BehaviorSnapshot, ByteReader, ByteWriter, Checkpoint, Edge, ExclusivePool,
-    FaultHandle, FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId,
-    ManagerTable, MetricsReport, ModelError, OsmView, ResetManager, RestartPolicy, SlotId,
-    SpecBuilder, StallHistogram, StateMachineSpec, TokenIdent, TransitionCtx,
+    export, Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector,
+    FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, MetricsReport,
+    ModelError, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder, StallHistogram,
+    StateMachineSpec, TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -91,9 +91,6 @@ enum SaEdgeKind {
 }
 
 /// Shared hardware-layer state of the StrongARM model.
-///
-/// `Clone` exists so [`osm_core::Machine::checkpoint`] can capture the whole
-/// hardware layer (CPU state, memories, timers) by value.
 #[derive(Debug, Clone)]
 pub struct SaShared {
     /// Architectural register state (values live here; the token manager
@@ -162,79 +159,6 @@ impl SaShared {
             reset.arm(osm);
         }
     }
-
-    /// Serializes all mutable hardware-layer state (CPU, memories, fetch
-    /// redirection, timers, result counters). Static configuration —
-    /// manager ids, edge classification, `SaConfig` — is *not* included;
-    /// [`SaShared::decode_state`] takes it from a same-construction template.
-    pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(&self.cpu.export_state());
-        w.put_bytes(&self.mem.export_state());
-        w.put_bytes(&self.memsys.export_state());
-        w.put_u32(self.next_fetch_pc);
-        w.put_bool(self.stop_fetch);
-        w.put_bool(self.halted);
-        w.put_u32(self.exit_code);
-        w.put_bytes(&self.output);
-        match &self.error {
-            None => w.put_bool(false),
-            Some(e) => {
-                w.put_bool(true);
-                w.put_str(e);
-            }
-        }
-        w.put_u32(self.young.len() as u32);
-        for osm in &self.young {
-            w.put_u32(osm.0);
-        }
-        w.put_u64(self.retired);
-        w.put_u64(self.squashed);
-        w.put_u32(self.fetch_timer);
-        w.put_u32(self.bstage_timer);
-        w.put_u32(self.mult_timer);
-        w.into_bytes()
-    }
-
-    /// Rebuilds shared state from bytes written by
-    /// [`SaShared::encode_state`]. `template` must come from a
-    /// same-construction simulator: it supplies the static configuration and
-    /// the memory-subsystem geometry the encoded state must match.
-    pub fn decode_state(bytes: &[u8], template: &SaShared) -> Option<SaShared> {
-        let mut r = ByteReader::new(bytes);
-        let mut s = template.clone();
-        if !s.cpu.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.mem.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.memsys.import_state(r.take_bytes()?) {
-            return None;
-        }
-        s.next_fetch_pc = r.take_u32()?;
-        s.stop_fetch = r.take_bool()?;
-        s.halted = r.take_bool()?;
-        s.exit_code = r.take_u32()?;
-        s.output = r.take_bytes()?.to_vec();
-        s.error = if r.take_bool()? {
-            Some(r.take_str()?.to_string())
-        } else {
-            None
-        };
-        let n = r.take_u32()? as usize;
-        let mut young = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            young.push(osm_core::OsmId(r.take_u32()?));
-        }
-        s.young = young;
-        s.retired = r.take_u64()?;
-        s.squashed = r.take_u64()?;
-        s.fetch_timer = r.take_u32()?;
-        s.bstage_timer = r.take_u32()?;
-        s.mult_timer = r.take_u32()?;
-        r.is_done().then_some(s)
-    }
 }
 
 impl HardwareLayer for SaShared {
@@ -252,6 +176,69 @@ impl HardwareLayer for SaShared {
         let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mult);
         pool.block_release(0, self.mult_timer > 0);
         self.mult_timer = self.mult_timer.saturating_sub(1);
+    }
+
+    /// All mutable hardware-layer state: CPU, memories, fetch redirection,
+    /// timers, result counters. Static configuration (manager ids, edge
+    /// classification, `SaConfig`) stays with the machine.
+    fn encode_state(&self) -> Option<Vec<u8>> {
+        let mut w = ByteWriter::new();
+        w.put_bytes(&self.cpu.export_state());
+        w.put_bytes(&self.mem.export_state());
+        w.put_bytes(&self.memsys.export_state());
+        w.put_u32(self.next_fetch_pc);
+        w.put_bool(self.stop_fetch);
+        w.put_bool(self.halted);
+        w.put_u32(self.exit_code);
+        w.put_bytes(&self.output);
+        match &self.error {
+            None => w.put_bool(false),
+            Some(e) => {
+                w.put_bool(true);
+                w.put_str(e);
+            }
+        }
+        w.put_seq(&self.young, |w, osm| w.put_u32(osm.0));
+        w.put_u64(self.retired);
+        w.put_u64(self.squashed);
+        w.put_u32(self.fetch_timer);
+        w.put_u32(self.bstage_timer);
+        w.put_u32(self.mult_timer);
+        Some(w.into_bytes())
+    }
+
+    /// Decodes into a copy of the current state (which supplies the static
+    /// configuration and the memory-subsystem geometry the section must
+    /// match) and installs it only if the whole section parses.
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        let mut s = self.clone();
+        let parsed = ByteReader::read_all(bytes, |r| {
+            (s.cpu.import_state(r.take_bytes()?)
+                && s.mem.import_state(r.take_bytes()?)
+                && s.memsys.import_state(r.take_bytes()?))
+            .then_some(())?;
+            s.next_fetch_pc = r.take_u32()?;
+            s.stop_fetch = r.take_bool()?;
+            s.halted = r.take_bool()?;
+            s.exit_code = r.take_u32()?;
+            s.output = r.take_bytes()?.to_vec();
+            s.error = if r.take_bool()? {
+                Some(r.take_str()?.to_owned())
+            } else {
+                None
+            };
+            s.young = r.take_vec(|r| r.take_u32().map(osm_core::OsmId))?;
+            s.retired = r.take_u64()?;
+            s.squashed = r.take_u64()?;
+            s.fetch_timer = r.take_u32()?;
+            s.bstage_timer = r.take_u32()?;
+            s.mult_timer = r.take_u32()?;
+            Some(())
+        });
+        if parsed.is_some() {
+            *self = s;
+        }
+        parsed.is_some()
     }
 }
 
@@ -308,7 +295,7 @@ pub fn build_spec(ids: SaManagers) -> Arc<StateMachineSpec> {
 
 /// Per-operation behavior: decodes, initializes token identifiers, executes
 /// semantics at E, and drives the hazard idioms.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct SaOp {
     pc: u32,
     instr: Instr,
@@ -380,54 +367,46 @@ fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
 }
 
 impl Behavior<SaShared> for SaOp {
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast::<SaOp>() {
-            Some(state) => {
-                self.clone_from(state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<SaOp>()?;
+    fn snapshot(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
-        w.put_u32(state.pc);
-        w.put_u32(encode(state.instr).ok()?);
-        match state.mem_addr {
+        w.put_u32(self.pc);
+        // `instr` always comes from `decode` (or is the NOP), and every
+        // decoded instruction re-encodes.
+        w.put_u32(encode(self.instr).expect("decoded instructions re-encode"));
+        match self.mem_addr {
             None => w.put_bool(false),
             Some(a) => {
                 w.put_bool(true);
                 w.put_u32(a);
             }
         }
-        w.put_bool(state.is_halting);
+        w.put_bool(self.is_halting);
         Some(w.into_bytes())
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        let pc = r.take_u32()?;
-        let instr = decode(r.take_u32()?).ok()?;
-        let mem_addr = if r.take_bool()? {
-            Some(r.take_u32()?)
-        } else {
-            None
-        };
-        let is_halting = r.take_bool()?;
-        r.is_done().then(|| {
-            BehaviorSnapshot::of(SaOp {
-                pc,
-                instr,
-                mem_addr,
-                is_halting,
+    fn restore(&mut self, section: Option<&[u8]>) -> bool {
+        let parsed = section.and_then(|bytes| {
+            ByteReader::read_all(bytes, |r| {
+                let pc = r.take_u32()?;
+                let instr = decode(r.take_u32()?).ok()?;
+                let mem_addr = if r.take_bool()? {
+                    Some(r.take_u32()?)
+                } else {
+                    None
+                };
+                Some(SaOp {
+                    pc,
+                    instr,
+                    mem_addr,
+                    is_halting: r.take_bool()?,
+                })
             })
-        })
+        });
+        let Some(op) = parsed else {
+            return false;
+        };
+        *self = op;
+        true
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &SaShared) -> bool {
@@ -628,50 +607,26 @@ impl SaOsmSim {
     }
 
     /// Captures a full checkpoint of the simulator (OSM states, token
-    /// managers, CPU/memory state, timers). Restoring it with
-    /// [`SaOsmSim::restore`] replays the continuation cycle-for-cycle.
+    /// managers, CPU/memory state, timers) as sealed bytes (see
+    /// [`osm_core::Machine::checkpoint`]). Restoring them with
+    /// [`SaOsmSim::restore`], here or in a freshly built simulator of the
+    /// same construction, replays the continuation cycle-for-cycle.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager without snapshot
+    /// [`ModelError::SnapshotUnsupported`] if a manager without checkpoint
     /// support was installed.
-    pub fn checkpoint(&self) -> Result<Checkpoint<SaShared>, ModelError> {
+    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
         self.machine.checkpoint()
     }
 
-    /// Rewinds the simulator to `ckpt` (which must come from this
-    /// simulator's own [`SaOsmSim::checkpoint`]).
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the checkpoint shape does not
-    /// match this machine.
-    pub fn restore(&mut self, ckpt: &Checkpoint<SaShared>) -> Result<(), ModelError> {
-        self.machine.restore(ckpt)
-    }
-
-    /// Serializes a full checkpoint to the versioned, digest-sealed on-disk
-    /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]).
-    ///
-    /// # Errors
-    /// Propagates checkpoint errors; [`ModelError::SnapshotUnsupported`] if
-    /// any component lacks a byte codec.
-    pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.machine.checkpoint()?;
-        let shared_bytes = ckpt.shared().encode_state();
-        self.machine.encode_checkpoint(&ckpt, &shared_bytes)
-    }
-
-    /// Restores this simulator from bytes written by
-    /// [`SaOsmSim::checkpoint_bytes`] on a same-construction simulator.
+    /// Rewinds the simulator to bytes written by [`SaOsmSim::checkpoint`];
+    /// all-or-nothing.
     ///
     /// # Errors
     /// [`ModelError::SnapshotMismatch`] if the bytes are damaged or were
-    /// taken from a differently-configured machine.
-    pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let template = &self.machine.shared;
-        let ckpt = self
-            .machine
-            .decode_checkpoint(bytes, |b| SaShared::decode_state(b, template))?;
-        self.machine.restore(&ckpt)
+    /// taken from a differently configured simulator.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.machine.restore(bytes)
     }
 
     /// Installs a deterministic fault injector in front of manager
@@ -1028,18 +983,18 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bytes_restore_into_fresh_sim_replays_exactly() {
+    fn checkpoint_restores_into_fresh_sim_replays_exactly() {
         let p = assemble(SUM_LOOP, 0x1000).unwrap();
         let mut sim = SaOsmSim::new(SaConfig::paper(), &p);
         for _ in 0..12 {
             sim.step().unwrap();
         }
-        let bytes = sim.checkpoint_bytes().unwrap();
+        let bytes = sim.checkpoint().unwrap();
         let reference = sim.run_to_halt(100_000).unwrap();
         drop(sim); // the original is gone — restore must work from bytes alone
 
         let mut fresh = SaOsmSim::new(SaConfig::paper(), &p);
-        fresh.restore_checkpoint_bytes(&bytes).unwrap();
+        fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.machine().cycle(), 12);
         let replay = fresh.run_to_halt(100_000).unwrap();
         assert_eq!(replay, reference);
@@ -1049,7 +1004,7 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         let mut victim = SaOsmSim::new(SaConfig::paper(), &p);
-        assert!(victim.restore_checkpoint_bytes(&bad).is_err());
+        assert!(victim.restore(&bad).is_err());
         // A differently-configured machine refuses the checkpoint.
         let mut other = SaOsmSim::new(
             SaConfig {
@@ -1058,7 +1013,7 @@ mod tests {
             },
             &p,
         );
-        assert!(other.restore_checkpoint_bytes(&bytes).is_err());
+        assert!(other.restore(&bytes).is_err());
     }
 
     #[test]

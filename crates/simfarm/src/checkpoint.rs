@@ -32,8 +32,9 @@
 //! from cycle 0 again. Checkpointing is strictly best-effort: an unwritable
 //! checkpoint directory slows recovery but never changes a job's result.
 
-use crate::job::{fnv, SimJob};
+use crate::job::SimJob;
 use crate::journal::jobs_digest;
+use osm_core::persist::fnv;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};

@@ -11,6 +11,7 @@
 use crate::checkpoint::{CheckpointCtl, JobCheckpoint};
 use crate::observe::JobTiming;
 use minirisc::{Iss, SparseMemory};
+use osm_core::persist::{fnv, fnv_mix, FNV_OFFSET};
 use osm_core::{
     FaultHandle, FaultInjector, FaultPlan, FaultStats, HardwareLayer, InertBehavior, Machine,
     ManagerId, MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
@@ -21,17 +22,6 @@ use std::fmt;
 use std::time::{Duration, Instant};
 use vliw::{schedule, VliwConfig, VliwIr, VliwProgram, VliwShared, VliwSim};
 use workloads::{kernels40, mediabench, random_program, specint_mix, Workload};
-
-/// FNV-1a-64 offset basis and prime, the standard parameters. Every farm
-/// digest uses them: ISS `(pc, taken)` digests, ADL workload spellings, the
-/// journal's job-list digest and record seals, and the checkpoint seal.
-///
-/// `osm_core`'s trace digests and checkpoint seals share the offset basis
-/// but multiply by `0x1000_0000_01b3`, not this prime: they are a different
-/// hash family. Neither side may change its constants — that would change
-/// every recorded digest, journal and checkpoint.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Default stall budget armed on every OSM job: comfortably above any
 /// natural no-progress stretch of the bundled models (worst observed is a
@@ -45,21 +35,6 @@ pub const DEFAULT_RETRIES: u32 = 1;
 
 /// Cycles run between cooperative deadline/cancellation checks.
 const DEADLINE_CHUNK: u64 = 2048;
-
-/// Folds `bytes` into a running FNV-1a digest.
-#[inline]
-fn fnv_mix(mut digest: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
-
-/// FNV-1a digest of `bytes`.
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    fnv_mix(FNV_OFFSET, bytes)
-}
 
 /// Which machine model a [`SimJob`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -787,8 +762,9 @@ trait Simulator: Sized {
 }
 
 /// What the farm needs to know about one OSM model beyond its [`Machine`],
-/// keyed by the model's shared hardware state.
-trait OsmModel: HardwareLayer + Clone + 'static {
+/// keyed by the model's shared hardware state (which also carries the
+/// state's checkpoint codec, [`HardwareLayer::encode_state`]).
+trait OsmModel: HardwareLayer + Sized + 'static {
     /// See [`Simulator::LIVE_PROGRESS`].
     const LIVE_PROGRESS: bool = false;
 
@@ -804,15 +780,6 @@ trait OsmModel: HardwareLayer + Clone + 'static {
 
     /// Instructions retired and the program's exit code so far.
     fn progress(machine: &Machine<Self>) -> (u64, u32);
-
-    /// The shared state's section of a machine checkpoint.
-    fn encode(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Decodes [`OsmModel::encode`] output against a same-construction
-    /// template.
-    fn decode(bytes: &[u8], template: &Self) -> Option<Self>;
 }
 
 impl<S: OsmModel> Simulator for Machine<S> {
@@ -834,12 +801,10 @@ impl<S: OsmModel> Simulator for Machine<S> {
     }
 
     fn resume(&mut self, ckpt: Option<JobCheckpoint>) -> Option<u64> {
-        // Faults are installed by now, so the manager shapes match.
-        let ckpt = ckpt.filter(|c| {
-            self.decode_checkpoint(&c.machine, |b| S::decode(b, &self.shared))
-                .and_then(|decoded| self.restore(&decoded))
-                .is_ok()
-        });
+        // Faults are installed by now, so the manager shapes match. A
+        // rejected checkpoint leaves the machine untouched (restore is
+        // all-or-nothing), so the job then simply runs from the start.
+        let ckpt = ckpt.filter(|c| self.restore(&c.machine).is_ok());
         self.enable_trace_with(match &ckpt {
             Some(c) => Trace::digest_only_resumed(c.trace_hash, c.trace_total),
             None => Trace::digest_only(),
@@ -863,10 +828,7 @@ impl<S: OsmModel> Simulator for Machine<S> {
     }
 
     fn snapshot(&self) -> Option<(u64, u64, Vec<u8>)> {
-        let machine = self
-            .checkpoint()
-            .and_then(|c| self.encode_checkpoint(&c, &c.shared().encode()))
-            .ok()?;
+        let machine = self.checkpoint().ok()?;
         let trace = self.trace()?;
         Some((trace.digest(), trace.total(), machine))
     }
@@ -892,14 +854,6 @@ impl OsmModel for SaShared {
     fn progress(machine: &Machine<Self>) -> (u64, u32) {
         (machine.shared.retired, machine.shared.exit_code)
     }
-
-    fn encode(&self) -> Vec<u8> {
-        self.encode_state()
-    }
-
-    fn decode(bytes: &[u8], template: &Self) -> Option<Self> {
-        SaShared::decode_state(bytes, template)
-    }
 }
 
 impl OsmModel for PpcShared {
@@ -916,14 +870,6 @@ impl OsmModel for PpcShared {
 
     fn progress(machine: &Machine<Self>) -> (u64, u32) {
         (machine.shared.retired, machine.shared.oracle.exit_code)
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        self.encode_state()
-    }
-
-    fn decode(bytes: &[u8], template: &Self) -> Option<Self> {
-        PpcShared::decode_state(bytes, template)
     }
 }
 
@@ -949,14 +895,6 @@ impl OsmModel for VliwShared {
     fn progress(machine: &Machine<Self>) -> (u64, u32) {
         (machine.shared.retired_ops, machine.shared.exit_code)
     }
-
-    fn encode(&self) -> Vec<u8> {
-        self.encode_state()
-    }
-
-    fn decode(bytes: &[u8], template: &Self) -> Option<Self> {
-        VliwShared::decode_state(bytes, template)
-    }
 }
 
 /// Inline-ADL machines: the source is loaded and `osms` instances are
@@ -964,8 +902,8 @@ impl OsmModel for VliwShared {
 /// the workload *is* the machine structure. They never halt, so healthy
 /// runs exhaust their budget; `retired` counts transitions (read at the end
 /// of the run). Faults install on the first declared manager, mirroring
-/// the fetch-side convention of the named models, and the unit shared state
-/// encodes as zero bytes.
+/// the fetch-side convention of the named models; the unit shared state's
+/// checkpoint section is empty.
 impl OsmModel for () {
     const LIVE_PROGRESS: bool = true;
 
@@ -992,10 +930,6 @@ impl OsmModel for () {
 
     fn progress(machine: &Machine<Self>) -> (u64, u32) {
         (machine.stats.transitions, 0)
-    }
-
-    fn decode(bytes: &[u8], _template: &Self) -> Option<Self> {
-        bytes.is_empty().then_some(())
     }
 }
 
@@ -1040,8 +974,8 @@ impl Simulator for IssRun {
                 .iss
                 .step()
                 .map_err(|e| JobOutcome::Failed(e.to_string()))?;
-            self.digest = fnv_mix(self.digest, &executed.pc.to_le_bytes());
-            self.digest = fnv_mix(self.digest, &executed.taken.unwrap_or(0).to_le_bytes());
+            self.digest = fnv_mix(self.digest, executed.pc.to_le_bytes());
+            self.digest = fnv_mix(self.digest, executed.taken.unwrap_or(0).to_le_bytes());
         }
         Ok(self.iss.halted)
     }
@@ -1100,13 +1034,6 @@ fn ilp_program(iters: i32, body: usize) -> VliwProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_standard_fnv1a_64() {
-        assert_eq!(fnv(b""), FNV_OFFSET);
-        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv_mix(fnv(b"fo"), b"o"), fnv(b"foo"));
-    }
 
     #[test]
     fn workload_spec_parses_all_forms() {

@@ -50,8 +50,9 @@
 //! farm moves on.
 
 use crate::error::JournalError;
-use crate::job::{fnv, JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
+use crate::job::{JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
 use bench::json::{parse, Json};
+use osm_core::persist::fnv;
 use osm_core::{FaultStats, MetricsReport, StallKind, Stats};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};

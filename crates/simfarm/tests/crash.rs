@@ -6,9 +6,11 @@
 
 use osm_fuzz::{generate, GenConfig};
 use proptest::prelude::*;
+use sa1100::{SaConfig, SaOsmSim};
 use simfarm::{
-    journal, parse_manifest, run_farm, run_job, run_job_with, CheckpointCtl, FarmOptions,
-    FarmReport, JournalWriter, ModelKind, ProcessIsolation, SimJob, WorkloadSpec,
+    checkpoint, journal, parse_manifest, run_farm, run_job, run_job_with, CheckpointCtl,
+    FarmOptions, FarmReport, JobCheckpoint, JournalWriter, ModelKind, ProcessIsolation, SimJob,
+    WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -134,6 +136,63 @@ proptest! {
         let every = (case.max_cycles / every_frac).max(1);
         assert_checkpoint_roundtrip(job, every);
     }
+}
+
+/// A checkpoint file that is intact and bound to the job, but whose machine
+/// bytes the job's machine rejects (they come from an SA-1100 built without
+/// forwarding, so the register file refuses its section after the stage
+/// pools before it were already applied). Restore is all-or-nothing, so the
+/// job must run from the start on an untouched machine and land on the
+/// uninterrupted digest.
+#[test]
+fn rejected_machine_checkpoint_runs_the_job_from_the_start() {
+    let scratch = Scratch::new("rejected");
+    let mut job = specint(ModelKind::Sa1100, 200_000);
+    job.name = "ckpt/rejected".into();
+    job.checkpoint_every = 500;
+    let baseline = {
+        let mut plain = job.clone();
+        plain.checkpoint_every = 0;
+        run_job(&plain)
+    };
+
+    let program = workloads::specint_mix().program();
+    let mut foreign = SaOsmSim::new(
+        SaConfig {
+            forwarding: false,
+            ..SaConfig::paper()
+        },
+        &program,
+    );
+    for _ in 0..700 {
+        foreign.step().expect("foreign run steps");
+    }
+    let machine = foreign.checkpoint().expect("foreign checkpoint");
+    let rejected = SaOsmSim::new(SaConfig::paper(), &program)
+        .restore(&machine)
+        .expect_err("the job's machine must reject these bytes");
+    assert!(rejected.to_string().contains("regfile+fwd"), "{rejected}");
+    let file = checkpoint::encode(
+        checkpoint::job_checkpoint_digest(&job),
+        &JobCheckpoint {
+            cycle: 700,
+            trace_hash: 0x1234,
+            trace_total: 99,
+            machine,
+        },
+    );
+    checkpoint::store(&checkpoint::checkpoint_path(&scratch.0, 0), &file).expect("store");
+
+    let mut ctl = CheckpointCtl::new(&job, 0, &scratch.0).expect("checkpointing enabled");
+    assert!(
+        ctl.load().is_some(),
+        "the file itself is valid for this job"
+    );
+    let result = run_job_with(&job, Some(&mut ctl), None);
+    assert_eq!(result.restored_from, None);
+    assert_eq!(result.digest, baseline.digest);
+    assert_eq!(result.cycles, baseline.cycles);
+    assert_eq!(result.outcome, baseline.outcome);
 }
 
 #[test]

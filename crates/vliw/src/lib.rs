@@ -189,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bytes_restore_into_fresh_sim_replays_exactly() {
+    fn checkpoint_restores_into_fresh_sim_replays_exactly() {
         // Checkpoint mid-loop with branch squashes in flight, then restore
         // into a freshly-built simulator from bytes alone.
         let program = schedule(&ilp_loop(20, 4), vec![]);
@@ -197,12 +197,12 @@ mod tests {
         for _ in 0..30 {
             sim.machine_mut().step().unwrap();
         }
-        let bytes = sim.checkpoint_bytes().unwrap();
+        let bytes = sim.checkpoint().unwrap();
         let reference = sim.run_to_halt(1_000_000).unwrap();
         drop(sim);
 
         let mut fresh = VliwSim::new(VliwConfig::default(), &program);
-        fresh.restore_checkpoint_bytes(&bytes).unwrap();
+        fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.machine().cycle(), 30);
         let replay = fresh.run_to_halt(1_000_000).unwrap();
         assert_eq!(replay, reference);
@@ -212,11 +212,11 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
         let mut victim = VliwSim::new(VliwConfig::default(), &program);
-        assert!(victim.restore_checkpoint_bytes(&bad).is_err());
+        assert!(victim.restore(&bad).is_err());
     }
 
     #[test]
-    fn in_memory_checkpoint_rewinds() {
+    fn checkpoint_rewinds_the_same_sim() {
         let program = schedule(&ilp_loop(12, 3), vec![]);
         let mut sim = VliwSim::new(VliwConfig::default(), &program);
         for _ in 0..10 {

@@ -13,10 +13,9 @@ use crate::schedule::{Bundle, VliwProgram};
 use memsys::{MemSystem, MemSystemConfig};
 use minirisc::{effective_address, execute, CpuState, Instr, Memory, Outcome, Reg, SparseMemory};
 use osm_core::{
-    Behavior, BehaviorSnapshot, ByteReader, ByteWriter, Checkpoint, Edge, ExclusivePool,
-    FaultHandle, FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId,
-    ManagerTable, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SpecBuilder,
-    StateMachineSpec, TransitionCtx,
+    Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector, FaultPlan,
+    HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, ModelError, OsmId, OsmView,
+    ResetManager, RestartPolicy, SpecBuilder, StateMachineSpec, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -193,14 +192,10 @@ impl HardwareLayer for VliwShared {
         pool.block_release(0, self.exec_timer > 0);
         self.exec_timer = self.exec_timer.saturating_sub(1);
     }
-}
 
-impl VliwShared {
-    /// Serializes the mutable shared state for the on-disk checkpoint
-    /// format. The bundle program and manager handles are excluded —
-    /// [`VliwShared::decode_state`] takes them from a same-construction
-    /// template.
-    pub fn encode_state(&self) -> Vec<u8> {
+    /// All mutable shared state. The bundle program and manager handles
+    /// stay with the machine.
+    fn encode_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
         w.put_bytes(&self.cpu.export_state());
         w.put_bytes(&self.mem.export_state());
@@ -210,54 +205,44 @@ impl VliwShared {
         w.put_bool(self.halted);
         w.put_u32(self.exit_code);
         w.put_bytes(&self.output);
-        w.put_u32(self.young.len() as u32);
-        for osm in &self.young {
-            w.put_u32(osm.0);
-        }
+        w.put_seq(&self.young, |w, osm| w.put_u32(osm.0));
         w.put_u64(self.retired_ops);
         w.put_u64(self.retired_bundles);
         w.put_u64(self.squashed);
         w.put_u32(self.fetch_timer);
         w.put_u32(self.exec_timer);
-        w.into_bytes()
+        Some(w.into_bytes())
     }
 
-    /// Decodes state written by [`VliwShared::encode_state`]. `template`
-    /// must come from a simulator built over the same program and
-    /// configuration.
-    pub fn decode_state(bytes: &[u8], template: &VliwShared) -> Option<VliwShared> {
-        let mut r = ByteReader::new(bytes);
-        let mut s = template.clone();
-        if !s.cpu.import_state(r.take_bytes()?) {
-            return None;
+    /// Decodes into a copy of the current state (which supplies the
+    /// program the bundle cursor must fit) and installs it only if the
+    /// whole section parses.
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        let mut s = self.clone();
+        let parsed = ByteReader::read_all(bytes, |r| {
+            (s.cpu.import_state(r.take_bytes()?)
+                && s.mem.import_state(r.take_bytes()?)
+                && s.memsys.import_state(r.take_bytes()?))
+            .then_some(())?;
+            s.next_bundle = usize::try_from(r.take_u64()?)
+                .ok()
+                .filter(|&next| next <= s.program.bundles.len())?;
+            s.stop_fetch = r.take_bool()?;
+            s.halted = r.take_bool()?;
+            s.exit_code = r.take_u32()?;
+            s.output = r.take_bytes()?.to_vec();
+            s.young = r.take_vec(|r| r.take_u32().map(OsmId))?;
+            s.retired_ops = r.take_u64()?;
+            s.retired_bundles = r.take_u64()?;
+            s.squashed = r.take_u64()?;
+            s.fetch_timer = r.take_u32()?;
+            s.exec_timer = r.take_u32()?;
+            Some(())
+        });
+        if parsed.is_some() {
+            *self = s;
         }
-        if !s.mem.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.memsys.import_state(r.take_bytes()?) {
-            return None;
-        }
-        let next_bundle = r.take_u64()? as usize;
-        if next_bundle > s.program.bundles.len() {
-            return None;
-        }
-        s.next_bundle = next_bundle;
-        s.stop_fetch = r.take_bool()?;
-        s.halted = r.take_bool()?;
-        s.exit_code = r.take_u32()?;
-        s.output = r.take_bytes()?.to_vec();
-        let n = r.take_u32()? as usize;
-        let mut young = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            young.push(OsmId(r.take_u32()?));
-        }
-        s.young = young;
-        s.retired_ops = r.take_u64()?;
-        s.retired_bundles = r.take_u64()?;
-        s.squashed = r.take_u64()?;
-        s.fetch_timer = r.take_u32()?;
-        s.exec_timer = r.take_u32()?;
-        r.is_done().then_some(s)
+        parsed.is_some()
     }
 }
 
@@ -286,7 +271,7 @@ fn build_spec(ids: VliwManagers) -> Arc<StateMachineSpec> {
     b.build().expect("static spec is valid")
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct BundleOp {
     idx: usize,
     is_halting: bool,
@@ -348,54 +333,44 @@ fn squash_young(ctx: &mut TransitionCtx<'_, VliwShared>) {
 }
 
 impl Behavior<VliwShared> for BundleOp {
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast::<BundleOp>() {
-            Some(state) => {
-                self.clone_from(state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<BundleOp>()?;
+    fn snapshot(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
-        w.put_u64(state.idx as u64);
-        w.put_bool(state.is_halting);
-        match state.redirect {
+        w.put_u64(self.idx as u64);
+        w.put_bool(self.is_halting);
+        match self.redirect {
             None => w.put_bool(false),
             Some(t) => {
                 w.put_bool(true);
                 w.put_u64(t as u64);
             }
         }
-        w.put_u64(state.ops);
+        w.put_u64(self.ops);
         Some(w.into_bytes())
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let mut r = ByteReader::new(bytes);
-        let idx = r.take_u64()? as usize;
-        let is_halting = r.take_bool()?;
-        let redirect = if r.take_bool()? {
-            Some(r.take_u64()? as usize)
-        } else {
-            None
-        };
-        let ops = r.take_u64()?;
-        r.is_done().then(|| {
-            BehaviorSnapshot::of(BundleOp {
-                idx,
-                is_halting,
-                redirect,
-                ops,
+    fn restore(&mut self, section: Option<&[u8]>) -> bool {
+        let parsed = section.and_then(|bytes| {
+            ByteReader::read_all(bytes, |r| {
+                let idx = r.take_u64()? as usize;
+                let is_halting = r.take_bool()?;
+                let redirect = if r.take_bool()? {
+                    Some(r.take_u64()? as usize)
+                } else {
+                    None
+                };
+                Some(BundleOp {
+                    idx,
+                    is_halting,
+                    redirect,
+                    ops: r.take_u64()?,
+                })
             })
-        })
+        });
+        let Some(op) = parsed else {
+            return false;
+        };
+        *self = op;
+        true
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &VliwShared) -> bool {
@@ -540,49 +515,25 @@ impl VliwSim {
         self.machine.shared.ids
     }
 
-    /// Captures a full mid-run checkpoint.
+    /// Captures a full mid-run checkpoint as sealed bytes (see
+    /// [`osm_core::Machine::checkpoint`]).
     ///
     /// # Errors
     /// [`osm_core::ModelError::SnapshotUnsupported`] if a manager without
-    /// snapshot support was installed.
-    pub fn checkpoint(&self) -> Result<Checkpoint<VliwShared>, ModelError> {
+    /// checkpoint support was installed.
+    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
         self.machine.checkpoint()
     }
 
-    /// Rewinds the simulator to `ckpt` (which must come from this
-    /// simulator's own [`VliwSim::checkpoint`]).
-    ///
-    /// # Errors
-    /// [`osm_core::ModelError::SnapshotMismatch`] on a shape mismatch.
-    pub fn restore(&mut self, ckpt: &Checkpoint<VliwShared>) -> Result<(), ModelError> {
-        self.machine.restore(ckpt)
-    }
-
-    /// Serializes a full checkpoint to the versioned, digest-sealed on-disk
-    /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]).
-    ///
-    /// # Errors
-    /// Propagates checkpoint errors; [`osm_core::ModelError::SnapshotUnsupported`]
-    /// if any component lacks a byte codec.
-    pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.machine.checkpoint()?;
-        let shared_bytes = ckpt.shared().encode_state();
-        self.machine.encode_checkpoint(&ckpt, &shared_bytes)
-    }
-
-    /// Restores this simulator from bytes written by
-    /// [`VliwSim::checkpoint_bytes`] on a simulator built over the same
-    /// program and configuration.
+    /// Rewinds the simulator to bytes written by [`VliwSim::checkpoint`]
+    /// on a simulator built over the same program and configuration;
+    /// all-or-nothing.
     ///
     /// # Errors
     /// [`osm_core::ModelError::SnapshotMismatch`] if the bytes are damaged
-    /// or were taken from a differently-configured machine.
-    pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let template = &self.machine.shared;
-        let ckpt = self
-            .machine
-            .decode_checkpoint(bytes, |b| VliwShared::decode_state(b, template))?;
-        self.machine.restore(&ckpt)
+    /// or were taken from a differently configured machine.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.machine.restore(bytes)
     }
 
     /// Installs a deterministic fault injector in front of manager

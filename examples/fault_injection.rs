@@ -11,8 +11,8 @@
 //!
 //! Run with: `cargo run --release --example fault_injection`
 
-use osm_repro::osm_core::{Checkpoint, FaultPlan, ModelError};
-use osm_repro::sa1100::{SaConfig, SaOsmSim, SaShared};
+use osm_repro::osm_core::{FaultPlan, ModelError};
+use osm_repro::sa1100::{SaConfig, SaOsmSim};
 
 const KERNEL: &str = "
     li r1, 40
@@ -53,7 +53,9 @@ fn main() {
     let plan = FaultPlan::new(0x5EED).blackhole(120, u64::MAX);
     let handle = sim.inject_faults(sim.ids.mb, plan);
 
-    let mut last_good: Checkpoint<SaShared> = sim.checkpoint().expect("checkpoint");
+    // A checkpoint is the sealed byte string `osm_core::Machine::checkpoint`
+    // writes: the same bytes could go to disk and restore a fresh simulator.
+    let mut last_good: Vec<u8> = sim.checkpoint().expect("checkpoint");
     let mut transitions_at_ckpt = 0u64;
     let stall = loop {
         match sim.step() {
