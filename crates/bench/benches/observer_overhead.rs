@@ -2,16 +2,19 @@
 //!
 //! The acceptance bar for the observer work is that the *disabled* path —
 //! no observers registered, no stall tracker — costs < 2% versus the seed
-//! simulator, because the director's hot loop only pays an
-//! `observers.is_empty()` check per primitive. The enabled rows quantify
-//! what full instrumentation costs when you do opt in.
+//! simulator. It holds because the director is monomorphized over whether
+//! any observer or the stall tracker is installed, and the uninstrumented
+//! instantiation contains no event or attribution code at all. The
+//! transition trace is not an observer: a digest trace keeps the run on the
+//! uninstrumented director and adds one digest fold per committed
+//! transition. The enabled rows quantify what each opt-in costs.
 //!
 //! Also carries the `Stats::incr` key micro-benchmark: interned
 //! `&'static str` keys must not allocate on the hot path, unlike the
 //! owned-string `incr_dyn` fallback.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use osm_core::Stats;
+use osm_core::{Stats, Trace};
 use sa1100::{SaConfig, SaOsmSim};
 use std::hint::black_box;
 use workloads::mediabench_scaled;
@@ -28,6 +31,16 @@ fn observer_overhead(c: &mut Criterion) {
     group.bench_function("sa1100_osm_observers_off", |b| {
         b.iter(|| {
             let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
+            let r = sim.run_to_halt(u64::MAX).expect("runs");
+            black_box(r.cycles)
+        })
+    });
+    // The digest trace every farm job and equivalence oracle records: one
+    // FNV fold per committed transition, on the uninstrumented director.
+    group.bench_function("sa1100_osm_digest_trace", |b| {
+        b.iter(|| {
+            let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
+            sim.machine_mut().enable_trace_with(Trace::digest_only());
             let r = sim.run_to_halt(u64::MAX).expect("runs");
             black_box(r.cycles)
         })

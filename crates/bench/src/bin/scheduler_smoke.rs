@@ -7,10 +7,12 @@
 //!    transition event) on all four workload families: the synthetic
 //!    sparse-waiter machine, the SA-1100 OSM model on a MediaBench kernel,
 //!    the PPC-750 OSM model on the same MiniRISC program, and the VLIW
-//!    lockstep core. A fifth workload, the contended ADL machine (the
-//!    costliest of `perf`'s `adl_contended` suite), runs with no observers
-//!    attached — the untracked director that `Machine::run` users get — so
-//!    it is compared by `Machine::state_fingerprint` after every cycle.
+//!    lockstep core. Each of the four is checked twice: on the untracked
+//!    director that `Machine::run` users get (a digest trace is not an
+//!    observer), and on the tracked one, with stall attribution on. A
+//!    fifth workload, the contended ADL machine (the costliest of `perf`'s
+//!    `adl_contended` suite), runs untracked and is compared by
+//!    `Machine::state_fingerprint` after every cycle.
 //! 2. **No performance regression** — measured two ways on the sparse
 //!    workload:
 //!    * *Deterministic effort gate*: the number of edge evaluations the
@@ -109,12 +111,16 @@ fn sparse_machine() -> Machine<()> {
     m
 }
 
-/// Runs the sparse-waiter workload; returns (trace digest, wall seconds,
-/// edge evaluations performed).
-fn run_sparse(mode: SchedulerMode) -> (u64, f64, u64) {
+/// Runs the sparse-waiter workload with a digest trace, on the tracked
+/// director (stall attribution on) when `tracked`; returns (trace digest,
+/// wall seconds, edge evaluations performed).
+fn run_sparse(mode: SchedulerMode, tracked: bool) -> (u64, f64, u64) {
     let mut m = sparse_machine();
     m.set_scheduler_mode(mode);
     m.enable_trace_with(Trace::digest_only());
+    if tracked {
+        m.enable_stall_attribution();
+    }
     let unit = ManagerId(0);
     m.managers
         .downcast_mut::<ExclusivePool>(unit)
@@ -212,6 +218,7 @@ fn vliw_program() -> vliw::VliwProgram {
 
 struct DigestCheck {
     name: &'static str,
+    tracked: bool,
     fast: u64,
     seed: u64,
 }
@@ -224,30 +231,77 @@ fn main() -> ExitCode {
         .unwrap_or(0.02);
 
     // ----- Gate 1: digest equality on the four workload families. -----
-    let mut checks: Vec<DigestCheck> = Vec::new();
-
-    let (sparse_fast_digest, _, fast_evals) = run_sparse(SchedulerMode::Fast);
-    let (sparse_seed_digest, _, seed_evals) = run_sparse(SchedulerMode::Seed);
-    checks.push(DigestCheck {
-        name: "sparse_waiters",
-        fast: sparse_fast_digest,
-        seed: sparse_seed_digest,
-    });
-
+    // Each family runs with a digest trace under both modes, `tracked`
+    // adding stall attribution so that both director instantiations are
+    // checked.
     let w = mediabench().remove(0);
     let program = w.program();
-    let sa = |mode: SchedulerMode| {
+    let sa = |mode: SchedulerMode, tracked: bool| {
         let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
         sim.machine_mut().set_scheduler_mode(mode);
         sim.machine_mut().enable_trace_with(Trace::digest_only());
+        if tracked {
+            sim.machine_mut().enable_stall_attribution();
+        }
         sim.run_to_halt(u64::MAX).expect("runs");
         sim.machine_mut().take_trace().expect("trace on").digest()
     };
-    checks.push(DigestCheck {
-        name: "sa1100_mediabench",
-        fast: sa(SchedulerMode::Fast),
-        seed: sa(SchedulerMode::Seed),
-    });
+    let ppc = |mode: SchedulerMode, tracked: bool| {
+        let mut sim = PpcOsmSim::new(PpcConfig::paper(), &program);
+        sim.machine_mut().set_scheduler_mode(mode);
+        sim.machine_mut().enable_trace_with(Trace::digest_only());
+        if tracked {
+            sim.machine_mut().enable_stall_attribution();
+        }
+        sim.run_to_halt(u64::MAX).expect("runs");
+        sim.machine_mut().take_trace().expect("trace on").digest()
+    };
+    let vprog = vliw_program();
+    let vl = |mode: SchedulerMode, tracked: bool| {
+        let mut sim = VliwSim::new(VliwConfig::default(), &vprog);
+        sim.machine_mut().set_scheduler_mode(mode);
+        sim.machine_mut().enable_trace_with(Trace::digest_only());
+        if tracked {
+            sim.machine_mut().enable_stall_attribution();
+        }
+        sim.run_to_halt(1_000_000).expect("runs");
+        sim.machine_mut().take_trace().expect("trace on").digest()
+    };
+
+    let mut checks: Vec<DigestCheck> = Vec::new();
+    // Edge evaluations of the untracked sparse runs, for gate 2.
+    let (mut fast_evals, mut seed_evals) = (0, 0);
+    for tracked in [false, true] {
+        let (fast, _, f_evals) = run_sparse(SchedulerMode::Fast, tracked);
+        let (seed, _, s_evals) = run_sparse(SchedulerMode::Seed, tracked);
+        if !tracked {
+            (fast_evals, seed_evals) = (f_evals, s_evals);
+        }
+        checks.push(DigestCheck {
+            name: "sparse_waiters",
+            tracked,
+            fast,
+            seed,
+        });
+        checks.push(DigestCheck {
+            name: "sa1100_mediabench",
+            tracked,
+            fast: sa(SchedulerMode::Fast, tracked),
+            seed: sa(SchedulerMode::Seed, tracked),
+        });
+        checks.push(DigestCheck {
+            name: "ppc750_minirisc",
+            tracked,
+            fast: ppc(SchedulerMode::Fast, tracked),
+            seed: ppc(SchedulerMode::Seed, tracked),
+        });
+        checks.push(DigestCheck {
+            name: "vliw_ilp_loop",
+            tracked,
+            fast: vl(SchedulerMode::Fast, tracked),
+            seed: vl(SchedulerMode::Seed, tracked),
+        });
+    }
 
     // Untraced dense run, used further down for the parity timing.
     let sa_timed = |mode: SchedulerMode| {
@@ -258,39 +312,13 @@ fn main() -> ExitCode {
         start.elapsed().as_secs_f64()
     };
 
-    let ppc = |mode: SchedulerMode| {
-        let mut sim = PpcOsmSim::new(PpcConfig::paper(), &program);
-        sim.machine_mut().set_scheduler_mode(mode);
-        sim.machine_mut().enable_trace_with(Trace::digest_only());
-        sim.run_to_halt(u64::MAX).expect("runs");
-        sim.machine_mut().take_trace().expect("trace on").digest()
-    };
-    checks.push(DigestCheck {
-        name: "ppc750_minirisc",
-        fast: ppc(SchedulerMode::Fast),
-        seed: ppc(SchedulerMode::Seed),
-    });
-
-    let vprog = vliw_program();
-    let vl = |mode: SchedulerMode| {
-        let mut sim = VliwSim::new(VliwConfig::default(), &vprog);
-        sim.machine_mut().set_scheduler_mode(mode);
-        sim.machine_mut().enable_trace_with(Trace::digest_only());
-        sim.run_to_halt(1_000_000).expect("runs");
-        sim.machine_mut().take_trace().expect("trace on").digest()
-    };
-    checks.push(DigestCheck {
-        name: "vliw_ilp_loop",
-        fast: vl(SchedulerMode::Fast),
-        seed: vl(SchedulerMode::Seed),
-    });
-
     let mut failed = false;
     for c in &checks {
         let ok = c.fast == c.seed;
         println!(
-            "digest {:<20} fast={:016x} seed={:016x}  {}",
+            "digest {:<20} {:<9} fast={:016x} seed={:016x}  {}",
             c.name,
+            if c.tracked { "tracked" } else { "untracked" },
             c.fast,
             c.seed,
             if ok { "ok" } else { "MISMATCH" }
@@ -312,13 +340,13 @@ fn main() -> ExitCode {
     }
 
     // ----- Gate 2: no regression vs the committed baseline. -----
-    // Timing runs are separate from the digest runs (no trace attached) and
-    // alternate modes pairwise; minimum-of-N is the estimator.
+    // Timing runs are separate from the digest runs (untracked director)
+    // and alternate modes pairwise; minimum-of-N is the estimator.
     let mut fast_min = f64::INFINITY;
     let mut seed_min = f64::INFINITY;
     for _ in 0..TIMING_REPS {
-        let (_, f, _) = run_sparse(SchedulerMode::Fast);
-        let (_, s, _) = run_sparse(SchedulerMode::Seed);
+        let (_, f, _) = run_sparse(SchedulerMode::Fast, false);
+        let (_, s, _) = run_sparse(SchedulerMode::Seed, false);
         fast_min = fast_min.min(f);
         seed_min = seed_min.min(s);
     }

@@ -20,6 +20,7 @@ use crate::osm::{Osm, OsmView, TransitionCtx, IDLE_AGE};
 use crate::spec::{Edge, StateMachineSpec};
 use crate::stats::Stats;
 use crate::token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};
+use crate::trace::{Trace, TraceEvent};
 use std::sync::Arc;
 
 /// Whether the director restarts its outer loop after a transition (Fig. 3).
@@ -762,7 +763,8 @@ fn commit_plan<S, const OBS: bool>(
 /// `TRACKING = false` otherwise. The false instantiation contains no
 /// event-emission or attribution code at all, so an uninstrumented machine
 /// runs the pre-observability hot loop (one branch per cycle picks the
-/// instantiation).
+/// instantiation). `trace`, when present, receives every committed
+/// transition in both instantiations.
 ///
 /// # Errors
 /// Returns [`ModelError::Deadlock`] if `deadlock_check` is on, no OSM
@@ -782,6 +784,7 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     stats: &mut Stats,
     observers: &mut [Box<dyn Observer>],
     mut stalls: Option<&mut StallTracker>,
+    mut trace: Option<&mut Trace>,
     scratch: &mut Scratch,
 ) -> Result<StepOutcome, ModelError> {
     // Rank all OSMs; stable order by (rank, id) guarantees determinism.
@@ -871,6 +874,15 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
                         shared,
                     };
                     osm.behavior.on_transition(edge, &mut ctx);
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.push(TraceEvent {
+                            cycle,
+                            osm: id,
+                            edge: eid,
+                            from,
+                            to: edge.dst,
+                        });
+                    }
                     if TRACKING && !observers.is_empty() {
                         let ev = TransitionEvent {
                             cycle,
@@ -1088,6 +1100,7 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
     age_counter: &mut u64,
     stats: &mut Stats,
     observers: &mut [Box<dyn Observer>],
+    trace: Option<&mut Trace>,
     scratch: &mut Scratch,
 ) -> Served {
     let oi = id.index();
@@ -1162,6 +1175,15 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
                 shared,
             };
             osm.behavior.on_transition(edge, &mut ctx);
+            if let Some(t) = trace {
+                t.push(TraceEvent {
+                    cycle,
+                    osm: id,
+                    edge: eid,
+                    from,
+                    to: edge.dst,
+                });
+            }
             if TRACKING && !observers.is_empty() {
                 let ev = TransitionEvent {
                     cycle,
@@ -1321,6 +1343,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
     stats: &mut Stats,
     observers: &mut [Box<dyn Observer>],
     mut stalls: Option<&mut StallTracker>,
+    mut trace: Option<&mut Trace>,
     scratch: &mut Scratch,
 ) -> Result<StepOutcome, ModelError> {
     let n = osms.len();
@@ -1401,6 +1424,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
                 age_counter,
                 stats,
                 observers,
+                trace.as_deref_mut(),
                 scratch,
             );
             if served.moved {
@@ -1658,9 +1682,14 @@ pub(crate) fn diagnose_blocked<S: 'static>(
 }
 
 /// Finds a cycle in the wait-for graph, if any, returning its nodes.
+///
+/// The search starts from the lowest waiting OSM and follows edges in the
+/// order the scan recorded them, so the same graph always reports the same
+/// cycle: the report becomes a job's failure message, which canonical farm
+/// reports and journals compare byte for byte.
 fn find_wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
-    use std::collections::HashMap;
-    let mut adj: HashMap<OsmId, Vec<OsmId>> = HashMap::new();
+    use std::collections::BTreeMap;
+    let mut adj: BTreeMap<OsmId, Vec<OsmId>> = BTreeMap::new();
     for &(a, b) in edges {
         adj.entry(a).or_default().push(b);
     }
@@ -1671,12 +1700,12 @@ fn find_wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
         Gray,
         Black,
     }
-    let mut marks: HashMap<OsmId, Mark> = adj.keys().map(|&k| (k, Mark::White)).collect();
+    let mut marks: BTreeMap<OsmId, Mark> = adj.keys().map(|&k| (k, Mark::White)).collect();
 
     fn dfs(
         node: OsmId,
-        adj: &HashMap<OsmId, Vec<OsmId>>,
-        marks: &mut HashMap<OsmId, Mark>,
+        adj: &BTreeMap<OsmId, Vec<OsmId>>,
+        marks: &mut BTreeMap<OsmId, Mark>,
         stack: &mut Vec<OsmId>,
     ) -> Option<Vec<OsmId>> {
         marks.insert(node, Mark::Gray);

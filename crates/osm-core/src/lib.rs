@@ -101,7 +101,7 @@ pub use manager::{ManagerSnapshot, ManagerTable, TokenManager};
 pub use observe::{
     EventLog, ManagerUtilization, MetricsCollector, MetricsReport, ObservedEvent, Observer,
     OsmStallCause, StallCause, StallEvent, StallHistogram, StallTracker, StateOccupancy,
-    TokenEvent, TokenOpKind, TokenOutcome, TraceSink, TransitionEvent,
+    TokenEvent, TokenOpKind, TokenOutcome, TransitionEvent,
 };
 pub use osm::{set_slot, Behavior, InertBehavior, Osm, OsmView, TransitionCtx, IDLE_AGE};
 pub use pools::{CountingPool, ExclusivePool, RegScoreboard, ResetManager};

@@ -4,9 +4,7 @@ use crate::director::{self, AgeRanker, Ranker, RestartPolicy, SchedulerMode, Scr
 use crate::error::{ModelError, StallKind, StallReport};
 use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
-use crate::observe::{
-    EventLog, MetricsCollector, MetricsReport, Observer, StallTracker, TraceSink,
-};
+use crate::observe::{EventLog, MetricsCollector, MetricsReport, Observer, StallTracker};
 use crate::osm::{Behavior, Osm};
 use crate::persist::{fnv_mix, unseal, ByteReader, ByteWriter, FNV_OFFSET};
 use crate::spec::StateMachineSpec;
@@ -110,6 +108,9 @@ pub struct Machine<S> {
     observers: Vec<Box<dyn Observer>>,
     /// Machine-owned stall-cause attribution, when enabled.
     stall_tracker: Option<StallTracker>,
+    /// Machine-owned transition trace, when enabled; the director folds
+    /// every commit into it.
+    trace: Option<Trace>,
     scratch: Scratch,
 }
 
@@ -136,6 +137,7 @@ impl<S: 'static> Machine<S> {
             stats: Stats::new(),
             observers: Vec::new(),
             stall_tracker: None,
+            trace: None,
             scratch: Scratch::default(),
         }
     }
@@ -365,27 +367,31 @@ impl<S: 'static> Machine<S> {
         !self.observers.is_empty()
     }
 
-    /// Starts recording a transition trace (a [`TraceSink`] observer).
+    /// Starts recording every committed transition into a full [`Trace`].
+    ///
+    /// The trace is machine-owned, not an [`Observer`]: the director folds
+    /// each commit into it directly, so a traced machine still runs the
+    /// uninstrumented director and [`Machine::has_observers`] stays false.
     pub fn enable_trace(&mut self) {
         self.enable_trace_with(Trace::new());
     }
 
     /// Starts recording transitions into the given (possibly ring- or
-    /// digest-mode) [`Trace`]. No-op if a trace sink is already installed.
+    /// digest-mode) [`Trace`]. No-op if a trace is already being recorded.
     pub fn enable_trace_with(&mut self, trace: Trace) {
-        if self.observer::<TraceSink>().is_none() {
-            self.add_observer(TraceSink::new(trace));
+        if self.trace.is_none() {
+            self.trace = Some(trace);
         }
     }
 
     /// The trace recorded so far, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.observer::<TraceSink>().map(TraceSink::trace)
+        self.trace.as_ref()
     }
 
     /// Takes the recorded trace, disabling tracing.
     pub fn take_trace(&mut self) -> Option<Trace> {
-        self.take_observer::<TraceSink>().map(TraceSink::into_trace)
+        self.trace.take()
     }
 
     /// Starts recording the full event stream into an unbounded [`EventLog`]
@@ -460,8 +466,8 @@ impl<S: 'static> Machine<S> {
         self.cycle
     }
 
-    /// The running digest of the installed trace, read **without**
-    /// detaching the sink (unlike [`Machine::take_trace`]). A probe point
+    /// The running digest of the recorded trace, read **without**
+    /// disabling tracing (unlike [`Machine::take_trace`]). A probe point
     /// for mid-run equivalence checks: a differential harness can compare
     /// two runs' digests at a checkpoint cut and keep both running.
     /// `None` when tracing is not enabled.
@@ -569,6 +575,8 @@ impl<S: 'static> Machine<S> {
     pub fn control_step(&mut self) -> Result<StepOutcome, ModelError> {
         // One branch per cycle picks the monomorphized director: the
         // TRACKING=false instantiation carries no observability code at all.
+        // The transition trace is folded in on the commit path of both, so
+        // recording it never selects the tracked one.
         // The fast scheduler requires age ranking; under a custom ranker the
         // reference scheduler runs regardless of the configured mode.
         let tracking = !self.observers.is_empty() || self.stall_tracker.is_some();
@@ -594,6 +602,7 @@ impl<S: 'static> Machine<S> {
                     &mut self.stats,
                     &mut self.observers,
                     self.stall_tracker.as_mut(),
+                    self.trace.as_mut(),
                     &mut self.scratch,
                 )
             } else {
@@ -609,6 +618,7 @@ impl<S: 'static> Machine<S> {
                     &mut self.stats,
                     &mut self.observers,
                     None,
+                    self.trace.as_mut(),
                     &mut self.scratch,
                 )
             }
@@ -627,6 +637,7 @@ impl<S: 'static> Machine<S> {
                 &mut self.stats,
                 &mut self.observers,
                 self.stall_tracker.as_mut(),
+                self.trace.as_mut(),
                 &mut self.scratch,
             )
         } else {
@@ -644,6 +655,7 @@ impl<S: 'static> Machine<S> {
                 &mut self.stats,
                 &mut self.observers,
                 None,
+                self.trace.as_mut(),
                 &mut self.scratch,
             )
         }
@@ -1142,9 +1154,9 @@ mod tests {
         assert_eq!(m.osm(o0).state_name(), "B");
     }
 
-    #[test]
-    fn deadlock_detected_on_cyclic_dependency() {
-        // Two OSMs each hold one stage and want the other's: a wait cycle.
+    /// Two OSMs each hold one stage and want the other's: a wait cycle.
+    /// Returns the OSMs the deadlock report names.
+    fn crossed_allocation_deadlock() -> Vec<OsmId> {
         let mut m: Machine<()> = Machine::new(());
         let ma = m.add_manager(ExclusivePool::new("A", 1));
         let mb = m.add_manager(ExclusivePool::new("B", 1));
@@ -1174,10 +1186,24 @@ mod tests {
         // Step 1: each takes its first stage.
         m.step().unwrap();
         // Step 2: both blocked on each other -> deadlock.
-        let err = m.step().unwrap_err();
-        match err {
-            ModelError::Deadlock { osms, .. } => assert_eq!(osms.len(), 2),
+        match m.step().unwrap_err() {
+            ModelError::Deadlock { osms, .. } => osms,
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deadlock_detected_on_cyclic_dependency() {
+        assert_eq!(crossed_allocation_deadlock().len(), 2);
+    }
+
+    #[test]
+    fn deadlock_report_is_the_same_on_every_construction() {
+        // The report is a farm job's failure message, compared byte for
+        // byte across runs; it must not depend on hash iteration order.
+        let first = crossed_allocation_deadlock();
+        for _ in 0..63 {
+            assert_eq!(crossed_allocation_deadlock(), first);
         }
     }
 
@@ -1897,9 +1923,9 @@ mod tests {
     type StepLog = Vec<(u64, String, String)>;
 
     /// Runs `steps` cycles of `build()` under `mode` (default `Restart`
-    /// policy), with a digest trace when `tracked`. Returns the step log,
-    /// the trace digest (0 untracked) and the edge evaluations that failed
-    /// or were vetoed.
+    /// policy) with a digest trace, on the tracked director instantiation
+    /// (stall attribution on) when `tracked`. Returns the step log, the
+    /// trace digest and the edge evaluations that failed or were vetoed.
     fn run_logged<S: HardwareLayer + 'static>(
         build: &dyn Fn() -> Machine<S>,
         mode: SchedulerMode,
@@ -1908,8 +1934,9 @@ mod tests {
     ) -> (StepLog, u64, u64) {
         let mut m = build();
         m.set_scheduler_mode(mode);
+        m.enable_trace_with(Trace::digest_only());
         if tracked {
-            m.enable_trace_with(Trace::digest_only());
+            m.enable_stall_attribution();
         }
         let mut log = Vec::new();
         for _ in 0..steps {
@@ -1921,7 +1948,7 @@ mod tests {
             ));
         }
         let effort = m.stats.condition_failures + m.stats.vetoed_edges;
-        (log, m.trace_digest().unwrap_or(0), effort)
+        (log, m.trace_digest().expect("trace enabled"), effort)
     }
 
     /// Checks, tracked and untracked, that the fast scheduler matches the

@@ -11,8 +11,7 @@
 //!   [`TokenOutcome::Aborted`] event when a tentatively granted two-phase
 //!   transaction is rolled back because a later primitive of the same
 //!   condition failed);
-//! * every committed transition is a [`TransitionEvent`] (the transition
-//!   [`crate::Trace`] is now just one sink among several);
+//! * every committed transition is a [`TransitionEvent`];
 //! * every control step in which an in-flight OSM fails to leave its state
 //!   charges the blocking `(manager, primitive)` pair of its
 //!   highest-priority enabled edge as a [`StallEvent`], and the machine-owned
@@ -22,15 +21,20 @@
 //!
 //! Sinks implement [`Observer`] and are installed with
 //! [`crate::Machine::add_observer`] (or the typed helpers
-//! `enable_trace`/`enable_event_log`/`enable_metrics`). With no observers
-//! installed and stall attribution off, the director's hot loop performs
-//! only an is-empty check per primitive — the disabled path is within noise
-//! of the un-instrumented scheduler.
+//! `enable_event_log`/`enable_metrics`). The director is monomorphized over
+//! whether any sink or the stall tracker is installed; without them it runs
+//! an instantiation that contains no event-emission or attribution code.
+//!
+//! The transition [`crate::Trace`] that determinism and equivalence checks
+//! digest is not a sink. The machine owns it, as it owns the stall tracker,
+//! and the director folds each committed transition into it on the commit
+//! path of both instantiations ([`crate::Machine::enable_trace`]). A traced
+//! run therefore pays one digest fold per commit and stays on the
+//! uninstrumented director.
 
 use crate::ids::{EdgeId, ManagerId, OsmId, StateId};
 use crate::manager::ManagerTable;
 use crate::token::{Primitive, Token, TokenIdent};
-use crate::trace::{Trace, TraceEvent};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -348,51 +352,6 @@ impl Observer for EventLog {
     }
     fn on_stall(&mut self, ev: &StallEvent) {
         self.push(ObservedEvent::Stall(*ev));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// The transition [`Trace`] as an observer sink (its historical recording
-/// role, now expressed through the observability layer).
-#[derive(Debug, Default)]
-pub struct TraceSink {
-    trace: Trace,
-}
-
-impl TraceSink {
-    /// Wraps a (possibly ring- or digest-mode) trace.
-    pub fn new(trace: Trace) -> Self {
-        TraceSink { trace }
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Unwraps the recorded trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-impl Observer for TraceSink {
-    fn on_transition(&mut self, ev: &TransitionEvent) {
-        self.trace.push(TraceEvent {
-            cycle: ev.cycle,
-            osm: ev.osm,
-            edge: ev.edge,
-            from: ev.from,
-            to: ev.to,
-        });
     }
     fn as_any(&self) -> &dyn Any {
         self

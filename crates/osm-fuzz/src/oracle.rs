@@ -7,7 +7,10 @@
 //! 1. **Scheduler modes** — `SchedulerMode::Seed` vs `Fast` (PR 3's
 //!    sensitivity fast path must be observationally invisible).
 //! 2. **Observability** — event log + metrics + stall attribution on vs
-//!    off (observers must not perturb the schedule).
+//!    off (observers must not perturb the schedule). Every farm job records
+//!    a digest trace, which the machine owns rather than an observer, so
+//!    this leg compares the tracked director instantiation against the
+//!    untracked one.
 //! 3. **Farm parallelism** — `run_serial` vs `run_parallel` at 1, 2 and 8
 //!    workers over the whole batch (work stealing must not change any
 //!    job's result, only who runs it).

@@ -2,11 +2,13 @@
 //!
 //! Runs a mixed sweep — healthy jobs alongside a panicking job, a
 //! deterministically stalling job (permanent blackhole on the fetch stage,
-//! tight stall budget) and a misconfigured job — and enforces, in order:
+//! tight stall budget), a misconfigured job and an ADL machine that
+//! deadlocks — and enforces, in order:
 //!
 //! 1. **Typed containment**: every healthy job completes with its normal
 //!    outcome; every poison job comes back with its precise typed outcome
-//!    (quarantined panic / stall / failure) instead of killing the sweep.
+//!    (quarantined panic / stall / failure / deadlock) instead of killing
+//!    the sweep.
 //! 2. **Byte-identity across worker counts**: the canonical report
 //!    renderings (text and JSON) from 1-, 2- and 8-worker runs are equal
 //!    byte for byte.
@@ -82,6 +84,21 @@ fn jobs() -> Vec<SimJob> {
     ppc.name = "chaos/healthy-ppc".into();
     out.push(ppc);
 
+    // Crossed allocations: each OSM holds one stage and waits for the
+    // other's, a wait-for cycle the director reports as a deadlock. Its
+    // message names the cycle, so the byte-identity gates below also pin
+    // that the report does not vary from run to run.
+    out.push(SimJob::adl(
+        "chaos/deadlock",
+        "machine dl { manager a : exclusive(1); manager b : exclusive(1); \
+         osm ab { states I, A, Z; initial I; \
+         edge take : I -> A { allocate a[0]; } edge want : A -> Z { allocate b[0]; } } \
+         osm ba { states I, B, Z; initial I; \
+         edge take : I -> B { allocate b[0]; } edge want : B -> Z { allocate a[0]; } } }",
+        2,
+        1_000,
+    ));
+
     out
 }
 
@@ -96,7 +113,7 @@ fn main() -> ExitCode {
     // nothing, so the CI log stays clean without help. Panics on unarmed
     // threads — real bugs — still print normally.
     let jobs = jobs();
-    println!("chaos_smoke: {} jobs (4 healthy, 3 poison)", jobs.len());
+    println!("chaos_smoke: {} jobs (4 healthy, 4 poison)", jobs.len());
 
     // Gate 1+2: run at three worker counts; check containment and
     // canonical byte-identity.
@@ -131,6 +148,11 @@ fn main() -> ExitCode {
             expect_quarantined(1, "panic", &|o| matches!(o, JobOutcome::Panicked { .. })),
             expect_quarantined(3, "stall", &|o| matches!(o, JobOutcome::Stalled(_))),
             expect_quarantined(5, "failure", &|o| matches!(o, JobOutcome::Failed(_))),
+            expect_quarantined(
+                7,
+                "deadlock",
+                &|o| matches!(o, JobOutcome::Failed(msg) if msg.starts_with("scheduling deadlock")),
+            ),
         ] {
             if let Err(msg) = check {
                 return fail(&format!("{msg} ({workers} workers)"));

@@ -1,8 +1,9 @@
 //! Integration tests of the observability layer: golden-file exporter
 //! output on a small deterministic pipeline, a property test that the
 //! recorded token-event stream replays to the same `Stats` the director
-//! counted live, and proof that attaching observers never changes which
-//! transitions commit.
+//! counted live, proof that attaching observers never changes which
+//! transitions commit, and a check that the machine-owned transition trace
+//! records exactly what the observer bus reports.
 //!
 //! Regenerate the golden files after an intentional exporter change with:
 //! `BLESS=1 cargo test --test observability`
@@ -10,8 +11,10 @@
 use osm_repro::minirisc::{AluOp, BranchCond, Instr, Reg};
 use osm_repro::osm_adl::{parse as parse_adl, synthesize};
 use osm_repro::osm_core::{
-    self, ExclusivePool, IdentExpr, InertBehavior, Machine, SpecBuilder, TokenOutcome,
+    self, ExclusivePool, IdentExpr, InertBehavior, Machine, SchedulerMode, SpecBuilder,
+    TokenOutcome, Trace, TraceEvent,
 };
+use osm_repro::ppc750::{PpcConfig, PpcOsmSim};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 use osm_repro::simfarm::{AttemptSpan, FarmSchedule, JobSpan, JobTiming, WorkerTelemetry};
 use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
@@ -376,7 +379,7 @@ proptest! {
 
 #[test]
 fn ring_and_digest_trace_modes_agree_with_full_mode() {
-    use osm_repro::osm_core::{Trace, TraceMode};
+    use osm_repro::osm_core::TraceMode;
     let run = |trace: Trace| {
         let mut machine = pipeline_machine(4);
         machine.enable_trace_with(trace);
@@ -391,4 +394,109 @@ fn ring_and_digest_trace_modes_agree_with_full_mode() {
     assert_eq!(ring.len(), 8);
     assert_eq!(digest.len(), 0);
     assert_eq!(full.total(), ring.total());
+}
+
+/// Transitions are recorded in two places: the director folds each commit
+/// into the machine-owned trace, and emits a `TransitionEvent` to the
+/// observers. On one model under both scheduler modes this checks that
+/// a full trace equals, event for event, the transitions of an event log
+/// on the same run; that a digest-traced run ends exactly like an untraced
+/// one (statistics, cycle count, `result`); and that a digest trace is not
+/// an observer, so the run stays on the uninstrumented director.
+fn check_recording_paths<T, S: 'static, R: std::fmt::Debug + PartialEq>(
+    model: &str,
+    build: impl Fn() -> T,
+    machine: impl Fn(&mut T) -> &mut Machine<S>,
+    run: impl Fn(&mut T) -> R,
+) {
+    for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+        let prepared = |setup: &dyn Fn(&mut Machine<S>)| {
+            let mut sim = build();
+            machine(&mut sim).set_scheduler_mode(mode);
+            setup(machine(&mut sim));
+            sim
+        };
+
+        let mut plain = prepared(&|_| {});
+        let plain_result = run(&mut plain);
+        let mut digest = prepared(&|m| m.enable_trace_with(Trace::digest_only()));
+        assert!(
+            !machine(&mut digest).has_observers(),
+            "{model} {mode:?}: a digest trace installed an observer"
+        );
+        let digest_result = run(&mut digest);
+        assert_eq!(digest_result, plain_result, "{model} {mode:?}: result");
+        let (plain, digest) = (machine(&mut plain), machine(&mut digest));
+        assert_eq!(digest.cycle(), plain.cycle(), "{model} {mode:?}: cycles");
+        assert_eq!(
+            format!("{:?}", digest.stats),
+            format!("{:?}", plain.stats),
+            "{model} {mode:?}: stats"
+        );
+
+        let mut logged = prepared(&|m| {
+            m.enable_trace();
+            m.enable_event_log();
+        });
+        assert_eq!(run(&mut logged), plain_result, "{model} {mode:?}: result");
+        let logged = machine(&mut logged);
+        let trace = logged.take_trace().expect("trace enabled");
+        let log = logged.take_event_log().expect("event log enabled");
+        let from_log: Vec<TraceEvent> = log
+            .transitions()
+            .map(|t| TraceEvent {
+                cycle: t.cycle,
+                osm: t.osm,
+                edge: t.edge,
+                from: t.from,
+                to: t.to,
+            })
+            .collect();
+        let recorded: Vec<TraceEvent> = trace.events().copied().collect();
+        assert!(!recorded.is_empty(), "{model} {mode:?}: nothing committed");
+        assert_eq!(recorded, from_log, "{model} {mode:?}: trace vs event log");
+        assert_eq!(
+            digest.trace_digest(),
+            Some(trace.digest()),
+            "{model} {mode:?}: digest-only vs full trace"
+        );
+    }
+}
+
+#[test]
+fn trace_matches_event_log_and_leaves_runs_unchanged() {
+    let program = random_program(5, 160).program();
+    check_recording_paths(
+        "SA-1100",
+        || SaOsmSim::new(SaConfig::paper(), &program),
+        SaOsmSim::machine_mut,
+        |sim| sim.run_to_halt(30_000).expect("halts"),
+    );
+    check_recording_paths(
+        "PPC-750",
+        || PpcOsmSim::new(PpcConfig::paper(), &program),
+        PpcOsmSim::machine_mut,
+        |sim| sim.run_to_halt(30_000).expect("halts"),
+    );
+    check_recording_paths("VLIW", vliw_kernel_sim, VliwSim::machine_mut, |sim| {
+        sim.run_to_halt(10_000).expect("halts")
+    });
+    check_recording_paths(
+        "ADL",
+        || {
+            let synth = osm_repro::osm_adl::load(MINIRISC_PIPELINE_ADL).expect("ADL loads");
+            let mut machine: Machine<()> = Machine::new(());
+            synth.install_managers(&mut machine);
+            let spec = synth.spec("op").expect("declared");
+            for _ in 0..6 {
+                machine.add_osm(spec, InertBehavior);
+            }
+            machine
+        },
+        |m| m,
+        |m| {
+            m.run(60).expect("no deadlock");
+            m.state_fingerprint()
+        },
+    );
 }

@@ -329,31 +329,40 @@ proptest! {
         // The sensitivity-driven fast path must be observationally identical
         // to the seed scheduler: same transition trace (digest), same cycle
         // count, same retirement, same restart count — on both case-study
-        // machines.
+        // machines, on both director instantiations (`tracked` adds stall
+        // attribution).
         let w = random_program(seed, len);
         let program = w.program();
-        let sa = |mode: SchedulerMode| {
-            let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-            sim.machine_mut().set_scheduler_mode(mode);
-            sim.machine_mut().enable_trace();
-            let r = sim.run_to_halt(50_000_000).expect("no deadlock");
-            let stats = sim.machine().stats.clone();
-            let digest = sim.machine_mut().take_trace().expect("trace on").digest();
-            (digest, r.cycles, r.retired, r.exit_code,
-             stats.transitions, stats.restarts, stats.idle_steps)
-        };
-        prop_assert_eq!(sa(SchedulerMode::Fast), sa(SchedulerMode::Seed));
-        let ppc = |mode: SchedulerMode| {
-            let mut sim = PpcOsmSim::new(PpcConfig::paper(), &program);
-            sim.machine_mut().set_scheduler_mode(mode);
-            sim.machine_mut().enable_trace();
-            let r = sim.run_to_halt(50_000_000).expect("no deadlock");
-            let stats = sim.machine().stats.clone();
-            let digest = sim.machine_mut().take_trace().expect("trace on").digest();
-            (digest, r.cycles, r.retired, r.exit_code,
-             stats.transitions, stats.restarts, stats.idle_steps)
-        };
-        prop_assert_eq!(ppc(SchedulerMode::Fast), ppc(SchedulerMode::Seed));
+        for tracked in [false, true] {
+            let sa = |mode: SchedulerMode| {
+                let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
+                sim.machine_mut().set_scheduler_mode(mode);
+                sim.machine_mut().enable_trace();
+                if tracked {
+                    sim.machine_mut().enable_stall_attribution();
+                }
+                let r = sim.run_to_halt(50_000_000).expect("no deadlock");
+                let stats = sim.machine().stats.clone();
+                let digest = sim.machine_mut().take_trace().expect("trace on").digest();
+                (digest, r.cycles, r.retired, r.exit_code,
+                 stats.transitions, stats.restarts, stats.idle_steps)
+            };
+            prop_assert_eq!(sa(SchedulerMode::Fast), sa(SchedulerMode::Seed));
+            let ppc = |mode: SchedulerMode| {
+                let mut sim = PpcOsmSim::new(PpcConfig::paper(), &program);
+                sim.machine_mut().set_scheduler_mode(mode);
+                sim.machine_mut().enable_trace();
+                if tracked {
+                    sim.machine_mut().enable_stall_attribution();
+                }
+                let r = sim.run_to_halt(50_000_000).expect("no deadlock");
+                let stats = sim.machine().stats.clone();
+                let digest = sim.machine_mut().take_trace().expect("trace on").digest();
+                (digest, r.cycles, r.retired, r.exit_code,
+                 stats.transitions, stats.restarts, stats.idle_steps)
+            };
+            prop_assert_eq!(ppc(SchedulerMode::Fast), ppc(SchedulerMode::Seed));
+        }
     }
 
     #[test]
@@ -361,39 +370,50 @@ proptest! {
         // Paper §4: with seniority (age) ranking, a transition can only free
         // resources wanted by *junior* operations that are still ahead in
         // the current scan — so the post-transition rescan never finds new
-        // work and Restart ≡ NoRestart, transition for transition.
+        // work and Restart ≡ NoRestart, transition for transition. Checked
+        // on both director instantiations (`tracked` adds stall attribution).
         let w = random_program(seed, 25);
         let program = w.program();
-        let run = |policy: RestartPolicy, mode: SchedulerMode| {
-            let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-            sim.machine_mut().set_restart_policy(policy);
-            sim.machine_mut().set_scheduler_mode(mode);
-            sim.machine_mut().enable_trace();
-            sim.run_to_halt(50_000_000).expect("no deadlock");
-            let restarts = sim.machine().stats.restarts;
-            (sim.machine_mut().take_trace().expect("trace on").digest(), restarts)
-        };
-        let (d_restart, _) = run(RestartPolicy::Restart, SchedulerMode::Fast);
-        let (d_norestart, n0) = run(RestartPolicy::NoRestart, SchedulerMode::Fast);
-        prop_assert_eq!(d_restart, d_norestart);
-        prop_assert_eq!(n0, 0);
-        let (d_seed, _) = run(RestartPolicy::Restart, SchedulerMode::Seed);
-        prop_assert_eq!(d_restart, d_seed);
+        for tracked in [false, true] {
+            let run = |policy: RestartPolicy, mode: SchedulerMode| {
+                let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
+                sim.machine_mut().set_restart_policy(policy);
+                sim.machine_mut().set_scheduler_mode(mode);
+                sim.machine_mut().enable_trace();
+                if tracked {
+                    sim.machine_mut().enable_stall_attribution();
+                }
+                sim.run_to_halt(50_000_000).expect("no deadlock");
+                let restarts = sim.machine().stats.restarts;
+                (sim.machine_mut().take_trace().expect("trace on").digest(), restarts)
+            };
+            let (d_restart, _) = run(RestartPolicy::Restart, SchedulerMode::Fast);
+            let (d_norestart, n0) = run(RestartPolicy::NoRestart, SchedulerMode::Fast);
+            prop_assert_eq!(d_restart, d_norestart);
+            prop_assert_eq!(n0, 0);
+            let (d_seed, _) = run(RestartPolicy::Restart, SchedulerMode::Seed);
+            prop_assert_eq!(d_restart, d_seed);
+        }
     }
 
     #[test]
     fn fast_scheduler_is_cycle_exact_on_vliw(iters in 3i32..25, body in 1usize..9) {
         let ir = vliw_ilp_loop(iters, body);
         let program = schedule(&ir, vec![]);
-        let run = |mode: SchedulerMode| {
-            let mut sim = VliwSim::new(VliwConfig::default(), &program);
-            sim.machine_mut().set_scheduler_mode(mode);
-            sim.machine_mut().enable_trace();
-            let r = sim.run_to_halt(1_000_000).expect("no deadlock");
-            let digest = sim.machine_mut().take_trace().expect("trace on").digest();
-            (digest, r)
-        };
-        prop_assert_eq!(run(SchedulerMode::Fast), run(SchedulerMode::Seed));
+        for tracked in [false, true] {
+            let run = |mode: SchedulerMode| {
+                let mut sim = VliwSim::new(VliwConfig::default(), &program);
+                sim.machine_mut().set_scheduler_mode(mode);
+                sim.machine_mut().enable_trace();
+                if tracked {
+                    sim.machine_mut().enable_stall_attribution();
+                }
+                let r = sim.run_to_halt(1_000_000).expect("no deadlock");
+                let digest = sim.machine_mut().take_trace().expect("trace on").digest();
+                (digest, r)
+            };
+            prop_assert_eq!(run(SchedulerMode::Fast), run(SchedulerMode::Seed));
+        }
     }
 
     #[test]
