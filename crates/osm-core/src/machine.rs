@@ -6,7 +6,7 @@ use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
 use crate::observe::{EventLog, MetricsCollector, MetricsReport, Observer, StallTracker};
 use crate::osm::{Behavior, Osm};
-use crate::persist::{fnv_mix, unseal, ByteReader, ByteWriter, FNV_OFFSET};
+use crate::persist::{fnv1a, fnv_mix, unseal, ByteReader, ByteWriter, FNV_OFFSET};
 use crate::spec::StateMachineSpec;
 use crate::stats::Stats;
 use crate::token::{HeldToken, Token, TokenIdent};
@@ -762,7 +762,7 @@ impl<S: HardwareLayer + 'static> Machine<S> {
     /// [`ModelError::SnapshotUnsupported`] if the shared state or any
     /// installed manager does not implement checkpointing.
     pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
-        Ok(self.write_checkpoint()?.into_sealed_bytes())
+        Ok(self.write_checkpoint()?.into_sealed_bytes(fnv1a))
     }
 
     /// Rewinds the machine to bytes written by [`Machine::checkpoint`] on a
@@ -781,7 +781,7 @@ impl<S: HardwareLayer + 'static> Machine<S> {
     /// be checkpointed (restoring first takes an undo checkpoint).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
         let payload =
-            unseal(bytes).ok_or_else(|| mismatch("checkpoint seal invalid or missing"))?;
+            unseal(bytes, fnv1a).ok_or_else(|| mismatch("checkpoint seal invalid or missing"))?;
         // Sections apply one component at a time, so a section rejected
         // late would leave the earlier ones applied; the undo image rolls
         // them back.
@@ -1456,7 +1456,7 @@ mod tests {
         let (o0, o1) = build(&mut m);
         m.run(2).unwrap();
         let ckpt = m.checkpoint().unwrap();
-        assert!(unseal(&ckpt).is_some(), "checkpoints are sealed");
+        assert!(unseal(&ckpt, fnv1a).is_some(), "checkpoints are sealed");
         let observe = |m: &mut Machine<()>| {
             let mut log = Vec::new();
             for _ in 0..4 {
@@ -1525,7 +1525,7 @@ mod tests {
     /// `sections`: the payload is copied up to the manager sections, then
     /// rewritten, then sealed again.
     fn with_manager_sections(ckpt: &[u8], from: usize, sections: &[Vec<u8>]) -> Vec<u8> {
-        let payload = unseal(ckpt).expect("sealed");
+        let payload = unseal(ckpt, fnv1a).expect("sealed");
         let mut r = ByteReader::new(payload);
         for _ in 0..skip_to_osm_records(&mut r) {
             r.take_u32().unwrap();
@@ -1662,7 +1662,7 @@ mod tests {
         };
         let ckpt = build().checkpoint().unwrap();
         // The first OSM record opens with its state index.
-        let mut payload = unseal(&ckpt).unwrap().to_vec();
+        let mut payload = unseal(&ckpt, fnv1a).unwrap().to_vec();
         let mut r = ByteReader::new(&payload);
         assert_eq!(skip_to_osm_records(&mut r), 1);
         let at = payload.len() - r.remaining();

@@ -1,13 +1,12 @@
-//! Byte-level primitives for the on-disk checkpoint format, and the one
-//! home of the FNV-1a digests used across the workspace.
+//! Byte-level primitives for the on-disk formats, and the one home of the
+//! FNV-1a digests used across the workspace.
 //!
-//! Everything a checkpoint contains is encoded through [`ByteWriter`] and
-//! decoded through [`ByteReader`]: little-endian fixed-width integers and
-//! `u32`-length-prefixed byte sections. The framing matches the sweep
-//! journal's conventions (length prefixes, FNV-1a seals) so one set of
-//! tools can inspect both. Writers never fail; readers return `None` on any
-//! truncation or overrun so corrupt files degrade into a typed refusal, not
-//! a panic.
+//! Machine checkpoints and the farm's journal and job checkpoints are all
+//! encoded through [`ByteWriter`] and decoded through [`ByteReader`]:
+//! little-endian integers, `u32`-length-prefixed sections, seals and
+//! digest-checked frames, each under the digest family its caller names.
+//! Writers never fail; readers return `None` on any truncation or overrun
+//! so corrupt files degrade into a typed refusal, not a panic.
 //!
 //! # Two FNV-1a families
 //!
@@ -17,7 +16,7 @@
 //!
 //! * [`trace_mix`] / [`fnv1a`] multiply by `0x1000_0000_01b3`, which is
 //!   *not* the standard FNV-64 prime (one more zero nibble). They cover
-//!   [`crate::Trace`] digests and checkpoint seals.
+//!   [`crate::Trace`] digests and machine checkpoint seals.
 //! * [`fnv_mix`] / [`fnv`] are standard FNV-1a-64 (prime `0x100_0000_01b3`).
 //!   They cover [`crate::Machine::state_fingerprint`] and every digest of
 //!   the simulation farm (journal, job checkpoints, ISS traces).
@@ -105,11 +104,23 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends raw bytes with no length prefix (e.g. a magic string).
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Appends raw bytes with a `u32` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         debug_assert!(v.len() <= u32::MAX as usize, "section too large");
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends a frame: `payload` with a `u32` length prefix, then
+    /// `digest(payload)` (read back with [`ByteReader::take_frame`]).
+    pub fn put_frame(&mut self, payload: &[u8], digest: fn(&[u8]) -> u64) {
+        self.put_bytes(payload);
+        self.put_u64(digest(payload));
     }
 
     /// Appends a UTF-8 string with a `u32` length prefix.
@@ -136,25 +147,24 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Consumes the writer, appending an FNV-1a seal over everything
-    /// written. Check with [`unseal`].
-    pub fn into_sealed_bytes(mut self) -> Vec<u8> {
-        let seal = fnv1a(&self.buf);
-        self.buf.extend_from_slice(&seal.to_le_bytes());
+    /// Consumes the writer, appending a seal: `digest` over everything
+    /// written. Check with [`unseal`] and the same digest.
+    pub fn into_sealed_bytes(mut self, digest: fn(&[u8]) -> u64) -> Vec<u8> {
+        self.put_u64(digest(&self.buf));
         self.buf
     }
 }
 
-/// Validates a trailing FNV-1a seal, returning the payload it covers.
-/// `None` if the input is too short or the seal does not match.
-pub fn unseal(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, seal) = bytes.split_at(bytes.len() - 8);
-    let want = u64::from_le_bytes(seal.try_into().ok()?);
-    (fnv1a(payload) == want).then_some(payload)
+/// Validates a trailing seal written with `digest`, returning the payload
+/// it covers. `None` if the input is too short or the seal does not match.
+pub fn unseal(bytes: &[u8], digest: fn(&[u8]) -> u64) -> Option<&[u8]> {
+    let (payload, seal) = bytes.split_at(bytes.len().checked_sub(8)?);
+    (ByteReader::new(seal).take_u64()? == digest(payload)).then_some(payload)
 }
+
+/// A complete frame whose stored digest does not match its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadDigest;
 
 /// Cursor-based little-endian byte decoder; every accessor returns `None`
 /// past the end instead of panicking.
@@ -188,7 +198,13 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// Bytes consumed so far: the offset of the next read.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Reads the next `n` bytes as they are (no length prefix).
+    pub fn take_raw(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.remaining() < n {
             return None;
         }
@@ -199,7 +215,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads one byte.
     pub fn take_u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
+        self.take_raw(1).map(|b| b[0])
     }
 
     /// Reads one byte that must equal `tag` (a section's kind byte).
@@ -218,18 +234,32 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        self.take_raw(4)?.try_into().ok().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        self.take_raw(8)?.try_into().ok().map(u64::from_le_bytes)
     }
 
     /// Reads a `u32`-length-prefixed byte section.
     pub fn take_bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.take_u32()? as usize;
-        self.take(len)
+        self.take_raw(len)
+    }
+
+    /// Reads a [`ByteWriter::put_frame`] frame checked with `digest`:
+    /// `Ok(None)` if the input ends inside it (a torn tail) and `Err` if its
+    /// digest does not match. Only a returned payload moves the cursor.
+    pub fn take_frame(&mut self, digest: fn(&[u8]) -> u64) -> Result<Option<&'a [u8]>, BadDigest> {
+        let start = self.pos;
+        let frame = match (self.take_bytes(), self.take_u64()) {
+            (Some(payload), Some(stored)) if digest(payload) == stored => return Ok(Some(payload)),
+            (Some(_), Some(_)) => Err(BadDigest),
+            _ => Ok(None),
+        };
+        self.pos = start;
+        frame
     }
 
     /// Reads a `u32`-length-prefixed UTF-8 string.
@@ -333,13 +363,75 @@ mod tests {
     fn seal_roundtrip_and_tamper_detection() {
         let mut w = ByteWriter::new();
         w.put_str("payload");
-        let sealed = w.into_sealed_bytes();
-        let payload = unseal(&sealed).expect("seal valid");
+        let sealed = w.into_sealed_bytes(fnv1a);
+        let payload = unseal(&sealed, fnv1a).expect("seal valid");
         let mut r = ByteReader::new(payload);
         assert_eq!(r.take_str(), Some("payload"));
         let mut tampered = sealed.clone();
         tampered[4] ^= 1;
-        assert!(unseal(&tampered).is_none());
-        assert!(unseal(&sealed[..4]).is_none());
+        assert!(unseal(&tampered, fnv1a).is_none());
+        assert!(unseal(&sealed[..4], fnv1a).is_none());
+        // The seal names its digest family: the other one rejects it.
+        assert!(unseal(&sealed, fnv).is_none());
+        let mut w = ByteWriter::new();
+        w.put_raw(b"raw");
+        assert_eq!(unseal(&w.into_sealed_bytes(fnv), fnv), Some(&b"raw"[..]));
+    }
+
+    fn two_frames() -> (Vec<u8>, usize) {
+        let mut w = ByteWriter::new();
+        w.put_frame(b"first payload", fnv);
+        let first_len = w.len();
+        w.put_frame(b"", fnv);
+        (w.into_bytes(), first_len)
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let (bytes, first_len) = two_frames();
+        assert_eq!(first_len, 4 + 13 + 8);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.take_frame(fnv), Ok(Some(&b"first payload"[..])));
+        assert_eq!(r.position(), first_len);
+        assert_eq!(r.take_frame(fnv), Ok(Some(&b""[..])));
+        assert!(r.is_done());
+        assert_eq!(r.take_frame(fnv), Ok(None), "nothing left");
+        assert_eq!(r.position(), bytes.len());
+        let mut r = ByteReader::new(b"magic!");
+        assert_eq!(r.take_raw(5), Some(&b"magic"[..]));
+        assert_eq!(r.take_raw(2), None);
+        assert_eq!(r.position(), 5);
+    }
+
+    #[test]
+    fn a_frame_cut_at_any_byte_is_torn_and_leaves_the_cursor() {
+        let (bytes, first_len) = two_frames();
+        for cut in 0..first_len {
+            let mut r = ByteReader::new(&bytes[..cut]);
+            assert_eq!(r.take_frame(fnv), Ok(None), "cut at {cut}");
+            assert_eq!(r.position(), 0, "cut at {cut}");
+        }
+        // After a whole first frame, a cut inside the second is torn too.
+        for cut in first_len..bytes.len() {
+            let mut r = ByteReader::new(&bytes[..cut]);
+            assert!(r.take_frame(fnv).unwrap().is_some());
+            assert_eq!(r.take_frame(fnv), Ok(None), "cut at {cut}");
+            assert_eq!(r.position(), first_len, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_flipped_payload_or_digest_byte_is_a_digest_mismatch() {
+        let (bytes, first_len) = two_frames();
+        for pos in 4..first_len {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0x20;
+            let mut r = ByteReader::new(&bad);
+            assert_eq!(r.take_frame(fnv), Err(BadDigest), "flip at {pos}");
+            assert_eq!(r.position(), 0, "flip at {pos}");
+        }
+        // A frame is checked with the digest family it was written with.
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.take_frame(fnv1a), Err(BadDigest));
     }
 }

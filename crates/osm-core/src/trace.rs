@@ -31,16 +31,14 @@ impl fmt::Display for TraceEvent {
 
 /// What a [`Trace`] retains of the events pushed into it.
 ///
-/// The digest covers *every* pushed event in all modes (it is maintained
+/// The digest covers *every* pushed event in both modes (it is maintained
 /// incrementally), so determinism tests comparing [`Trace::digest`] work
-/// identically whether the run kept all events, a recent window, or none.
+/// identically whether the run kept its events or not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Keep every event (O(run-length) memory).
     #[default]
     Full,
-    /// Keep only the most recent N events (flight-recorder ring).
-    Ring(usize),
     /// Keep no events, only the running digest and count.
     DigestOnly,
 }
@@ -51,17 +49,14 @@ pub enum TraceMode {
 /// (deterministic) scheduling order, so two traces with equal digests imply
 /// behaviourally identical runs.
 ///
-/// By default all events are retained; [`Trace::with_capacity`] keeps only
-/// the most recent window and [`Trace::digest_only`] keeps none — both still
-/// maintain the same running [`Trace::digest`] as a full trace of the same
-/// run, so long-run determinism checks need O(1) memory.
+/// By default all events are retained; [`Trace::digest_only`] keeps none
+/// but maintains the same running [`Trace::digest`] as a full trace of the
+/// same run, so long-run determinism checks need O(1) memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     mode: TraceMode,
-    /// Ring write index (oldest retained event once the ring has wrapped).
-    next: usize,
-    /// Events ever pushed (retained + dropped).
+    /// Events ever pushed (retained or not).
     total: u64,
     /// Running FNV-1a over every pushed event.
     hash: u64,
@@ -83,20 +78,10 @@ impl Trace {
     pub fn with_mode(mode: TraceMode) -> Self {
         Trace {
             events: Vec::new(),
-            mode: match mode {
-                TraceMode::Ring(cap) => TraceMode::Ring(cap.max(1)),
-                other => other,
-            },
-            next: 0,
+            mode,
             total: 0,
             hash: FNV_OFFSET,
         }
-    }
-
-    /// Creates an empty ring trace retaining the most recent `capacity`
-    /// events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_mode(TraceMode::Ring(capacity))
     }
 
     /// Creates an empty digest-only trace (no events retained).
@@ -114,7 +99,6 @@ impl Trace {
         Trace {
             events: Vec::new(),
             mode: TraceMode::DigestOnly,
-            next: 0,
             total,
             hash,
         }
@@ -139,26 +123,15 @@ impl Trace {
             h = trace_mix(h, v.to_le_bytes());
         }
         self.hash = h;
-        match self.mode {
-            TraceMode::Full => self.events.push(ev),
-            TraceMode::Ring(cap) => {
-                if self.events.len() == cap {
-                    self.events[self.next] = ev;
-                    self.next = (self.next + 1) % cap;
-                } else {
-                    self.events.push(ev);
-                }
-            }
-            TraceMode::DigestOnly => {}
+        if self.mode == TraceMode::Full {
+            self.events.push(ev);
         }
     }
 
-    /// Retained events in commit order (oldest first). In
-    /// [`TraceMode::DigestOnly`] this is always empty; in ring mode it is
-    /// the most recent window.
+    /// Retained events in commit order. In [`TraceMode::DigestOnly`] this
+    /// is always empty.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (tail, head) = self.events.split_at(self.next);
-        head.iter().chain(tail.iter())
+        self.events.iter()
     }
 
     /// Number of retained events.
@@ -171,14 +144,9 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Total number of events ever recorded (retained + dropped).
+    /// Total number of events ever recorded (retained or not).
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Number of events dropped out of the retention window.
-    pub fn dropped(&self) -> u64 {
-        self.total - self.events.len() as u64
     }
 
     /// FNV-1a-style digest over the *full* pushed event stream (independent
@@ -249,23 +217,6 @@ mod tests {
         let mut t = Trace::new();
         t.push(ev(3, 7));
         assert_eq!(t.to_string(), "@3 osm7 e0: s0 -> s1\n");
-    }
-
-    #[test]
-    fn ring_mode_keeps_recent_window_and_full_digest() {
-        let mut full = Trace::new();
-        let mut ring = Trace::with_capacity(3);
-        for c in 0..7 {
-            full.push(ev(c, c as u32));
-            ring.push(ev(c, c as u32));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total(), 7);
-        assert_eq!(ring.dropped(), 4);
-        let cycles: Vec<u64> = ring.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![4, 5, 6]);
-        // The digest is over the full stream, not the retained window.
-        assert_eq!(ring.digest(), full.digest());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! 2. **Worker-kill absorption**: SIGKILL-ing an isolated worker child
 //!    mid-job surfaces as a typed kill, the retry restores the job from
 //!    its last durable mid-job checkpoint, and the final canonical report
-//!    is byte-identical to the baseline. The journal must contain the
-//!    partial-progress records the child streamed before dying.
+//!    is byte-identical to the baseline. The journal must hold exactly one
+//!    result record per job, and nothing else, although the victim ran
+//!    more than one attempt: the checkpoint file is the only record of
+//!    mid-job progress.
 //! 3. **Coordinator-kill survival**: SIGKILL-ing the whole `simfarm`
 //!    coordinator mid-sweep leaves a resumable journal + checkpoint
 //!    directory; `--resume` completes the sweep and the canonical report
@@ -23,8 +25,9 @@
 //! Only meaningful on Unix (signals, `/proc`); exits 0 trivially
 //! elsewhere.
 
+use osm_core::persist::{fnv, ByteReader};
 use simfarm::{
-    parse_manifest, run_farm, FarmOptions, FarmReport, JournalWriter, ProcessIsolation,
+    journal, parse_manifest, run_farm, FarmOptions, FarmReport, JournalWriter, ProcessIsolation,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -226,11 +229,30 @@ fn main() -> ExitCode {
         Ok(b) => b,
         Err(e) => return fail(&format!("cannot read kill journal: {e}")),
     };
-    if !journal_bytes
-        .windows(br#""record":"partial""#.len())
-        .any(|w| w == br#""record":"partial""#)
-    {
-        return fail("journal holds no partial-progress records from the isolated child");
+    let (completed, valid_len) = match journal::parse_bytes(&journal_bytes, &jobs) {
+        Ok(replay) => replay,
+        Err(e) => return fail(&format!("kill journal does not replay: {e}")),
+    };
+    if valid_len != journal_bytes.len() as u64 {
+        return fail(&format!(
+            "kill journal's valid prefix is {valid_len} of {} bytes",
+            journal_bytes.len()
+        ));
+    }
+    // The map keeps one result per job; counting the frames after the
+    // header rules out a second record for any job.
+    let header_len = journal::header_bytes(&jobs).map_or(0, |h| h.len());
+    let mut frames = ByteReader::new(&journal_bytes[header_len..]);
+    let mut records = 0;
+    while let Ok(Some(_)) = frames.take_frame(fnv) {
+        records += 1;
+    }
+    if completed.len() != jobs.len() || records != jobs.len() {
+        return fail(&format!(
+            "kill journal holds {records} record(s) for {} job(s); want exactly one result per job ({})",
+            completed.len(),
+            jobs.len()
+        ));
     }
     println!(
         "  worker kill: pid {pid} SIGKILLed, {} attempt(s), {} checkpoint restore(s), canonical byte-identical",
@@ -283,20 +305,19 @@ fn main() -> ExitCode {
         sigkill(pid);
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (writer, replay) = match JournalWriter::resume_full(&journal3, &jobs) {
+    let (writer, completed) = match JournalWriter::resume(&journal3, &jobs) {
         Ok(pair) => pair,
         Err(e) => return fail(&format!("cannot resume coordinator journal: {e}")),
     };
     println!(
-        "  coordinator kill: journal replays {} completed, {} mid-job checkpoint(s)",
-        replay.completed.len(),
-        replay.partials.len()
+        "  coordinator kill: journal replays {} completed",
+        completed.len()
     );
     let resumed = match run_farm(
         &jobs,
         2,
         FarmOptions {
-            completed: replay.completed,
+            completed,
             journal: Some(writer),
             checkpoint_dir: Some(ckpt3.clone()),
             ..FarmOptions::default()

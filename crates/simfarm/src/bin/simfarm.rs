@@ -50,8 +50,8 @@
 //!   restart from their last durable checkpoint instead of cycle 0 and
 //!   report digests identical to an uninterrupted run.
 //! * `--run-one` is the internal child-process entry point used by
-//!   `--isolation process`; it runs one job attempt and speaks the
-//!   journal record framing on stdout.
+//!   `--isolation process`; it runs one job attempt and writes its result
+//!   to stdout as one journal record frame.
 //!
 //! Exit codes: `0` complete and healthy, `1` complete with unhealthy jobs
 //! (failed/panicked/stalled/quarantined), `2` usage, `3` farm error (broken
@@ -201,21 +201,15 @@ fn main() -> ExitCode {
     let mut options = FarmOptions::default();
     if let Some(path) = &journal_path {
         if resume {
-            match JournalWriter::resume_full(path, &manifest.jobs) {
-                Ok((writer, replay)) => {
+            match JournalWriter::resume(path, &manifest.jobs) {
+                Ok((writer, completed)) => {
                     eprintln!(
                         "simfarm: resuming from {path}: {} of {} job(s) already completed",
-                        replay.completed.len(),
+                        completed.len(),
                         manifest.jobs.len()
                     );
-                    for (&index, &cycle) in &replay.partials {
-                        let name = &manifest.jobs[index].name;
-                        eprintln!(
-                            "simfarm: job {index} ({name}) holds a durable checkpoint at cycle {cycle}"
-                        );
-                    }
                     options.journal = Some(writer);
-                    options.completed = replay.completed;
+                    options.completed = completed;
                 }
                 Err(e) => {
                     eprintln!("simfarm: cannot resume {path}: {e}");

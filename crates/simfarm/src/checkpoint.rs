@@ -1,5 +1,7 @@
 //! Durable mid-job checkpoints: the farm-level container that lets an
 //! interrupted job restart from its last saved cycle instead of cycle 0.
+//! A job's checkpoint file is the farm's only record of mid-job progress;
+//! the sweep journal records completed jobs alone.
 //!
 //! ## File format
 //!
@@ -13,6 +15,10 @@
 //!             | machine_len u32 LE | machine bytes (model's sealed snapshot)
 //!             | seal        u64 LE  (FNV-1a over everything above)
 //! ```
+//!
+//! The file is written and read through [`osm_core::persist`]
+//! ([`ByteWriter::into_sealed_bytes`] and [`unseal`] with the standard
+//! FNV-1a-64, [`fnv`]).
 //!
 //! The `job_digest` binds a checkpoint to the exact job that wrote it (same
 //! canonical encoding as the sweep journal header, so a job edit invalidates
@@ -34,16 +40,13 @@
 
 use crate::job::SimJob;
 use crate::journal::jobs_digest;
-use osm_core::persist::fnv;
+use osm_core::persist::{fnv, unseal, ByteReader, ByteWriter};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"OSMFCKP1";
 const VERSION: u32 = 1;
-/// Fixed-size prefix: magic + version + job_digest + cycle + trace_hash +
-/// trace_total + machine_len.
-const PREFIX_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8 + 4;
 
 /// One decoded mid-job checkpoint: where the machine was cut, the running
 /// trace digest state, and the model's own sealed snapshot bytes.
@@ -64,18 +67,15 @@ pub struct JobCheckpoint {
 /// Encodes a checkpoint for the job identified by `job_digest`
 /// (see [`job_checkpoint_digest`]).
 pub fn encode(job_digest: u64, ckpt: &JobCheckpoint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PREFIX_LEN + ckpt.machine.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&job_digest.to_le_bytes());
-    out.extend_from_slice(&ckpt.cycle.to_le_bytes());
-    out.extend_from_slice(&ckpt.trace_hash.to_le_bytes());
-    out.extend_from_slice(&ckpt.trace_total.to_le_bytes());
-    out.extend_from_slice(&(ckpt.machine.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ckpt.machine);
-    let seal = fnv(&out);
-    out.extend_from_slice(&seal.to_le_bytes());
-    out
+    let mut w = ByteWriter::new();
+    w.put_raw(MAGIC);
+    w.put_u32(VERSION);
+    w.put_u64(job_digest);
+    w.put_u64(ckpt.cycle);
+    w.put_u64(ckpt.trace_hash);
+    w.put_u64(ckpt.trace_total);
+    w.put_bytes(&ckpt.machine);
+    w.into_sealed_bytes(fnv)
 }
 
 /// Decodes checkpoint bytes, accepting them only if complete, sealed, and
@@ -83,27 +83,19 @@ pub fn encode(job_digest: u64, ckpt: &JobCheckpoint) -> Vec<u8> {
 /// yields `None` — a stale or torn checkpoint means "start from scratch",
 /// never a wrong result.
 pub fn decode(bytes: &[u8], job_digest: u64) -> Option<JobCheckpoint> {
-    if bytes.len() < PREFIX_LEN + 8 || &bytes[..8] != MAGIC {
-        return None;
-    }
-    let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-    if u32_at(8) != VERSION || u64_at(12) != job_digest {
-        return None;
-    }
-    let machine_len = u32_at(PREFIX_LEN - 4) as usize;
-    if bytes.len() != PREFIX_LEN + machine_len + 8 {
-        return None;
-    }
-    let sealed = &bytes[..PREFIX_LEN + machine_len];
-    if fnv(sealed) != u64_at(PREFIX_LEN + machine_len) {
-        return None;
-    }
-    Some(JobCheckpoint {
-        cycle: u64_at(20),
-        trace_hash: u64_at(28),
-        trace_total: u64_at(36),
-        machine: bytes[PREFIX_LEN..PREFIX_LEN + machine_len].to_vec(),
+    ByteReader::read_all(unseal(bytes, fnv)?, |r| {
+        if r.take_raw(MAGIC.len())? != MAGIC
+            || r.take_u32()? != VERSION
+            || r.take_u64()? != job_digest
+        {
+            return None;
+        }
+        Some(JobCheckpoint {
+            cycle: r.take_u64()?,
+            trace_hash: r.take_u64()?,
+            trace_total: r.take_u64()?,
+            machine: r.take_bytes()?.to_vec(),
+        })
     })
 }
 
@@ -155,39 +147,26 @@ pub fn load(path: &Path, job_digest: u64) -> Option<JobCheckpoint> {
 }
 
 /// Per-job checkpoint controller handed to the runners: owns the cadence
-/// (`checkpoint_every` cycles), the on-disk path, the job-identity digest,
-/// and an optional notification hook the farm uses to journal partial
-/// progress. Constructed only for jobs that opted in; runners treat `None`
+/// (`checkpoint_every` cycles), the on-disk path and the job-identity
+/// digest. Constructed only for jobs that opted in; runners treat `None`
 /// as "no checkpointing" and stay byte-identical to the pre-checkpoint
 /// code path.
-pub struct CheckpointCtl<'a> {
+#[derive(Debug)]
+pub struct CheckpointCtl {
     every: u64,
     path: PathBuf,
     job_digest: u64,
     last: u64,
-    notify: Option<Box<dyn FnMut(u64) + Send + 'a>>,
 }
 
-impl std::fmt::Debug for CheckpointCtl<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointCtl")
-            .field("every", &self.every)
-            .field("path", &self.path)
-            .field("job_digest", &self.job_digest)
-            .field("last", &self.last)
-            .field("notify", &self.notify.is_some())
-            .finish()
-    }
-}
-
-impl<'a> CheckpointCtl<'a> {
+impl CheckpointCtl {
     /// A controller for job `index` writing under `dir`, or `None` when the
     /// job did not opt in (`checkpoint_every == 0`) or asked for
     /// observability (the event log and metrics are not part of a machine
     /// checkpoint, so a restored observability job would report different
     /// metrics than an uninterrupted one — checkpointing such jobs is
     /// refused rather than silently wrong).
-    pub fn new(job: &SimJob, index: usize, dir: &Path) -> Option<CheckpointCtl<'static>> {
+    pub fn new(job: &SimJob, index: usize, dir: &Path) -> Option<CheckpointCtl> {
         if job.checkpoint_every == 0 || job.observability {
             return None;
         }
@@ -196,15 +175,7 @@ impl<'a> CheckpointCtl<'a> {
             path: checkpoint_path(dir, index),
             job_digest: job_checkpoint_digest(job),
             last: 0,
-            notify: None,
         })
-    }
-
-    /// Attaches a hook called with the checkpoint cycle after every durable
-    /// save (the farm journals a partial-progress record from it).
-    pub fn with_notify(mut self, notify: impl FnMut(u64) + Send + 'a) -> CheckpointCtl<'a> {
-        self.notify = Some(Box::new(notify));
-        self
     }
 
     /// The controller's on-disk checkpoint path.
@@ -235,8 +206,7 @@ impl<'a> CheckpointCtl<'a> {
     }
 
     /// Durably saves a checkpoint (best-effort: an I/O failure skips the
-    /// save and the notification but never perturbs the job), then fires
-    /// the notification hook.
+    /// save but never perturbs the job).
     pub fn save(&mut self, cycle: u64, trace_hash: u64, trace_total: u64, machine: &[u8]) {
         let bytes = encode(
             self.job_digest,
@@ -249,9 +219,6 @@ impl<'a> CheckpointCtl<'a> {
         );
         if store(&self.path, &bytes).is_ok() {
             self.last = cycle;
-            if let Some(notify) = self.notify.as_mut() {
-                notify(cycle);
-            }
         }
     }
 }
@@ -282,12 +249,12 @@ mod tests {
         let bytes = encode(42, &ckpt);
         // Foreign job.
         assert_eq!(decode(&bytes, 43), None);
-        // Truncation at every boundary class.
-        for cut in [0, 7, PREFIX_LEN - 1, PREFIX_LEN + 4, bytes.len() - 1] {
+        // Truncation at every byte.
+        for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut], 42), None, "cut at {cut}");
         }
         // Single bit flips anywhere break the seal (or the prefix checks).
-        for pos in [0, 9, 15, 25, PREFIX_LEN + 3, bytes.len() - 2] {
+        for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x01;
             assert_eq!(decode(&bad, 42), None, "flip at {pos}");
@@ -313,7 +280,7 @@ mod tests {
         assert!(!path.with_extension("ckpt.tmp").exists());
 
         // A torn file under the final name reads as none.
-        fs::write(&path, &encode(1, &sample())[..PREFIX_LEN + 3]).unwrap();
+        fs::write(&path, &encode(1, &sample())[..51]).unwrap();
         assert_eq!(load(&path, 1), None);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -332,17 +299,12 @@ mod tests {
             "observability jobs never checkpoint"
         );
 
-        let mut notified = Vec::new();
-        let mut ctl = CheckpointCtl::new(&job, 0, &dir)
-            .unwrap()
-            .with_notify(|cycle| notified.push(cycle));
+        let mut ctl = CheckpointCtl::new(&job, 0, &dir).unwrap();
         assert!(!ctl.due(999));
         assert!(ctl.due(1_000));
         ctl.save(1_000, 0xAB, 17, b"machine-bytes");
         assert!(!ctl.due(1_999));
         assert!(ctl.due(2_000));
-        drop(ctl);
-        assert_eq!(notified, vec![1_000]);
 
         // The saved checkpoint binds to the job; a behavioral edit orphans it.
         let ctl = CheckpointCtl::new(&job, 0, &dir).unwrap();

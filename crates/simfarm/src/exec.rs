@@ -11,11 +11,12 @@
 //! and `ulimit -t` (CPU seconds) before `exec`ing the child. The child
 //! runs exactly **one** attempt of the job — the retry/quarantine loop
 //! stays in the parent, so the attempt sequence is identical to in-process
-//! supervision — and speaks the sweep journal's record framing over stdout:
-//! zero or more partial-progress frames (one per durable mid-job
-//! checkpoint, [`crate::SimJob::checkpoint_every`]) followed by one final
-//! result frame. A child killed mid-write leaves a torn tail, tolerated
-//! exactly like a torn journal.
+//! supervision — and writes one result frame to stdout, framed exactly
+//! like a sweep journal record. A child killed mid-write leaves a torn
+//! tail, tolerated exactly like a torn journal. Mid-job progress travels
+//! only through the job's checkpoint file
+//! ([`crate::SimJob::checkpoint_every`]), which the child seals on cadence
+//! and the next attempt restores from.
 //!
 //! ## Outcome mapping
 //!
@@ -24,8 +25,9 @@
 //!   [`JobOutcome::Killed`] with the signal number;
 //! * wall-clock overrun past the hard kill bound (twice the job's
 //!   cooperative [`crate::SimJob::deadline_ms`], plus grace) → the parent
-//!   SIGKILLs the child and reports [`JobOutcome::DeadlineExceeded`] — the
-//!   deadline is now *enforced*, not just requested;
+//!   SIGKILLs the child and reports [`JobOutcome::DeadlineExceeded`] at the
+//!   cycle of the job's checkpoint file (0 without one) — the deadline is
+//!   now *enforced*, not just requested;
 //! * a requested budget that `ulimit` refused (the shim exits with a
 //!   reserved code and never starts the child) → [`JobOutcome::Failed`]
 //!   naming the budget;
@@ -39,7 +41,7 @@
 
 use crate::checkpoint::CheckpointCtl;
 use crate::job::{JobOutcome, JobResult, SimJob};
-use crate::journal::{self, StreamRecord};
+use crate::journal;
 use crate::observe::{AttemptSpan, FarmObserver};
 use crate::supervise::{run_attempt, supervise};
 use std::io::{self, Read, Write};
@@ -230,14 +232,12 @@ fn spawn_and_collect(
 
 /// One subprocess-isolated attempt of job `index`: spawn, budget, collect,
 /// and map the exit to a typed [`JobResult`] (see the module docs for the
-/// mapping). Partial-progress frames the child streamed before finishing
-/// (or dying) are forwarded to `on_partial` for journaling.
+/// mapping).
 pub(crate) fn run_child_attempt(
     iso: &ProcessIsolation,
     jobs: &[SimJob],
     index: usize,
     ckpt_dir: Option<&Path>,
-    on_partial: &mut dyn FnMut(u64),
 ) -> JobResult {
     let job = &jobs[index];
     let (status, stdout, hard_killed) = match spawn_and_collect(iso, job, index, ckpt_dir) {
@@ -250,30 +250,20 @@ pub(crate) fn run_child_attempt(
         }
     };
 
-    let mut final_result = None;
-    let mut last_cycle = None;
-    if let Ok(records) = journal::parse_record_stream(&stdout, jobs) {
-        for record in records {
-            match record {
-                StreamRecord::Partial { index: i, cycle } if i == index => {
-                    last_cycle = Some(cycle);
-                    on_partial(cycle);
-                }
-                StreamRecord::Result(i, result) if i == index => final_result = Some(result),
-                _ => {} // a frame for some other job: ignore, never adopt
-            }
-        }
-    }
-
     if hard_killed {
+        // The furthest the job provably got is its last durable checkpoint.
+        let cycles = ckpt_dir
+            .and_then(|dir| CheckpointCtl::new(job, index, dir))
+            .and_then(|ctl| ctl.load())
+            .map_or(0, |ckpt| ckpt.cycle);
         let mut result = JobResult::aborted(
             job,
             JobOutcome::DeadlineExceeded {
-                cycles: last_cycle.unwrap_or(0),
+                cycles,
                 deadline_ms: job.deadline_ms.unwrap_or(0),
             },
         );
-        result.cycles = last_cycle.unwrap_or(0);
+        result.cycles = cycles;
         return result;
     }
     if let Some(signal) = exit_signal(&status) {
@@ -282,8 +272,12 @@ pub(crate) fn run_child_attempt(
     if let Some(outcome) = unapplied_budget(&status) {
         return JobResult::aborted(job, outcome);
     }
+    // A frame for some other job is ignored, never adopted.
+    let final_result = journal::parse_record_stream(&stdout, jobs)
+        .ok()
+        .and_then(|mut results| results.remove(&index));
     match final_result {
-        Some(result) => *result,
+        Some(result) => result,
         None => JobResult::aborted(
             job,
             JobOutcome::Failed(format!(
@@ -306,26 +300,16 @@ pub(crate) fn run_child_supervised(
     jobs: &[SimJob],
     index: usize,
     ckpt_dir: Option<&Path>,
-    on_partial: &mut dyn FnMut(u64),
     clock: Option<&FarmObserver>,
 ) -> (JobResult, Vec<AttemptSpan>) {
     supervise(&jobs[index], clock, |_| {
-        run_child_attempt(iso, jobs, index, ckpt_dir, on_partial)
+        run_child_attempt(iso, jobs, index, ckpt_dir)
     })
 }
 
 // ---------------------------------------------------------------------------
 // Child side
 // ---------------------------------------------------------------------------
-
-/// Writes one journal-framed partial-progress record to stdout, flushed
-/// immediately so the parent sees it even if the child dies right after.
-fn emit_partial(index: usize, cycle: u64) {
-    if let Ok(frame) = journal::partial_record_bytes(index, cycle) {
-        let mut stdout = io::stdout().lock();
-        let _ = stdout.write_all(&frame).and_then(|()| stdout.flush());
-    }
-}
 
 fn run_one(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: simfarm --run-one <manifest> <index> [--checkpoint-dir <dir>]";
@@ -365,8 +349,7 @@ fn run_one(args: &[String]) -> Result<(), String> {
 
     let mut ctl = ckpt_dir
         .as_deref()
-        .and_then(|dir| CheckpointCtl::new(job, index, dir))
-        .map(|ctl| ctl.with_notify(move |cycle| emit_partial(index, cycle)));
+        .and_then(|dir| CheckpointCtl::new(job, index, dir));
     let result = run_attempt(job, ctl.as_mut(), None);
 
     let frame = journal::record_bytes(index, &result).map_err(|e| e.to_string())?;
@@ -458,13 +441,72 @@ mod tests {
         };
         // `sh` itself spawns fine and then fails to exec the missing
         // binary, so this surfaces as a child that exits without a result.
-        let mut partials = Vec::new();
-        let result = run_child_attempt(&iso, &jobs, 0, None, &mut |c| partials.push(c));
+        let result = run_child_attempt(&iso, &jobs, 0, None);
         assert!(
             matches!(&result.outcome, JobOutcome::Failed(_)),
             "{:?}",
             result.outcome
         );
-        assert!(partials.is_empty());
+    }
+
+    /// A child that outlives the hard kill bound is SIGKILLed, and the
+    /// attempt reports the cycle of the job's checkpoint file — the furthest
+    /// the job durably got — or 0 without one. The stand-in child is a
+    /// script that `exec`s `sleep`, so the kill closes the stdout pipe.
+    #[cfg(unix)]
+    #[test]
+    fn a_hard_killed_child_reports_its_checkpoint_cycle() {
+        use crate::checkpoint::{self, JobCheckpoint};
+        use std::os::unix::fs::PermissionsExt;
+
+        let dir = std::env::temp_dir().join(format!("simfarm-hard-kill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let exe = dir.join("sleeper.sh");
+        std::fs::write(&exe, "#!/bin/sh\nexec sleep 30\n").unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let iso = ProcessIsolation {
+            exe,
+            manifest: dir.join("unused.json"),
+            memory_limit_mb: None,
+            cpu_limit_secs: None,
+        };
+        // Hard limit: 2 × 1 ms + grace, about 2 s.
+        let mut job = SimJob::minirisc_random(0, 32, 1_000_000);
+        job.deadline_ms = Some(1);
+        job.checkpoint_every = 1_000;
+        let jobs = vec![job];
+        let file = checkpoint::encode(
+            checkpoint::job_checkpoint_digest(&jobs[0]),
+            &JobCheckpoint {
+                cycle: 4_096,
+                trace_hash: 0xfeed,
+                trace_total: 77,
+                machine: Vec::new(),
+            },
+        );
+        let path = checkpoint::checkpoint_path(&dir, 0);
+        checkpoint::store(&path, &file).unwrap();
+
+        let result = run_child_attempt(&iso, &jobs, 0, Some(&dir));
+        assert_eq!(
+            result.outcome,
+            JobOutcome::DeadlineExceeded {
+                cycles: 4_096,
+                deadline_ms: 1
+            }
+        );
+        assert_eq!(result.cycles, 4_096);
+
+        std::fs::remove_file(&path).unwrap();
+        let result = run_child_attempt(&iso, &jobs, 0, Some(&dir));
+        assert_eq!(
+            result.outcome,
+            JobOutcome::DeadlineExceeded {
+                cycles: 0,
+                deadline_ms: 1
+            }
+        );
+        assert_eq!(result.cycles, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -603,7 +603,7 @@ fn outcome_from_model_error(e: ModelError) -> JobOutcome {
 /// checkpoint cadence when that is finer — a `checkpoint_every` below the
 /// chunk size must still produce save points (short fuzz-generated machines
 /// run their whole budget inside one chunk otherwise).
-fn checkpoint_stride(ctl: &Option<&mut CheckpointCtl<'_>>) -> u64 {
+fn checkpoint_stride(ctl: &Option<&mut CheckpointCtl>) -> u64 {
     ctl.as_ref()
         .map(|c| c.cadence().min(DEADLINE_CHUNK))
         .unwrap_or(DEADLINE_CHUNK)
@@ -636,7 +636,7 @@ pub fn run_job(job: &SimJob) -> JobResult {
 /// With both `None` this *is* [`run_job`].
 pub fn run_job_with(
     job: &SimJob,
-    ctl: Option<&mut CheckpointCtl<'_>>,
+    ctl: Option<&mut CheckpointCtl>,
     timing: Option<&mut JobTiming>,
 ) -> JobResult {
     if matches!(job.workload, WorkloadSpec::ChaosPanic) {
@@ -659,7 +659,7 @@ pub fn run_job_with(
 fn drive<M: Simulator>(
     job: &SimJob,
     mut timer: PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
+    mut ctl: Option<&mut CheckpointCtl>,
 ) -> JobResult {
     let (mut sim, faults) = match M::build(job) {
         Ok(built) => built,

@@ -13,9 +13,11 @@
 //! journal := header record*
 //! ```
 //!
-//! Each record is appended with a **single write** and flushed as soon as
-//! its job completes, so a crashed or killed sweep loses at most the
-//! in-flight jobs. On replay:
+//! Records are [`osm_core::persist`] frames ([`ByteWriter::put_frame`] /
+//! [`ByteReader::take_frame`] with the standard FNV-1a-64, [`fnv`]). Each
+//! record is appended with a **single write** and flushed as soon as its
+//! job completes, so a crashed or killed sweep loses at most the in-flight
+//! jobs. On replay:
 //!
 //! * a **torn trailing write** (file ends mid-record) is tolerated — the
 //!   valid prefix is kept, the tail is dropped and overwritten on resume;
@@ -31,18 +33,13 @@
 //! resumed sweep's consolidated report byte-identical to an uninterrupted
 //! run's.
 //!
-//! ## Record kinds
+//! ## One record kind
 //!
-//! Two payload shapes share the record framing, discriminated by the JSON
-//! `record` field:
-//!
-//! * **result** (no `record` field, the original shape) — one completed
-//!   [`JobResult`] plus its index;
-//! * **partial** (`"record": "partial"`) — durable mid-job progress: job
-//!   `index` sealed a checkpoint at `cycle`
-//!   ([`crate::SimJob::checkpoint_every`]). On replay a partial never marks
-//!   a job done — it reports where an interrupted job can restart from; a
-//!   result record for the same index supersedes it.
+//! Every record is one completed [`JobResult`] plus its index. Mid-job
+//! progress lives in the job's checkpoint file alone ([`crate::checkpoint`]).
+//! Journals written by earlier builds may also hold mid-job progress frames
+//! (`"record": "partial"`, job index + checkpointed cycle); replay skips
+//! such a frame once its digest checks out, so those journals still resume.
 //!
 //! Journals are durable, not just ordered: the header is fsynced (and the
 //! containing directory fsynced, so the journal's own direntry survives a
@@ -52,7 +49,7 @@
 use crate::error::JournalError;
 use crate::job::{JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
 use bench::json::{parse, Json};
-use osm_core::persist::fnv;
+use osm_core::persist::{fnv, ByteReader, ByteWriter};
 use osm_core::{FaultStats, MetricsReport, StallKind, Stats};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -108,12 +105,12 @@ fn len_u32(what: &'static str, len: usize) -> Result<u32, JournalError> {
 /// `u32` field.
 pub fn header_bytes(jobs: &[SimJob]) -> Result<Vec<u8>, JournalError> {
     let job_count = len_u32("job count", jobs.len())?;
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&job_count.to_le_bytes());
-    out.extend_from_slice(&jobs_digest(jobs).to_le_bytes());
-    Ok(out)
+    let mut w = ByteWriter::new();
+    w.put_raw(MAGIC);
+    w.put_u32(VERSION);
+    w.put_u32(job_count);
+    w.put_u64(jobs_digest(jobs));
+    Ok(w.into_bytes())
 }
 
 /// One completed job, encoded as a self-contained record
@@ -124,47 +121,10 @@ pub fn header_bytes(jobs: &[SimJob]) -> Result<Vec<u8>, JournalError> {
 /// record's `u32` length prefix.
 pub fn record_bytes(index: usize, result: &JobResult) -> Result<Vec<u8>, JournalError> {
     let payload = result_to_json(index, result).to_string().into_bytes();
-    let payload_len = len_u32("record payload", payload.len())?;
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv(&payload).to_le_bytes());
-    Ok(out)
-}
-
-/// One durable mid-job progress record (`"record": "partial"`): job `index`
-/// sealed a checkpoint at `cycle`.
-///
-/// # Errors
-/// [`JournalError::TooLarge`] if the encoded payload does not fit the
-/// record's `u32` length prefix.
-pub fn partial_record_bytes(index: usize, cycle: u64) -> Result<Vec<u8>, JournalError> {
-    let mut obj = BTreeMap::new();
-    obj.insert("record".into(), Json::Str("partial".into()));
-    obj.insert("index".into(), num(index as u64));
-    obj.insert("cycle".into(), num(cycle));
-    let payload = Json::Obj(obj).to_string().into_bytes();
-    let payload_len = len_u32("record payload", payload.len())?;
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv(&payload).to_le_bytes());
-    Ok(out)
-}
-
-/// The full replay of a journal: completed results, the latest durable
-/// mid-job progress for jobs that did *not* complete, and the valid byte
-/// prefix length.
-#[derive(Debug, Clone)]
-pub struct JournalReplay {
-    /// Completed results by job index (last record wins on duplicates).
-    pub completed: BTreeMap<usize, JobResult>,
-    /// Latest checkpointed cycle by job index, for jobs with durable
-    /// partial progress but no completed result. Their machine state lives
-    /// in the checkpoint directory; this is the journal's account of it.
-    pub partials: BTreeMap<usize, u64>,
-    /// Byte length of the valid prefix (resume truncates to this).
-    pub valid_len: u64,
+    len_u32("record payload", payload.len())?;
+    let mut w = ByteWriter::new();
+    w.put_frame(&payload, fnv);
+    Ok(w.into_bytes())
 }
 
 /// Replays journal bytes against the job list they claim to cover.
@@ -173,144 +133,85 @@ pub struct JournalReplay {
 /// valid prefix (a resume truncates the file to that length before
 /// appending, so a torn tail is physically discarded). Duplicate indices
 /// keep the last record — a job finished in a torn run and re-run after
-/// resume writes the identical result twice. Partial-progress records are
-/// dropped by this compatibility wrapper; use [`parse_bytes_full`] to see
-/// them.
+/// resume writes the identical result twice. See the module docs for the
+/// tolerance rules: torn tails kept as valid prefix, corrupt records
+/// rejected, older mid-job progress frames skipped.
 pub fn parse_bytes(
     bytes: &[u8],
     jobs: &[SimJob],
 ) -> Result<(BTreeMap<usize, JobResult>, u64), JournalError> {
-    let replay = parse_bytes_full(bytes, jobs)?;
-    Ok((replay.completed, replay.valid_len))
+    let mut r = ByteReader::new(bytes);
+    check_header(&mut r, jobs)?;
+    let completed = parse_frames(&mut r, jobs)?;
+    Ok((completed, r.position() as u64))
 }
 
-/// Replays journal bytes in full: completed results *and* mid-job partial
-/// progress (see the module docs for the record taxonomy and tolerance
-/// rules — torn tails kept as valid prefix, corrupt records rejected).
-pub fn parse_bytes_full(bytes: &[u8], jobs: &[SimJob]) -> Result<JournalReplay, JournalError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(JournalError::BadHeader {
-            why: format!("{} bytes is shorter than the {HEADER_LEN}-byte header", bytes.len()),
-        });
+/// Reads the header and checks it against `jobs`.
+fn check_header(r: &mut ByteReader<'_>, jobs: &[SimJob]) -> Result<(), JournalError> {
+    let bad = |why: String| JournalError::BadHeader { why };
+    let len = r.remaining();
+    let short = || JournalError::BadHeader {
+        why: format!("{len} bytes is shorter than the {HEADER_LEN}-byte header"),
+    };
+    let magic = r.take_raw(MAGIC.len()).ok_or_else(short)?;
+    let version = r.take_u32().ok_or_else(short)?;
+    let job_count = r.take_u32().ok_or_else(short)?;
+    let digest = r.take_u64().ok_or_else(short)?;
+    if magic != MAGIC {
+        return Err(bad("magic bytes are not OSMFARMJ".into()));
     }
-    if &bytes[..8] != MAGIC {
-        return Err(JournalError::BadHeader {
-            why: "magic bytes are not OSMFARMJ".into(),
-        });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != VERSION {
-        return Err(JournalError::BadHeader {
-            why: format!("unsupported journal version {version}"),
-        });
+        return Err(bad(format!("unsupported journal version {version}")));
     }
-    let job_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let digest = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
     let expected = jobs_digest(jobs);
-    if digest != expected || job_count != jobs.len() {
+    if digest != expected || job_count as usize != jobs.len() {
         return Err(JournalError::ManifestMismatch {
             journal: digest,
             manifest: expected,
         });
     }
-
-    let mut completed = BTreeMap::new();
-    let mut partials = BTreeMap::new();
-    let valid_len = parse_frames(bytes, HEADER_LEN, jobs, |record| match record {
-        StreamRecord::Partial { index, cycle } => {
-            partials.insert(index, cycle);
-        }
-        StreamRecord::Result(index, result) => {
-            completed.insert(index, *result);
-        }
-    })?;
-    // A completed result supersedes any partial progress for the same job.
-    partials.retain(|index, _| !completed.contains_key(index));
-    Ok(JournalReplay {
-        completed,
-        partials,
-        valid_len,
-    })
+    Ok(())
 }
 
-/// One parsed record frame: the two payload shapes of the module docs.
-#[derive(Debug)]
-pub(crate) enum StreamRecord {
-    /// Durable mid-job progress: job `index` sealed a checkpoint at `cycle`.
-    Partial {
-        /// Job index the progress belongs to.
-        index: usize,
-        /// Checkpointed control step.
-        cycle: u64,
-    },
-    /// One completed job result.
-    Result(usize, Box<JobResult>),
-}
-
-/// The shared frame loop: walks `len | payload | digest` records from
-/// `start`, feeding each decoded record to `sink`, and returns the byte
-/// length of the valid prefix. Torn tails (stream ends mid-frame) end the
-/// walk; complete-but-corrupt frames are rejected.
+/// The frame loop shared by the journal and the child stream: reads result
+/// records from the cursor until the input ends or tears, keeping the last
+/// result per job index, and leaves the cursor at the end of the valid
+/// prefix. Complete-but-corrupt frames are rejected; digest-valid mid-job
+/// progress frames from older journals are skipped.
 fn parse_frames(
-    bytes: &[u8],
-    start: usize,
+    r: &mut ByteReader<'_>,
     jobs: &[SimJob],
-    mut sink: impl FnMut(StreamRecord),
-) -> Result<u64, JournalError> {
-    let mut off = start;
-    while off < bytes.len() {
-        let remaining = bytes.len() - off;
-        if remaining < 4 {
-            break; // torn length prefix
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        if remaining - 4 < len + 8 {
-            break; // torn payload or digest
-        }
-        let payload = &bytes[off + 4..off + 4 + len];
-        let stored = u64::from_le_bytes(bytes[off + 4 + len..off + 12 + len].try_into().unwrap());
-        if fnv(payload) != stored {
-            return Err(JournalError::CorruptRecord {
-                offset: off as u64,
-                why: "integrity digest mismatch".into(),
-            });
-        }
-        let corrupt = |why: String| JournalError::CorruptRecord {
-            offset: off as u64,
-            why,
+) -> Result<BTreeMap<usize, JobResult>, JournalError> {
+    let mut completed = BTreeMap::new();
+    loop {
+        let offset = r.position() as u64;
+        let corrupt = |why: String| JournalError::CorruptRecord { offset, why };
+        let Some(payload) = r
+            .take_frame(fnv)
+            .map_err(|_| corrupt("integrity digest mismatch".into()))?
+        else {
+            return Ok(completed);
         };
         let text = std::str::from_utf8(payload).map_err(|e| corrupt(e.to_string()))?;
         let json = parse(text).map_err(|e| corrupt(e.to_string()))?;
         if json.get("record").and_then(Json::as_str) == Some("partial") {
-            let index = get_u64(&json, "index").map_err(&corrupt)? as usize;
-            if index >= jobs.len() {
-                return Err(corrupt(format!(
-                    "partial index {index} out of range ({} jobs)",
-                    jobs.len()
-                )));
-            }
-            let cycle = get_u64(&json, "cycle").map_err(&corrupt)?;
-            sink(StreamRecord::Partial { index, cycle });
-        } else {
-            let (index, result) = result_from_json(&json, jobs).map_err(corrupt)?;
-            sink(StreamRecord::Result(index, Box::new(result)));
+            continue;
         }
-        off += 4 + len + 8;
+        let (index, result) = result_from_json(&json, jobs).map_err(corrupt)?;
+        completed.insert(index, result);
     }
-    Ok(off as u64)
 }
 
 /// Parses a **headerless** stream of journal-framed records — the
 /// process-isolation executor's child→parent result protocol
-/// ([`crate::exec`]). The frames are exactly the journal's record frames;
-/// a child killed mid-write leaves a torn tail, tolerated the same way.
+/// ([`crate::exec`]) — into results by job index. The frames are exactly
+/// the journal's record frames; a child killed mid-write leaves a torn
+/// tail, tolerated the same way.
 pub(crate) fn parse_record_stream(
     bytes: &[u8],
     jobs: &[SimJob],
-) -> Result<Vec<StreamRecord>, JournalError> {
-    let mut records = Vec::new();
-    parse_frames(bytes, 0, jobs, |record| records.push(record))?;
-    Ok(records)
+) -> Result<BTreeMap<usize, JobResult>, JournalError> {
+    parse_frames(&mut ByteReader::new(bytes), jobs)
 }
 
 /// Reads and replays a sweep journal file.
@@ -352,32 +253,20 @@ impl JournalWriter {
     /// Opens an existing journal for resumption: validates the header
     /// against `jobs`, replays the completed records, truncates any torn
     /// tail, and positions the handle for appending. Returns the writer and
-    /// the completed results by job index. Use [`JournalWriter::resume_full`]
-    /// to also see mid-job partial progress.
+    /// the completed results by job index.
     pub fn resume(
         path: impl AsRef<Path>,
         jobs: &[SimJob],
     ) -> Result<(JournalWriter, BTreeMap<usize, JobResult>), JournalError> {
-        let (writer, replay) = JournalWriter::resume_full(path, jobs)?;
-        Ok((writer, replay.completed))
-    }
-
-    /// [`JournalWriter::resume`] returning the full [`JournalReplay`]
-    /// (completed results plus the latest durable mid-job progress of
-    /// interrupted jobs).
-    pub fn resume_full(
-        path: impl AsRef<Path>,
-        jobs: &[SimJob],
-    ) -> Result<(JournalWriter, JournalReplay), JournalError> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let replay = parse_bytes_full(&bytes, jobs)?;
-        file.set_len(replay.valid_len)?;
-        file.seek(SeekFrom::Start(replay.valid_len))?;
+        let (completed, valid_len) = parse_bytes(&bytes, jobs)?;
+        file.set_len(valid_len)?;
+        file.seek(SeekFrom::Start(valid_len))?;
         file.sync_data()?;
-        Ok((JournalWriter { file, path }, replay))
+        Ok((JournalWriter { file, path }, completed))
     }
 
     /// Appends one completed job atomically (single write) and fsyncs it —
@@ -385,14 +274,6 @@ impl JournalWriter {
     /// process crash.
     pub fn record(&mut self, index: usize, result: &JobResult) -> Result<(), JournalError> {
         self.file.write_all(&record_bytes(index, result)?)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
-    /// Appends one durable mid-job progress record (job `index` sealed a
-    /// checkpoint at `cycle`), fsynced like [`JournalWriter::record`].
-    pub fn record_partial(&mut self, index: usize, cycle: u64) -> Result<(), JournalError> {
-        self.file.write_all(&partial_record_bytes(index, cycle)?)?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -843,59 +724,28 @@ mod tests {
     }
 
     #[test]
-    fn partial_records_replay_and_results_supersede_them() {
-        let jobs = sample_jobs();
-        let mut bytes = header_bytes(&jobs).unwrap();
-        bytes.extend_from_slice(&partial_record_bytes(0, 2048).unwrap());
-        bytes.extend_from_slice(&partial_record_bytes(1, 4096).unwrap());
-        bytes.extend_from_slice(&partial_record_bytes(1, 8192).unwrap());
-        let replay = parse_bytes_full(&bytes, &jobs).unwrap();
-        assert!(replay.completed.is_empty());
-        assert_eq!(replay.partials[&0], 2048);
-        assert_eq!(replay.partials[&1], 8192, "later partial wins");
-
-        // A completed result supersedes the partial for its index.
-        bytes.extend_from_slice(&record_bytes(1, &run_job(&jobs[1])).unwrap());
-        let replay = parse_bytes_full(&bytes, &jobs).unwrap();
-        assert_eq!(replay.partials.keys().copied().collect::<Vec<_>>(), vec![0]);
-        assert!(replay.completed.contains_key(&1));
-
-        // The compatibility wrapper sees only completed results.
-        let (completed, valid_len) = parse_bytes(&bytes, &jobs).unwrap();
-        assert_eq!(completed.len(), 1);
-        assert_eq!(valid_len as usize, bytes.len());
-
-        // A torn partial record is tolerated like any torn tail.
-        let torn = &bytes[..bytes.len() - 3];
-        assert!(parse_bytes_full(torn, &jobs).is_ok());
-
-        // An out-of-range partial index is corruption, not silence.
-        let mut oor = header_bytes(&jobs).unwrap();
-        oor.extend_from_slice(&partial_record_bytes(99, 1).unwrap());
-        assert!(matches!(
-            parse_bytes_full(&oor, &jobs),
-            Err(JournalError::CorruptRecord { .. })
-        ));
-    }
-
-    #[test]
     fn journal_create_record_resume_in_a_fresh_directory_is_durable() {
         // Exercises the fsync paths end to end: create (file + directory
-        // sync), per-record sync, partial records, and a resume that sees
-        // both record kinds.
+        // sync), per-record sync, and a resume that appends after the
+        // replayed records.
         let dir = std::env::temp_dir().join(format!("simfarm-journal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.journal");
         let jobs = sample_jobs();
         {
             let mut w = JournalWriter::create(&path, &jobs).unwrap();
-            w.record_partial(2, 4096).unwrap();
             w.record(0, &run_job(&jobs[0])).unwrap();
         }
-        let (w, replay) = JournalWriter::resume_full(&path, &jobs).unwrap();
+        let (mut w, completed) = JournalWriter::resume(&path, &jobs).unwrap();
         assert_eq!(w.path(), path);
-        assert_eq!(replay.completed.keys().copied().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(replay.partials[&2], 4096);
+        assert_eq!(completed.keys().copied().collect::<Vec<_>>(), vec![0]);
+        w.record(2, &run_job(&jobs[2])).unwrap();
+        drop(w);
+        assert_eq!(std::fs::read(&path).unwrap(), {
+            let mut bytes = journal_bytes_for(&jobs, 1);
+            bytes.extend_from_slice(&record_bytes(2, &run_job(&jobs[2])).unwrap());
+            bytes
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,9 +25,9 @@
 //!   jobs, the journal is flushed, and the sweep exits resumable;
 //! * [`CheckpointCtl`] — durable mid-job checkpoints: jobs with
 //!   [`SimJob::checkpoint_every`] set seal a versioned, digest-checked
-//!   snapshot every N cycles (temp file + fsync + atomic rename), journal
-//!   partial progress, and restore after a crash to finish with a digest
-//!   identical to an uninterrupted run's;
+//!   snapshot every N cycles (temp file + fsync + atomic rename) — the
+//!   sweep's only record of mid-job progress — and restore after a crash
+//!   to finish with a digest identical to an uninterrupted run's;
 //! * [`ProcessIsolation`] — opt-in hard-crash isolation: every job attempt
 //!   runs in a re-exec'd `simfarm --run-one` child under optional `ulimit`
 //!   memory/CPU budgets, so SIGKILL/OOM/aborts surface as the typed
@@ -103,7 +103,7 @@ pub use job::{
     run_job, run_job_with, JobOutcome, JobResult, ModelKind, SimJob, StallSummary, WorkloadSpec,
     DEFAULT_RETRIES, DEFAULT_STALL_BUDGET,
 };
-pub use journal::{read_journal, JournalReplay, JournalWriter};
+pub use journal::{read_journal, JournalWriter};
 pub use manifest::{parse_manifest, Manifest, ManifestError};
 pub use observe::{
     AttemptSpan, FarmObserver, FarmSchedule, JobSpan, JobTiming, WorkerTelemetry,

@@ -38,14 +38,6 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Mutex;
 
-/// What a worker reports to the coordinator: a completed job, or durable
-/// mid-job progress (a checkpoint was sealed at `cycle`) to be journaled
-/// as a partial record.
-enum Msg {
-    Result(usize, Box<JobResult>),
-    Partial(usize, u64),
-}
-
 /// Everything optional a supervised sweep can carry: a cancellation token,
 /// previously-completed results to skip (durable resume), a journal to
 /// record completions into, and a completion hook.
@@ -74,11 +66,11 @@ pub struct FarmOptions {
     /// way (timing never feeds back into execution).
     pub observer: Option<FarmObserver>,
     /// Directory for durable mid-job checkpoints. When present, every job
-    /// that opted in ([`SimJob::checkpoint_every`]) seals a checkpoint on
-    /// cadence, the coordinator journals a partial-progress record per
-    /// seal, and a resumed (or retried) job restores from its last durable
-    /// checkpoint instead of cycle 0. `None` disables mid-job
-    /// checkpointing entirely.
+    /// that opted in ([`SimJob::checkpoint_every`]) seals a checkpoint file
+    /// on cadence — the sweep's only record of mid-job progress; the
+    /// journal holds completed jobs alone — and a resumed (or retried) job
+    /// restores from its last durable checkpoint instead of cycle 0. `None`
+    /// disables mid-job checkpointing entirely.
     pub checkpoint_dir: Option<PathBuf>,
     /// When present, every job attempt runs in a re-exec'd subprocess
     /// under the given resource budgets ([`crate::exec`]); hard crashes
@@ -240,7 +232,7 @@ pub fn run_farm(
             )
         })
         .collect();
-    let (tx, rx) = mpsc::channel::<Msg>();
+    let (tx, rx) = mpsc::channel::<(usize, JobResult)>();
 
     let mut journal_error: Option<FarmError> = None;
     std::thread::scope(|scope| {
@@ -262,24 +254,7 @@ pub fn run_farm(
 
         // Drain while the workers run: journal + hook + slot, in completion
         // order. The loop ends when the last worker drops its sender.
-        for msg in rx {
-            let (idx, result) = match msg {
-                Msg::Partial(idx, cycle) => {
-                    // Partial progress is advisory (the checkpoint file is
-                    // already durable); a failing journal still cancels —
-                    // the account must not silently diverge from disk.
-                    if journal_error.is_none() {
-                        if let Some(journal) = journal.as_mut() {
-                            if let Err(e) = journal.record_partial(idx, cycle) {
-                                journal_error = Some(e.into());
-                                cancel.cancel();
-                            }
-                        }
-                    }
-                    continue;
-                }
-                Msg::Result(idx, result) => (idx, *result),
-            };
+        for (idx, result) in rx {
             if journal_error.is_none() {
                 if let Some(journal) = journal.as_mut() {
                     if let Err(e) = journal.record(idx, &result) {
@@ -318,24 +293,6 @@ pub fn run_farm(
     Ok(run)
 }
 
-/// Builds the optional checkpoint controller for one in-process job,
-/// wiring its save notifications to the coordinator as partial-progress
-/// messages.
-fn job_ckpt_ctl<'a>(
-    jobs: &[SimJob],
-    idx: usize,
-    ckpt_dir: Option<&Path>,
-    tx: &'a mpsc::Sender<Msg>,
-) -> Option<CheckpointCtl<'a>> {
-    let dir = ckpt_dir?;
-    Some(
-        CheckpointCtl::new(&jobs[idx], idx, dir)?
-            .with_notify(move |cycle| {
-                let _ = tx.send(Msg::Partial(idx, cycle));
-            }),
-    )
-}
-
 /// A worker's loop: pop or steal the next job, run it supervised (in a
 /// child process under `isolation`, otherwise on this thread) and report
 /// the result. With an observer attached it also keeps busy/idle and
@@ -347,7 +304,7 @@ fn worker(
     deques: &[Mutex<VecDeque<usize>>],
     me: usize,
     cancel: &CancelToken,
-    tx: &mpsc::Sender<Msg>,
+    tx: &mpsc::Sender<(usize, JobResult)>,
     jobs: &[SimJob],
     ckpt_dir: Option<&Path>,
     isolation: Option<&ProcessIsolation>,
@@ -369,18 +326,9 @@ fn worker(
             telemetry.own_pops += 1;
         }
         let (result, attempts) = match isolation {
-            Some(iso) => exec::run_child_supervised(
-                iso,
-                jobs,
-                idx,
-                ckpt_dir,
-                &mut |cycle| {
-                    let _ = tx.send(Msg::Partial(idx, cycle));
-                },
-                obs,
-            ),
+            Some(iso) => exec::run_child_supervised(iso, jobs, idx, ckpt_dir, obs),
             None => {
-                let mut ctl = job_ckpt_ctl(jobs, idx, ckpt_dir, tx);
+                let mut ctl = ckpt_dir.and_then(|dir| CheckpointCtl::new(&jobs[idx], idx, dir));
                 run_job_supervised_with(&jobs[idx], ctl.as_mut(), obs)
             }
         };
@@ -401,7 +349,7 @@ fn worker(
                 cycles: result.cycles,
             });
         }
-        if tx.send(Msg::Result(idx, Box::new(result))).is_err() {
+        if tx.send((idx, result)).is_err() {
             break;
         }
     }

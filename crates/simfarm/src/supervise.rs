@@ -115,7 +115,7 @@ fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, (String, Option<String>)> 
 /// reports zeros.
 pub(crate) fn run_attempt(
     job: &SimJob,
-    ctl: Option<&mut CheckpointCtl<'_>>,
+    ctl: Option<&mut CheckpointCtl>,
     mut timing: Option<&mut JobTiming>,
 ) -> JobResult {
     match quiet_catch(AssertUnwindSafe(|| {
@@ -195,7 +195,7 @@ pub fn run_job_supervised(job: &SimJob) -> JobResult {
 /// [`AttemptSpan`] per attempt.
 pub(crate) fn run_job_supervised_with(
     job: &SimJob,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
+    mut ctl: Option<&mut CheckpointCtl>,
     clock: Option<&FarmObserver>,
 ) -> (JobResult, Vec<AttemptSpan>) {
     supervise(job, clock, |timing| run_attempt(job, ctl.as_deref_mut(), timing))

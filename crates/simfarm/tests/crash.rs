@@ -1,8 +1,9 @@
 //! Hard-crash survival integration tests: durable mid-job checkpoints
 //! restore digest-identically on every machine model (including
 //! fuzzer-generated ADL machines), process isolation preserves the
-//! canonical report, partial progress reaches the journal, and supervised
-//! panics never leak onto stderr.
+//! canonical report, the journal records completed jobs while checkpoint
+//! files alone record mid-job progress, and supervised panics never leak
+//! onto stderr.
 
 use osm_fuzz::{generate, GenConfig};
 use proptest::prelude::*;
@@ -195,11 +196,14 @@ fn rejected_machine_checkpoint_runs_the_job_from_the_start() {
     assert_eq!(result.outcome, baseline.outcome);
 }
 
+/// A sweep over checkpointing jobs journals exactly one result record per
+/// job and nothing else; the vliw job's mid-job progress is in its
+/// checkpoint file.
 #[test]
-fn farm_journals_partial_progress_from_checkpointing_jobs() {
-    let scratch = Scratch::new("partials");
+fn checkpointing_jobs_journal_only_their_results() {
+    let scratch = Scratch::new("results-only");
     let mut vliw = vliw_ilp(2_000, 8, 1_000_000);
-    vliw.name = "partial/vliw".into();
+    vliw.name = "results-only/vliw".into();
     vliw.checkpoint_every = 1_000;
     let iss = SimJob::minirisc_random(1, 64, 200_000);
     let jobs = vec![vliw, iss];
@@ -219,16 +223,20 @@ fn farm_journals_partial_progress_from_checkpointing_jobs() {
     assert!(run.is_complete());
 
     let bytes = std::fs::read(&journal_path).expect("read journal");
-    let needle = br#""record":"partial""#;
-    assert!(
-        bytes.windows(needle.len()).any(|w| w == needle),
-        "journal holds no partial-progress records"
+    let (completed, valid_len) = journal::parse_bytes(&bytes, &jobs).expect("replay");
+    assert_eq!(valid_len as usize, bytes.len());
+    assert_eq!(completed.len(), jobs.len());
+    let records: usize = completed
+        .iter()
+        .map(|(&index, result)| journal::record_bytes(index, result).unwrap().len())
+        .sum();
+    assert_eq!(
+        bytes.len(),
+        journal::header_bytes(&jobs).unwrap().len() + records,
+        "the journal holds the header and one result record per job"
     );
-    // Completed results supersede every partial on replay.
-    let (writer, replay) = JournalWriter::resume_full(&journal_path, &jobs).expect("resume");
-    drop(writer);
-    assert_eq!(replay.completed.len(), jobs.len());
-    assert!(replay.partials.is_empty(), "partials must be superseded: {:?}", replay.partials);
+    let ctl = CheckpointCtl::new(&jobs[0], 0, &scratch.0).expect("vliw checkpoints");
+    assert!(ctl.load().is_some(), "the vliw job sealed a checkpoint");
 }
 
 #[test]
@@ -287,8 +295,11 @@ fn supervised_panics_stay_off_stderr() {
     assert!(stdout.contains("quarantine"), "summary lost the quarantine section:\n{stdout}");
 }
 
+/// A journal torn inside its only result record replays no job, and the
+/// job's checkpoint file still carries its progress: a rerun restores from
+/// it and lands on the same digest.
 #[test]
-fn journal_partial_frames_survive_torn_tails() {
+fn a_torn_result_leaves_the_checkpoint_file_as_the_record_of_progress() {
     let scratch = Scratch::new("torn");
     let mut vliw = vliw_ilp(2_000, 8, 1_000_000);
     vliw.name = "torn/vliw".into();
@@ -309,10 +320,17 @@ fn journal_partial_frames_survive_torn_tails() {
     .expect("farm run");
     assert!(run.is_complete());
 
-    // Truncate inside the trailing (result) record: the replay keeps the
-    // partial records and reports the latest checkpointed cycle.
     let bytes = std::fs::read(&journal_path).expect("read journal");
     let torn = &bytes[..bytes.len() - 3];
-    let (completed, _) = journal::parse_bytes(torn, &jobs).expect("torn journal parses");
+    let (completed, valid_len) = journal::parse_bytes(torn, &jobs).expect("torn journal parses");
     assert!(completed.is_empty(), "the only result record was torn off");
+    let header_len = journal::header_bytes(&jobs).unwrap().len();
+    assert_eq!(valid_len as usize, header_len);
+
+    let mut ctl = CheckpointCtl::new(&jobs[0], 0, &scratch.0).expect("checkpointing enabled");
+    let saved = ctl.load().expect("the checkpoint file survives");
+    let rerun = run_job_with(&jobs[0], Some(&mut ctl), None);
+    assert_eq!(rerun.restored_from, Some(saved.cycle));
+    assert_eq!(rerun.digest, run.completed[&0].digest);
+    assert_eq!(rerun.cycles, run.completed[&0].cycles);
 }

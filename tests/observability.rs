@@ -378,7 +378,7 @@ proptest! {
 }
 
 #[test]
-fn ring_and_digest_trace_modes_agree_with_full_mode() {
+fn digest_trace_mode_agrees_with_full_mode() {
     use osm_repro::osm_core::TraceMode;
     let run = |trace: Trace| {
         let mut machine = pipeline_machine(4);
@@ -387,13 +387,10 @@ fn ring_and_digest_trace_modes_agree_with_full_mode() {
         machine.take_trace().expect("trace enabled")
     };
     let full = run(Trace::new());
-    let ring = run(Trace::with_mode(TraceMode::Ring(8)));
     let digest = run(Trace::with_mode(TraceMode::DigestOnly));
-    assert_eq!(full.digest(), ring.digest());
     assert_eq!(full.digest(), digest.digest());
-    assert_eq!(ring.len(), 8);
     assert_eq!(digest.len(), 0);
-    assert_eq!(full.total(), ring.total());
+    assert_eq!(full.total(), digest.total());
 }
 
 /// Transitions are recorded in two places: the director folds each commit
