@@ -9,10 +9,12 @@
 //!    the PPC-750 OSM model on the same MiniRISC program, and the VLIW
 //!    lockstep core. Each of the four is checked twice: on the untracked
 //!    director that `Machine::run` users get (a digest trace is not an
-//!    observer), and on the tracked one, with stall attribution on. A
-//!    fifth workload, the contended ADL machine (the costliest of `perf`'s
-//!    `adl_contended` suite), runs untracked and is compared by
-//!    `Machine::state_fingerprint` after every cycle.
+//!    observer), and on the tracked one, with stall attribution on. Two
+//!    ADL machines run untracked and are compared by
+//!    `Machine::state_fingerprint` after every cycle: the contended machine
+//!    (the costliest of `perf`'s `adl_contended` suite), and a dense
+//!    `Restart` machine whose skip proofs do not pay, so after its first
+//!    adaptation window the fast path runs proof-free.
 //! 2. **No performance regression** — measured two ways on the sparse
 //!    workload:
 //!    * *Deterministic effort gate*: the number of edge evaluations the
@@ -85,6 +87,23 @@ const CONTENDED_SOURCE: &str = "machine fuzz_e1e861ebac7dd8c8 {
 }";
 const CONTENDED_OSMS: usize = 122;
 const CONTENDED_CYCLES: u64 = 5_000;
+
+/// A dense `Restart` machine (osm-core's proof-free lockstep test, with
+/// inert behaviors): 48 OSMs cycle `I -> A -> B -> I` and the per-cycle
+/// `bw` lets 15 leave `A` each cycle, so 45 move every cycle and the 3 left
+/// in `A` are served again after every later commit of the step.
+const DENSE_RESTART_SOURCE: &str = "machine dense_restart {
+    manager bw : counting(15, per_cycle);
+    osm op {
+        states I, A, B;
+        initial I;
+        edge go : I -> A { }
+        edge issue : A -> B { allocate bw[any]; discard bw[held]; }
+        edge done : B -> I { }
+    }
+}";
+const DENSE_RESTART_OSMS: usize = 48;
+const DENSE_RESTART_CYCLES: u64 = 5_000;
 /// Acceptance floor for the contended speedup.
 const CONTENDED_FLOOR: f64 = 4.0;
 
@@ -145,25 +164,25 @@ fn run_sparse(mode: SchedulerMode, tracked: bool) -> (u64, f64, u64) {
     (m.take_trace().expect("trace on").digest(), secs, evals)
 }
 
-/// The contended machine: `CONTENDED_OSMS` inert OSMs round-robin over
-/// the classes, no observers.
-fn contended_machine(mode: SchedulerMode) -> Machine<()> {
-    let synth = osm_adl::load(CONTENDED_SOURCE).expect("contended source loads");
+/// An ADL machine with `osms` inert OSMs round-robin over its classes, no
+/// observers.
+fn adl_machine(source: &str, osms: usize, mode: SchedulerMode) -> Machine<()> {
+    let synth = osm_adl::load(source).expect("inline source loads");
     let mut m: Machine<()> = Machine::new(());
     synth.install_managers(&mut m);
-    for k in 0..CONTENDED_OSMS {
+    for k in 0..osms {
         m.add_osm(&synth.specs[k % synth.specs.len()].1, InertBehavior);
     }
     m.set_scheduler_mode(mode);
     m
 }
 
-/// Steps the contended machine in both modes in lockstep; returns the
-/// first cycle after which their state fingerprints differ, if any.
-fn contended_divergence() -> Option<u64> {
-    let mut fast = contended_machine(SchedulerMode::Fast);
-    let mut seed = contended_machine(SchedulerMode::Seed);
-    for _ in 0..CONTENDED_CYCLES {
+/// Steps an ADL machine in both modes in lockstep; returns the first cycle
+/// after which their state fingerprints differ, if any.
+fn fingerprint_divergence(source: &str, osms: usize, cycles: u64) -> Option<u64> {
+    let mut fast = adl_machine(source, osms, SchedulerMode::Fast);
+    let mut seed = adl_machine(source, osms, SchedulerMode::Seed);
+    for _ in 0..cycles {
         fast.step().expect("no deadlock");
         seed.step().expect("no deadlock");
         if fast.state_fingerprint() != seed.state_fingerprint() {
@@ -175,7 +194,7 @@ fn contended_divergence() -> Option<u64> {
 
 /// Wall seconds for `CONTENDED_CYCLES` cycles of the contended machine.
 fn run_contended(mode: SchedulerMode) -> f64 {
-    let mut m = contended_machine(mode);
+    let mut m = adl_machine(CONTENDED_SOURCE, CONTENDED_OSMS, mode);
     let start = Instant::now();
     m.run(CONTENDED_CYCLES).expect("no deadlock");
     start.elapsed().as_secs_f64()
@@ -325,15 +344,30 @@ fn main() -> ExitCode {
         );
         failed |= !ok;
     }
-    let divergence = contended_divergence();
-    println!(
-        "fingerprint adl_contended  fast==seed after each of {CONTENDED_CYCLES} untracked cycles  {}",
-        match divergence {
-            None => "ok".to_owned(),
-            Some(cycle) => format!("MISMATCH at cycle {cycle}"),
-        }
-    );
-    failed |= divergence.is_some();
+    for (name, source, osms, cycles) in [
+        (
+            "adl_contended",
+            CONTENDED_SOURCE,
+            CONTENDED_OSMS,
+            CONTENDED_CYCLES,
+        ),
+        (
+            "dense_restart",
+            DENSE_RESTART_SOURCE,
+            DENSE_RESTART_OSMS,
+            DENSE_RESTART_CYCLES,
+        ),
+    ] {
+        let divergence = fingerprint_divergence(source, osms, cycles);
+        println!(
+            "fingerprint {name:<14} fast==seed after each of {cycles} untracked cycles  {}",
+            match divergence {
+                None => "ok".to_owned(),
+                Some(cycle) => format!("MISMATCH at cycle {cycle}"),
+            }
+        );
+        failed |= divergence.is_some();
+    }
     if failed {
         eprintln!("scheduler_smoke: FAIL — fast scheduler is not cycle-exact");
         return ExitCode::FAILURE;

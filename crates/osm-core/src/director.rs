@@ -53,9 +53,11 @@ pub enum SchedulerMode {
     /// Sensitivity-driven scheduling: OSMs blocked on managers whose dirty
     /// epoch has not moved are skipped without re-evaluating their edge
     /// conditions, and the per-step rank sort is replaced by an
-    /// incrementally maintained ready list. Requires age ranking (the
-    /// default policy); with a custom [`Ranker`] the director silently runs
-    /// the reference scheduler.
+    /// incrementally maintained ready list. On dense stretches, where skip
+    /// proofs do not pay for their bookkeeping, the same ready list is
+    /// walked with proofs switched off (see `ADAPT_WINDOW` in the director
+    /// source). Requires age ranking (the default policy); with a custom
+    /// [`Ranker`] the director silently runs the reference scheduler.
     #[default]
     Fast,
     /// The literal Fig. 3 reference scheduler (full re-rank, sort and
@@ -195,7 +197,13 @@ pub(crate) struct Scratch {
     discards: Vec<DiscardSpec>,
     used: Vec<usize>,
     removed: Vec<usize>,
+    /// Wait-for edges (waiter, owner) of the idle-step diagnostic scan.
     wait_edges: Vec<(OsmId, OsmId)>,
+    /// Per-OSM mark byte of the wait-for cycle search.
+    wait_marks: Vec<u8>,
+    /// Explicit depth-first stack of the wait-for cycle search: each node
+    /// with the index of its next edge to follow.
+    wait_stack: Vec<(OsmId, usize)>,
     /// First failing primitive of the most recent failed `try_condition`,
     /// with its resolved identifier (stall diagnostics).
     fail: Option<(Primitive, TokenIdent)>,
@@ -208,7 +216,7 @@ pub(crate) struct Scratch {
     /// machine cycle, which can rewind on checkpoint restore.
     step_seq: u64,
     /// True while `active` reflects the in-flight OSM population.
-    sched_valid: bool,
+    pub(crate) sched_valid: bool,
     /// In-flight OSMs in age order (ages are assigned monotonically at
     /// dispatch, so insertion keeps the list sorted); completed entries are
     /// tombstoned and compacted lazily.
@@ -229,8 +237,8 @@ pub(crate) struct Scratch {
     adapt_evals: u64,
     /// Control steps elapsed in the current adaptation window.
     adapt_steps: u32,
-    /// Steps left on the reference scheduler before the fast path is probed
-    /// again (see [`ADAPT_WINDOW`]); 0 = fast path active.
+    /// Proof-free steps left before skip proofs are probed again (see
+    /// [`ADAPT_WINDOW`]); 0 = proofs on.
     pub(crate) adapt_cooldown: u32,
     // --- per-step resume bookkeeping (RestartPolicy::Restart) ---
     /// Service positions of the unmoved (hence blocked) OSMs below the
@@ -254,13 +262,16 @@ const NO_POS: usize = usize::MAX;
 /// Length (in control steps) of the fast path's self-observation window.
 /// At the end of each window, if the skips granted did not outnumber the
 /// full evaluations performed, the sensitivity machinery is not paying for
-/// its bookkeeping — the machine is dense — and scheduling falls back to
-/// the reference loop for [`ADAPT_COOLDOWN`] steps before probing again.
-/// Both schedulers are cycle-exact, so adaptation never changes a trace.
+/// its bookkeeping — the machine is dense — and the fast path switches skip
+/// proofs off for [`ADAPT_COOLDOWN`] steps before probing again. It keeps
+/// its ready list meanwhile: falling back to the reference loop instead
+/// would sort the whole population every step and shift its list on every
+/// commit. Proof-free steps are cycle-exact, so adaptation never changes a
+/// trace.
 const ADAPT_WINDOW: u32 = 128;
-/// Steps spent on the reference scheduler after an unproductive window;
-/// the fast path re-probes afterwards in case the workload turned sparse.
-/// Dense machines thus pay the fast-path overhead on ~3% of their steps.
+/// Proof-free steps after an unproductive window; proofs are re-probed
+/// afterwards in case the workload turned sparse. Dense machines thus pay
+/// the proof bookkeeping on ~3% of their steps.
 const ADAPT_COOLDOWN: u32 = 4096;
 
 impl Scratch {
@@ -1072,25 +1083,65 @@ fn can_skip<S: 'static>(
     mask == sens.veto_mask
 }
 
-/// What [`serve_osm_fast`] did with one OSM.
+/// What [`serve_osm`] did with one OSM.
 struct Served {
     moved: bool,
     completed: bool,
     dispatched: bool,
 }
 
-/// Serves one OSM exactly as the reference scheduler's inner loop does —
-/// same edge order, same transition bookkeeping, same counters — and, when
-/// the OSM stays blocked, records its sensitivity entry so later steps can
-/// skip it.
-// Deliberately NOT inlined into the two fast-path call sites: the inlined
-// body bloats the stepping loop enough to wreck the codegen of the
-// (far hotter) skip checks — measured ~1.5x on the sparse benchmark. The
-// call overhead only shows on dense machines, and those fall back to the
-// reference scheduler via the adaptation window anyway.
+impl Served {
+    const BLOCKED: Served = Served {
+        moved: false,
+        completed: false,
+        dispatched: false,
+    };
+}
+
+/// Serves the OSM at `id` with skip proofs on: [`serve_osm`] behind a call
+/// boundary.
+// Deliberately NOT inlined into the stepping loop: the inlined body bloats
+// it enough to wreck the codegen of the (far hotter) skip checks — measured
+// ~1.5x on the sparse benchmark. Proof-free steps have no skip checks and
+// call the body inlined instead.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn serve_osm_fast<S: 'static, const TRACKING: bool>(
+    osms: &mut [Osm<S>],
+    id: OsmId,
+    specs: &[Arc<StateMachineSpec>],
+    managers: &mut ManagerTable,
+    shared: &mut S,
+    cycle: u64,
+    age_counter: &mut u64,
+    stats: &mut Stats,
+    observers: &mut [Box<dyn Observer>],
+    trace: Option<&mut Trace>,
+    scratch: &mut Scratch,
+) -> Served {
+    serve_osm::<S, TRACKING, true>(
+        osms,
+        id,
+        specs,
+        managers,
+        shared,
+        cycle,
+        age_counter,
+        stats,
+        observers,
+        trace,
+        scratch,
+    )
+}
+
+/// Serves one OSM exactly as the reference scheduler's inner loop does —
+/// same edge order, same transition bookkeeping, same counters. With
+/// `PROOFS`, a transition clears the OSM's sensitivity entry and a blocked
+/// evaluation records it so later steps can skip the OSM; without, the
+/// entries are neither read nor written.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
     osms: &mut [Osm<S>],
     id: OsmId,
     specs: &[Arc<StateMachineSpec>],
@@ -1113,7 +1164,7 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
 
     // Record only on the second consecutive blocked evaluation in the same
     // state (see [`SensEntry::armed`]); the first one just arms.
-    let record = {
+    let record = PROOFS && {
         let e = &scratch.sens[oi];
         (e.valid || e.armed) && e.state == osm.state
     };
@@ -1200,8 +1251,10 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
                 }
             }
             stats.transitions += 1;
-            scratch.sens[oi].valid = false;
-            scratch.sens[oi].armed = false;
+            if PROOFS {
+                scratch.sens[oi].valid = false;
+                scratch.sens[oi].armed = false;
+            }
             return Served {
                 moved: true,
                 completed,
@@ -1232,6 +1285,9 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
         }
     }
 
+    if !PROOFS {
+        return Served::BLOCKED;
+    }
     // Blocked. First time in this state: arm only — the record is taken on
     // the next blocked evaluation, so one-cycle stalls never pay for it.
     let entry = &mut scratch.sens[oi];
@@ -1239,11 +1295,7 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
         entry.valid = false;
         entry.armed = true;
         entry.state = osm.state;
-        return Served {
-            moved: false,
-            completed: false,
-            dispatched: false,
-        };
+        return Served::BLOCKED;
     }
     // Persist the sensitivity record. Epochs are read after the scan — the
     // scan itself only probes (prepare/abort), which never bumps an epoch,
@@ -1259,11 +1311,7 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
         entry.epochs[j] = managers.epoch(m);
     }
     entry.fail = sens_fail;
-    Served {
-        moved: false,
-        completed: false,
-        dispatched: false,
-    }
+    Served::BLOCKED
 }
 
 /// Charges one end-of-step blocked OSM to its first failing (manager,
@@ -1324,6 +1372,14 @@ fn charge_blocked<S>(
 /// the rescan's evaluations in its order and drops only its repeated skip
 /// proofs, which are still counted as skips for the adaptation window.
 ///
+/// With `PROOFS` off (the cooldown after an unproductive [`ADAPT_WINDOW`])
+/// the step walks the same service order but evaluates every unmoved OSM,
+/// reads and writes no sensitivity entry and does no window accounting.
+/// Under `Restart` every blocked OSM is then unproven, so each commit
+/// resumes at the lowest blocked position: Fig. 3's literal rescan, with
+/// exactly the reference scheduler's evaluations and effort counters, but
+/// without its per-step rank sort and per-commit list shift.
+///
 /// # Errors
 /// Returns [`ModelError::Deadlock`] exactly as the reference scheduler does;
 /// the idle-step diagnostic scan is elided only when nothing was evaluated
@@ -1331,7 +1387,7 @@ fn charge_blocked<S>(
 /// under which the scan would provably rebuild the same (acyclic) wait-for
 /// graph.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
+pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: bool>(
     osms: &mut [Osm<S>],
     specs: &[std::sync::Arc<crate::spec::StateMachineSpec>],
     managers: &mut ManagerTable,
@@ -1406,7 +1462,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
             continue;
         }
         let spec = &specs[osms[oi].spec_idx as usize];
-        if can_skip(&osms[oi], spec, managers, shared, &scratch.sens[oi]) {
+        if PROOFS && can_skip(&osms[oi], spec, managers, shared, &scratch.sens[oi]) {
             if TRACKING {
                 scratch.first_fail[oi] = scratch.sens[oi].fail;
             }
@@ -1414,19 +1470,35 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
         } else {
             any_evaluated = true;
             step_evals += 1;
-            let served = serve_osm_fast::<S, TRACKING>(
-                osms,
-                id,
-                specs,
-                managers,
-                shared,
-                cycle,
-                age_counter,
-                stats,
-                observers,
-                trace.as_deref_mut(),
-                scratch,
-            );
+            let served = if PROOFS {
+                serve_osm_fast::<S, TRACKING>(
+                    osms,
+                    id,
+                    specs,
+                    managers,
+                    shared,
+                    cycle,
+                    age_counter,
+                    stats,
+                    observers,
+                    trace.as_deref_mut(),
+                    scratch,
+                )
+            } else {
+                serve_osm::<S, TRACKING, false>(
+                    osms,
+                    id,
+                    specs,
+                    managers,
+                    shared,
+                    cycle,
+                    age_counter,
+                    stats,
+                    observers,
+                    trace.as_deref_mut(),
+                    scratch,
+                )
+            };
             if served.moved {
                 scratch.moved[oi] = seq;
                 moved_count += 1;
@@ -1457,7 +1529,9 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
                     // below the resume point would pass its skip proof again,
                     // so the rescan is cut short and they count as skips.
                     pos = scratch.resume_after_commit(pos, managers);
-                    step_skips += scratch.blocked.len() as u64;
+                    if PROOFS {
+                        step_skips += scratch.blocked.len() as u64;
+                    }
                     continue;
                 }
                 pos += 1;
@@ -1465,7 +1539,11 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
             }
         }
         if restart {
-            scratch.register_blocked(pos, oi);
+            if PROOFS {
+                scratch.register_blocked(pos, oi);
+            } else {
+                scratch.unproven = scratch.unproven.min(pos);
+            }
         }
         pos += 1;
     }
@@ -1530,20 +1608,23 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool>(
 
     // Adaptation: if a whole window of steps produced fewer skips than full
     // evaluations, the sensitivity bookkeeping costs more than it saves —
-    // fall back to the reference scheduler and re-probe later. Cycle
-    // behavior is unaffected (both schedulers are exact); only effort
-    // counters can differ.
-    scratch.adapt_skips += step_skips;
-    scratch.adapt_evals += step_evals;
-    scratch.adapt_steps += 1;
-    if scratch.adapt_steps >= ADAPT_WINDOW {
-        let fall_back = scratch.adapt_skips < scratch.adapt_evals;
-        scratch.adapt_skips = 0;
-        scratch.adapt_evals = 0;
-        scratch.adapt_steps = 0;
-        if fall_back {
-            scratch.invalidate_schedule();
-            scratch.adapt_cooldown = ADAPT_COOLDOWN;
+    // switch proofs off and re-probe later. The ready list stays valid; the
+    // records go stale while proof-free steps ignore them, so they are
+    // dropped here. Cycle behavior is unaffected (both ways are exact); only
+    // effort counters can differ.
+    if PROOFS {
+        scratch.adapt_skips += step_skips;
+        scratch.adapt_evals += step_evals;
+        scratch.adapt_steps += 1;
+        if scratch.adapt_steps >= ADAPT_WINDOW {
+            let fall_back = scratch.adapt_skips < scratch.adapt_evals;
+            scratch.adapt_skips = 0;
+            scratch.adapt_evals = 0;
+            scratch.adapt_steps = 0;
+            if fall_back {
+                scratch.sens.fill(SensEntry::default());
+                scratch.adapt_cooldown = ADAPT_COOLDOWN;
+            }
         }
     }
 
@@ -1597,7 +1678,11 @@ fn deadlock_diagnostic_scan<S: 'static>(
             }
         }
     }
-    find_wait_cycle(&scratch.wait_edges)
+    find_wait_cycle(
+        &scratch.wait_edges,
+        &mut scratch.wait_marks,
+        &mut scratch.wait_stack,
+    )
 }
 
 /// Probes `edge` for `osm` and reports why it cannot fire right now, or
@@ -1681,64 +1766,70 @@ pub(crate) fn diagnose_blocked<S: 'static>(
     blocked
 }
 
+/// Mark bytes of the wait-for cycle search.
+const WHITE: u8 = 0;
+const GRAY: u8 = 1;
+const BLACK: u8 = 2;
+
 /// Finds a cycle in the wait-for graph, if any, returning its nodes.
 ///
-/// The search starts from the lowest waiting OSM and follows edges in the
-/// order the scan recorded them, so the same graph always reports the same
+/// `edges` must be grouped by source in ascending id order, each source's
+/// edges in recorded order: the diagnostic scan visits OSMs by id, so it
+/// records them that way. The search starts from the lowest waiting OSM and
+/// follows edges in that order, so the same graph always reports the same
 /// cycle: the report becomes a job's failure message, which canonical farm
 /// reports and journals compare byte for byte.
-fn find_wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
-    use std::collections::BTreeMap;
-    let mut adj: BTreeMap<OsmId, Vec<OsmId>> = BTreeMap::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Gray,
-        Black,
-    }
-    let mut marks: BTreeMap<OsmId, Mark> = adj.keys().map(|&k| (k, Mark::White)).collect();
-
-    fn dfs(
-        node: OsmId,
-        adj: &BTreeMap<OsmId, Vec<OsmId>>,
-        marks: &mut BTreeMap<OsmId, Mark>,
-        stack: &mut Vec<OsmId>,
-    ) -> Option<Vec<OsmId>> {
-        marks.insert(node, Mark::Gray);
-        stack.push(node);
-        if let Some(next) = adj.get(&node) {
-            for &n in next {
-                match marks.get(&n).copied().unwrap_or(Mark::Black) {
-                    Mark::Gray => {
-                        let start = stack.iter().position(|&x| x == n).unwrap_or(0);
-                        return Some(stack[start..].to_vec());
+///
+/// The graph is searched in place; `marks` and `stack` are reused scratch,
+/// so only a returned cycle allocates.
+fn find_wait_cycle(
+    edges: &[(OsmId, OsmId)],
+    marks: &mut Vec<u8>,
+    stack: &mut Vec<(OsmId, usize)>,
+) -> Option<Vec<OsmId>> {
+    debug_assert!(
+        edges.windows(2).all(|w| w[0].0 <= w[1].0),
+        "wait-for edges not grouped by source"
+    );
+    let &(last, _) = edges.last()?;
+    // A node past the last source has no out-edges, so it reads as black.
+    marks.clear();
+    marks.resize(last.index() + 1, WHITE);
+    stack.clear();
+    let first_edge = |node: OsmId| {
+        let i = edges.partition_point(|&(from, _)| from < node);
+        (edges.get(i).is_some_and(|&(from, _)| from == node)).then_some(i)
+    };
+    let mut root_edge = 0;
+    while let Some(&(root, _)) = edges.get(root_edge) {
+        if marks[root.index()] == WHITE {
+            marks[root.index()] = GRAY;
+            stack.push((root, root_edge));
+            while let Some(top) = stack.last_mut() {
+                let (node, next) = *top;
+                let Some(&(_, to)) = edges.get(next).filter(|&&(from, _)| from == node) else {
+                    marks[node.index()] = BLACK;
+                    stack.pop();
+                    continue;
+                };
+                top.1 += 1;
+                match marks.get(to.index()).copied().unwrap_or(BLACK) {
+                    GRAY => {
+                        let at = stack.iter().position(|&(n, _)| n == to).unwrap_or(0);
+                        return Some(stack[at..].iter().map(|&(n, _)| n).collect());
                     }
-                    Mark::White => {
-                        if let Some(c) = dfs(n, adj, marks, stack) {
-                            return Some(c);
+                    WHITE => match first_edge(to) {
+                        Some(i) => {
+                            marks[to.index()] = GRAY;
+                            stack.push((to, i));
                         }
-                    }
-                    Mark::Black => {}
+                        None => marks[to.index()] = BLACK,
+                    },
+                    _ => {}
                 }
             }
         }
-        stack.pop();
-        marks.insert(node, Mark::Black);
-        None
-    }
-
-    let nodes: Vec<OsmId> = adj.keys().copied().collect();
-    let mut stack = Vec::new();
-    for n in nodes {
-        if marks.get(&n) == Some(&Mark::White) {
-            if let Some(c) = dfs(n, &adj, &mut marks, &mut stack) {
-                return Some(c);
-            }
-        }
+        root_edge += edges[root_edge..].partition_point(|&(from, _)| from == root);
     }
     None
 }
@@ -1746,18 +1837,82 @@ fn find_wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// [`find_wait_cycle`] with fresh scratch.
+    fn wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
+        find_wait_cycle(edges, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// The map-based recursive search the in-place one replaced: the oracle
+    /// for which cycle a graph reports.
+    fn wait_cycle_oracle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
+        let mut adj: BTreeMap<OsmId, Vec<OsmId>> = BTreeMap::new();
+        for &(a, b) in edges {
+            adj.entry(a).or_default().push(b);
+        }
+
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            White,
+            Gray,
+            Black,
+        }
+        let mut marks: BTreeMap<OsmId, Mark> = adj.keys().map(|&k| (k, Mark::White)).collect();
+
+        fn dfs(
+            node: OsmId,
+            adj: &BTreeMap<OsmId, Vec<OsmId>>,
+            marks: &mut BTreeMap<OsmId, Mark>,
+            stack: &mut Vec<OsmId>,
+        ) -> Option<Vec<OsmId>> {
+            marks.insert(node, Mark::Gray);
+            stack.push(node);
+            if let Some(next) = adj.get(&node) {
+                for &n in next {
+                    match marks.get(&n).copied().unwrap_or(Mark::Black) {
+                        Mark::Gray => {
+                            let start = stack.iter().position(|&x| x == n).unwrap_or(0);
+                            return Some(stack[start..].to_vec());
+                        }
+                        Mark::White => {
+                            if let Some(c) = dfs(n, adj, marks, stack) {
+                                return Some(c);
+                            }
+                        }
+                        Mark::Black => {}
+                    }
+                }
+            }
+            stack.pop();
+            marks.insert(node, Mark::Black);
+            None
+        }
+
+        let nodes: Vec<OsmId> = adj.keys().copied().collect();
+        let mut stack = Vec::new();
+        for n in nodes {
+            if marks.get(&n) == Some(&Mark::White) {
+                if let Some(c) = dfs(n, &adj, &mut marks, &mut stack) {
+                    return Some(c);
+                }
+            }
+        }
+        None
+    }
 
     #[test]
     fn wait_cycle_detected() {
         let edges = vec![(OsmId(0), OsmId(1)), (OsmId(1), OsmId(0))];
-        let cyc = find_wait_cycle(&edges).expect("cycle");
+        let cyc = wait_cycle(&edges).expect("cycle");
         assert_eq!(cyc.len(), 2);
     }
 
     #[test]
     fn no_cycle_in_chain() {
         let edges = vec![(OsmId(0), OsmId(1)), (OsmId(1), OsmId(2))];
-        assert!(find_wait_cycle(&edges).is_none());
+        assert!(wait_cycle(&edges).is_none());
     }
 
     #[test]
@@ -1765,12 +1920,38 @@ mod tests {
         // An OSM blocked on a token it cannot obtain from itself would be a
         // modeling error; the detector reports it.
         let edges = vec![(OsmId(3), OsmId(3))];
-        let cyc = find_wait_cycle(&edges).expect("self cycle");
+        let cyc = wait_cycle(&edges).expect("self cycle");
         assert_eq!(cyc, vec![OsmId(3)]);
     }
 
     #[test]
     fn empty_graph_has_no_cycle() {
-        assert!(find_wait_cycle(&[]).is_none());
+        assert!(wait_cycle(&[]).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        // Random graphs in the scan's edge order (stably sorted by source),
+        // owners past the last waiter included: the in-place search reports
+        // exactly the oracle's cycle, on fresh and on reused scratch.
+        #[test]
+        fn in_place_wait_cycle_search_matches_the_map_oracle(
+            raw in prop::collection::vec((0u32..10, 0u32..14), 0..40),
+            warm in prop::collection::vec((0u32..14, 0u32..14), 0..20),
+        ) {
+            let sorted = |raw: &[(u32, u32)]| {
+                let mut edges: Vec<(OsmId, OsmId)> =
+                    raw.iter().map(|&(a, b)| (OsmId(a), OsmId(b))).collect();
+                edges.sort_by_key(|&(a, _)| a);
+                edges
+            };
+            let edges = sorted(&raw);
+            let expected = wait_cycle_oracle(&edges);
+            prop_assert_eq!(wait_cycle(&edges), expected.clone());
+            let (mut marks, mut stack) = (Vec::new(), Vec::new());
+            find_wait_cycle(&sorted(&warm), &mut marks, &mut stack);
+            prop_assert_eq!(find_wait_cycle(&edges, &mut marks, &mut stack), expected);
+        }
     }
 }

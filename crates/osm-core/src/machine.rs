@@ -577,50 +577,24 @@ impl<S: 'static> Machine<S> {
         // TRACKING=false instantiation carries no observability code at all.
         // The transition trace is folded in on the commit path of both, so
         // recording it never selects the tracked one.
-        // The fast scheduler requires age ranking; under a custom ranker the
-        // reference scheduler runs regardless of the configured mode.
+        // The fast scheduler requires age ranking; the reference scheduler
+        // runs only when asked for or under a custom ranker.
         let tracking = !self.observers.is_empty() || self.stall_tracker.is_some();
-        // Adaptive fallback: after an unproductive skip window the fast
-        // path parks itself on the reference scheduler for a while (see
-        // `ADAPT_COOLDOWN` in director.rs). Identical cycle behavior either
-        // way — the cooldown only decides which exact scheduler runs.
-        let cooling = self.scratch.adapt_cooldown > 0;
-        if cooling {
-            self.scratch.adapt_cooldown -= 1;
-        }
-        if self.sched_mode == SchedulerMode::Fast && self.age_ranking && !cooling {
-            if tracking {
-                director::control_step_fast::<S, true>(
-                    &mut self.osms,
-                    &self.specs,
-                    &mut self.managers,
-                    &mut self.shared,
-                    self.restart,
-                    self.deadlock_check,
-                    self.cycle,
-                    &mut self.age_counter,
-                    &mut self.stats,
-                    &mut self.observers,
-                    self.stall_tracker.as_mut(),
-                    self.trace.as_mut(),
-                    &mut self.scratch,
-                )
-            } else {
-                director::control_step_fast::<S, false>(
-                    &mut self.osms,
-                    &self.specs,
-                    &mut self.managers,
-                    &mut self.shared,
-                    self.restart,
-                    self.deadlock_check,
-                    self.cycle,
-                    &mut self.age_counter,
-                    &mut self.stats,
-                    &mut self.observers,
-                    None,
-                    self.trace.as_mut(),
-                    &mut self.scratch,
-                )
+        if self.sched_mode == SchedulerMode::Fast && self.age_ranking {
+            // Adaptive proofs: after an unproductive skip window the fast
+            // path walks its ready list proof-free for a while (see
+            // `ADAPT_COOLDOWN` in director.rs). Identical cycle behavior
+            // either way — the cooldown only decides whether blocked OSMs
+            // may be skipped.
+            let proofs = self.scratch.adapt_cooldown == 0;
+            if !proofs {
+                self.scratch.adapt_cooldown -= 1;
+            }
+            match (tracking, proofs) {
+                (false, true) => self.control_step_fast::<false, true>(),
+                (false, false) => self.control_step_fast::<false, false>(),
+                (true, true) => self.control_step_fast::<true, true>(),
+                (true, false) => self.control_step_fast::<true, false>(),
             }
         } else if tracking {
             director::control_step::<S, true>(
@@ -659,6 +633,28 @@ impl<S: 'static> Machine<S> {
                 &mut self.scratch,
             )
         }
+    }
+
+    /// One [`SchedulerMode::Fast`] control step through the given director
+    /// instantiation.
+    fn control_step_fast<const TRACKING: bool, const PROOFS: bool>(
+        &mut self,
+    ) -> Result<StepOutcome, ModelError> {
+        director::control_step_fast::<S, TRACKING, PROOFS>(
+            &mut self.osms,
+            &self.specs,
+            &mut self.managers,
+            &mut self.shared,
+            self.restart,
+            self.deadlock_check,
+            self.cycle,
+            &mut self.age_counter,
+            &mut self.stats,
+            &mut self.observers,
+            self.stall_tracker.as_mut(),
+            self.trace.as_mut(),
+            &mut self.scratch,
+        )
     }
 
     /// Feeds one step's outcome into the watchdog trackers and, if armed,
@@ -2129,15 +2125,15 @@ mod tests {
     fn contended_machine_stays_on_the_fast_path() {
         // The resumed scan still counts the skip proofs Fig. 3's rescans
         // would have repeated; without them this machine's adaptation
-        // window sees more evaluations than skips and parks on `Seed`.
+        // window sees more evaluations than skips and switches proofs off.
         let mut m = contended_machine();
         m.run(1_000).unwrap();
         assert_eq!(m.stats.transitions, 61_000 + 61);
-        assert_eq!(m.scratch.adapt_cooldown, 0, "parked on the seed scheduler");
+        assert_eq!(m.scratch.adapt_cooldown, 0, "skip proofs switched off");
     }
 
     #[test]
-    fn dense_machine_parks_on_the_seed_scheduler() {
+    fn dense_machine_switches_skip_proofs_off_on_its_ready_list() {
         use crate::pools::CountingPool;
         // One dispatch per cycle through a per-cycle pool: the refill at
         // every clock invalidates each waiter's record, so every waiter is
@@ -2158,11 +2154,250 @@ mod tests {
         for _ in 0..16 {
             m.add_osm(&spec, InertBehavior);
         }
-        m.run(1_000).unwrap();
+        // The unproductive window switches proofs off but keeps the ready
+        // list: the schedule is never invalidated, across the boundary or
+        // in the proof-free steps after it.
+        m.step().unwrap();
+        for _ in 1..1_000 {
+            assert!(m.scratch.sched_valid, "cycle {}", m.cycle());
+            m.step().unwrap();
+        }
+        assert!(m.scratch.sched_valid, "schedule invalidated");
         assert!(
             m.scratch.adapt_cooldown > 0,
-            "dense machine stayed on the fast path"
+            "dense machine kept its skip proofs on"
         );
+    }
+
+    /// Shared state of [`dense_restart_machine`]: commits so far.
+    #[derive(Default)]
+    struct Commits(u64);
+    impl HardwareLayer for Commits {}
+
+    /// Counts every commit, and vetoes `issue` for one OSM id in five, the
+    /// one picked rotating with each commit.
+    struct RotatingVeto;
+    impl Behavior<Commits> for RotatingVeto {
+        fn edge_enabled(
+            &self,
+            edge: &Edge,
+            view: &crate::osm::OsmView<'_>,
+            shared: &Commits,
+        ) -> bool {
+            edge.name != "issue" || !(u64::from(view.id.0) + shared.0).is_multiple_of(5)
+        }
+        fn on_transition(&mut self, _: &Edge, ctx: &mut TransitionCtx<'_, Commits>) {
+            ctx.shared.0 += 1;
+        }
+    }
+
+    /// A dense `Restart` machine: 48 OSMs cycle `I -> A -> B -> I`, and a
+    /// per-cycle pool lets 15 of them leave `A` each cycle. So 45 OSMs move
+    /// every cycle, and the 3 left waiting in `A` are served again after
+    /// every later commit of the step. `scheduler_smoke` runs the same
+    /// machine, with inert behaviors, as ADL source.
+    fn dense_restart_machine(vetoes: bool) -> Machine<Commits> {
+        use crate::pools::CountingPool;
+        let mut m: Machine<Commits> = Machine::new(Commits::default());
+        let bw = m.add_manager(CountingPool::per_cycle("bw", 15));
+        let spec = {
+            let mut b = SpecBuilder::new("op");
+            let i = b.state("I");
+            let a = b.state("A");
+            let done = b.state("B");
+            b.initial(i);
+            b.edge(i, a).named("go");
+            b.edge(a, done)
+                .named("issue")
+                .allocate(bw, IdentExpr::ANY)
+                .discard(bw, IdentExpr::AnyHeld);
+            b.edge(done, i).named("done");
+            b.build().unwrap()
+        };
+        for _ in 0..48 {
+            if vetoes {
+                m.add_osm(&spec, RotatingVeto);
+            } else {
+                m.add_osm(&spec, InertBehavior);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn dense_restart_machine_runs_proof_free_in_lockstep_with_seed() {
+        for vetoes in [false, true] {
+            let mut fast = dense_restart_machine(vetoes);
+            let mut seed = dense_restart_machine(vetoes);
+            seed.set_scheduler_mode(SchedulerMode::Seed);
+            let effort = |m: &Machine<Commits>| (m.stats.condition_failures, m.stats.vetoed_edges);
+            let (mut proof_free_steps, mut blocked, mut failures) = (0u64, 0u64, 0u64);
+            for _ in 0..2_000 {
+                let proof_free = fast.scratch.adapt_cooldown > 0;
+                let (fast_before, seed_before) = (effort(&fast), effort(&seed));
+                let moved = fast.step().unwrap().transitions;
+                seed.step().unwrap();
+                let cycle = seed.cycle();
+                assert_eq!(
+                    fast.state_fingerprint(),
+                    seed.state_fingerprint(),
+                    "vetoes {vetoes}, cycle {cycle}"
+                );
+                if cycle == 1_000 {
+                    assert!(
+                        fast.scratch.adapt_cooldown > 0,
+                        "vetoes {vetoes}: proofs on"
+                    );
+                }
+                if proof_free {
+                    // Proof-free steps do exactly the reference scheduler's
+                    // evaluations.
+                    let (fast_after, seed_after) = (effort(&fast), effort(&seed));
+                    let delta = |after: (u64, u64), before: (u64, u64)| {
+                        (after.0 - before.0, after.1 - before.1)
+                    };
+                    assert_eq!(
+                        delta(fast_after, fast_before),
+                        delta(seed_after, seed_before),
+                        "vetoes {vetoes}, cycle {cycle}: effort differs from Seed"
+                    );
+                    proof_free_steps += 1;
+                    blocked += 48 - u64::from(moved);
+                    failures += seed_after.0 - seed_before.0;
+                }
+            }
+            assert!(
+                proof_free_steps > 1_500,
+                "vetoes {vetoes}: {proof_free_steps}"
+            );
+            // The restarts re-evaluated the waiting OSMs, many times a step.
+            assert!(
+                failures > 4 * blocked,
+                "vetoes {vetoes}: {failures} <= 4 * {blocked}"
+            );
+            assert_eq!(fast.stats.restarts, seed.stats.restarts);
+            assert_eq!(vetoes, seed.stats.vetoed_edges > 0);
+        }
+    }
+
+    #[test]
+    fn proofs_back_on_after_a_cooldown_trust_no_record_from_before_it() {
+        // `x` waits in `W` for P[slot 0], which `y` holds for good, and from
+        // its second denial on is skipped on a record resting on P. Sixteen
+        // free-running fillers make the window unproductive (under
+        // `NoRestart`, so their commits count no rescan skips). In the
+        // cooldown, `x` bails out and re-enters `W` for P[1], which is
+        // free, with `grab` vetoed until proofs are back on. By then no
+        // epoch has moved and the veto mask is the recorded one again: only
+        // dropping the records at the window's end stops the stale skip
+        // that would leave `x` waiting where Seed moves it.
+        #[derive(Default, Clone, Copy)]
+        struct Gates {
+            bail: bool,
+            grab_vetoed: bool,
+            next: u64,
+        }
+        impl HardwareLayer for Gates {}
+        struct Gated;
+        impl Behavior<Gates> for Gated {
+            fn edge_enabled(
+                &self,
+                edge: &Edge,
+                _: &crate::osm::OsmView<'_>,
+                gates: &Gates,
+            ) -> bool {
+                match edge.name.as_str() {
+                    "bail" => gates.bail,
+                    "grab" => !gates.grab_vetoed,
+                    _ => true,
+                }
+            }
+            fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, Gates>) {
+                if edge.name == "enter" {
+                    ctx.set_slot(SlotId(0), TokenIdent(ctx.shared.next));
+                }
+            }
+        }
+        let build = || {
+            let mut m: Machine<Gates> = Machine::new(Gates::default());
+            let p = m.add_manager(ExclusivePool::new("P", 2));
+            let holder = {
+                let mut b = SpecBuilder::new("y");
+                let i = b.state("I");
+                let h = b.state("H");
+                b.initial(i);
+                b.edge(i, h).allocate(p, IdentExpr::Const(0));
+                b.build().unwrap()
+            };
+            let waiter = {
+                let mut b = SpecBuilder::new("x");
+                let i = b.state("I");
+                let w = b.state("W");
+                let d = b.state("D");
+                b.initial(i);
+                b.edge(i, w).named("enter");
+                b.edge(w, d)
+                    .named("grab")
+                    .allocate(p, IdentExpr::Slot(SlotId(0)));
+                b.edge(w, i).named("bail");
+                b.edge(d, i).release(p, IdentExpr::AnyHeld);
+                b.build().unwrap()
+            };
+            let filler = {
+                let mut b = SpecBuilder::new("filler");
+                let i = b.state("I");
+                let a = b.state("A");
+                b.initial(i);
+                b.edge(i, a);
+                b.edge(a, i);
+                b.build().unwrap()
+            };
+            m.add_osm(&holder, Gated);
+            let x = m.add_osm(&waiter, Gated);
+            for _ in 0..16 {
+                m.add_osm(&filler, InertBehavior);
+            }
+            m.set_restart_policy(RestartPolicy::NoRestart);
+            (m, x)
+        };
+        let (mut fast, x) = build();
+        let (mut seed, _) = build();
+        seed.set_scheduler_mode(SchedulerMode::Seed);
+        let step = |fast: &mut Machine<Gates>, seed: &mut Machine<Gates>, gates: Gates| {
+            fast.shared = gates;
+            seed.shared = gates;
+            fast.step().unwrap();
+            seed.step().unwrap();
+            assert_eq!(
+                fast.state_fingerprint(),
+                seed.state_fingerprint(),
+                "cycle {}",
+                seed.cycle()
+            );
+        };
+        while fast.scratch.adapt_cooldown == 0 {
+            assert!(fast.cycle() < 1_000, "skip proofs stayed on");
+            step(&mut fast, &mut seed, Gates::default());
+        }
+        assert_eq!(fast.osm(x).state_name(), "W");
+        let bail = Gates {
+            bail: true,
+            next: 1,
+            ..Gates::default()
+        };
+        step(&mut fast, &mut seed, bail);
+        assert_eq!(fast.osm(x).state_name(), "I");
+        while fast.scratch.adapt_cooldown > 0 {
+            let hold = Gates {
+                grab_vetoed: true,
+                next: 1,
+                ..Gates::default()
+            };
+            step(&mut fast, &mut seed, hold);
+        }
+        assert_eq!(fast.osm(x).state_name(), "W");
+        step(&mut fast, &mut seed, Gates::default());
+        assert_eq!(seed.osm(x).state_name(), "D");
     }
 
     #[test]
