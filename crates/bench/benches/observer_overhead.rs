@@ -8,13 +8,9 @@
 //! transition trace is not an observer: a digest trace keeps the run on the
 //! uninstrumented director and adds one digest fold per committed
 //! transition. The enabled rows quantify what each opt-in costs.
-//!
-//! Also carries the `Stats::incr` key micro-benchmark: interned
-//! `&'static str` keys must not allocate on the hot path, unlike the
-//! owned-string `incr_dyn` fallback.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use osm_core::{Stats, Trace};
+use osm_core::Trace;
 use sa1100::{SaConfig, SaOsmSim};
 use std::hint::black_box;
 use workloads::mediabench_scaled;
@@ -79,45 +75,5 @@ fn observer_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn stats_keys(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stats_keys");
-    group.sample_size(10);
-
-    // Interned path: after the first insert every call is a BTreeMap lookup
-    // keyed by the borrowed `&'static str` — zero allocations.
-    group.bench_function("incr_static", |b| {
-        let mut stats = Stats::default();
-        b.iter(|| {
-            for _ in 0..1_000 {
-                stats.incr(black_box("model.icache_miss"), 1);
-            }
-            black_box(stats.named().count())
-        })
-    });
-    // Dynamic path: same lookup, but a miss pays a `to_owned`. Steady-state
-    // cost should match incr_static since the key already exists.
-    group.bench_function("incr_dyn_hit", |b| {
-        let mut stats = Stats::default();
-        stats.incr_dyn("model.icache_miss", 0);
-        b.iter(|| {
-            for _ in 0..1_000 {
-                stats.incr_dyn(black_box("model.icache_miss"), 1);
-            }
-            black_box(stats.named().count())
-        })
-    });
-    // Worst case before the Cow keys: an owned String allocated per call.
-    group.bench_function("incr_dyn_fresh_string", |b| {
-        b.iter(|| {
-            let mut stats = Stats::default();
-            for i in 0..1_000u32 {
-                stats.incr_dyn(black_box(&format!("counter.{}", i % 4)), 1);
-            }
-            black_box(stats.named().count())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, observer_overhead, stats_keys);
+criterion_group!(benches, observer_overhead);
 criterion_main!(benches);

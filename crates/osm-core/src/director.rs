@@ -227,9 +227,10 @@ pub(crate) struct Scratch {
     moved: Vec<u64>,
     /// Per-OSM sensitivity records.
     sens: Vec<SensEntry>,
-    /// `ManagerTable::generation()` at the last idle-step deadlock
-    /// diagnostic scan; lets the fast path prove the scan would find the
-    /// same (empty) wait-for graph again and skip it.
+    /// `ManagerTable::generation()` at the last idle-step deadlock scan
+    /// that found no cycle; lets a fast step that evaluated nothing prove
+    /// the scan would find the same acyclic wait-for graph again and skip
+    /// it (see [`idle_step_deadlock`]).
     last_diag_generation: u64,
     /// Skips granted by [`can_skip`] in the current adaptation window.
     adapt_skips: u64,
@@ -767,7 +768,28 @@ fn commit_plan<S, const OBS: bool>(
     }
 }
 
-/// Runs one control step over all OSMs (the Fig. 3 algorithm).
+/// What one scheduling pass did; [`crate::Machine::control_step`] ends the
+/// step from it the same way for both schedulers.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepWork {
+    /// Transitions committed.
+    pub(crate) transitions: u32,
+    /// Of those, returns to the initial state.
+    pub(crate) completions: u32,
+    /// Fig. 3 restarts counted ([`Stats::restarts`]).
+    pub(crate) restarts: u32,
+    /// Whether any OSM's edges were evaluated rather than skipped on a
+    /// proof (see [`idle_step_deadlock`]).
+    pub(crate) evaluated: bool,
+}
+
+/// Runs one control step with the reference scheduler: the literal Fig. 3
+/// loop. It ranks every OSM, sorts by `(rank, id)` and serves the list in
+/// order through [`serve_osm`]; an OSM that moves leaves the list, and
+/// under [`RestartPolicy::Restart`] the scan restarts from the top. This
+/// loop order is all that sets it apart from [`control_step_fast`] (whose
+/// oracle it is); serving, stall charging and the step's end are shared.
+/// Runs under [`SchedulerMode::Seed`] and under any custom [`Ranker`].
 ///
 /// Monomorphized over `TRACKING`: callers pass `TRACKING = true` exactly
 /// when observers are registered or a [`StallTracker`] is attached, and
@@ -776,20 +798,15 @@ fn commit_plan<S, const OBS: bool>(
 /// runs the pre-observability hot loop (one branch per cycle picks the
 /// instantiation). `trace`, when present, receives every committed
 /// transition in both instantiations.
-///
-/// # Errors
-/// Returns [`ModelError::Deadlock`] if `deadlock_check` is on, no OSM
-/// transitioned, and the blocked OSMs form a wait-for cycle.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     osms: &mut [Osm<S>],
-    specs: &[std::sync::Arc<crate::spec::StateMachineSpec>],
+    specs: &[Arc<StateMachineSpec>],
     managers: &mut ManagerTable,
     shared: &mut S,
     ranker: &dyn Ranker<S>,
     age_ranking: bool,
     policy: RestartPolicy,
-    deadlock_check: bool,
     cycle: u64,
     age_counter: &mut u64,
     stats: &mut Stats,
@@ -797,225 +814,71 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     mut stalls: Option<&mut StallTracker>,
     mut trace: Option<&mut Trace>,
     scratch: &mut Scratch,
-) -> Result<StepOutcome, ModelError> {
-    // Rank all OSMs; stable order by (rank, id) guarantees determinism.
-    // The paper's age policy is the common case and needs no view.
-    scratch.list.clear();
-    scratch.wait_edges.clear();
-    // Stall attribution needs the first failing primitive of the
-    // highest-priority enabled edge for every OSM still blocked at the end
-    // of the step; `first_fail` collects it during the scan so no second
-    // probe pass is needed.
+) -> StepWork {
     debug_assert_eq!(TRACKING, stalls.is_some() || !observers.is_empty());
     if TRACKING {
         scratch.first_fail.clear();
         scratch.first_fail.resize(osms.len(), None);
     }
-    if age_ranking {
-        for osm in osms.iter() {
-            scratch.list.push((osm.age, osm.id));
-        }
-    } else {
-        for osm in osms.iter() {
-            scratch.list.push((ranker.rank(&osm.view(), shared), osm.id));
-        }
-    }
-    scratch.list.sort_unstable_by_key(|&(rank, id)| (rank, id));
+    // Rank all OSMs; the paper's age policy is the common case and needs
+    // no view. Ids are unique, so sorting by (rank, id) is a total order.
     let mut list = std::mem::take(&mut scratch.list);
+    if age_ranking {
+        list.extend(osms.iter().map(|osm| (osm.age, osm.id)));
+    } else {
+        list.extend(osms.iter().map(|osm| (ranker.rank(&osm.view(), shared), osm.id)));
+    }
+    list.sort_unstable();
 
-    let mut transitions: u32 = 0;
-    let mut completions: u32 = 0;
-    let mut step_restarts: u32 = 0;
-
+    // The reference loop skips no OSM, so an idle step is always scanned
+    // for deadlock.
+    let mut work = StepWork {
+        evaluated: true,
+        ..StepWork::default()
+    };
     let mut i = 0;
     while i < list.len() {
-        let id = list[i].1;
-        let osm = &mut osms[id.index()];
-        let spec_idx = osm.spec_idx;
-        let spec = &specs[spec_idx as usize];
-        let mut moved = false;
-        if TRACKING {
-            scratch.first_fail[id.index()] = None;
-        }
-
-        for &eid in spec.out_edges(osm.state) {
-            let edge = spec.edge(eid);
-            if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
-                stats.vetoed_edges += 1;
-                continue;
-            }
-            let satisfied = if TRACKING && !observers.is_empty() {
-                try_condition::<S, true>(osm, edge, managers, scratch, false, observers, cycle)
-            } else {
-                try_condition::<S, false>(osm, edge, managers, scratch, false, &mut [], cycle)
-            };
-            if satisfied {
-                {
-                    if TRACKING && !observers.is_empty() {
-                        commit_plan::<S, true>(osm, scratch, managers, observers, cycle, eid);
-                    } else {
-                        commit_plan::<S, false>(osm, scratch, managers, &mut [], cycle, eid);
-                    }
-                    let from = osm.state;
-                    osm.state = edge.dst;
-                    let initial = spec.initial();
-                    if from == initial && edge.dst != initial {
-                        osm.age = *age_counter;
-                        *age_counter += 1;
-                    } else if edge.dst == initial {
-                        osm.age = IDLE_AGE;
-                        completions += 1;
-                        debug_assert!(
-                            osm.buffer.is_empty(),
-                            "OSM {} returned to initial state still holding tokens: {:?}",
-                            osm.id,
-                            osm.buffer
-                        );
-                    }
-                    osm.last_move_cycle = cycle;
-                    let mut ctx = TransitionCtx {
-                        osm: osm.id,
-                        from,
-                        to: edge.dst,
-                        cycle,
-                        tag: osm.tag,
-                        slots: &mut osm.slots,
-                        buffer: &osm.buffer,
-                        managers,
-                        shared,
-                    };
-                    osm.behavior.on_transition(edge, &mut ctx);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(TraceEvent {
-                            cycle,
-                            osm: id,
-                            edge: eid,
-                            from,
-                            to: edge.dst,
-                        });
-                    }
-                    if TRACKING && !observers.is_empty() {
-                        let ev = TransitionEvent {
-                            cycle,
-                            osm: id,
-                            spec: spec_idx,
-                            edge: eid,
-                            from,
-                            to: edge.dst,
-                            started: from == initial && edge.dst != initial,
-                            completed: edge.dst == initial,
-                        };
-                        for o in observers.iter_mut() {
-                            o.on_transition(&ev);
-                        }
-                    }
-                    stats.transitions += 1;
-                    transitions += 1;
-                    moved = true;
-                    break;
-                }
-            } else {
-                stats.condition_failures += 1;
-                if TRACKING && scratch.first_fail[id.index()].is_none() {
-                    scratch.first_fail[id.index()] = scratch.fail;
-                }
-            }
-        }
-
-        if moved {
-            list.remove(i);
-            match policy {
-                RestartPolicy::Restart => {
-                    // Every committed transition re-enters the Fig. 3 outer
-                    // loop from the top; when OSMs remain unserved that
-                    // rescan actually happens and is counted — including
-                    // transitions at i == 0, which the counter previously
-                    // missed (`Stats::restarts` = rescans performed).
-                    if !list.is_empty() {
-                        stats.restarts += 1;
-                        step_restarts += 1;
-                    }
-                    i = 0;
-                }
-                RestartPolicy::NoRestart => {
-                    // The removed element's successor slid into position i.
-                }
-            }
-        } else {
+        let served = serve_osm::<S, TRACKING, false>(
+            osms,
+            list[i].1,
+            specs,
+            managers,
+            shared,
+            cycle,
+            age_counter,
+            stats,
+            observers,
+            trace.as_deref_mut(),
+            scratch,
+        );
+        if !served.moved {
             i += 1;
+            continue;
+        }
+        work.transitions += 1;
+        work.completions += u32::from(served.completed);
+        list.remove(i);
+        // Under `Restart` every commit re-enters the outer loop from the
+        // top, and a rescan that happens (OSMs remain unserved) counts once.
+        // Under `NoRestart` the removed OSM's successor slid into place `i`.
+        if policy == RestartPolicy::Restart {
+            if !list.is_empty() {
+                stats.restarts += 1;
+                work.restarts += 1;
+            }
+            i = 0;
         }
     }
 
-    // Everything still in `list` failed to leave its state this step; charge
-    // the first blocking (manager, primitive) pair recorded during the scan.
+    // Everything still listed failed to leave its state this step.
     if TRACKING {
         for &(_, id) in &list {
-            let Some((prim, ident)) = scratch.first_fail[id.index()] else {
-                continue;
-            };
-            let Some(manager) = prim.manager() else {
-                continue;
-            };
-            let op = prim.kind();
-            if let Some(t) = stalls.as_deref_mut() {
-                t.charge(id, manager, op);
-            }
-            if !observers.is_empty() {
-                let osm = &osms[id.index()];
-                let ev = StallEvent {
-                    cycle,
-                    osm: id,
-                    spec: osm.spec_idx,
-                    state: osm.state,
-                    manager,
-                    op,
-                    ident,
-                };
-                for o in observers.iter_mut() {
-                    o.on_stall(&ev);
-                }
-            }
+            charge_blocked(osms, id.index(), &scratch.first_fail, &mut stalls, observers, cycle);
         }
     }
-
-    let mut deadlock: Option<ModelError> = None;
-    if transitions == 0 {
-        stats.idle_steps += 1;
-        if TRACKING {
-            if let Some(t) = stalls {
-                t.global_stall_cycles += 1;
-            }
-        }
-        if deadlock_check {
-            if let Some(cycle_osms) =
-                deadlock_diagnostic_scan(osms, specs, managers, shared, scratch, cycle)
-            {
-                deadlock = Some(ModelError::Deadlock {
-                    cycle,
-                    osms: cycle_osms,
-                });
-            }
-        }
-    }
-
-    if TRACKING && deadlock.is_none() {
-        for o in observers.iter_mut() {
-            o.on_cycle_end(cycle, transitions, completions, step_restarts);
-        }
-    }
-
-    // Restore the ranking buffer on *every* exit — previously the taken
-    // `list` was dropped on the deadlock return, silently losing the
-    // per-step allocation.
+    list.clear();
     scratch.list = list;
-    scratch.list.clear();
-    match deadlock {
-        Some(err) => Err(err),
-        None => Ok(StepOutcome {
-            transitions,
-            completions,
-        }),
-    }
+    work
 }
 
 /// Rebuilds the fast scheduler's persistent state from the machine: every
@@ -1134,11 +997,13 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
     )
 }
 
-/// Serves one OSM exactly as the reference scheduler's inner loop does —
-/// same edge order, same transition bookkeeping, same counters. With
-/// `PROOFS`, a transition clears the OSM's sensitivity entry and a blocked
-/// evaluation records it so later steps can skip the OSM; without, the
-/// entries are neither read nor written.
+/// Serves one OSM: the inner loop of Fig. 3 for both schedulers. Evaluates
+/// the current state's out-edges in priority order and commits the first
+/// satisfied one: the plan, the state and age update, `on_transition`, the
+/// trace fold and the [`TransitionEvent`] all happen here and only here.
+/// With `PROOFS`, a transition clears the OSM's sensitivity entry and a
+/// blocked evaluation records it so later steps can skip the OSM; without,
+/// the entries are neither read nor written.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
@@ -1315,8 +1180,7 @@ fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
 }
 
 /// Charges one end-of-step blocked OSM to its first failing (manager,
-/// primitive) pair — the fast path's equivalent of the reference scheduler's
-/// residual-list attribution pass.
+/// primitive) pair; both schedulers charge every blocked OSM through it.
 fn charge_blocked<S>(
     osms: &[Osm<S>],
     oi: usize,
@@ -1379,13 +1243,6 @@ fn charge_blocked<S>(
 /// resumes at the lowest blocked position: Fig. 3's literal rescan, with
 /// exactly the reference scheduler's evaluations and effort counters, but
 /// without its per-step rank sort and per-commit list shift.
-///
-/// # Errors
-/// Returns [`ModelError::Deadlock`] exactly as the reference scheduler does;
-/// the idle-step diagnostic scan is elided only when nothing was evaluated
-/// this step and no manager epoch moved since the last scan — conditions
-/// under which the scan would provably rebuild the same (acyclic) wait-for
-/// graph.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: bool>(
     osms: &mut [Osm<S>],
@@ -1393,7 +1250,6 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
     managers: &mut ManagerTable,
     shared: &mut S,
     policy: RestartPolicy,
-    deadlock_check: bool,
     cycle: u64,
     age_counter: &mut u64,
     stats: &mut Stats,
@@ -1401,9 +1257,8 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
     mut stalls: Option<&mut StallTracker>,
     mut trace: Option<&mut Trace>,
     scratch: &mut Scratch,
-) -> Result<StepOutcome, ModelError> {
+) -> StepWork {
     let n = osms.len();
-    scratch.wait_edges.clear();
     debug_assert_eq!(TRACKING, stalls.is_some() || !observers.is_empty());
     if TRACKING {
         scratch.first_fail.clear();
@@ -1421,11 +1276,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
         scratch.active_dead = 0;
     }
 
-    let mut transitions: u32 = 0;
-    let mut completions: u32 = 0;
-    let mut step_restarts: u32 = 0;
-    let mut moved_count: usize = 0;
-    let mut any_evaluated = false;
+    let mut work = StepWork::default();
     let mut step_skips: u64 = 0;
     let mut step_evals: u64 = 0;
 
@@ -1468,7 +1319,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
             }
             step_skips += 1;
         } else {
-            any_evaluated = true;
+            work.evaluated = true;
             step_evals += 1;
             let served = if PROOFS {
                 serve_osm_fast::<S, TRACKING>(
@@ -1501,14 +1352,13 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
             };
             if served.moved {
                 scratch.moved[oi] = seq;
-                moved_count += 1;
-                transitions += 1;
+                work.transitions += 1;
                 debug_assert!(
                     pos >= in_flight || !served.dispatched,
                     "in-flight OSM cannot dispatch"
                 );
                 if served.completed {
-                    completions += 1;
+                    work.completions += 1;
                     // An idle OSM completes by an initial-state self-loop,
                     // without ever joining `active`.
                     if pos < in_flight {
@@ -1521,9 +1371,9 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
                     active.push(id);
                 }
                 if restart {
-                    if moved_count < n {
+                    if (work.transitions as usize) < n {
                         stats.restarts += 1;
-                        step_restarts += 1;
+                        work.restarts += 1;
                     }
                     // Fig. 3 rescans from the top here. Every blocked OSM
                     // below the resume point would pass its skip proof again,
@@ -1550,7 +1400,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
 
     // Everything unmoved is blocked; charge its first blocking (manager,
     // primitive) pair — for skipped OSMs, from the persisted record — in the
-    // same residual order the reference scheduler charges.
+    // order of the reference scheduler's leftover list.
     if TRACKING {
         for &id in active.iter() {
             if id == TOMBSTONE {
@@ -1567,40 +1417,6 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
                 continue;
             }
             charge_blocked(osms, oi, &scratch.first_fail, &mut stalls, observers, cycle);
-        }
-    }
-
-    let mut deadlock: Option<ModelError> = None;
-    if transitions == 0 {
-        stats.idle_steps += 1;
-        if TRACKING {
-            if let Some(t) = stalls {
-                t.global_stall_cycles += 1;
-            }
-        }
-        if deadlock_check {
-            let generation = managers.generation();
-            // When every OSM was skipped and no manager epoch has moved
-            // since the last diagnostic scan, that scan would rebuild the
-            // exact same wait-for graph it already proved acyclic — elide it.
-            if any_evaluated || generation != scratch.last_diag_generation {
-                if let Some(cycle_osms) =
-                    deadlock_diagnostic_scan(osms, specs, managers, shared, scratch, cycle)
-                {
-                    deadlock = Some(ModelError::Deadlock {
-                        cycle,
-                        osms: cycle_osms,
-                    });
-                } else {
-                    scratch.last_diag_generation = generation;
-                }
-            }
-        }
-    }
-
-    if TRACKING && deadlock.is_none() {
-        for o in observers.iter_mut() {
-            o.on_cycle_end(cycle, transitions, completions, step_restarts);
         }
     }
 
@@ -1627,33 +1443,38 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
             }
         }
     }
-
-    match deadlock {
-        Some(err) => Err(err),
-        None => Ok(StepOutcome {
-            transitions,
-            completions,
-        }),
-    }
+    work
 }
 
-/// Second evaluation pass over every OSM on a globally idle step, this time
-/// recording which OSMs own the blocking tokens (lazy wait-for-graph
-/// construction); returns the OSMs of a wait-for cycle if one exists.
+/// The deadlock verdict of a step in which no OSM moved, for both
+/// schedulers: a second evaluation pass over every OSM, this time recording
+/// which OSMs own the blocking tokens (lazy wait-for-graph construction),
+/// and [`ModelError::Deadlock`] if that graph has a cycle.
+///
+/// The pass is elided when the step `evaluated` nothing (the fast scheduler
+/// skipped every OSM on a proof) and no manager epoch moved since the last
+/// pass found no cycle: it would rebuild the same acyclic graph. The
+/// reference scheduler always evaluates, so it always scans.
 ///
 /// Conditions all failed in the scheduling pass and nothing has changed, so
 /// they fail again — the pass is side-effect free (with a defensive rollback
 /// for release builds). Runs with no observers: emitting events here would
 /// break the one-Denied-per-condition-failure reconciliation.
-fn deadlock_diagnostic_scan<S: 'static>(
-    osms: &mut [Osm<S>],
+pub(crate) fn idle_step_deadlock<S: 'static>(
+    osms: &[Osm<S>],
     specs: &[Arc<StateMachineSpec>],
     managers: &mut ManagerTable,
     shared: &S,
     scratch: &mut Scratch,
     cycle: u64,
-) -> Option<Vec<OsmId>> {
-    for osm in osms.iter_mut() {
+    evaluated: bool,
+) -> Result<(), ModelError> {
+    let generation = managers.generation();
+    if !evaluated && generation == scratch.last_diag_generation {
+        return Ok(());
+    }
+    scratch.wait_edges.clear();
+    for osm in osms {
         let spec = &specs[osm.spec_idx as usize];
         for &eid in spec.out_edges(osm.state) {
             let edge = spec.edge(eid);
@@ -1664,25 +1485,36 @@ fn deadlock_diagnostic_scan<S: 'static>(
                 try_condition::<S, false>(osm, edge, managers, scratch, true, &mut [], cycle);
             debug_assert!(!satisfied, "idle step re-evaluation succeeded");
             if satisfied {
-                // Roll back defensively in release builds.
-                for op in scratch.ops.iter().rev() {
-                    match *op {
-                        PreparedOp::Alloc { manager, token, .. } => {
-                            managers.probe_mut(manager).abort_allocate(osm.id, token)
-                        }
-                        PreparedOp::Release { manager, token, .. } => {
-                            managers.probe_mut(manager).abort_release(osm.id, token)
-                        }
-                    }
-                }
+                abort_plan(osm, scratch, managers);
             }
         }
     }
-    find_wait_cycle(
+    match find_wait_cycle(
         &scratch.wait_edges,
         &mut scratch.wait_marks,
         &mut scratch.wait_stack,
-    )
+    ) {
+        Some(osms) => Err(ModelError::Deadlock { cycle, osms }),
+        None => {
+            scratch.last_diag_generation = generation;
+            Ok(())
+        }
+    }
+}
+
+/// Aborts the transactions `try_condition` prepared for a satisfied
+/// condition that is only being probed, not committed.
+fn abort_plan<S>(osm: &Osm<S>, scratch: &Scratch, managers: &mut ManagerTable) {
+    for op in scratch.ops.iter().rev() {
+        match *op {
+            PreparedOp::Alloc { manager, token, .. } => {
+                managers.probe_mut(manager).abort_allocate(osm.id, token);
+            }
+            PreparedOp::Release { manager, token, .. } => {
+                managers.probe_mut(manager).abort_release(osm.id, token);
+            }
+        }
+    }
 }
 
 /// Probes `edge` for `osm` and reports why it cannot fire right now, or
@@ -1696,18 +1528,7 @@ fn probe_edge<S>(
     scratch: &mut Scratch,
 ) -> Option<WaitCause> {
     if try_condition::<S, false>(osm, edge, managers, scratch, false, &mut [], 0) {
-        // Satisfiable: roll the tentative transactions back (this is only a
-        // probe, not a scheduling pass).
-        for op in scratch.ops.iter().rev() {
-            match *op {
-                PreparedOp::Alloc { manager, token, .. } => {
-                    managers.probe_mut(manager).abort_allocate(osm.id, token);
-                }
-                PreparedOp::Release { manager, token, .. } => {
-                    managers.probe_mut(manager).abort_release(osm.id, token);
-                }
-            }
-        }
+        abort_plan(osm, scratch, managers);
         return None;
     }
     let (prim, ident) = scratch.fail.take()?;

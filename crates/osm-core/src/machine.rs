@@ -1,6 +1,8 @@
 //! The machine: managers + OSMs + director configuration + shared hardware state.
 
-use crate::director::{self, AgeRanker, Ranker, RestartPolicy, SchedulerMode, Scratch, StepOutcome};
+use crate::director::{
+    self, AgeRanker, Ranker, RestartPolicy, SchedulerMode, Scratch, StepOutcome, StepWork,
+};
 use crate::error::{ModelError, StallKind, StallReport};
 use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
@@ -570,8 +572,15 @@ impl<S: 'static> Machine<S> {
     /// current cycle, without advancing the hardware layer. The DE kernel
     /// uses this at clock edges; most users call [`Machine::step`].
     ///
+    /// The configured scheduler runs the step's scheduling pass; the step
+    /// then ends here, the same way for both: a step without transitions
+    /// counts as an idle step (and a global stall cycle when stall
+    /// attribution is on) and gets the deadlock check, and observers see
+    /// `on_cycle_end` unless the step deadlocked.
+    ///
     /// # Errors
-    /// Returns [`ModelError::Deadlock`] on a detected wait-for cycle.
+    /// Returns [`ModelError::Deadlock`] if deadlock detection is on, no OSM
+    /// transitioned, and the blocked OSMs form a wait-for cycle.
     pub fn control_step(&mut self) -> Result<StepOutcome, ModelError> {
         // One branch per cycle picks the monomorphized director: the
         // TRACKING=false instantiation carries no observability code at all.
@@ -580,7 +589,7 @@ impl<S: 'static> Machine<S> {
         // The fast scheduler requires age ranking; the reference scheduler
         // runs only when asked for or under a custom ranker.
         let tracking = !self.observers.is_empty() || self.stall_tracker.is_some();
-        if self.sched_mode == SchedulerMode::Fast && self.age_ranking {
+        let work = if self.sched_mode == SchedulerMode::Fast && self.age_ranking {
             // Adaptive proofs: after an unproductive skip window the fast
             // path walks its ready list proof-free for a while (see
             // `ADAPT_COOLDOWN` in director.rs). Identical cycle behavior
@@ -597,56 +606,64 @@ impl<S: 'static> Machine<S> {
                 (true, false) => self.control_step_fast::<true, false>(),
             }
         } else if tracking {
-            director::control_step::<S, true>(
-                &mut self.osms,
-                &self.specs,
-                &mut self.managers,
-                &mut self.shared,
-                self.ranker.as_ref(),
-                self.age_ranking,
-                self.restart,
-                self.deadlock_check,
-                self.cycle,
-                &mut self.age_counter,
-                &mut self.stats,
-                &mut self.observers,
-                self.stall_tracker.as_mut(),
-                self.trace.as_mut(),
-                &mut self.scratch,
-            )
+            self.control_step_seed::<true>()
         } else {
-            director::control_step::<S, false>(
-                &mut self.osms,
-                &self.specs,
-                &mut self.managers,
-                &mut self.shared,
-                self.ranker.as_ref(),
-                self.age_ranking,
-                self.restart,
-                self.deadlock_check,
-                self.cycle,
-                &mut self.age_counter,
-                &mut self.stats,
-                &mut self.observers,
-                None,
-                self.trace.as_mut(),
-                &mut self.scratch,
-            )
+            self.control_step_seed::<false>()
+        };
+        if work.transitions == 0 {
+            self.stats.idle_steps += 1;
+            if let Some(t) = &mut self.stall_tracker {
+                t.global_stall_cycles += 1;
+            }
+            if self.deadlock_check {
+                director::idle_step_deadlock(
+                    &self.osms,
+                    &self.specs,
+                    &mut self.managers,
+                    &self.shared,
+                    &mut self.scratch,
+                    self.cycle,
+                    work.evaluated,
+                )?;
+            }
         }
+        for o in &mut self.observers {
+            o.on_cycle_end(self.cycle, work.transitions, work.completions, work.restarts);
+        }
+        Ok(StepOutcome {
+            transitions: work.transitions,
+            completions: work.completions,
+        })
     }
 
-    /// One [`SchedulerMode::Fast`] control step through the given director
-    /// instantiation.
-    fn control_step_fast<const TRACKING: bool, const PROOFS: bool>(
-        &mut self,
-    ) -> Result<StepOutcome, ModelError> {
+    /// One reference-scheduler pass through the given instantiation.
+    fn control_step_seed<const TRACKING: bool>(&mut self) -> StepWork {
+        director::control_step::<S, TRACKING>(
+            &mut self.osms,
+            &self.specs,
+            &mut self.managers,
+            &mut self.shared,
+            self.ranker.as_ref(),
+            self.age_ranking,
+            self.restart,
+            self.cycle,
+            &mut self.age_counter,
+            &mut self.stats,
+            &mut self.observers,
+            self.stall_tracker.as_mut(),
+            self.trace.as_mut(),
+            &mut self.scratch,
+        )
+    }
+
+    /// One [`SchedulerMode::Fast`] pass through the given instantiation.
+    fn control_step_fast<const TRACKING: bool, const PROOFS: bool>(&mut self) -> StepWork {
         director::control_step_fast::<S, TRACKING, PROOFS>(
             &mut self.osms,
             &self.specs,
             &mut self.managers,
             &mut self.shared,
             self.restart,
-            self.deadlock_check,
             self.cycle,
             &mut self.age_counter,
             &mut self.stats,
@@ -748,7 +765,8 @@ impl<S: HardwareLayer + 'static> Machine<S> {
     /// machine or any other of the same construction.
     ///
     /// Layout: [`CHECKPOINT_MAGIC`], [`CHECKPOINT_VERSION`], the counters
-    /// and statistics, the shared state's section
+    /// and statistics, an empty list (once named counters; a reader refuses
+    /// a non-empty one), the shared state's section
     /// ([`HardwareLayer::encode_state`]), per OSM its record and behavior
     /// section (tag 0 for a stateless behavior), per manager its
     /// [`TokenManager::snapshot_state`] section, and finally a
@@ -819,10 +837,8 @@ impl<S: HardwareLayer + 'static> Machine<S> {
         ] {
             w.put_u64(v);
         }
-        w.put_seq(s.named().collect::<Vec<_>>(), |w, (name, value)| {
-            w.put_str(name);
-            w.put_u64(value);
-        });
+        // Once a list of named counters; always empty now.
+        w.put_u32(0);
         w.put_bytes(&shared);
         w.put_u32(self.osms.len() as u32);
         for osm in &self.osms {
@@ -876,13 +892,10 @@ impl<S: HardwareLayer + 'static> Machine<S> {
         for c in &mut counters {
             *c = r.take_u64().ok_or_else(truncated)?;
         }
-        let mut stats = Stats::new();
-        let named = r
-            .take_vec(|r| Some((r.take_str()?, r.take_u64()?)))
-            .ok_or_else(truncated)?;
-        for (name, value) in named {
-            stats.incr_dyn(name, value);
+        if r.take_u32().ok_or_else(truncated)? != 0 {
+            return Err(mismatch("checkpoint carries named counters, which `Stats` no longer keeps"));
         }
+        let mut stats = Stats::new();
         [
             self.cycle,
             self.age_counter,
@@ -1496,8 +1509,9 @@ mod tests {
         }
     }
 
-    /// Reads past a checkpoint payload's magic, version, counters, named
-    /// statistics and shared section; returns the OSM count that follows.
+    /// Reads past a checkpoint payload's magic, version, counters, the
+    /// empty named-counter list and shared section; returns the OSM count
+    /// that follows.
     fn skip_to_osm_records(r: &mut ByteReader<'_>) -> u32 {
         r.take_bytes().unwrap();
         r.take_u32().unwrap();
@@ -1645,6 +1659,42 @@ mod tests {
         fresh.restore(&good).unwrap();
         assert_eq!(fresh.state_fingerprint(), source.state_fingerprint());
         assert!(fresh.audit_tokens().is_empty());
+    }
+
+    #[test]
+    fn restore_refuses_named_counters() {
+        let mut m: Machine<()> = Machine::new(());
+        let ma = m.add_manager(ExclusivePool::new("A", 1));
+        let mb = m.add_manager(ExclusivePool::new("B", 1));
+        m.add_osm(&pipeline_spec(ma, mb), InertBehavior);
+        m.run(2).unwrap();
+        let good = m.checkpoint().unwrap();
+        // Splice one named counter into the empty list after the counters.
+        let payload = unseal(&good, fnv1a).expect("sealed");
+        let mut r = ByteReader::new(payload);
+        r.take_bytes().unwrap();
+        r.take_u32().unwrap();
+        for _ in 0..10 {
+            r.take_u64().unwrap();
+        }
+        let at = r.position();
+        assert_eq!(r.take_u32(), Some(0), "the list is written empty");
+        let mut w = ByteWriter::new();
+        w.put_raw(&payload[..at]);
+        w.put_seq([("retired", 5u64)], |w, (name, value)| {
+            w.put_str(name);
+            w.put_u64(value);
+        });
+        w.put_raw(&payload[at + 4..]);
+        let bad = reseal(w.into_bytes());
+
+        let fingerprint = m.state_fingerprint();
+        match m.restore(&bad) {
+            Err(ModelError::SnapshotMismatch { what }) => assert!(what.contains("named")),
+            other => panic!("expected mismatch, got {other:?}"),
+        }
+        assert_eq!(m.state_fingerprint(), fingerprint);
+        assert_eq!(m.checkpoint().unwrap(), good);
     }
 
     #[test]

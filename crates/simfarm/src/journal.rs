@@ -28,8 +28,8 @@
 //!   with [`JournalError::ManifestMismatch`].
 //!
 //! The payload preserves every field the farm report renders or folds
-//! (outcome taxonomy in full, scheduler [`Stats`] including named counters,
-//! the rendered metrics fields, fault totals), which is what makes a
+//! (outcome taxonomy in full, scheduler [`Stats`], the rendered metrics
+//! fields, fault totals), which is what makes a
 //! resumed sweep's consolidated report byte-identical to an uninterrupted
 //! run's.
 //!
@@ -421,11 +421,8 @@ fn stats_to_json(stats: &Stats) -> Json {
     obj.insert("vetoed_edges".into(), num(stats.vetoed_edges));
     obj.insert("idle_steps".into(), num(stats.idle_steps));
     obj.insert("restarts".into(), num(stats.restarts));
-    let named: BTreeMap<String, Json> = stats
-        .named()
-        .map(|(name, value)| (name.to_owned(), num(value)))
-        .collect();
-    obj.insert("named".into(), Json::Obj(named));
+    // Once the named counters; always empty now.
+    obj.insert("named".into(), Json::Obj(BTreeMap::new()));
     Json::Obj(obj)
 }
 
@@ -438,10 +435,10 @@ fn stats_from_json(j: &Json) -> Result<Stats, String> {
     stats.idle_steps = get_u64(j, "idle_steps")?;
     stats.restarts = get_u64(j, "restarts")?;
     if let Some(Json::Obj(named)) = j.get("named") {
-        for (name, value) in named {
-            let value =
-                json_u64(value).ok_or_else(|| format!("non-integer named counter `{name}`"))?;
-            stats.incr_dyn(name, value);
+        if let Some(name) = named.keys().next() {
+            return Err(format!(
+                "named counter `{name}`: `Stats` no longer keeps named counters"
+            ));
         }
     }
     Ok(stats)
@@ -697,6 +694,28 @@ mod tests {
         // rounded number.
         let payload = String::from_utf8_lossy(&bytes);
         assert!(payload.contains(&format!("\"0x{big:x}\"")), "{payload}");
+    }
+
+    /// `Stats` keeps no named counters: a record still writes the empty
+    /// `"named":{}` it always had, and one that names a counter is corrupt.
+    #[test]
+    fn records_write_no_named_counters_and_refuse_one() {
+        let jobs = sample_jobs();
+        let mut result = run_job(&jobs[0]);
+        result.stats = Some(Stats::new());
+        let payload = result_to_json(0, &result).to_string();
+        assert!(payload.contains(r#""named":{}"#), "{payload}");
+        let named = payload.replace(r#""named":{}"#, r#""named":{"retired":5}"#);
+        let mut w = ByteWriter::new();
+        w.put_raw(&header_bytes(&jobs).unwrap());
+        w.put_frame(named.as_bytes(), fnv);
+        match parse_bytes(&w.into_bytes(), &jobs) {
+            Err(JournalError::CorruptRecord { offset, why }) => {
+                assert_eq!(offset as usize, HEADER_LEN);
+                assert!(why.contains("retired"), "{why}");
+            }
+            other => panic!("expected CorruptRecord, got {other:?}"),
+        }
     }
 
     /// Regression: the format's u32 length fields refuse values they would

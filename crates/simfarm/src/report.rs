@@ -125,9 +125,6 @@ impl FarmReport {
                 total_stats.vetoed_edges += stats.vetoed_edges;
                 total_stats.idle_steps += stats.idle_steps;
                 total_stats.restarts += stats.restarts;
-                for (name, value) in stats.named() {
-                    total_stats.incr_dyn(name, value);
-                }
             }
             if let Some(stalls) = job.metrics.as_ref().and_then(|m| m.stalls.as_ref()) {
                 for cause in &stalls.by_manager {
@@ -412,73 +409,102 @@ impl FarmReport {
     /// full per-job table stays on [`fmt::Display`] (`--json` for the
     /// machine form).
     pub fn summary_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
+        self.write_text(&mut out, false)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// The one writer of both text renderings. `full` is the
+    /// [`fmt::Display`] form: it adds the per-job table and lists every
+    /// fleet stall cause by name, where the summary lists the top three by
+    /// cycles.
+    fn write_text(&self, out: &mut impl fmt::Write, full: bool) -> fmt::Result {
+        writeln!(
             out,
             "simfarm: {} jobs on {} worker(s), {:.2}s wall, {} failure(s)",
             self.jobs.len(),
             self.workers,
             self.wall_seconds,
             self.failures
-        );
+        )?;
         if self.restored > 0 || self.pending > 0 {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "resume: {} restored from journal, {} pending",
                 self.restored, self.pending
-            );
+            )?;
         }
         if self.checkpoint_restores > 0 {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "checkpoints: {} job(s) resumed mid-job from durable checkpoints",
                 self.checkpoint_restores
-            );
+            )?;
+        }
+        if full {
+            writeln!(
+                out,
+                "{:<28} {:<10} {:>10} {:>10} {:>5}  digest",
+                "job", "model", "cycles", "retired", "exit"
+            )?;
+            for job in &self.jobs {
+                writeln!(
+                    out,
+                    "{:<28} {:<10} {:>10} {:>10} {:>5}  {:016x}{}",
+                    job.name,
+                    job.model,
+                    job.cycles,
+                    job.retired,
+                    job.exit_code,
+                    job.digest,
+                    marker(&job.outcome)
+                )?;
+                if !job.outcome.is_healthy() {
+                    writeln!(out, "    outcome: {}", job.outcome.label())?;
+                }
+            }
         }
         if self.quarantined > 0 {
-            let _ = writeln!(out, "quarantine: {} job(s)", self.quarantined);
+            writeln!(out, "quarantine: {} job(s)", self.quarantined)?;
             for job in &self.jobs {
                 if matches!(job.outcome, JobOutcome::Quarantined { .. }) {
-                    let _ = writeln!(out, "    {} — {}", job.name, job.outcome.label());
+                    writeln!(out, "    {} — {}", job.name, job.outcome.label())?;
                 }
             }
         }
         if self.killed > 0 {
-            let _ = writeln!(out, "killed: {} job(s) died under process isolation", self.killed);
+            writeln!(out, "killed: {} job(s) died under process isolation", self.killed)?;
         }
-        let _ = writeln!(
+        writeln!(
             out,
             "totals: {} cycles, {} retired, {} transitions",
             self.total_cycles, self.total_retired, self.total_stats.transitions
-        );
+        )?;
         if self.wall_seconds > 0.0 {
-            let _ = writeln!(
-                out,
-                "throughput: {:.0} simulated cycles/s",
-                self.cycles_per_second()
-            );
+            writeln!(out, "throughput: {:.0} simulated cycles/s", self.cycles_per_second())?;
         }
         if !self.stall_causes.is_empty() {
-            let mut ranked: Vec<&FleetStallCause> = self.stall_causes.iter().collect();
-            ranked.sort_by(|a, b| {
-                b.cycles
-                    .cmp(&a.cycles)
-                    .then_with(|| (&a.manager, &a.op).cmp(&(&b.manager, &b.op)))
-            });
-            let _ = writeln!(out, "stall causes (fleet, top {}):", ranked.len().min(3));
-            for cause in ranked.iter().take(3) {
-                let _ = writeln!(
-                    out,
-                    "    {}({}): {} cycles",
-                    cause.op, cause.manager, cause.cycles
-                );
+            let mut causes: Vec<&FleetStallCause> = self.stall_causes.iter().collect();
+            if full {
+                writeln!(out, "stall causes (fleet):")?;
+            } else {
+                causes.sort_by(|a, b| {
+                    b.cycles
+                        .cmp(&a.cycles)
+                        .then_with(|| (&a.manager, &a.op).cmp(&(&b.manager, &b.op)))
+                });
+                causes.truncate(3);
+                writeln!(out, "stall causes (fleet, top {}):", causes.len())?;
+            }
+            for cause in causes {
+                writeln!(out, "    {}({}): {} cycles", cause.op, cause.manager, cause.cycles)?;
             }
         }
         if let Some(schedule) = &self.schedule {
-            let _ = writeln!(out, "workers (timing, non-canonical):");
+            writeln!(out, "workers (timing, non-canonical):")?;
             for w in &schedule.workers {
-                let _ = writeln!(
+                writeln!(
                     out,
                     "    worker {}: {:>5.1}% busy, {} job(s) ({} own, {} stolen)",
                     w.worker,
@@ -486,10 +512,10 @@ impl FarmReport {
                     w.jobs_completed,
                     w.own_pops,
                     w.steals
-                );
+                )?;
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -529,93 +555,7 @@ fn marker(outcome: &JobOutcome) -> &'static str {
 
 impl fmt::Display for FarmReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "simfarm: {} jobs on {} worker(s), {:.2}s wall, {} failure(s)",
-            self.jobs.len(),
-            self.workers,
-            self.wall_seconds,
-            self.failures
-        )?;
-        if self.restored > 0 || self.pending > 0 {
-            writeln!(
-                f,
-                "resume: {} restored from journal, {} pending",
-                self.restored, self.pending
-            )?;
-        }
-        if self.checkpoint_restores > 0 {
-            writeln!(
-                f,
-                "checkpoints: {} job(s) resumed mid-job from durable checkpoints",
-                self.checkpoint_restores
-            )?;
-        }
-        writeln!(
-            f,
-            "{:<28} {:<10} {:>10} {:>10} {:>5}  digest",
-            "job", "model", "cycles", "retired", "exit"
-        )?;
-        for job in &self.jobs {
-            writeln!(
-                f,
-                "{:<28} {:<10} {:>10} {:>10} {:>5}  {:016x}{}",
-                job.name,
-                job.model,
-                job.cycles,
-                job.retired,
-                job.exit_code,
-                job.digest,
-                marker(&job.outcome)
-            )?;
-            if !job.outcome.is_healthy() {
-                writeln!(f, "    outcome: {}", job.outcome.label())?;
-            }
-        }
-        if self.quarantined > 0 {
-            writeln!(f, "quarantine: {} job(s)", self.quarantined)?;
-            for job in &self.jobs {
-                if matches!(job.outcome, JobOutcome::Quarantined { .. }) {
-                    writeln!(f, "    {} — {}", job.name, job.outcome.label())?;
-                }
-            }
-        }
-        if self.killed > 0 {
-            writeln!(f, "killed: {} job(s) died under process isolation", self.killed)?;
-        }
-        writeln!(
-            f,
-            "totals: {} cycles, {} retired, {} transitions",
-            self.total_cycles, self.total_retired, self.total_stats.transitions
-        )?;
-        if self.wall_seconds > 0.0 {
-            writeln!(f, "throughput: {:.0} simulated cycles/s", self.cycles_per_second())?;
-        }
-        if !self.stall_causes.is_empty() {
-            writeln!(f, "stall causes (fleet):")?;
-            for cause in &self.stall_causes {
-                writeln!(
-                    f,
-                    "    {}({}): {} cycles",
-                    cause.op, cause.manager, cause.cycles
-                )?;
-            }
-        }
-        if let Some(schedule) = &self.schedule {
-            writeln!(f, "workers (timing, non-canonical):")?;
-            for w in &schedule.workers {
-                writeln!(
-                    f,
-                    "    worker {}: {:>5.1}% busy, {} job(s) ({} own, {} stolen)",
-                    w.worker,
-                    w.utilization() * 100.0,
-                    w.jobs_completed,
-                    w.own_pops,
-                    w.steals
-                )?;
-            }
-        }
-        Ok(())
+        self.write_text(f, true)
     }
 }
 

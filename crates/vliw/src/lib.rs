@@ -230,6 +230,64 @@ mod tests {
         assert_eq!(replay, reference);
     }
 
+    /// `ckpt` resealed with every bundle op's bundle index set to `idx`.
+    fn with_bundle_index(ckpt: &[u8], idx: u64) -> Vec<u8> {
+        use osm_core::persist::{fnv1a, unseal, ByteReader, ByteWriter};
+        let payload = unseal(ckpt, fnv1a).expect("sealed");
+        let mut out = payload.to_vec();
+        let mut r = ByteReader::new(payload);
+        r.take_bytes().unwrap();
+        r.take_u32().unwrap();
+        for _ in 0..10 {
+            r.take_u64().unwrap();
+        }
+        r.take_vec(|r| Some((r.take_str()?, r.take_u64()?)))
+            .unwrap();
+        r.take_bytes().unwrap();
+        for _ in 0..r.take_u32().unwrap() {
+            r.take_u32().unwrap();
+            for _ in 0..3 {
+                r.take_u64().unwrap();
+            }
+            r.take_vec(|r| Some((r.take_u64()?, r.take_u32()?, r.take_u64()?)))
+                .unwrap();
+            r.take_vec(ByteReader::take_u64).unwrap();
+            assert_eq!(r.take_u8(), Some(1), "a bundle op always has a section");
+            let section = r.take_bytes().unwrap();
+            // The section opens with the bundle index.
+            let at = r.position() - section.len();
+            out[at..at + 8].copy_from_slice(&idx.to_le_bytes());
+        }
+        let mut w = ByteWriter::new();
+        w.put_raw(&out);
+        w.into_sealed_bytes(fnv1a)
+    }
+
+    #[test]
+    fn restore_refuses_a_bundle_index_past_the_program() {
+        let program = schedule(&ilp_loop(20, 4), vec![]);
+        let mut sim = VliwSim::new(VliwConfig::default(), &program);
+        for _ in 0..30 {
+            sim.machine_mut().step().unwrap();
+        }
+        let good = sim.checkpoint().unwrap();
+        let reference = VliwSim::new(VliwConfig::default(), &program)
+            .run_to_halt(1_000_000)
+            .unwrap();
+        for idx in [program.bundles.len() as u64, u64::MAX] {
+            let err = sim
+                .restore(&with_bundle_index(&good, idx))
+                .expect_err("a bundle index past the program");
+            assert!(
+                matches!(err, osm_core::ModelError::SnapshotMismatch { .. }),
+                "{err:?}"
+            );
+            assert_eq!(sim.checkpoint().unwrap(), good, "machine unchanged");
+        }
+        // The run goes on from where the refused restore found it.
+        assert_eq!(sim.run_to_halt(1_000_000).unwrap(), reference);
+    }
+
     #[test]
     fn deterministic() {
         let program = schedule(&ilp_loop(15, 5), vec![]);

@@ -278,6 +278,9 @@ struct BundleOp {
     /// Control transfer resolved in E, applied at W (late branch resolve).
     redirect: Option<usize>,
     ops: u64,
+    /// Bundle count of the program the op was built for: construction
+    /// config, not checkpointed; bounds what a restore may accept.
+    bundles: usize,
 }
 
 impl BundleOp {
@@ -348,13 +351,20 @@ impl Behavior<VliwShared> for BundleOp {
         Some(w.into_bytes())
     }
 
+    /// Refuses a bundle index past the program (index 0 of an empty one
+    /// aside) and a redirect target past its end, the bound
+    /// `VliwShared::decode_state` puts on `next_bundle`.
     fn restore(&mut self, section: Option<&[u8]>) -> bool {
+        let bundles = self.bundles;
         let parsed = section.and_then(|bytes| {
             ByteReader::read_all(bytes, |r| {
-                let idx = r.take_u64()? as usize;
+                let idx = usize::try_from(r.take_u64()?)
+                    .ok()
+                    .filter(|&idx| idx < bundles || idx == 0)?;
                 let is_halting = r.take_bool()?;
                 let redirect = if r.take_bool()? {
-                    Some(r.take_u64()? as usize)
+                    let target = usize::try_from(r.take_u64()?).ok();
+                    Some(target.filter(|&target| target <= bundles)?)
                 } else {
                     None
                 };
@@ -363,6 +373,7 @@ impl Behavior<VliwShared> for BundleOp {
                     is_halting,
                     redirect,
                     ops: r.take_u64()?,
+                    bundles,
                 })
             })
         });
@@ -488,7 +499,11 @@ impl VliwSim {
         machine.shared.ids = ids;
         let spec = build_spec(ids);
         for _ in 0..cfg.osm_count.max(4) {
-            machine.add_osm(&spec, BundleOp::default());
+            let op = BundleOp {
+                bundles: program.bundles.len(),
+                ..BundleOp::default()
+            };
+            machine.add_osm(&spec, op);
         }
         machine.set_restart_policy(RestartPolicy::NoRestart);
         VliwSim { machine }

@@ -11,18 +11,21 @@
 //! from-boot observer would have seen for those cycles.
 //!
 //! A second check pins the checkpoint encoding itself: the sealed bytes of
-//! five checkpoints (SA-1100 with and without faults, PPC-750, VLIW and an
-//! ADL machine) must keep the length and FNV-1a-64 recorded in
+//! eight checkpoints (SA-1100 with and without faults, PPC-750, VLIW and an
+//! ADL machine, then SA-1100, PPC-750 and the ADL machine again under the
+//! reference scheduler) must keep the length and FNV-1a-64 recorded in
 //! `tests/golden/checkpoint_bytes.txt`, so files written by earlier builds
 //! stay readable.
 
 use osm_repro::minirisc::{AluOp, BranchCond, Instr, Program, Reg};
 use osm_repro::osm_core::persist::fnv;
-use osm_repro::osm_core::{FaultPlan, InertBehavior, Machine, SchedulerMode, Trace, TraceMode};
+use osm_repro::osm_core::{FaultPlan, SchedulerMode, Trace, TraceMode};
 use osm_repro::ppc750::{PpcConfig, PpcOsmSim};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
 use osm_repro::workloads::{mediabench, random_program, specint_mix};
+
+mod common;
 
 const MAX: u64 = 200_000;
 
@@ -134,28 +137,6 @@ fn restored_random_program_runs_match_tails_at_many_cut_points() {
     }
 }
 
-/// The contended machine of `scheduler_smoke` (122 inert OSMs over two
-/// classes and three pools).
-const CONTENDED_SOURCE: &str = "machine fuzz_e1e861ebac7dd8c8 {
-    manager m0 : counting(2, per_cycle);
-    manager m1 : counting(1, per_cycle);
-    manager m2 : exclusive(1);
-    osm op0 {
-        states S0, S1;
-        initial S0;
-        edge e0 : S0 -> S1 { inquire m2[0]; inquire m0[any]; }
-        edge e1 : S1 -> S0 { }
-    }
-    osm op1 {
-        states S0, S1, S2;
-        initial S0;
-        edge e0 : S0 -> S1 { }
-        edge e1 : S1 -> S2 { allocate m1[any]; release m1[held]; }
-        edge e2 : S2 -> S0 { }
-        edge b2 : S2 -> S0 priority -1 { }
-    }
-}";
-
 /// A VLIW countdown loop: 40 iterations of six independent adds.
 fn vliw_ilp_program() -> osm_repro::vliw::VliwProgram {
     let addi = |rd: u8, rs1: u8, imm: i32| Instr::AluImm {
@@ -196,75 +177,75 @@ fn golden_line(case: &str, cut: u64, bytes: &[u8]) -> String {
     format!("{case} {cut} {} {:016x}", bytes.len(), fnv(bytes))
 }
 
+/// Where the SA-1100 and PPC-750 golden checkpoints are cut.
+const CUT: u64 = 3_000;
+
+/// SA-1100 on `program` under `mode`, optionally with fetch-side faults,
+/// checkpointed after [`CUT`] cycles.
+fn sa_line(case: &str, program: &Program, mode: SchedulerMode, faults: bool) -> String {
+    let mut sa = SaOsmSim::new(SaConfig::paper(), program);
+    sa.machine_mut().set_scheduler_mode(mode);
+    if faults {
+        let fetch = sa.ids.mf;
+        sa.inject_faults(
+            fetch,
+            FaultPlan::new(0xC4E7)
+                .deny_allocate(0.02)
+                .deny_inquire(0.01),
+        );
+    }
+    for _ in 0..CUT {
+        sa.step().unwrap();
+    }
+    golden_line(case, sa.machine().cycle(), &sa.checkpoint().unwrap())
+}
+
+/// PPC-750 on `program` under `mode`, checkpointed after [`CUT`] cycles.
+fn ppc_line(case: &str, program: &Program, mode: SchedulerMode) -> String {
+    let mut ppc = PpcOsmSim::new(PpcConfig::paper(), program);
+    ppc.machine_mut().set_scheduler_mode(mode);
+    for _ in 0..CUT {
+        ppc.machine_mut().step().unwrap();
+    }
+    golden_line(case, ppc.machine().cycle(), &ppc.checkpoint().unwrap())
+}
+
+/// The contended ADL machine under `mode`, checkpointed after 500 cycles.
+fn adl_line(case: &str, mode: SchedulerMode) -> String {
+    let mut adl = common::contended_machine(mode);
+    adl.run(500).unwrap();
+    golden_line(case, adl.cycle(), &adl.checkpoint().unwrap())
+}
+
+/// The `SchedulerMode::Seed` lines pin the reference scheduler on its own,
+/// not only against `Fast`: a checkpoint carries every `Stats` counter, so
+/// they also pin its effort counters, idle steps and restarts.
 #[test]
 fn checkpoint_bytes_match_the_pinned_golden() {
-    const CUT: u64 = 3_000;
     let gsm = mediabench()
         .into_iter()
         .find(|w| w.name == "gsm/dec")
         .expect("gsm/dec workload")
         .program();
-    let mut got = Vec::new();
-
-    let mut sa = SaOsmSim::new(SaConfig::paper(), &gsm);
-    for _ in 0..CUT {
-        sa.step().unwrap();
-    }
-    got.push(golden_line(
-        "sa1100/gsm-dec",
-        sa.machine().cycle(),
-        &sa.checkpoint().unwrap(),
-    ));
-
-    let mut sa = SaOsmSim::new(SaConfig::paper(), &gsm);
-    let fetch = sa.ids.mf;
-    sa.inject_faults(
-        fetch,
-        FaultPlan::new(0xC4E7)
-            .deny_allocate(0.02)
-            .deny_inquire(0.01),
-    );
-    for _ in 0..CUT {
-        sa.step().unwrap();
-    }
-    got.push(golden_line(
-        "sa1100/gsm-dec+faults",
-        sa.machine().cycle(),
-        &sa.checkpoint().unwrap(),
-    ));
-
-    let mut ppc = PpcOsmSim::new(PpcConfig::paper(), &gsm);
-    for _ in 0..CUT {
-        ppc.machine_mut().step().unwrap();
-    }
-    got.push(golden_line(
-        "ppc750/gsm-dec",
-        ppc.machine().cycle(),
-        &ppc.checkpoint().unwrap(),
-    ));
-
+    let (fast, seed) = (SchedulerMode::Fast, SchedulerMode::Seed);
     let mut vliw = VliwSim::new(VliwConfig::default(), &vliw_ilp_program());
     for _ in 0..50 {
         vliw.machine_mut().step().unwrap();
     }
-    got.push(golden_line(
-        "vliw/ilp-40x6",
-        vliw.machine().cycle(),
-        &vliw.checkpoint().unwrap(),
-    ));
-
-    let synth = osm_repro::osm_adl::load(CONTENDED_SOURCE).expect("contended source loads");
-    let mut adl: Machine<()> = Machine::new(());
-    synth.install_managers(&mut adl);
-    for k in 0..122 {
-        adl.add_osm(&synth.specs[k % synth.specs.len()].1, InertBehavior);
-    }
-    adl.run(500).unwrap();
-    got.push(golden_line(
-        "adl/contended-122",
-        adl.cycle(),
-        &adl.checkpoint().unwrap(),
-    ));
+    let got = vec![
+        sa_line("sa1100/gsm-dec", &gsm, fast, false),
+        sa_line("sa1100/gsm-dec+faults", &gsm, fast, true),
+        ppc_line("ppc750/gsm-dec", &gsm, fast),
+        golden_line(
+            "vliw/ilp-40x6",
+            vliw.machine().cycle(),
+            &vliw.checkpoint().unwrap(),
+        ),
+        adl_line("adl/contended-122", fast),
+        sa_line("sa1100/gsm-dec+seed", &gsm, seed, false),
+        ppc_line("ppc750/gsm-dec+seed", &gsm, seed),
+        adl_line("adl/contended-122+seed", seed),
+    ];
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

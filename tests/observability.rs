@@ -21,6 +21,8 @@ use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
 use osm_repro::workloads::random_program;
 use proptest::prelude::*;
 
+mod common;
+
 /// The quickstart's five-stage pipeline (paper Figs. 5/6): `osms`
 /// operations competing for one occupancy token per stage.
 fn pipeline_machine(osms: usize) -> Machine<()> {
@@ -99,6 +101,22 @@ fn metrics_json_matches_golden_file() {
     machine.run(12).expect("no deadlock");
     let report = machine.metrics_report().expect("metrics enabled");
     assert_golden(&osm_core::export::metrics_json(&report), "metrics.json");
+}
+
+/// The reference scheduler's tracked path, pinned on its own rather than
+/// only against `Fast`: the contended machine under `SchedulerMode::Seed`
+/// with metrics and stall attribution on.
+#[test]
+fn contended_seed_metrics_json_matches_golden_file() {
+    let mut machine = common::contended_machine(SchedulerMode::Seed);
+    machine.enable_metrics();
+    machine.enable_stall_attribution();
+    machine.run(500).expect("no deadlock");
+    let report = machine.metrics_report().expect("metrics enabled");
+    assert_golden(
+        &osm_core::export::metrics_json(&report),
+        "contended_seed_metrics.json",
+    );
 }
 
 /// A tiny deterministic ILP kernel for the §6 VLIW model: a 4-iteration
