@@ -73,7 +73,7 @@ impl fmt::Display for EncodeError {
 impl Error for EncodeError {}
 
 /// Errors from [`decode`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// Unknown opcode byte.
     BadOpcode {

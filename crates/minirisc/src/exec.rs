@@ -2,8 +2,9 @@
 //!
 //! [`execute`] is the single source of truth for MiniRISC semantics: the
 //! functional ISS, the OSM micro-architecture models and the hardware-centric
-//! baseline all call it, so their *functional* behaviour is identical by
-//! construction and validation compares only *timing*.
+//! baselines all reach it through the ISS's retire step ([`crate::retire`]),
+//! so their *functional* behaviour is identical by construction and
+//! validation compares only *timing*.
 
 use crate::instr::{AluOp, Instr, MemWidth, MulOp};
 use crate::mem::Memory;

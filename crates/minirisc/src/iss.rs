@@ -5,9 +5,13 @@
 //! programs instruction-at-a-time with no timing, handles the syscall layer,
 //! and exposes per-step events so lock-step co-simulation (used to validate
 //! the micro-architecture models' functional behaviour) is possible.
+//!
+//! Its execute-and-syscall step, [`retire`], is public: every executor in
+//! the workspace retires instructions through it, so the syscall ABI and
+//! its errors are written once.
 
 use crate::encode::{decode, DecodeError};
-use crate::exec::{execute, CpuState, Outcome};
+use crate::exec::{effective_address, execute, CpuState, Outcome};
 use crate::instr::Instr;
 use crate::mem::Memory;
 use crate::persist::{put_bytes, put_u32, put_u64, put_u8, StateReader};
@@ -27,7 +31,7 @@ pub mod syscalls {
 }
 
 /// Errors during ISS execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssError {
     /// The fetched word does not decode.
     Decode {
@@ -73,6 +77,68 @@ pub struct Executed {
     pub instr: Instr,
     /// Control-transfer target if the instruction redirected fetch.
     pub taken: Option<u32>,
+    /// Effective address of a memory instruction.
+    pub mem_addr: Option<u32>,
+}
+
+/// Where the machine goes after an instruction retires (see [`retire`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Fall through to the next instruction.
+    Next,
+    /// Control transfers to the given address.
+    Taken(u32),
+    /// `halt` retired: the program ends (exit code 0).
+    Halt,
+    /// The exit syscall retired: the program ends with this exit code.
+    Exit(u32),
+    /// An unknown syscall: the machine stops with this
+    /// [`IssError::BadSyscall`].
+    Fault(IssError),
+}
+
+/// The architectural effect of one retired instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired {
+    /// Where the machine goes next.
+    pub flow: Flow,
+    /// Effective address of a memory instruction, generated before it
+    /// executes (the instruction may overwrite its base register).
+    pub mem_addr: Option<u32>,
+}
+
+/// Executes `instr` at `cpu.pc`, then its syscall if it is one: the
+/// execute-and-syscall step of [`Iss::step`], shared by every executor.
+/// Output syscalls append to `output`; an unknown syscall changes nothing.
+/// Does **not** advance `pc`.
+pub fn retire<M: Memory>(
+    instr: Instr,
+    cpu: &mut CpuState,
+    mem: &mut M,
+    output: &mut Vec<u8>,
+) -> Retired {
+    let mem_addr = effective_address(instr, cpu);
+    let flow = match execute(instr, cpu, mem) {
+        Outcome::Next => Flow::Next,
+        Outcome::Taken(target) => Flow::Taken(target),
+        Outcome::Halt => Flow::Halt,
+        Outcome::Syscall => {
+            let arg = cpu.gpr(Reg(11));
+            match cpu.gpr(Reg(10)) {
+                syscalls::EXIT => Flow::Exit(arg),
+                syscalls::PUTCHAR => {
+                    output.push(arg as u8);
+                    Flow::Next
+                }
+                syscalls::PUTUINT => {
+                    output.extend_from_slice(arg.to_string().as_bytes());
+                    Flow::Next
+                }
+                number => Flow::Fault(IssError::BadSyscall { pc: cpu.pc, number }),
+            }
+        }
+    };
+    Retired { flow, mem_addr }
 }
 
 /// The interpreted instruction-set simulator.
@@ -114,8 +180,10 @@ impl<M: Memory> Iss<M> {
     /// Executes one instruction.
     ///
     /// # Errors
-    /// Returns [`IssError::Decode`] or [`IssError::BadSyscall`]. After an
-    /// error or halt, further `step`s return the halt state unchanged.
+    /// Returns [`IssError::Decode`] or [`IssError::BadSyscall`]. A failed
+    /// step changes nothing: the ISS stays unhalted at the faulting
+    /// instruction, and stepping again fails the same way. After a halt,
+    /// further `step`s return the halt state unchanged.
     pub fn step(&mut self) -> Result<Executed, IssError> {
         let pc = self.cpu.pc;
         if self.halted {
@@ -123,49 +191,40 @@ impl<M: Memory> Iss<M> {
                 pc,
                 instr: Instr::Halt,
                 taken: None,
+                mem_addr: None,
             });
         }
         let word = self.mem.read_u32(pc);
         let instr = decode(word).map_err(|cause| IssError::Decode { pc, cause })?;
-        let outcome = execute(instr, &mut self.cpu, &mut self.mem);
-        let taken = match outcome {
-            Outcome::Next => {
+        let Retired { flow, mem_addr } =
+            retire(instr, &mut self.cpu, &mut self.mem, &mut self.output);
+        let taken = match flow {
+            Flow::Next => {
                 self.cpu.pc = pc.wrapping_add(4);
                 None
             }
-            Outcome::Taken(t) => {
+            Flow::Taken(t) => {
                 self.cpu.pc = t;
                 Some(t)
             }
-            Outcome::Halt => {
+            Flow::Halt => {
                 self.halted = true;
                 None
             }
-            Outcome::Syscall => {
-                self.handle_syscall(pc)?;
-                if !self.halted {
-                    self.cpu.pc = pc.wrapping_add(4);
-                }
+            Flow::Exit(code) => {
+                self.halted = true;
+                self.exit_code = code;
                 None
             }
+            Flow::Fault(e) => return Err(e),
         };
         self.retired += 1;
-        Ok(Executed { pc, instr, taken })
-    }
-
-    fn handle_syscall(&mut self, pc: u32) -> Result<(), IssError> {
-        let number = self.cpu.gpr(Reg(10));
-        let arg = self.cpu.gpr(Reg(11));
-        match number {
-            syscalls::EXIT => {
-                self.halted = true;
-                self.exit_code = arg;
-            }
-            syscalls::PUTCHAR => self.output.push(arg as u8),
-            syscalls::PUTUINT => self.output.extend_from_slice(arg.to_string().as_bytes()),
-            other => return Err(IssError::BadSyscall { pc, number: other }),
-        }
-        Ok(())
+        Ok(Executed {
+            pc,
+            instr,
+            taken,
+            mem_addr,
+        })
     }
 
     /// Runs until halt or `max_steps`.
@@ -332,6 +391,57 @@ mod tests {
         let mut iss = Iss::with_program(SparseMemory::new(), &p);
         let e = iss.run(100).unwrap_err();
         assert!(matches!(e, IssError::BadSyscall { number: 99, .. }));
+    }
+
+    #[test]
+    fn a_failed_step_changes_nothing_and_fails_again() {
+        let p = assemble("li r10, 7\nsyscall\n", 0x1000).unwrap();
+        let mut iss = Iss::with_program(SparseMemory::new(), &p);
+        iss.step().unwrap();
+        let cpu = iss.cpu.clone();
+        let e = iss.step().unwrap_err();
+        assert_eq!(e.to_string(), "at 0x00001004: unknown syscall 7");
+        assert!(!iss.halted);
+        assert_eq!((&iss.cpu, iss.retired), (&cpu, 1));
+        assert_eq!(iss.step().unwrap_err(), e);
+    }
+
+    #[test]
+    fn steps_report_branch_targets() {
+        let p = assemble(
+            "
+            li r1, 2
+        loop:
+            addi r1, r1, -1
+            bne r1, r0, loop
+            halt
+        ",
+            0,
+        )
+        .unwrap();
+        let target = p.symbol("loop").unwrap();
+        let mut iss = Iss::with_program(SparseMemory::new(), &p);
+        let s = iss.step().unwrap(); // li
+        assert_eq!((s.pc, s.taken), (0, None));
+        assert_eq!(iss.step().unwrap().taken, None); // addi
+        assert_eq!(iss.step().unwrap().taken, Some(target)); // bne taken
+        assert_eq!(iss.cpu.pc, target);
+        iss.step().unwrap(); // addi
+        assert_eq!(iss.step().unwrap().taken, None); // bne not taken
+        let s = iss.step().unwrap();
+        assert_eq!((s.instr, s.taken), (Instr::Halt, None));
+        assert!(iss.halted);
+        assert_eq!(iss.retired, 6);
+    }
+
+    #[test]
+    fn memory_steps_report_effective_addresses() {
+        let p = assemble("la r1, d\nlw r2, 0(r1)\nhalt\nd:\n.word 5\n", 0).unwrap();
+        let mut iss = Iss::with_program(SparseMemory::new(), &p);
+        assert_eq!(iss.step().unwrap().mem_addr, None);
+        iss.step().unwrap(); // ori half of la
+        let s = iss.step().unwrap(); // lw
+        assert_eq!(s.mem_addr, Some(p.symbol("d").unwrap()));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * a two-pass [`assemble`]r with labels, directives and pseudo-instructions;
 //! * the architectural state ([`CpuState`]) and one-instruction functional
 //!   [`execute`] shared by every simulator in the workspace;
-//! * a functional instruction-set simulator ([`Iss`]) with a syscall layer;
+//! * a functional instruction-set simulator ([`Iss`]) with a syscall layer,
+//!   whose execute-and-syscall step [`retire`] every executor retires
+//!   instructions through;
 //! * the [`Memory`] abstraction and a [`SparseMemory`] backing store.
 //!
 //! ```
@@ -43,7 +45,7 @@ pub use asm::{assemble, AsmError};
 pub use encode::{decode, encode, DecodeError, EncodeError};
 pub use exec::{effective_address, execute, CpuState, Outcome};
 pub use instr::{AluOp, BranchCond, FpCmpCond, FpuOp, Instr, InstrClass, MemWidth, MulOp};
-pub use iss::{syscalls, Executed, Iss, IssError};
+pub use iss::{retire, syscalls, Executed, Flow, Iss, IssError, Retired};
 pub use mem::{Memory, SparseMemory};
 pub use program::Program;
 pub use reg::{ArchReg, FReg, Reg};

@@ -30,14 +30,12 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
-mod oracle;
 mod osm_model;
 mod port_model;
 mod predictor;
 mod rename;
 
 pub use config::{Latencies, PpcConfig, PpcResult};
-pub use oracle::{Oracle, OracleStep};
 pub use osm_model::{
     build_spec, units_for, PpcManagers, PpcOsmSim, PpcShared, Unit, S_FREN, S_GREN, S_SRC1,
     S_SRC2, S_WAIT1, S_WAIT2, UNITS,

@@ -14,13 +14,22 @@
 //! retirement (`C → I`) is in-order and dual-bandwidth. High-priority reset
 //! edges from every speculative state squash wrong-path operations after a
 //! mispredicted branch resolves.
+//!
+//! The paper built its micro-architecture models "based on existing ISSs"
+//! (§5). In the out-of-order model this takes the classic oracle form: the
+//! functional [`minirisc::Iss`] executes each *right-path* instruction at
+//! fetch time, supplying the timing model with the decoded instruction, the
+//! actual control-flow outcome (so mispredictions are known when the branch
+//! resolves) and the memory address (for D-cache timing). Wrong-path
+//! operations never touch the ISS — they exist only in the timing model.
+//! Both PPC-750 models fetch through the same step,
+//! `predictor::fetch_right_path`.
 
 use crate::config::{PpcConfig, PpcResult};
-use crate::oracle::Oracle;
-use crate::predictor::Bht;
+use crate::predictor::{fetch_right_path, Bht};
 use crate::rename::{RenameFile, ResultBus};
 use memsys::MemSystem;
-use minirisc::{decode, encode, Instr, InstrClass, Memory, Program};
+use minirisc::{decode, encode, Instr, InstrClass, Iss, Memory, Program, SparseMemory};
 use osm_core::{
     export, Behavior, ByteReader, ByteWriter, CountingPool, Edge, ExclusivePool, FaultHandle,
     FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable,
@@ -141,8 +150,11 @@ pub struct PpcManagers {
 /// Shared hardware-layer state.
 #[derive(Debug, Clone)]
 pub struct PpcShared {
-    /// The lock-step functional oracle.
-    pub oracle: Oracle,
+    /// The functional ISS, stepped once per right-path fetch (the oracle).
+    pub oracle: Iss<SparseMemory>,
+    /// First right-path error: an undecodable word or an unknown syscall,
+    /// in the ISS's words.
+    pub error: Option<String>,
     /// Timing memory subsystem.
     pub memsys: MemSystem,
     /// Branch history table.
@@ -197,7 +209,7 @@ impl HardwareLayer for PpcShared {
     /// handles, configuration) stays with the machine.
     fn encode_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
-        w.put_bytes(&self.oracle.export_state());
+        w.put_bytes(&self.encode_oracle());
         w.put_bytes(&self.memsys.export_state());
         w.put_bytes(&self.bht.export_state());
         w.put_u64(self.now);
@@ -226,10 +238,9 @@ impl HardwareLayer for PpcShared {
     fn decode_state(&mut self, bytes: &[u8]) -> bool {
         let mut s = self.clone();
         let parsed = ByteReader::read_all(bytes, |r| {
-            (s.oracle.import_state(r.take_bytes()?)
-                && s.memsys.import_state(r.take_bytes()?)
-                && s.bht.import_state(r.take_bytes()?))
-            .then_some(())?;
+            s.decode_oracle(r.take_bytes()?)?;
+            (s.memsys.import_state(r.take_bytes()?) && s.bht.import_state(r.take_bytes()?))
+                .then_some(())?;
             s.now = r.take_u64()?;
             s.next_fetch_pc = r.take_u32()?;
             s.wrong_path = r.take_bool()?;
@@ -253,6 +264,48 @@ impl HardwareLayer for PpcShared {
             *self = s;
         }
         parsed.is_some()
+    }
+}
+
+impl PpcShared {
+    /// The oracle section: the ISS's state and the recorded error.
+    fn encode_oracle(&self) -> Vec<u8> {
+        let o = &self.oracle;
+        let mut w = ByteWriter::new();
+        w.put_bytes(&o.cpu.export_state());
+        w.put_bytes(&o.mem.export_state());
+        w.put_bool(o.halted);
+        w.put_u32(o.exit_code);
+        w.put_bytes(&o.output);
+        match &self.error {
+            None => w.put_bool(false),
+            Some(e) => {
+                w.put_bool(true);
+                w.put_str(e);
+            }
+        }
+        w.put_u64(o.retired);
+        w.into_bytes()
+    }
+
+    /// Reads a section written by `encode_oracle`; `None` on
+    /// any damage (the caller discards the half-read copy).
+    fn decode_oracle(&mut self, bytes: &[u8]) -> Option<()> {
+        ByteReader::read_all(bytes, |r| {
+            let o = &mut self.oracle;
+            (o.cpu.import_state(r.take_bytes()?) && o.mem.import_state(r.take_bytes()?))
+                .then_some(())?;
+            o.halted = r.take_bool()?;
+            o.exit_code = r.take_u32()?;
+            o.output = r.take_bytes()?.to_vec();
+            self.error = if r.take_bool()? {
+                Some(r.take_str()?.to_owned())
+            } else {
+                None
+            };
+            o.retired = r.take_u64()?;
+            Some(())
+        })
     }
 }
 
@@ -553,7 +606,7 @@ impl Behavior<PpcShared> for PpcOp {
                 ctx.set_slot(S_WAIT2, TokenIdent::NONE);
 
                 if ctx.shared.wrong_path {
-                    // Phantom: decode straight from memory, no oracle.
+                    // Phantom: decode straight from memory, no ISS.
                     self.phantom = true;
                     self.pc = ctx.shared.next_fetch_pc;
                     ctx.shared.next_fetch_pc = self.pc.wrapping_add(4);
@@ -561,38 +614,22 @@ impl Behavior<PpcShared> for PpcOp {
                     self.instr = decode(word).unwrap_or(Instr::NOP);
                     ctx.shared.phantoms.push(ctx.osm);
                 } else {
-                    let step = ctx.shared.oracle.step();
-                    self.pc = step.pc;
-                    self.instr = step.instr;
-                    self.next_pc = step.next_pc;
-                    self.taken = step.taken;
-                    self.mem_addr = step.mem_addr;
-                    self.is_halting = step.is_halting;
-                    if self.is_halting {
-                        ctx.shared.stop_fetch = true;
+                    let s = &mut *ctx.shared;
+                    let f = fetch_right_path(&mut s.oracle, &mut s.bht);
+                    if let Some(e) = f.error {
+                        s.error.get_or_insert_with(|| e.to_string());
                     }
-                    // Predict the next fetch address.
-                    let predicted_next = match self.instr {
-                        Instr::Branch { offset, .. } => {
-                            self.predicted_event = true;
-                            if ctx.shared.bht.predict(self.pc) {
-                                self.pc.wrapping_add(offset as u32)
-                            } else {
-                                self.pc.wrapping_add(4)
-                            }
-                        }
-                        Instr::Jal { .. } => step.next_pc, // target known at fetch
-                        Instr::Jalr { .. } => {
-                            self.predicted_event = true;
-                            self.pc.wrapping_add(4) // indirect: predict fall-through
-                        }
-                        _ => step.next_pc,
-                    };
-                    self.mispredicted = predicted_next != step.next_pc;
-                    if self.mispredicted {
-                        ctx.shared.wrong_path = true;
-                    }
-                    ctx.shared.next_fetch_pc = predicted_next;
+                    self.pc = f.pc;
+                    self.instr = f.instr;
+                    self.next_pc = f.next_pc;
+                    self.taken = f.taken;
+                    self.mem_addr = f.mem_addr;
+                    self.is_halting = f.is_halting;
+                    self.predicted_event = f.predicted_event;
+                    self.mispredicted = f.mispredicted();
+                    s.stop_fetch |= f.is_halting;
+                    s.wrong_path |= self.mispredicted;
+                    s.next_fetch_pc = f.predicted_next;
                 }
 
                 // Initialize dispatch-time identifiers (paper §4).
@@ -723,10 +760,11 @@ impl std::fmt::Debug for PpcOsmSim {
 impl PpcOsmSim {
     /// Builds the model and loads `program`.
     pub fn new(cfg: PpcConfig, program: &Program) -> Self {
-        let oracle = Oracle::new(program);
-        let next_fetch_pc = oracle.next_pc();
+        let oracle = Iss::with_program(SparseMemory::new(), program);
+        let next_fetch_pc = oracle.cpu.pc;
         let shared = PpcShared {
             oracle,
+            error: None,
             memsys: MemSystem::new(cfg.mem),
             bht: Bht::new(cfg.bht_entries),
             now: 0,
@@ -806,7 +844,7 @@ impl PpcOsmSim {
         self.machine
     }
 
-    /// Captures a full mid-run checkpoint (machine, managers, oracle,
+    /// Captures a full mid-run checkpoint (machine, managers, ISS,
     /// memory system, predictor) as sealed bytes (see
     /// [`osm_core::Machine::checkpoint`]). [`PpcOsmSim::restore`] replays
     /// the continuation exactly, here or in a freshly built simulator of
@@ -958,6 +996,23 @@ mod tests {
         iss.run(100_000).unwrap();
         assert_eq!(r.retired, iss.retired);
         assert_eq!(r.output, iss.output);
+    }
+
+    #[test]
+    fn undecodable_right_path_word_halts_with_the_iss_error() {
+        let mut p = assemble("nop\n", 0x1000).unwrap();
+        p.words.push(0xFF00_0000);
+        let iss_error = minirisc::Iss::with_program(minirisc::SparseMemory::new(), &p)
+            .run(10)
+            .unwrap_err();
+        let mut sim = PpcOsmSim::new(PpcConfig::paper(), &p);
+        let r = sim.run_to_halt(10_000).expect("no deadlock");
+        let shared = &sim.machine().shared;
+        assert!(shared.halted);
+        assert_eq!(shared.error, Some(iss_error.to_string()));
+        // The nop, then the word as a halting op.
+        assert_eq!(r.retired, 2);
+        assert_eq!(shared.oracle.retired, 1);
     }
 
     #[test]

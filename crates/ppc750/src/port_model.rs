@@ -17,12 +17,11 @@
 //! difference is ~0, and any residual is reported by the accuracy harness).
 
 use crate::config::{PpcConfig, PpcResult};
-use crate::oracle::Oracle;
 use crate::osm_model::{units_for, Unit, UNITS};
-use crate::predictor::Bht;
+use crate::predictor::{fetch_right_path, Bht};
 use crate::rename::{RenameFile, ResultBus};
 use memsys::{Cache, Tlb};
-use minirisc::{decode, ArchReg, Instr, InstrClass, Memory, Program};
+use minirisc::{decode, ArchReg, Instr, InstrClass, Iss, Memory, Program, SparseMemory};
 use osm_core::OsmId;
 use portsim::{Module, PortKernel, Signal, SignalStore};
 use std::collections::VecDeque;
@@ -117,13 +116,13 @@ fn dest_flat(instr: &Instr) -> Option<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Front end: fetcher + fetch queue + BHT + I-cache + oracle.
+// Front end: fetcher + fetch queue + BHT + I-cache + ISS.
 // ---------------------------------------------------------------------------
 
 struct FrontEnd {
     w: Wires,
     cfg: PpcConfig,
-    oracle: Oracle,
+    oracle: Iss<SparseMemory>,
     bht: Bht,
     icache: Cache,
     itlb: Tlb,
@@ -151,37 +150,18 @@ impl FrontEnd {
             let word = self.oracle.mem.read_u32(op.pc);
             op.instr = decode(word).unwrap_or(Instr::NOP);
         } else {
-            let step = self.oracle.step();
-            op.pc = step.pc;
-            op.instr = step.instr;
-            op.next_pc = step.next_pc;
-            op.taken = step.taken;
-            op.mem_addr = step.mem_addr;
-            op.is_halting = step.is_halting;
-            if op.is_halting {
-                self.stop_fetch = true;
-            }
-            let predicted_next = match op.instr {
-                Instr::Branch { offset, .. } => {
-                    op.predicted_event = true;
-                    if self.bht.predict(op.pc) {
-                        op.pc.wrapping_add(offset as u32)
-                    } else {
-                        op.pc.wrapping_add(4)
-                    }
-                }
-                Instr::Jal { .. } => step.next_pc,
-                Instr::Jalr { .. } => {
-                    op.predicted_event = true;
-                    op.pc.wrapping_add(4)
-                }
-                _ => step.next_pc,
-            };
-            op.mispredicted = predicted_next != step.next_pc;
-            if op.mispredicted {
-                self.wrong_path = true;
-            }
-            self.next_fetch_pc = predicted_next;
+            let f = fetch_right_path(&mut self.oracle, &mut self.bht);
+            op.pc = f.pc;
+            op.instr = f.instr;
+            op.next_pc = f.next_pc;
+            op.taken = f.taken;
+            op.mem_addr = f.mem_addr;
+            op.is_halting = f.is_halting;
+            op.predicted_event = f.predicted_event;
+            op.mispredicted = f.mispredicted();
+            self.stop_fetch |= f.is_halting;
+            self.wrong_path |= op.mispredicted;
+            self.next_fetch_pc = f.predicted_next;
         }
         let tlb = self.itlb.access(op.pc);
         let cache = match self.icache.access(op.pc) {
@@ -791,8 +771,8 @@ impl PpcPortSim {
             now: s.signal("now", 0u64),
         };
 
-        let oracle = Oracle::new(program);
-        let next_fetch_pc = oracle.next_pc();
+        let oracle = Iss::with_program(SparseMemory::new(), program);
+        let next_fetch_pc = oracle.cpu.pc;
         let front = kernel.add_module(FrontEnd {
             w,
             cfg,

@@ -1,10 +1,12 @@
-//! Branch prediction hardware: a 2-bit-counter branch history table.
+//! Branch prediction hardware: a 2-bit-counter branch history table, and
+//! the right-path fetch step both PPC-750 models share.
 //!
 //! The PPC 750 predicts conditional branches with a 512-entry BHT and caches
 //! targets in a branch target instruction cache (BTIC). In this model
 //! direct targets are computed at fetch (standing in for the BTIC), so only
 //! the direction predictor carries state.
 
+use minirisc::{decode, Executed, Instr, Iss, IssError, Memory, SparseMemory};
 use osm_core::{ByteReader, ByteWriter};
 
 /// A table of 2-bit saturating counters indexed by the instruction address.
@@ -96,6 +98,77 @@ impl Bht {
         self.lookups = lookups;
         self.updates = updates;
         true
+    }
+}
+
+/// What fetch learns about one right-path instruction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RightPath {
+    pub(crate) pc: u32,
+    pub(crate) instr: Instr,
+    /// Actual next PC.
+    pub(crate) next_pc: u32,
+    /// True if control transferred (`next_pc != pc + 4`).
+    pub(crate) taken: bool,
+    pub(crate) mem_addr: Option<u32>,
+    /// Ends the program at retire: `halt`, the exit syscall, or an
+    /// instruction the ISS refused.
+    pub(crate) is_halting: bool,
+    /// A conditional branch or indirect jump: a prediction event.
+    pub(crate) predicted_event: bool,
+    /// Where fetch goes next.
+    pub(crate) predicted_next: u32,
+    /// Why the ISS refused the instruction, if it did.
+    pub(crate) error: Option<IssError>,
+}
+
+impl RightPath {
+    /// Fetch predicted the control flow wrong.
+    pub(crate) fn mispredicted(&self) -> bool {
+        self.predicted_next != self.next_pc
+    }
+}
+
+/// One right-path fetch: the ISS executes the instruction and the BHT
+/// predicts the next fetch address. An instruction the ISS refuses (an
+/// undecodable word, an unknown syscall) halts the machine; the ISS stays
+/// at it, and an undecodable word enters the pipeline as `halt`.
+pub(crate) fn fetch_right_path(oracle: &mut Iss<SparseMemory>, bht: &mut Bht) -> RightPath {
+    let pc = oracle.cpu.pc;
+    let (step, error) = match oracle.step() {
+        Ok(step) => (step, None),
+        Err(e) => {
+            let instr = decode(oracle.mem.read_u32(pc)).unwrap_or(Instr::Halt);
+            let step = Executed {
+                pc,
+                instr,
+                taken: None,
+                mem_addr: None,
+            };
+            (step, Some(e))
+        }
+    };
+    let next_pc = step.taken.unwrap_or(pc.wrapping_add(4));
+    let (predicted_event, predicted_next) = match step.instr {
+        Instr::Branch { offset, .. } => {
+            let stride = if bht.predict(pc) { offset as u32 } else { 4 };
+            (true, pc.wrapping_add(stride))
+        }
+        // Indirect jumps predict fall-through.
+        Instr::Jalr { .. } => (true, pc.wrapping_add(4)),
+        // Anything else goes where it goes (`jal`'s target is known at fetch).
+        _ => (false, next_pc),
+    };
+    RightPath {
+        pc,
+        instr: step.instr,
+        next_pc,
+        taken: next_pc != pc.wrapping_add(4),
+        mem_addr: step.mem_addr,
+        is_halting: oracle.halted || error.is_some(),
+        predicted_event,
+        predicted_next,
+        error,
     }
 }
 

@@ -11,12 +11,14 @@
 //!   SimpleScalar style, used as the validation ground truth ("iPAQ" stand-
 //!   in) and as the speed baseline.
 //!
-//! Both share the functional ISA layer (`minirisc`) and memory timing
-//! models (`memsys`) but no scheduling code, so their cycle-count agreement
-//! validates the OSM model the way Table 1 of the paper does.
+//! Both retire instructions through the ISS's step ([`minirisc::retire`])
+//! and share the memory timing models (`memsys`) but no scheduling code, so
+//! their cycle-count agreement validates the OSM model the way Table 1 of
+//! the paper does.
 //!
-//! [`SmtSim`] extends the OSM model to two hardware threads (paper §6):
-//! thread tags become part of the register-token identifiers and drive the
+//! [`SmtSim`] extends the OSM model to two hardware threads (paper §6) on
+//! the same spec ([`build_spec`]) and managers ([`SaManagers`]): thread
+//! tags become part of the register-token identifiers and drive the
 //! fetch-arbitration ranking.
 //!
 //! ```

@@ -16,12 +16,10 @@
 
 use crate::config::{SaConfig, SimResult};
 use crate::forward::RegForwardFile;
-use minirisc::{
-    Memory,
-    decode, effective_address, encode, execute, CpuState, Instr, InstrClass, Outcome, Program,
-    Reg, SparseMemory,
-};
 use memsys::MemSystem;
+use minirisc::{
+    decode, encode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory,
+};
 use osm_core::{
     export, Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector,
     FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, MetricsReport,
@@ -79,7 +77,7 @@ impl Default for SaManagers {
 /// What each edge of the spec means (precomputed so the hot path never
 /// string-matches edge names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SaEdgeKind {
+pub(crate) enum SaEdgeKind {
     Fetch,
     ResetF,
     ResetD,
@@ -111,7 +109,8 @@ pub struct SaShared {
     pub exit_code: u32,
     /// Program output bytes.
     pub output: Vec<u8>,
-    /// First right-path anomaly (unknown syscall, undecodable instruction).
+    /// First right-path error: an unknown syscall, in the ISS's words
+    /// (undecodable words decode as NOPs and are not errors).
     pub error: Option<String>,
     /// Operations currently in F or D (squashable on a control transfer).
     young: Vec<osm_core::OsmId>,
@@ -303,54 +302,7 @@ struct SaOp {
     is_halting: bool,
 }
 
-impl SaOp {
-    fn handle_outcome(
-        &mut self,
-        outcome: Outcome,
-        ctx: &mut TransitionCtx<'_, SaShared>,
-    ) {
-        match outcome {
-            Outcome::Next => {}
-            Outcome::Taken(target) => {
-                ctx.shared.next_fetch_pc = target;
-                ctx.shared.squash_young(ctx.managers);
-            }
-            Outcome::Halt => {
-                self.is_halting = true;
-                ctx.shared.stop_fetch = true;
-                ctx.shared.squash_young(ctx.managers);
-            }
-            Outcome::Syscall => {
-                let nr = ctx.shared.cpu.gpr(Reg(10));
-                let arg = ctx.shared.cpu.gpr(Reg(11));
-                match nr {
-                    minirisc::syscalls::EXIT => {
-                        self.is_halting = true;
-                        ctx.shared.exit_code = arg;
-                        ctx.shared.stop_fetch = true;
-                        ctx.shared.squash_young(ctx.managers);
-                    }
-                    minirisc::syscalls::PUTCHAR => ctx.shared.output.push(arg as u8),
-                    minirisc::syscalls::PUTUINT => ctx
-                        .shared
-                        .output
-                        .extend_from_slice(arg.to_string().as_bytes()),
-                    other => {
-                        if ctx.shared.error.is_none() {
-                            ctx.shared.error =
-                                Some(format!("unknown syscall {other} at {:#010x}", self.pc));
-                        }
-                        self.is_halting = true;
-                        ctx.shared.stop_fetch = true;
-                        ctx.shared.squash_young(ctx.managers);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
+pub(crate) fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
     spec.edges()
         .map(|e| match e.name.as_str() {
             "fetch" => SaEdgeKind::Fetch,
@@ -462,12 +414,28 @@ impl Behavior<SaShared> for SaOp {
                 // The operation leaves the squashable front of the pipeline.
                 let osm = ctx.osm;
                 ctx.shared.young.retain(|o| *o != osm);
-                // Address generation precedes execution (the base register
-                // may be overwritten by the instruction itself).
-                self.mem_addr = effective_address(self.instr, &ctx.shared.cpu);
-                ctx.shared.cpu.pc = self.pc;
-                let outcome = execute(self.instr, &mut ctx.shared.cpu, &mut ctx.shared.mem);
-                self.handle_outcome(outcome, ctx);
+                let s = &mut *ctx.shared;
+                s.cpu.pc = self.pc;
+                let retired = retire(self.instr, &mut s.cpu, &mut s.mem, &mut s.output);
+                self.mem_addr = retired.mem_addr;
+                match retired.flow {
+                    Flow::Next => {}
+                    Flow::Taken(target) => s.next_fetch_pc = target,
+                    Flow::Halt => self.is_halting = true,
+                    Flow::Exit(code) => {
+                        self.is_halting = true;
+                        s.exit_code = code;
+                    }
+                    Flow::Fault(e) => {
+                        self.is_halting = true;
+                        s.error.get_or_insert_with(|| e.to_string());
+                    }
+                }
+                // A redirect or the program's end squashes the front end.
+                if retired.flow != Flow::Next {
+                    s.stop_fetch |= self.is_halting;
+                    s.squash_young(ctx.managers);
+                }
                 match self.instr.class() {
                     InstrClass::IntMul => ctx.shared.mult_timer = ctx.shared.cfg.mul_extra,
                     InstrClass::IntDiv => ctx.shared.mult_timer = ctx.shared.cfg.div_extra,

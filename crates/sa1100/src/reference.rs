@@ -4,7 +4,7 @@
 //! model but in the classic ad-hoc style of SimpleScalar: explicit pipeline
 //! latches advanced oldest-stage-first each cycle, with all hazards resolved
 //! by hand-written control code. It shares **no** scheduling code with the
-//! OSM model (only the functional [`minirisc::execute`] and the `memsys`
+//! OSM model (only the functional [`minirisc::retire`] and the `memsys`
 //! timing models), so agreement between the two is meaningful validation —
 //! it plays the role of the iPAQ hardware and of SimpleScalar-ARM in the
 //! paper's Table 1 / §5.1 comparisons.
@@ -15,12 +15,8 @@
 //! attributes to unavailable memory-subsystem documentation.
 
 use crate::config::{SaConfig, SimResult};
-use minirisc::{
-    Memory,
-    decode, effective_address, execute, CpuState, Instr, InstrClass, Outcome, Program, Reg,
-    SparseMemory,
-};
 use memsys::MemSystem;
+use minirisc::{decode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory};
 
 #[derive(Debug, Clone, Copy)]
 struct RefOp {
@@ -61,7 +57,7 @@ pub struct RefSim {
     halted: bool,
     exit_code: u32,
     output: Vec<u8>,
-    /// First right-path anomaly, if any.
+    /// First right-path error: an unknown syscall, in the ISS's words.
     pub error: Option<String>,
     f: Option<RefOp>,
     d: Option<RefOp>,
@@ -142,14 +138,13 @@ impl RefSim {
     }
 
     fn execute_op(&mut self, op: &mut RefOp) {
-        op.mem_addr = effective_address(op.instr, &self.cpu);
         self.cpu.pc = op.pc;
-        let outcome = execute(op.instr, &mut self.cpu, &mut self.mem);
-        match outcome {
-            Outcome::Next => {}
-            Outcome::Taken(target) => {
+        let retired = retire(op.instr, &mut self.cpu, &mut self.mem, &mut self.output);
+        op.mem_addr = retired.mem_addr;
+        match retired.flow {
+            Flow::Next => {}
+            Flow::Taken(target) => {
                 self.next_fetch_pc = target;
-                self.squash_front();
                 if self.cfg.hw_branch_stall_every > 0 {
                     self.taken_count += 1;
                     if self.taken_count.is_multiple_of(self.cfg.hw_branch_stall_every) {
@@ -157,36 +152,20 @@ impl RefSim {
                     }
                 }
             }
-            Outcome::Halt => {
+            Flow::Halt => op.is_halting = true,
+            Flow::Exit(code) => {
                 op.is_halting = true;
-                self.stop_fetch = true;
-                self.squash_front();
+                self.exit_code = code;
             }
-            Outcome::Syscall => {
-                let nr = self.cpu.gpr(Reg(10));
-                let arg = self.cpu.gpr(Reg(11));
-                match nr {
-                    minirisc::syscalls::EXIT => {
-                        op.is_halting = true;
-                        self.exit_code = arg;
-                        self.stop_fetch = true;
-                        self.squash_front();
-                    }
-                    minirisc::syscalls::PUTCHAR => self.output.push(arg as u8),
-                    minirisc::syscalls::PUTUINT => {
-                        self.output.extend_from_slice(arg.to_string().as_bytes())
-                    }
-                    other => {
-                        if self.error.is_none() {
-                            self.error =
-                                Some(format!("unknown syscall {other} at {:#010x}", op.pc));
-                        }
-                        op.is_halting = true;
-                        self.stop_fetch = true;
-                        self.squash_front();
-                    }
-                }
+            Flow::Fault(e) => {
+                op.is_halting = true;
+                self.error.get_or_insert_with(|| e.to_string());
             }
+        }
+        // A redirect or the program's end squashes the front end.
+        if retired.flow != Flow::Next {
+            self.stop_fetch |= op.is_halting;
+            self.squash_front();
         }
         self.e_timer = match op.instr.class() {
             InstrClass::IntMul => self.cfg.mul_extra,

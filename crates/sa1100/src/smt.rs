@@ -17,22 +17,15 @@
 
 use crate::config::SaConfig;
 use crate::forward::RegForwardFile;
-use minirisc::{
-    decode, effective_address, execute, CpuState, Instr, InstrClass, Memory, Outcome, Program,
-    Reg, SparseMemory,
+use crate::osm_model::{
+    build_spec, classify_edges, SaEdgeKind, SaManagers, S_DEST, S_MULT, S_SRC1, S_SRC2,
 };
 use memsys::MemSystem;
+use minirisc::{decode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory};
 use osm_core::{
-    Behavior, Edge, ExclusivePool, FnRanker, HardwareLayer, IdentExpr, Machine, ManagerId,
-    ManagerTable, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder,
-    StateMachineSpec, TokenIdent, TransitionCtx, IDLE_AGE,
+    Behavior, Edge, ExclusivePool, FnRanker, HardwareLayer, Machine, ManagerTable, ModelError,
+    OsmId, OsmView, ResetManager, RestartPolicy, TokenIdent, TransitionCtx, IDLE_AGE,
 };
-use std::sync::Arc;
-
-const S_SRC1: SlotId = SlotId(0);
-const S_SRC2: SlotId = SlotId(1);
-const S_DEST: SlotId = SlotId(2);
-const S_MULT: SlotId = SlotId(3);
 
 /// Per-thread architectural and front-end state.
 #[derive(Debug)]
@@ -77,20 +70,9 @@ pub struct SmtShared {
     fetch_timer: u32,
     bstage_timer: u32,
     mult_timer: u32,
-    ids: SmtManagers,
+    edge_kinds: Vec<SaEdgeKind>,
+    ids: SaManagers,
     cfg: SaConfig,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SmtManagers {
-    mf: ManagerId,
-    md: ManagerId,
-    me: ManagerId,
-    mb: ManagerId,
-    mw: ManagerId,
-    rff: ManagerId,
-    mult: ManagerId,
-    reset: ManagerId,
 }
 
 impl HardwareLayer for SmtShared {
@@ -108,54 +90,6 @@ impl HardwareLayer for SmtShared {
     }
 }
 
-fn build_spec(ids: SmtManagers) -> Arc<StateMachineSpec> {
-    let mut b = SpecBuilder::new("smt-op");
-    let i = b.state("I");
-    let f = b.state("F");
-    let d = b.state("D");
-    let e = b.state("E");
-    let bb = b.state("B");
-    let w = b.state("W");
-    b.initial(i);
-    b.edge(i, f).named("fetch").allocate(ids.mf, IdentExpr::Const(0));
-    b.edge(f, i)
-        .named("reset_f")
-        .priority(10)
-        .inquire(ids.reset, IdentExpr::Const(0))
-        .discard_all();
-    b.edge(f, d)
-        .named("decode")
-        .release(ids.mf, IdentExpr::AnyHeld)
-        .allocate(ids.md, IdentExpr::Const(0));
-    b.edge(d, i)
-        .named("reset_d")
-        .priority(10)
-        .inquire(ids.reset, IdentExpr::Const(0))
-        .discard_all();
-    b.edge(d, e)
-        .named("issue")
-        .release(ids.md, IdentExpr::AnyHeld)
-        .allocate(ids.me, IdentExpr::Const(0))
-        .allocate(ids.mult, IdentExpr::Slot(S_MULT))
-        .inquire(ids.rff, IdentExpr::Slot(S_SRC1))
-        .inquire(ids.rff, IdentExpr::Slot(S_SRC2))
-        .allocate(ids.rff, IdentExpr::Slot(S_DEST));
-    b.edge(e, bb)
-        .named("mem")
-        .release(ids.me, IdentExpr::AnyHeld)
-        .release(ids.mult, IdentExpr::Slot(S_MULT))
-        .allocate(ids.mb, IdentExpr::Const(0));
-    b.edge(bb, w)
-        .named("wb")
-        .release(ids.mb, IdentExpr::AnyHeld)
-        .allocate(ids.mw, IdentExpr::Const(0));
-    b.edge(w, i)
-        .named("retire")
-        .release(ids.mw, IdentExpr::AnyHeld)
-        .release(ids.rff, IdentExpr::Slot(S_DEST));
-    b.build().expect("static spec is valid")
-}
-
 /// The tag is part of every register-token identifier (§6).
 fn thread_reg(tag: u64, flat: usize) -> usize {
     tag as usize * 64 + flat
@@ -171,13 +105,14 @@ struct SmtOp {
 
 impl Behavior<SmtShared> for SmtOp {
     fn edge_enabled(&self, edge: &Edge, view: &OsmView<'_>, shared: &SmtShared) -> bool {
-        edge.name != "fetch" || !shared.threads[view.tag as usize].stop_fetch
+        shared.edge_kinds[edge.id.index()] != SaEdgeKind::Fetch
+            || !shared.threads[view.tag as usize].stop_fetch
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, SmtShared>) {
         let tag = ctx.tag as usize;
-        match edge.name.as_str() {
-            "fetch" => {
+        match ctx.shared.edge_kinds[edge.id.index()] {
+            SaEdgeKind::Fetch => {
                 let thread = &mut ctx.shared.threads[tag];
                 self.pc = thread.next_fetch_pc;
                 thread.next_fetch_pc = thread.next_fetch_pc.wrapping_add(4);
@@ -187,7 +122,7 @@ impl Behavior<SmtShared> for SmtOp {
                 let penalty = ctx.shared.memsys.fetch_penalty(self.pc);
                 ctx.shared.fetch_timer = penalty;
             }
-            "decode" => {
+            SaEdgeKind::Decode => {
                 let word = ctx.shared.mem.read_u32(self.pc);
                 self.instr = decode(word).unwrap_or(Instr::NOP);
                 let sources = self.instr.sources();
@@ -219,60 +154,30 @@ impl Behavior<SmtShared> for SmtOp {
                     },
                 );
             }
-            "issue" => {
+            SaEdgeKind::Issue => {
                 let osm = ctx.osm;
-                ctx.shared.threads[tag].young.retain(|o| *o != osm);
                 // Execute against this thread's architectural state.
                 let (threads, mem) = (&mut ctx.shared.threads, &mut ctx.shared.mem);
                 let thread = &mut threads[tag];
-                self.mem_addr = effective_address(self.instr, &thread.cpu);
+                thread.young.retain(|o| *o != osm);
                 thread.cpu.pc = self.pc;
-                let outcome = execute(self.instr, &mut thread.cpu, mem);
-                match outcome {
-                    Outcome::Next => {}
-                    Outcome::Taken(target) => {
-                        thread.next_fetch_pc = target;
-                        let young = thread.young.clone();
-                        let reset: &mut ResetManager =
-                            ctx.managers.downcast_mut(ctx.shared.ids.reset);
-                        for osm in young {
-                            reset.arm(osm);
-                        }
-                    }
-                    Outcome::Halt => {
+                let retired = retire(self.instr, &mut thread.cpu, mem, &mut thread.output);
+                self.mem_addr = retired.mem_addr;
+                match retired.flow {
+                    Flow::Next => {}
+                    Flow::Taken(target) => thread.next_fetch_pc = target,
+                    Flow::Halt | Flow::Fault(_) => self.is_halting = true,
+                    Flow::Exit(code) => {
                         self.is_halting = true;
-                        thread.stop_fetch = true;
-                        let young = thread.young.clone();
-                        let reset: &mut ResetManager =
-                            ctx.managers.downcast_mut(ctx.shared.ids.reset);
-                        for osm in young {
-                            reset.arm(osm);
-                        }
+                        thread.exit_code = code;
                     }
-                    Outcome::Syscall => {
-                        let nr = thread.cpu.gpr(Reg(10));
-                        let arg = thread.cpu.gpr(Reg(11));
-                        match nr {
-                            minirisc::syscalls::EXIT => {
-                                self.is_halting = true;
-                                thread.exit_code = arg;
-                                thread.stop_fetch = true;
-                                let young = thread.young.clone();
-                                let reset: &mut ResetManager =
-                                    ctx.managers.downcast_mut(ctx.shared.ids.reset);
-                                for osm in young {
-                                    reset.arm(osm);
-                                }
-                            }
-                            minirisc::syscalls::PUTCHAR => thread.output.push(arg as u8),
-                            minirisc::syscalls::PUTUINT => {
-                                thread.output.extend_from_slice(arg.to_string().as_bytes())
-                            }
-                            _ => {
-                                self.is_halting = true;
-                                thread.stop_fetch = true;
-                            }
-                        }
+                }
+                // A redirect or the thread's end squashes its front end.
+                if retired.flow != Flow::Next {
+                    thread.stop_fetch |= self.is_halting;
+                    let reset: &mut ResetManager = ctx.managers.downcast_mut(ctx.shared.ids.reset);
+                    for &osm in &thread.young {
+                        reset.arm(osm);
                     }
                 }
                 match self.instr.class() {
@@ -288,12 +193,12 @@ impl Behavior<SmtShared> for SmtOp {
                     }
                 }
             }
-            "mem" => {
+            SaEdgeKind::Mem => {
                 if let Some(addr) = self.mem_addr.take() {
                     ctx.shared.bstage_timer = ctx.shared.memsys.data_penalty(addr);
                 }
             }
-            "wb" => {
+            SaEdgeKind::Wb => {
                 if self.instr.class() == InstrClass::Load {
                     if let Some(dest) = self.instr.dest() {
                         let rff: &mut RegForwardFile =
@@ -302,19 +207,19 @@ impl Behavior<SmtShared> for SmtOp {
                     }
                 }
             }
-            "retire" => {
+            SaEdgeKind::Retire => {
                 let thread = &mut ctx.shared.threads[tag];
                 thread.retired += 1;
                 if self.is_halting {
                     thread.halted = true;
                 }
             }
-            "reset_f" | "reset_d" => {
+            kind @ (SaEdgeKind::ResetF | SaEdgeKind::ResetD) => {
                 let osm = ctx.osm;
                 let thread = &mut ctx.shared.threads[tag];
                 thread.young.retain(|o| *o != osm);
                 thread.squashed += 1;
-                if edge.name == "reset_f" {
+                if kind == SaEdgeKind::ResetF {
                     ctx.shared.fetch_timer = 0;
                     let pool: &mut ExclusivePool = ctx.managers.downcast_mut(ctx.shared.ids.mf);
                     pool.block_release(0, false);
@@ -322,7 +227,6 @@ impl Behavior<SmtShared> for SmtOp {
                 let reset: &mut ResetManager = ctx.managers.downcast_mut(ctx.shared.ids.reset);
                 reset.disarm(osm);
             }
-            other => unreachable!("unknown edge `{other}`"),
         }
     }
 }
@@ -381,20 +285,12 @@ impl SmtSim {
             fetch_timer: 0,
             bstage_timer: 0,
             mult_timer: 0,
-            ids: SmtManagers {
-                mf: ManagerId(u32::MAX),
-                md: ManagerId(u32::MAX),
-                me: ManagerId(u32::MAX),
-                mb: ManagerId(u32::MAX),
-                mw: ManagerId(u32::MAX),
-                rff: ManagerId(u32::MAX),
-                mult: ManagerId(u32::MAX),
-                reset: ManagerId(u32::MAX),
-            },
+            edge_kinds: Vec::new(),
+            ids: SaManagers::default(),
             cfg,
         };
         let mut machine = Machine::new(shared);
-        let ids = SmtManagers {
+        let ids = SaManagers {
             mf: machine.add_manager(ExclusivePool::new("fetch", 1)),
             md: machine.add_manager(ExclusivePool::new("decode", 1)),
             me: machine.add_manager(ExclusivePool::new("execute", 1)),
@@ -407,6 +303,7 @@ impl SmtSim {
         };
         machine.shared.ids = ids;
         let spec = build_spec(ids);
+        machine.shared.edge_kinds = classify_edges(&spec);
         for tag in 0..2u64 {
             for _ in 0..cfg.osm_count.max(6) / 2 + 1 {
                 machine.add_osm_tagged(&spec, SmtOp::default(), tag);

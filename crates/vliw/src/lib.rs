@@ -289,6 +289,35 @@ mod tests {
     }
 
     #[test]
+    fn unknown_syscall_halts_and_its_error_survives_a_checkpoint() {
+        let mut ir = VliwIr::new();
+        ir.push(addi(10, 0, 7));
+        ir.push(Instr::Syscall);
+        exit_with(&mut ir, 1);
+        let program = schedule(&ir, vec![]);
+        let golden = interpret(&program, 1_000);
+        assert_eq!((golden.exit_code, golden.retired_bundles), (0, 2));
+
+        let mut sim = VliwSim::new(VliwConfig::default(), &program);
+        while sim.machine().shared.error.is_none() {
+            sim.machine_mut().step().unwrap();
+        }
+        assert!(!sim.halted(), "the faulting bundle has not retired yet");
+        let ckpt = sim.checkpoint().unwrap();
+        let reference = sim.run_to_halt(1_000).unwrap();
+        assert_eq!(reference.exit_code, golden.exit_code);
+        assert_eq!(reference.retired_bundles, golden.retired_bundles);
+        let error = sim.machine().shared.error.clone();
+        // The syscall sits alone in bundle 1.
+        assert_eq!(error.as_deref(), Some("at 0x00001008: unknown syscall 7"));
+
+        let mut fresh = VliwSim::new(VliwConfig::default(), &program);
+        fresh.restore(&ckpt).unwrap();
+        assert_eq!(fresh.machine().shared.error, error);
+        assert_eq!(fresh.run_to_halt(1_000).unwrap(), reference);
+    }
+
+    #[test]
     fn deterministic() {
         let program = schedule(&ilp_loop(15, 5), vec![]);
         let a = VliwSim::new(VliwConfig::default(), &program)

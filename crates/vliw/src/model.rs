@@ -11,7 +11,7 @@
 
 use crate::schedule::{Bundle, VliwProgram};
 use memsys::{MemSystem, MemSystemConfig};
-use minirisc::{effective_address, execute, CpuState, Instr, Memory, Outcome, Reg, SparseMemory};
+use minirisc::{retire, CpuState, Flow, Instr, IssError, Memory, SparseMemory};
 use osm_core::{
     Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector, FaultPlan,
     HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, ModelError, OsmId, OsmView,
@@ -97,36 +97,15 @@ pub fn interpret(program: &VliwProgram, max_bundles: u64) -> VliwResult {
                 break;
             }
             retired_ops += 1;
-            match instr {
-                Instr::Halt => {
+            match retire(instr, &mut cpu, &mut mem, &mut output).flow {
+                Flow::Next => {}
+                Flow::Taken(_) => next = program.targets[&pc],
+                end => {
+                    if let Flow::Exit(code) = end {
+                        exit_code = code;
+                    }
                     retired_bundles += 1;
                     break 'run;
-                }
-                Instr::Syscall => {
-                    let nr = cpu.gpr(Reg(10));
-                    let arg = cpu.gpr(Reg(11));
-                    match nr {
-                        minirisc::syscalls::EXIT => {
-                            exit_code = arg;
-                            retired_bundles += 1;
-                            break 'run;
-                        }
-                        minirisc::syscalls::PUTCHAR => output.push(arg as u8),
-                        minirisc::syscalls::PUTUINT => {
-                            output.extend_from_slice(arg.to_string().as_bytes())
-                        }
-                        other => panic!("unknown syscall {other}"),
-                    }
-                }
-                Instr::Branch { cond, rs1, rs2, .. } => {
-                    if cond.eval(cpu.gpr(rs1), cpu.gpr(rs2)) {
-                        next = program.targets[&pc];
-                    }
-                }
-                Instr::Jal { .. } => next = program.targets[&pc],
-                other => {
-                    let out = execute(other, &mut cpu, &mut mem);
-                    debug_assert_eq!(out, Outcome::Next, "non-control op in bundle");
                 }
             }
         }
@@ -160,6 +139,9 @@ pub struct VliwShared {
     /// Program exit code.
     pub exit_code: u32,
     output: Vec<u8>,
+    /// First error: an unknown syscall, in the ISS's words at the slot's
+    /// address in the bundle stream.
+    pub error: Option<String>,
     young: Vec<OsmId>,
     /// Retired operations.
     pub retired_ops: u64,
@@ -211,6 +193,11 @@ impl HardwareLayer for VliwShared {
         w.put_u64(self.squashed);
         w.put_u32(self.fetch_timer);
         w.put_u32(self.exec_timer);
+        // Last and only when recorded: error-free sections keep the layout
+        // they had before errors were recorded.
+        if let Some(e) = &self.error {
+            w.put_str(e);
+        }
         Some(w.into_bytes())
     }
 
@@ -237,6 +224,11 @@ impl HardwareLayer for VliwShared {
             s.squashed = r.take_u64()?;
             s.fetch_timer = r.take_u32()?;
             s.exec_timer = r.take_u32()?;
+            s.error = if r.is_done() {
+                None
+            } else {
+                Some(r.take_str()?.to_owned())
+            };
             Some(())
         });
         if parsed.is_some() {
@@ -284,46 +276,31 @@ struct BundleOp {
 }
 
 impl BundleOp {
-    fn run_slot(&mut self, instr: Instr, ctx: &mut TransitionCtx<'_, VliwShared>) {
+    fn run_slot(&mut self, slot: u32, instr: Instr, ctx: &mut TransitionCtx<'_, VliwShared>) {
         self.ops += 1;
-        match instr {
-            Instr::Halt => {
-                self.is_halting = true;
-            }
-            Instr::Syscall => {
-                let nr = ctx.shared.cpu.gpr(Reg(10));
-                let arg = ctx.shared.cpu.gpr(Reg(11));
-                match nr {
-                    minirisc::syscalls::EXIT => {
-                        self.is_halting = true;
-                        ctx.shared.exit_code = arg;
-                        ctx.shared.stop_fetch = true;
-                        squash_young(ctx);
-                    }
-                    minirisc::syscalls::PUTCHAR => ctx.shared.output.push(arg as u8),
-                    minirisc::syscalls::PUTUINT => ctx
-                        .shared
-                        .output
-                        .extend_from_slice(arg.to_string().as_bytes()),
-                    other => panic!("unknown syscall {other}"),
+        let s = &mut *ctx.shared;
+        let retired = retire(instr, &mut s.cpu, &mut s.mem, &mut s.output);
+        if let Some(addr) = retired.mem_addr {
+            s.exec_timer = s.memsys.data_penalty(addr);
+        }
+        match retired.flow {
+            Flow::Next => {}
+            // Control transfers target the bundle the scheduler resolved.
+            Flow::Taken(_) => self.redirect = Some(s.program.targets[&self.idx]),
+            Flow::Halt => self.is_halting = true,
+            Flow::Exit(code) => s.exit_code = code,
+            Flow::Fault(mut e) => {
+                if let IssError::BadSyscall { pc, .. } = &mut e {
+                    *pc = CODE_BASE + 8 * self.idx as u32 + 4 * slot;
                 }
+                s.error.get_or_insert_with(|| e.to_string());
             }
-            Instr::Branch { cond, rs1, rs2, .. } => {
-                let taken = cond.eval(ctx.shared.cpu.gpr(rs1), ctx.shared.cpu.gpr(rs2));
-                if taken {
-                    self.redirect = Some(ctx.shared.program.targets[&self.idx]);
-                }
-            }
-            Instr::Jal { .. } => {
-                self.redirect = Some(ctx.shared.program.targets[&self.idx]);
-            }
-            other => {
-                if let Some(addr) = effective_address(other, &ctx.shared.cpu) {
-                    ctx.shared.exec_timer = ctx.shared.memsys.data_penalty(addr);
-                }
-                let out = execute(other, &mut ctx.shared.cpu, &mut ctx.shared.mem);
-                debug_assert_eq!(out, Outcome::Next);
-            }
+        }
+        // `halt` stops fetch at writeback; an exit or a fault stops it now.
+        if matches!(retired.flow, Flow::Exit(_) | Flow::Fault(_)) {
+            self.is_halting = true;
+            s.stop_fetch = true;
+            squash_young(ctx);
         }
     }
 }
@@ -406,9 +383,9 @@ impl Behavior<VliwShared> for BundleOp {
                 let osm = ctx.osm;
                 ctx.shared.young.retain(|o| *o != osm);
                 let bundle: Bundle = ctx.shared.program.bundles[self.idx];
-                self.run_slot(bundle.slots[0], ctx);
+                self.run_slot(0, bundle.slots[0], ctx);
                 if bundle.is_pair() && !self.is_halting {
-                    self.run_slot(bundle.slots[1], ctx);
+                    self.run_slot(1, bundle.slots[1], ctx);
                 }
             }
             "wb" => {
@@ -476,6 +453,7 @@ impl VliwSim {
             halted: false,
             exit_code: 0,
             output: Vec::new(),
+            error: None,
             young: Vec::new(),
             retired_ops: 0,
             retired_bundles: 0,
