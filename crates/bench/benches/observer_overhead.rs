@@ -1,13 +1,13 @@
 //! Criterion benchmark for the observability layer's cost model.
 //!
-//! The acceptance bar for the observer work is that the *disabled* path —
-//! no observers registered, no stall tracker — costs < 2% versus the seed
-//! simulator. It holds because the director is monomorphized over whether
-//! any observer or the stall tracker is installed, and the uninstrumented
-//! instantiation contains no event or attribution code at all. The
-//! transition trace is not an observer: a digest trace keeps the run on the
-//! uninstrumented director and adds one digest fold per committed
-//! transition. The enabled rows quantify what each opt-in costs.
+//! The acceptance bar for the observability work is that the *disabled*
+//! path — no event log, no metrics, no stall attribution — costs < 2%
+//! versus the seed simulator. It holds because the director is
+//! monomorphized over whether any of those sinks is on, and the
+//! uninstrumented instantiation contains no event or attribution code at
+//! all. A digest trace keeps the run on the uninstrumented director and
+//! adds one digest fold per committed transition. The enabled rows
+//! quantify what each opt-in costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osm_core::Trace;
@@ -23,7 +23,7 @@ fn observer_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer_overhead");
     group.sample_size(10);
 
-    // The baseline everyone compares against: no observers, no tracker.
+    // The baseline everyone compares against: every sink off.
     group.bench_function("sa1100_osm_observers_off", |b| {
         b.iter(|| {
             let mut sim = SaOsmSim::new(SaConfig::paper(), &program);

@@ -8,8 +8,8 @@
 //!    sparse-waiter machine, the SA-1100 OSM model on a MediaBench kernel,
 //!    the PPC-750 OSM model on the same MiniRISC program, and the VLIW
 //!    lockstep core. Each of the four is checked twice: on the untracked
-//!    director that `Machine::run` users get (a digest trace is not an
-//!    observer), and on the tracked one, with stall attribution on. Two
+//!    director that `Machine::run` users get (a digest trace does not select
+//!    the tracked one), and on the tracked one, with stall attribution on. Two
 //!    ADL machines run untracked and are compared by
 //!    `Machine::state_fingerprint` after every cycle: the contended machine
 //!    (the costliest of `perf`'s `adl_contended` suite), and a dense
@@ -164,8 +164,8 @@ fn run_sparse(mode: SchedulerMode, tracked: bool) -> (u64, f64, u64) {
     (m.take_trace().expect("trace on").digest(), secs, evals)
 }
 
-/// An ADL machine with `osms` inert OSMs round-robin over its classes, no
-/// observers.
+/// An ADL machine with `osms` inert OSMs round-robin over its classes, every
+/// observability sink off.
 fn adl_machine(source: &str, osms: usize, mode: SchedulerMode) -> Machine<()> {
     let synth = osm_adl::load(source).expect("inline source loads");
     let mut m: Machine<()> = Machine::new(());

@@ -64,8 +64,8 @@ fn main() -> ExitCode {
     sim.run_to_halt(u64::MAX).expect("no deadlock");
     assert!(sim.machine().shared.halted, "kernel did not halt");
 
-    let trace_text = sim.chrome_trace().expect("event log enabled");
-    let report = sim.metrics_report().expect("metrics enabled");
+    let trace_text = export::chrome_trace_for(sim.machine()).expect("event log enabled");
+    let report = sim.machine().metrics_report().expect("metrics enabled");
     let metrics_text = export::metrics_json(&report);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create out dir");

@@ -14,13 +14,13 @@ use crate::error::{BlockedOsm, ModelError, WaitCause};
 use crate::ids::{EdgeId, ManagerId, OsmId};
 use crate::manager::ManagerTable;
 use crate::observe::{
-    Observer, StallEvent, StallTracker, TokenEvent, TokenOpKind, TokenOutcome, TransitionEvent,
+    ObservedEvent, Sinks, StallEvent, TokenEvent, TokenOpKind, TokenOutcome, TransitionEvent,
 };
 use crate::osm::{Osm, OsmView, TransitionCtx, IDLE_AGE};
 use crate::spec::{Edge, StateMachineSpec};
 use crate::stats::Stats;
 use crate::token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use std::sync::Arc;
 
 /// Whether the director restarts its outer loop after a transition (Fig. 3).
@@ -208,8 +208,8 @@ pub(crate) struct Scratch {
     /// with its resolved identifier (stall diagnostics).
     fail: Option<(Primitive, TokenIdent)>,
     /// Per-OSM first failing primitive of the OSM's most recent edge scan
-    /// this step (stall-cause attribution; maintained only when observers or
-    /// a [`StallTracker`] are active).
+    /// this step (stall-cause attribution; maintained only by the tracked
+    /// instantiation).
     first_fail: Vec<Option<(Primitive, TokenIdent)>>,
     // --- persistent fast-scheduler state (SchedulerMode::Fast) ---
     /// Monotonic step counter ("this step" watermark for `moved`); not the
@@ -362,14 +362,6 @@ impl Scratch {
     }
 }
 
-/// Emits one token event to every observer.
-#[inline]
-fn emit_token(observers: &mut [Box<dyn Observer>], ev: TokenEvent) {
-    for o in observers.iter_mut() {
-        o.on_token_op(&ev);
-    }
-}
-
 /// Resolution of an [`IdentExpr`] against an OSM's slots.
 enum Resolved {
     Ident(TokenIdent),
@@ -395,89 +387,94 @@ fn resolve(expr: IdentExpr, slots: &[TokenIdent]) -> Resolved {
     }
 }
 
+/// Reports one primitive attempt by `osm` on `edge` to the event sinks:
+/// the director's one token-event emission point. The untracked
+/// instantiation compiles it away; the tracked one builds the event only
+/// while the log or the metrics are on.
+#[inline(always)]
+fn emit<const TRACKING: bool>(
+    sinks: &mut Sinks,
+    (cycle, osm, edge): (u64, OsmId, EdgeId),
+    manager: ManagerId,
+    op: TokenOpKind,
+    ident: TokenIdent,
+    token: Option<Token>,
+    outcome: TokenOutcome,
+) {
+    if TRACKING && sinks.events() {
+        sinks.record(ObservedEvent::Token(TokenEvent {
+            cycle,
+            osm,
+            edge,
+            manager,
+            op,
+            ident,
+            token,
+            outcome,
+        }));
+    }
+}
+
+/// `Granted` or `Denied`.
+fn outcome(granted: bool) -> TokenOutcome {
+    if granted {
+        TokenOutcome::Granted
+    } else {
+        TokenOutcome::Denied
+    }
+}
+
 /// Evaluates `edge`'s condition for `osm`, tentatively applying
 /// transactions into `scratch` (cleared on entry). Returns true when the
 /// condition is satisfied; on failure every prepared transaction is aborted
-/// and the blocking owners are appended to `scratch.wait_edges`.
+/// and, with `collect_waits`, the blocking owners are appended to
+/// `scratch.wait_edges`.
 ///
-/// Monomorphized over `OBS` so the no-observer instantiation carries zero
-/// event-emission code in the per-primitive loop — the disabled path is
-/// byte-for-byte the pre-observability hot loop. Callers must pass
-/// `OBS = !observers.is_empty()` (an `OBS = false` call ignores `observers`).
-fn try_condition<S, const OBS: bool>(
+/// Every manager contact is one token event, and a failed condition emits
+/// exactly one `Denied` event, so denied-event counts reconcile with
+/// [`Stats::condition_failures`]. Only the `TRACKING` instantiation
+/// reports to `sinks`.
+fn try_condition<S, const TRACKING: bool>(
     osm: &Osm<S>,
     edge: &Edge,
     managers: &mut ManagerTable,
     scratch: &mut Scratch,
     collect_waits: bool,
-    observers: &mut [Box<dyn Observer>],
+    sinks: &mut Sinks,
     cycle: u64,
 ) -> bool {
     scratch.ops.clear();
     scratch.discards.clear();
     scratch.used.clear();
     scratch.fail = None;
-    let mut failed = false;
-    let observing = OBS;
-    // One TokenEvent per manager contact; every failure path below emits
-    // exactly one Denied event, so denied-event counts reconcile with
-    // `Stats::condition_failures`.
-    let token_ev = |op, ident, token, outcome| TokenEvent {
-        cycle,
-        osm: osm.id,
-        edge: edge.id,
-        manager: ManagerId(0), // overwritten by every caller
-        op,
-        ident,
-        token,
-        outcome,
-    };
-
-    'prims: for prim in &edge.condition {
+    let at = (cycle, osm.id, edge.id);
+    for prim in &edge.condition {
+        let op = prim.kind();
         match *prim {
             Primitive::Allocate { manager, ident } => match resolve(ident, &osm.slots) {
                 Resolved::Vacuous => {}
                 Resolved::AnyHeld => {
                     debug_assert!(false, "allocate cannot use AnyHeld");
-                    if observing {
-                        emit_token(
-                            observers,
-                            TokenEvent {
-                                manager,
-                                ..token_ev(
-                                    TokenOpKind::Allocate,
-                                    TokenIdent::NONE,
-                                    None,
-                                    TokenOutcome::Denied,
-                                )
-                            },
-                        );
-                    }
+                    emit::<TRACKING>(
+                        sinks,
+                        at,
+                        manager,
+                        op,
+                        TokenIdent::NONE,
+                        None,
+                        TokenOutcome::Denied,
+                    );
                     scratch.fail = Some((*prim, TokenIdent::NONE));
-                    failed = true;
-                    break 'prims;
+                    break;
                 }
                 Resolved::Ident(id) => {
                     // A dangling manager id in the spec is a modeling error;
                     // it surfaces as a never-satisfied condition, not a panic.
-                    let granted = managers
+                    let token = managers
                         .try_probe_mut(manager)
                         .and_then(|m| m.prepare_allocate(osm.id, id));
-                    if observing {
-                        let outcome = if granted.is_some() {
-                            TokenOutcome::Granted
-                        } else {
-                            TokenOutcome::Denied
-                        };
-                        emit_token(
-                            observers,
-                            TokenEvent {
-                                manager,
-                                ..token_ev(TokenOpKind::Allocate, id, granted, outcome)
-                            },
-                        );
-                    }
-                    match granted {
+                    emit::<TRACKING>(sinks, at, manager, op, id, token, outcome(token.is_some()));
+                    match token {
                         Some(token) => scratch.ops.push(PreparedOp::Alloc {
                             manager,
                             ident: id,
@@ -485,17 +482,10 @@ fn try_condition<S, const OBS: bool>(
                         }),
                         None => {
                             if collect_waits {
-                                let owner =
-                                    managers.try_get(manager).and_then(|m| m.owner_of(id));
-                                if let Some(owner) = owner {
-                                    if owner != osm.id {
-                                        scratch.wait_edges.push((osm.id, owner));
-                                    }
-                                }
+                                push_wait(osm, manager, id, managers, scratch);
                             }
                             scratch.fail = Some((*prim, id));
-                            failed = true;
-                            break 'prims;
+                            break;
                         }
                     }
                 }
@@ -504,54 +494,29 @@ fn try_condition<S, const OBS: bool>(
                 Resolved::Vacuous => {}
                 Resolved::AnyHeld => {
                     debug_assert!(false, "inquire cannot use AnyHeld");
-                    if observing {
-                        emit_token(
-                            observers,
-                            TokenEvent {
-                                manager,
-                                ..token_ev(
-                                    TokenOpKind::Inquire,
-                                    TokenIdent::NONE,
-                                    None,
-                                    TokenOutcome::Denied,
-                                )
-                            },
-                        );
-                    }
+                    emit::<TRACKING>(
+                        sinks,
+                        at,
+                        manager,
+                        op,
+                        TokenIdent::NONE,
+                        None,
+                        TokenOutcome::Denied,
+                    );
                     scratch.fail = Some((*prim, TokenIdent::NONE));
-                    failed = true;
-                    break 'prims;
+                    break;
                 }
                 Resolved::Ident(id) => {
                     let ok = managers
                         .try_get(manager)
                         .is_some_and(|m| m.inquire(osm.id, id));
-                    if observing {
-                        let outcome = if ok {
-                            TokenOutcome::Granted
-                        } else {
-                            TokenOutcome::Denied
-                        };
-                        emit_token(
-                            observers,
-                            TokenEvent {
-                                manager,
-                                ..token_ev(TokenOpKind::Inquire, id, None, outcome)
-                            },
-                        );
-                    }
+                    emit::<TRACKING>(sinks, at, manager, op, id, None, outcome(ok));
                     if !ok {
                         if collect_waits {
-                            let owner = managers.try_get(manager).and_then(|m| m.owner_of(id));
-                            if let Some(owner) = owner {
-                                if owner != osm.id {
-                                    scratch.wait_edges.push((osm.id, owner));
-                                }
-                            }
+                            push_wait(osm, manager, id, managers, scratch);
                         }
                         scratch.fail = Some((*prim, id));
-                        failed = true;
-                        break 'prims;
+                        break;
                     }
                 }
             },
@@ -566,147 +531,116 @@ fn try_condition<S, const OBS: bool>(
                         && held.token.manager == manager
                         && target.is_none_or(|id| held.ident == id)
                 });
-                match found {
-                    Some(i) => {
-                        let token = osm.buffer[i].token;
-                        let accepted = managers
-                            .try_probe_mut(manager)
-                            .is_some_and(|m| m.prepare_release(osm.id, token));
-                        if observing {
-                            let outcome = if accepted {
-                                TokenOutcome::Granted
-                            } else {
-                                TokenOutcome::Denied
-                            };
-                            emit_token(
-                                observers,
-                                TokenEvent {
-                                    manager,
-                                    ..token_ev(
-                                        TokenOpKind::Release,
-                                        osm.buffer[i].ident,
-                                        Some(token),
-                                        outcome,
-                                    )
-                                },
-                            );
-                        }
-                        if accepted {
-                            scratch.used.push(i);
-                            scratch.ops.push(PreparedOp::Release {
-                                manager,
-                                buffer_index: i,
-                                token,
-                            });
-                        } else {
-                            scratch.fail = Some((*prim, osm.buffer[i].ident));
-                            failed = true;
-                            break 'prims;
-                        }
-                    }
-                    None => {
-                        // Releasing a token the OSM does not hold is a model
-                        // inconsistency; treat as an unsatisfied condition.
-                        let ident = target.unwrap_or(TokenIdent::NONE);
-                        if observing {
-                            emit_token(
-                                observers,
-                                TokenEvent {
-                                    manager,
-                                    ..token_ev(
-                                        TokenOpKind::Release,
-                                        ident,
-                                        None,
-                                        TokenOutcome::Denied,
-                                    )
-                                },
-                            );
-                        }
-                        scratch.fail = Some((*prim, ident));
-                        failed = true;
-                        break 'prims;
-                    }
+                let Some(i) = found else {
+                    // Releasing a token the OSM does not hold is a model
+                    // inconsistency; treat as an unsatisfied condition.
+                    let ident = target.unwrap_or(TokenIdent::NONE);
+                    emit::<TRACKING>(sinks, at, manager, op, ident, None, TokenOutcome::Denied);
+                    scratch.fail = Some((*prim, ident));
+                    break;
+                };
+                let held = osm.buffer[i];
+                let accepted = managers
+                    .try_probe_mut(manager)
+                    .is_some_and(|m| m.prepare_release(osm.id, held.token));
+                let (ident, token) = (held.ident, Some(held.token));
+                emit::<TRACKING>(sinks, at, manager, op, ident, token, outcome(accepted));
+                if !accepted {
+                    scratch.fail = Some((*prim, held.ident));
+                    break;
                 }
+                scratch.used.push(i);
+                scratch.ops.push(PreparedOp::Release {
+                    manager,
+                    buffer_index: i,
+                    token: held.token,
+                });
             }
             Primitive::Discard { manager, ident } => match resolve(ident, &osm.slots) {
                 Resolved::Vacuous => {}
                 Resolved::AnyHeld => scratch.discards.push(DiscardSpec::All(manager)),
-                Resolved::Ident(id) => {
-                    if let Some(m) = manager {
-                        scratch.discards.push(DiscardSpec::One(m, id));
-                    } else {
-                        scratch.discards.push(DiscardSpec::All(None));
-                    }
-                }
+                Resolved::Ident(id) => scratch.discards.push(match manager {
+                    Some(m) => DiscardSpec::One(m, id),
+                    None => DiscardSpec::All(None),
+                }),
             },
         }
     }
+    if scratch.fail.is_none() {
+        return true;
+    }
+    abort_plan::<S, TRACKING>(osm, scratch, managers, sinks, at);
+    false
+}
 
-    if failed {
-        // Manager ids here are in range: each op's prepare succeeded above.
-        for op in scratch.ops.iter().rev() {
-            match *op {
-                PreparedOp::Alloc {
-                    manager,
-                    ident,
-                    token,
-                } => {
-                    managers.probe_mut(manager).abort_allocate(osm.id, token);
-                    if observing {
-                        emit_token(
-                            observers,
-                            TokenEvent {
-                                manager,
-                                ..token_ev(
-                                    TokenOpKind::Allocate,
-                                    ident,
-                                    Some(token),
-                                    TokenOutcome::Aborted,
-                                )
-                            },
-                        );
-                    }
-                }
-                PreparedOp::Release {
-                    manager,
-                    buffer_index,
-                    token,
-                } => {
-                    managers.probe_mut(manager).abort_release(osm.id, token);
-                    if observing {
-                        emit_token(
-                            observers,
-                            TokenEvent {
-                                manager,
-                                ..token_ev(
-                                    TokenOpKind::Release,
-                                    osm.buffer[buffer_index].ident,
-                                    Some(token),
-                                    TokenOutcome::Aborted,
-                                )
-                            },
-                        );
-                    }
-                }
+/// Records, for the deadlock scan, that `osm` waits on whichever other OSM
+/// owns the token `ident` of `manager` (if any).
+fn push_wait<S>(
+    osm: &Osm<S>,
+    manager: ManagerId,
+    ident: TokenIdent,
+    managers: &ManagerTable,
+    scratch: &mut Scratch,
+) {
+    let owner = managers.try_get(manager).and_then(|m| m.owner_of(ident));
+    if let Some(owner) = owner.filter(|&o| o != osm.id) {
+        scratch.wait_edges.push((osm.id, owner));
+    }
+}
+
+/// Aborts, newest first, the transactions `try_condition` prepared: on a
+/// failed condition, or on a satisfied one that is only being probed. The
+/// `TRACKING` instantiation reports each rollback as an `Aborted` event.
+#[inline]
+fn abort_plan<S, const TRACKING: bool>(
+    osm: &Osm<S>,
+    scratch: &Scratch,
+    managers: &mut ManagerTable,
+    sinks: &mut Sinks,
+    at: (u64, OsmId, EdgeId),
+) {
+    // Manager ids here are in range: each op's prepare succeeded.
+    for op in scratch.ops.iter().rev() {
+        let (manager, kind, ident, token) = match *op {
+            PreparedOp::Alloc {
+                manager,
+                ident,
+                token,
+            } => {
+                managers.probe_mut(manager).abort_allocate(osm.id, token);
+                (manager, TokenOpKind::Allocate, ident, token)
             }
-        }
-        false
-    } else {
-        true
+            PreparedOp::Release {
+                manager,
+                buffer_index,
+                token,
+            } => {
+                managers.probe_mut(manager).abort_release(osm.id, token);
+                let ident = osm.buffer[buffer_index].ident;
+                (manager, TokenOpKind::Release, ident, token)
+            }
+        };
+        emit::<TRACKING>(
+            sinks,
+            at,
+            manager,
+            kind,
+            ident,
+            Some(token),
+            TokenOutcome::Aborted,
+        );
     }
 }
 
 /// Commits the satisfied plan held in `scratch`: finalizes transactions and
 /// updates the buffer.
-fn commit_plan<S, const OBS: bool>(
+fn commit_plan<S, const TRACKING: bool>(
     osm: &mut Osm<S>,
     scratch: &mut Scratch,
     managers: &mut ManagerTable,
-    observers: &mut [Box<dyn Observer>],
-    cycle: u64,
-    edge: EdgeId,
+    sinks: &mut Sinks,
+    at: (u64, OsmId, EdgeId),
 ) {
-    let observing = OBS;
     scratch.removed.clear();
     for op in &scratch.ops {
         match *op {
@@ -742,24 +676,17 @@ fn commit_plan<S, const OBS: bool>(
                 DiscardSpec::One(m, id) => held.token.manager == m && held.ident == id,
             };
             if matches {
-                managers
-                    .get_mut(held.token.manager)
-                    .discard(osm.id, held.token);
-                if observing {
-                    emit_token(
-                        observers,
-                        TokenEvent {
-                            cycle,
-                            osm: osm.id,
-                            edge,
-                            manager: held.token.manager,
-                            op: TokenOpKind::Discard,
-                            ident: held.ident,
-                            token: Some(held.token),
-                            outcome: TokenOutcome::Granted,
-                        },
-                    );
-                }
+                let manager = held.token.manager;
+                managers.get_mut(manager).discard(osm.id, held.token);
+                emit::<TRACKING>(
+                    sinks,
+                    at,
+                    manager,
+                    TokenOpKind::Discard,
+                    held.ident,
+                    Some(held.token),
+                    TokenOutcome::Granted,
+                );
                 osm.buffer.remove(i);
             } else {
                 i += 1;
@@ -792,11 +719,11 @@ pub(crate) struct StepWork {
 /// Runs under [`SchedulerMode::Seed`] and under any custom [`Ranker`].
 ///
 /// Monomorphized over `TRACKING`: callers pass `TRACKING = true` exactly
-/// when observers are registered or a [`StallTracker`] is attached, and
-/// `TRACKING = false` otherwise. The false instantiation contains no
+/// when stall attribution, the event log or the metrics are on in `sinks`,
+/// and `TRACKING = false` otherwise. The false instantiation contains no
 /// event-emission or attribution code at all, so an uninstrumented machine
 /// runs the pre-observability hot loop (one branch per cycle picks the
-/// instantiation). `trace`, when present, receives every committed
+/// instantiation). The trace in `sinks`, when on, receives every committed
 /// transition in both instantiations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
@@ -810,12 +737,10 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     cycle: u64,
     age_counter: &mut u64,
     stats: &mut Stats,
-    observers: &mut [Box<dyn Observer>],
-    mut stalls: Option<&mut StallTracker>,
-    mut trace: Option<&mut Trace>,
+    sinks: &mut Sinks,
     scratch: &mut Scratch,
 ) -> StepWork {
-    debug_assert_eq!(TRACKING, stalls.is_some() || !observers.is_empty());
+    debug_assert_eq!(TRACKING, sinks.tracking());
     if TRACKING {
         scratch.first_fail.clear();
         scratch.first_fail.resize(osms.len(), None);
@@ -847,8 +772,7 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
             cycle,
             age_counter,
             stats,
-            observers,
-            trace.as_deref_mut(),
+            sinks,
             scratch,
         );
         if !served.moved {
@@ -873,7 +797,7 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     // Everything still listed failed to leave its state this step.
     if TRACKING {
         for &(_, id) in &list {
-            charge_blocked(osms, id.index(), &scratch.first_fail, &mut stalls, observers, cycle);
+            charge_blocked(osms, id.index(), &scratch.first_fail, sinks, cycle);
         }
     }
     list.clear();
@@ -978,8 +902,7 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
     cycle: u64,
     age_counter: &mut u64,
     stats: &mut Stats,
-    observers: &mut [Box<dyn Observer>],
-    trace: Option<&mut Trace>,
+    sinks: &mut Sinks,
     scratch: &mut Scratch,
 ) -> Served {
     serve_osm::<S, TRACKING, true>(
@@ -991,8 +914,7 @@ fn serve_osm_fast<S: 'static, const TRACKING: bool>(
         cycle,
         age_counter,
         stats,
-        observers,
-        trace,
+        sinks,
         scratch,
     )
 }
@@ -1015,8 +937,7 @@ fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
     cycle: u64,
     age_counter: &mut u64,
     stats: &mut Stats,
-    observers: &mut [Box<dyn Observer>],
-    trace: Option<&mut Trace>,
+    sinks: &mut Sinks,
     scratch: &mut Scratch,
 ) -> Served {
     let oi = id.index();
@@ -1050,17 +971,8 @@ fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
             }
             continue;
         }
-        let satisfied = if TRACKING && !observers.is_empty() {
-            try_condition::<S, true>(osm, edge, managers, scratch, false, observers, cycle)
-        } else {
-            try_condition::<S, false>(osm, edge, managers, scratch, false, &mut [], cycle)
-        };
-        if satisfied {
-            if TRACKING && !observers.is_empty() {
-                commit_plan::<S, true>(osm, scratch, managers, observers, cycle, eid);
-            } else {
-                commit_plan::<S, false>(osm, scratch, managers, &mut [], cycle, eid);
-            }
+        if try_condition::<S, TRACKING>(osm, edge, managers, scratch, false, sinks, cycle) {
+            commit_plan::<S, TRACKING>(osm, scratch, managers, sinks, (cycle, id, eid));
             let from = osm.state;
             osm.state = edge.dst;
             let initial = spec.initial();
@@ -1091,7 +1003,7 @@ fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
                 shared,
             };
             osm.behavior.on_transition(edge, &mut ctx);
-            if let Some(t) = trace {
+            if let Some(t) = &mut sinks.trace {
                 t.push(TraceEvent {
                     cycle,
                     osm: id,
@@ -1100,8 +1012,8 @@ fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
                     to: edge.dst,
                 });
             }
-            if TRACKING && !observers.is_empty() {
-                let ev = TransitionEvent {
+            if TRACKING && sinks.events() {
+                sinks.record(ObservedEvent::Transition(TransitionEvent {
                     cycle,
                     osm: id,
                     spec: spec_idx,
@@ -1110,10 +1022,7 @@ fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
                     to: edge.dst,
                     started: dispatched,
                     completed,
-                };
-                for o in observers.iter_mut() {
-                    o.on_transition(&ev);
-                }
+                }));
             }
             stats.transitions += 1;
             if PROOFS {
@@ -1185,8 +1094,7 @@ fn charge_blocked<S>(
     osms: &[Osm<S>],
     oi: usize,
     first_fail: &[Option<(Primitive, TokenIdent)>],
-    stalls: &mut Option<&mut StallTracker>,
-    observers: &mut [Box<dyn Observer>],
+    sinks: &mut Sinks,
     cycle: u64,
 ) {
     let Some((prim, ident)) = first_fail[oi] else {
@@ -1197,11 +1105,11 @@ fn charge_blocked<S>(
     };
     let op = prim.kind();
     let osm = &osms[oi];
-    if let Some(t) = stalls.as_deref_mut() {
+    if let Some(t) = &mut sinks.stalls {
         t.charge(osm.id, manager, op);
     }
-    if !observers.is_empty() {
-        let ev = StallEvent {
+    if sinks.events() {
+        sinks.record(ObservedEvent::Stall(StallEvent {
             cycle,
             osm: osm.id,
             spec: osm.spec_idx,
@@ -1209,10 +1117,7 @@ fn charge_blocked<S>(
             manager,
             op,
             ident,
-        };
-        for o in observers.iter_mut() {
-            o.on_stall(&ev);
-        }
+        }));
     }
 }
 
@@ -1253,13 +1158,11 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
     cycle: u64,
     age_counter: &mut u64,
     stats: &mut Stats,
-    observers: &mut [Box<dyn Observer>],
-    mut stalls: Option<&mut StallTracker>,
-    mut trace: Option<&mut Trace>,
+    sinks: &mut Sinks,
     scratch: &mut Scratch,
 ) -> StepWork {
     let n = osms.len();
-    debug_assert_eq!(TRACKING, stalls.is_some() || !observers.is_empty());
+    debug_assert_eq!(TRACKING, sinks.tracking());
     if TRACKING {
         scratch.first_fail.clear();
         scratch.first_fail.resize(n, None);
@@ -1331,8 +1234,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
                     cycle,
                     age_counter,
                     stats,
-                    observers,
-                    trace.as_deref_mut(),
+                    sinks,
                     scratch,
                 )
             } else {
@@ -1345,8 +1247,7 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
                     cycle,
                     age_counter,
                     stats,
-                    observers,
-                    trace.as_deref_mut(),
+                    sinks,
                     scratch,
                 )
             };
@@ -1410,13 +1311,13 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
             if scratch.moved[oi] == seq {
                 continue;
             }
-            charge_blocked(osms, oi, &scratch.first_fail, &mut stalls, observers, cycle);
+            charge_blocked(osms, oi, &scratch.first_fail, sinks, cycle);
         }
         for oi in 0..n {
             if osms[oi].age != IDLE_AGE || scratch.moved[oi] == seq {
                 continue;
             }
-            charge_blocked(osms, oi, &scratch.first_fail, &mut stalls, observers, cycle);
+            charge_blocked(osms, oi, &scratch.first_fail, sinks, cycle);
         }
     }
 
@@ -1458,8 +1359,9 @@ pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: 
 ///
 /// Conditions all failed in the scheduling pass and nothing has changed, so
 /// they fail again — the pass is side-effect free (with a defensive rollback
-/// for release builds). Runs with no observers: emitting events here would
-/// break the one-Denied-per-condition-failure reconciliation.
+/// for release builds). Runs untracked, reporting to no sink: emitting
+/// events here would break the one-Denied-per-condition-failure
+/// reconciliation.
 pub(crate) fn idle_step_deadlock<S: 'static>(
     osms: &[Osm<S>],
     specs: &[Arc<StateMachineSpec>],
@@ -1474,6 +1376,7 @@ pub(crate) fn idle_step_deadlock<S: 'static>(
         return Ok(());
     }
     scratch.wait_edges.clear();
+    let none = &mut Sinks::default();
     for osm in osms {
         let spec = &specs[osm.spec_idx as usize];
         for &eid in spec.out_edges(osm.state) {
@@ -1482,10 +1385,10 @@ pub(crate) fn idle_step_deadlock<S: 'static>(
                 continue;
             }
             let satisfied =
-                try_condition::<S, false>(osm, edge, managers, scratch, true, &mut [], cycle);
+                try_condition::<S, false>(osm, edge, managers, scratch, true, none, cycle);
             debug_assert!(!satisfied, "idle step re-evaluation succeeded");
             if satisfied {
-                abort_plan(osm, scratch, managers);
+                abort_plan::<S, false>(osm, scratch, managers, none, (cycle, osm.id, eid));
             }
         }
     }
@@ -1502,21 +1405,6 @@ pub(crate) fn idle_step_deadlock<S: 'static>(
     }
 }
 
-/// Aborts the transactions `try_condition` prepared for a satisfied
-/// condition that is only being probed, not committed.
-fn abort_plan<S>(osm: &Osm<S>, scratch: &Scratch, managers: &mut ManagerTable) {
-    for op in scratch.ops.iter().rev() {
-        match *op {
-            PreparedOp::Alloc { manager, token, .. } => {
-                managers.probe_mut(manager).abort_allocate(osm.id, token);
-            }
-            PreparedOp::Release { manager, token, .. } => {
-                managers.probe_mut(manager).abort_release(osm.id, token);
-            }
-        }
-    }
-}
-
 /// Probes `edge` for `osm` and reports why it cannot fire right now, or
 /// `None` if it is momentarily satisfiable. Every tentative transaction is
 /// aborted before returning, so the probe is side-effect free on managers
@@ -1527,8 +1415,9 @@ fn probe_edge<S>(
     managers: &mut ManagerTable,
     scratch: &mut Scratch,
 ) -> Option<WaitCause> {
-    if try_condition::<S, false>(osm, edge, managers, scratch, false, &mut [], 0) {
-        abort_plan(osm, scratch, managers);
+    let none = &mut Sinks::default();
+    if try_condition::<S, false>(osm, edge, managers, scratch, false, none, 0) {
+        abort_plan::<S, false>(osm, scratch, managers, none, (0, osm.id, edge.id));
         return None;
     }
     let (prim, ident) = scratch.fail.take()?;

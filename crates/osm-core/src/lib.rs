@@ -99,9 +99,9 @@ pub use machine::{HardwareLayer, Machine, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use persist::{ByteReader, ByteWriter};
 pub use manager::{ManagerSnapshot, ManagerTable, TokenManager};
 pub use observe::{
-    EventLog, ManagerUtilization, MetricsCollector, MetricsReport, ObservedEvent, Observer,
-    OsmStallCause, StallCause, StallEvent, StallHistogram, StallTracker, StateOccupancy,
-    TokenEvent, TokenOpKind, TokenOutcome, TransitionEvent,
+    EventLog, ManagerUtilization, MetricsReport, ObservedEvent, OsmStallCause, StallCause,
+    StallEvent, StallHistogram, StallTracker, StateOccupancy, TokenEvent, TokenOpKind,
+    TokenOutcome, TransitionEvent,
 };
 pub use osm::{set_slot, Behavior, InertBehavior, Osm, OsmView, TransitionCtx, IDLE_AGE};
 pub use pools::{CountingPool, ExclusivePool, RegScoreboard, ResetManager};

@@ -6,7 +6,7 @@ use crate::director::{
 use crate::error::{ModelError, StallKind, StallReport};
 use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
-use crate::observe::{EventLog, MetricsCollector, MetricsReport, Observer, StallTracker};
+use crate::observe::{EventLog, MetricsReport, Sinks, StallHistogram, StallTracker};
 use crate::osm::{Behavior, Osm};
 use crate::persist::{fnv1a, fnv_mix, unseal, ByteReader, ByteWriter, FNV_OFFSET};
 use crate::spec::StateMachineSpec;
@@ -106,13 +106,8 @@ pub struct Machine<S> {
     leak_audit: bool,
     /// Scheduler statistics.
     pub stats: Stats,
-    /// Installed observer sinks; empty = the zero-cost disabled path.
-    observers: Vec<Box<dyn Observer>>,
-    /// Machine-owned stall-cause attribution, when enabled.
-    stall_tracker: Option<StallTracker>,
-    /// Machine-owned transition trace, when enabled; the director folds
-    /// every commit into it.
-    trace: Option<Trace>,
+    /// The observability sinks; all off = the zero-cost untracked director.
+    sinks: Sinks,
     scratch: Scratch,
 }
 
@@ -137,9 +132,7 @@ impl<S: 'static> Machine<S> {
             last_completion_cycle: 0,
             leak_audit: true,
             stats: Stats::new(),
-            observers: Vec::new(),
-            stall_tracker: None,
-            trace: None,
+            sinks: Sinks::default(),
             scratch: Scratch::default(),
         }
     }
@@ -333,47 +326,17 @@ impl<S: 'static> Machine<S> {
         self.leak_audit = on;
     }
 
-    /// Installs an observer sink; events flow to it from the next control
-    /// step on. Sinks are invoked in installation order.
-    pub fn add_observer<O: Observer>(&mut self, observer: O) {
-        self.observers.push(Box::new(observer));
-    }
-
-    /// Borrows the first installed observer of concrete type `O`.
-    pub fn observer<O: Observer>(&self) -> Option<&O> {
-        self.observers
-            .iter()
-            .find_map(|o| o.as_any().downcast_ref::<O>())
-    }
-
-    /// Mutably borrows the first installed observer of concrete type `O`.
-    pub fn observer_mut<O: Observer>(&mut self) -> Option<&mut O> {
-        self.observers
-            .iter_mut()
-            .find_map(|o| o.as_any_mut().downcast_mut::<O>())
-    }
-
-    /// Removes and returns the first installed observer of concrete type
-    /// `O`, uninstalling it.
-    pub fn take_observer<O: Observer>(&mut self) -> Option<O> {
-        let idx = self
-            .observers
-            .iter()
-            .position(|o| o.as_any().is::<O>())?;
-        let boxed = self.observers.remove(idx);
-        Some(*boxed.into_any().downcast::<O>().expect("type checked above"))
-    }
-
-    /// True if any observer sink is installed.
+    /// True if the event log or the metrics are on: the sinks that receive
+    /// token, transition and stall events.
     pub fn has_observers(&self) -> bool {
-        !self.observers.is_empty()
+        self.sinks.events()
     }
 
     /// Starts recording every committed transition into a full [`Trace`].
     ///
-    /// The trace is machine-owned, not an [`Observer`]: the director folds
-    /// each commit into it directly, so a traced machine still runs the
-    /// uninstrumented director and [`Machine::has_observers`] stays false.
+    /// The director folds each commit into the trace on the commit path of
+    /// both its instantiations, so a traced machine still runs the
+    /// untracked director and [`Machine::has_observers`] stays false.
     pub fn enable_trace(&mut self) {
         self.enable_trace_with(Trace::new());
     }
@@ -381,84 +344,88 @@ impl<S: 'static> Machine<S> {
     /// Starts recording transitions into the given (possibly ring- or
     /// digest-mode) [`Trace`]. No-op if a trace is already being recorded.
     pub fn enable_trace_with(&mut self, trace: Trace) {
-        if self.trace.is_none() {
-            self.trace = Some(trace);
-        }
+        self.sinks.trace.get_or_insert(trace);
     }
 
     /// The trace recorded so far, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.sinks.trace.as_ref()
     }
 
     /// Takes the recorded trace, disabling tracing.
     pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
+        self.sinks.trace.take()
+    }
+
+    /// Turns on the event log, the metrics and stall-cause attribution:
+    /// everything the exporters in [`crate::export`] render. Call before
+    /// the first step for reports that reconcile exactly with [`Stats`].
+    pub fn enable_observability(&mut self) {
+        self.enable_event_log();
+        self.enable_metrics();
+        self.enable_stall_attribution();
     }
 
     /// Starts recording the full event stream into an unbounded [`EventLog`]
     /// (feed for the [`crate::export`] exporters).
     pub fn enable_event_log(&mut self) {
-        if self.observer::<EventLog>().is_none() {
-            self.add_observer(EventLog::new());
-        }
+        self.sinks.log.get_or_insert_with(Default::default);
     }
 
     /// Starts recording the event stream into a ring [`EventLog`] retaining
-    /// only the most recent `capacity` events.
+    /// only the most recent `capacity` events. No-op if a log is already
+    /// being recorded.
     pub fn enable_event_log_ring(&mut self, capacity: usize) {
-        if self.observer::<EventLog>().is_none() {
-            self.add_observer(EventLog::with_capacity(capacity));
-        }
+        self.sinks
+            .log
+            .get_or_insert_with(|| Box::new(EventLog::with_capacity(capacity)));
     }
 
     /// The event log recorded so far, if enabled.
     pub fn event_log(&self) -> Option<&EventLog> {
-        self.observer::<EventLog>()
+        self.sinks.log.as_deref()
     }
 
     /// Takes the recorded event log, disabling it.
     pub fn take_event_log(&mut self) -> Option<EventLog> {
-        self.take_observer::<EventLog>()
+        self.sinks.log.take().map(|log| *log)
     }
 
-    /// Starts folding events into derived metrics (a [`MetricsCollector`]
-    /// observer with the default throughput window).
+    /// Starts folding events into derived metrics (per-state occupancy,
+    /// per-manager utilization, throughput windows of 1,024 cycles).
     pub fn enable_metrics(&mut self) {
-        if self.observer::<MetricsCollector>().is_none() {
-            self.add_observer(MetricsCollector::default());
-        }
+        self.sinks.metrics.get_or_insert_with(Default::default);
     }
 
     /// Renders the structured [`MetricsReport`], if metrics are enabled.
     /// Includes the stall-cause histogram when attribution is also on.
     pub fn metrics_report(&self) -> Option<MetricsReport> {
-        self.observer::<MetricsCollector>()
-            .map(|c| MetricsReport::build(c, self))
+        let metrics = self.sinks.metrics.as_ref()?;
+        Some(MetricsReport::build(metrics, self))
     }
 
-    /// Starts machine-owned stall-cause attribution: every cycle an
-    /// in-flight OSM fails to leave its state, the blocking
-    /// `(manager, primitive)` pair is charged into the [`StallTracker`]
-    /// histograms and into the watchdog's [`StallReport`].
+    /// Starts stall-cause attribution: every cycle an in-flight OSM fails
+    /// to leave its state, the blocking `(manager, primitive)` pair is
+    /// charged into the [`StallTracker`] histograms and into the watchdog's
+    /// [`StallReport`].
     pub fn enable_stall_attribution(&mut self) {
-        if self.stall_tracker.is_none() {
-            self.stall_tracker = Some(StallTracker::new());
-        }
+        self.sinks.stalls.get_or_insert_with(Default::default);
     }
 
     /// The stall-cause attribution collected so far, if enabled.
     pub fn stall_attribution(&self) -> Option<&StallTracker> {
-        self.stall_tracker.as_ref()
+        self.sinks.stalls.as_deref()
     }
 
-    /// Takes the collected stall attribution, disabling it.
-    pub fn take_stall_attribution(&mut self) -> Option<StallTracker> {
-        self.stall_tracker.take()
+    /// The stall-cause histogram with manager names resolved (where the
+    /// stall cycles went), if stall attribution is enabled.
+    pub fn stall_histogram(&self) -> Option<StallHistogram> {
+        let stalls = self.sinks.stalls.as_ref()?;
+        Some(stalls.histogram(&self.managers))
     }
 
     /// The machine's spec table, indexed by [`Osm::spec_index`] /
-    /// the `spec` field of observer events.
+    /// the `spec` field of observed events.
     pub fn specs(&self) -> &[Arc<StateMachineSpec>] {
         &self.specs
     }
@@ -575,8 +542,8 @@ impl<S: 'static> Machine<S> {
     /// The configured scheduler runs the step's scheduling pass; the step
     /// then ends here, the same way for both: a step without transitions
     /// counts as an idle step (and a global stall cycle when stall
-    /// attribution is on) and gets the deadlock check, and observers see
-    /// `on_cycle_end` unless the step deadlocked.
+    /// attribution is on) and gets the deadlock check, and the metrics
+    /// close the step unless it deadlocked.
     ///
     /// # Errors
     /// Returns [`ModelError::Deadlock`] if deadlock detection is on, no OSM
@@ -588,7 +555,7 @@ impl<S: 'static> Machine<S> {
         // recording it never selects the tracked one.
         // The fast scheduler requires age ranking; the reference scheduler
         // runs only when asked for or under a custom ranker.
-        let tracking = !self.observers.is_empty() || self.stall_tracker.is_some();
+        let tracking = self.sinks.tracking();
         let work = if self.sched_mode == SchedulerMode::Fast && self.age_ranking {
             // Adaptive proofs: after an unproductive skip window the fast
             // path walks its ready list proof-free for a while (see
@@ -612,7 +579,7 @@ impl<S: 'static> Machine<S> {
         };
         if work.transitions == 0 {
             self.stats.idle_steps += 1;
-            if let Some(t) = &mut self.stall_tracker {
+            if let Some(t) = &mut self.sinks.stalls {
                 t.global_stall_cycles += 1;
             }
             if self.deadlock_check {
@@ -627,8 +594,8 @@ impl<S: 'static> Machine<S> {
                 )?;
             }
         }
-        for o in &mut self.observers {
-            o.on_cycle_end(self.cycle, work.transitions, work.completions, work.restarts);
+        if let Some(m) = &mut self.sinks.metrics {
+            m.end_cycle(work.restarts);
         }
         Ok(StepOutcome {
             transitions: work.transitions,
@@ -649,9 +616,7 @@ impl<S: 'static> Machine<S> {
             self.cycle,
             &mut self.age_counter,
             &mut self.stats,
-            &mut self.observers,
-            self.stall_tracker.as_mut(),
-            self.trace.as_mut(),
+            &mut self.sinks,
             &mut self.scratch,
         )
     }
@@ -667,9 +632,7 @@ impl<S: 'static> Machine<S> {
             self.cycle,
             &mut self.age_counter,
             &mut self.stats,
-            &mut self.observers,
-            self.stall_tracker.as_mut(),
-            self.trace.as_mut(),
+            &mut self.sinks,
             &mut self.scratch,
         )
     }
@@ -732,10 +695,7 @@ impl<S: 'static> Machine<S> {
             blocked,
             // When attribution is on, embed the stall-cause histogram that
             // led up to the stall — no separate probe pass required.
-            attribution: self
-                .stall_tracker
-                .as_ref()
-                .map(|t| t.histogram(&self.managers)),
+            attribution: self.stall_histogram(),
         })))
     }
 
@@ -1069,7 +1029,7 @@ impl<S: std::fmt::Debug> std::fmt::Debug for Machine<S> {
 // Compile-time Send audit: a machine whose shared hardware-layer state is
 // `Send` must itself be `Send`, so whole simulation jobs can be sharded
 // across worker threads. Every trait object a machine can own — managers,
-// observers, behaviors, rankers, fault controls — is constrained to uphold
+// behaviors, rankers, fault controls — is constrained to uphold
 // this; a regression in any of them fails here, not in a downstream crate.
 // (Checkpoints are plain bytes.)
 const _: () = {

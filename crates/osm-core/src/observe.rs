@@ -14,28 +14,26 @@
 //! * every committed transition is a [`TransitionEvent`];
 //! * every control step in which an in-flight OSM fails to leave its state
 //!   charges the blocking `(manager, primitive)` pair of its
-//!   highest-priority enabled edge as a [`StallEvent`], and the machine-owned
+//!   highest-priority enabled edge as a [`StallEvent`], and the
 //!   [`StallTracker`] aggregates those charges into per-OSM and per-manager
 //!   histograms — "why is IPC 0.7" becomes "34% of stall cycles waiting on
 //!   the forward-file inquire".
 //!
-//! Sinks implement [`Observer`] and are installed with
-//! [`crate::Machine::add_observer`] (or the typed helpers
-//! `enable_event_log`/`enable_metrics`). The director is monomorphized over
-//! whether any sink or the stall tracker is installed; without them it runs
-//! an instantiation that contains no event-emission or attribution code.
-//!
-//! The transition [`crate::Trace`] that determinism and equivalence checks
-//! digest is not a sink. The machine owns it, as it owns the stall tracker,
-//! and the director folds each committed transition into it on the commit
-//! path of both instantiations ([`crate::Machine::enable_trace`]). A traced
-//! run therefore pays one digest fold per commit and stays on the
-//! uninstrumented director.
+//! The machine owns every sink in one record: the transition
+//! [`crate::Trace`] that determinism and equivalence checks digest, the
+//! [`StallTracker`], the [`EventLog`] and the metrics behind
+//! [`MetricsReport`]. Each is switched on by its own `Machine::enable_*`
+//! method ([`crate::Machine::enable_observability`] turns on all but the
+//! trace). The director folds each committed transition into the trace on
+//! the commit path of both of its instantiations, so a traced run pays one
+//! digest fold per commit. It runs its tracked instantiation only while the
+//! stall tracker, the event log or the metrics are on; without them it runs
+//! one that contains no event-emission or attribution code.
 
 use crate::ids::{EdgeId, ManagerId, OsmId, StateId};
 use crate::manager::ManagerTable;
 use crate::token::{Primitive, Token, TokenIdent};
-use std::any::Any;
+use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -139,7 +137,7 @@ pub struct TokenEvent {
     pub outcome: TokenOutcome,
 }
 
-/// One committed OSM transition (the observer-layer superset of
+/// One committed OSM transition (the event-log superset of
 /// [`crate::TraceEvent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionEvent {
@@ -186,47 +184,6 @@ pub struct StallEvent {
     pub ident: TokenIdent,
 }
 
-/// A sink for scheduler events, installed with
-/// [`crate::Machine::add_observer`].
-///
-/// All hooks default to no-ops so sinks implement only what they consume.
-/// Observers must not assume they see a run from cycle 0 — they may be
-/// installed mid-run — but every hook they do see is delivered in commit
-/// order within a control step.
-pub trait Observer: Any + Send {
-    /// One token-transaction attempt (or rollback).
-    fn on_token_op(&mut self, ev: &TokenEvent) {
-        let _ = ev;
-    }
-
-    /// One committed transition.
-    fn on_transition(&mut self, ev: &TransitionEvent) {
-        let _ = ev;
-    }
-
-    /// One stall charge (an OSM that failed to move this step).
-    fn on_stall(&mut self, ev: &StallEvent) {
-        let _ = ev;
-    }
-
-    /// End of one control step. `restarts` is the number of Fig. 3
-    /// outer-loop restart events this step (0 under
-    /// [`crate::RestartPolicy::NoRestart`]); summed over a run it equals
-    /// [`crate::Stats::restarts`].
-    fn on_cycle_end(&mut self, cycle: u64, transitions: u32, completions: u32, restarts: u32) {
-        let _ = (cycle, transitions, completions, restarts);
-    }
-
-    /// Upcast for typed retrieval via [`crate::Machine::observer`].
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Consuming upcast, used by [`crate::Machine::take_observer`].
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
 /// One entry of an [`EventLog`]: the union of all observed event kinds, in
 /// commit order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,8 +207,8 @@ impl ObservedEvent {
     }
 }
 
-/// An [`Observer`] that records the full event stream for the exporters in
-/// [`crate::export`] (Chrome trace, pipeline diagram).
+/// The full event stream, recorded for the exporters in [`crate::export`]
+/// (Chrome trace, pipeline diagram).
 ///
 /// By default the log grows without bound; [`EventLog::with_capacity`]
 /// switches it to a ring that keeps only the most recent events (long runs,
@@ -343,27 +300,6 @@ impl EventLog {
     }
 }
 
-impl Observer for EventLog {
-    fn on_token_op(&mut self, ev: &TokenEvent) {
-        self.push(ObservedEvent::Token(*ev));
-    }
-    fn on_transition(&mut self, ev: &TransitionEvent) {
-        self.push(ObservedEvent::Transition(*ev));
-    }
-    fn on_stall(&mut self, ev: &StallEvent) {
-        self.push(ObservedEvent::Stall(*ev));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// Per-(manager, outcome, kind) accumulators of a [`MetricsCollector`].
 #[derive(Debug, Default, Clone, Copy)]
 struct ManagerAccum {
@@ -383,16 +319,17 @@ struct StateAccum {
     entries: u64,
 }
 
-/// An [`Observer`] that folds the event stream into derived metrics:
-/// per-state occupancy, per-manager grant/deny/utilization counters and
-/// retired-operations throughput windows. Render with
-/// [`crate::Machine::metrics_report`].
+/// Throughput-window length of the derived metrics, in cycles.
+const WINDOW: u64 = 1024;
+
+/// Folds the event stream into derived metrics: per-state occupancy,
+/// per-manager grant/deny/utilization counters and retired-operations
+/// throughput windows. Rendered by [`crate::Machine::metrics_report`].
 ///
-/// Install it before the first [`crate::Machine::step`]; occupancy of the
-/// pre-installation prefix of a run cannot be reconstructed.
-#[derive(Debug)]
-pub struct MetricsCollector {
-    window: u64,
+/// Enable it before the first [`crate::Machine::step`]; occupancy of the
+/// prefix of a run before it cannot be reconstructed.
+#[derive(Debug, Default)]
+pub(crate) struct MetricsCollector {
     /// Per-OSM `(state, entered_cycle)`, learned lazily from transitions.
     cur: Vec<Option<(StateId, u64)>>,
     states: BTreeMap<(u32, StateId), StateAccum>,
@@ -401,44 +338,13 @@ pub struct MetricsCollector {
     cycles: u64,
     transitions: u64,
     completions: u64,
-    stall_charges: u64,
     restarts: u64,
 }
 
-/// Default [`MetricsCollector`] throughput-window length, in cycles.
-pub const DEFAULT_WINDOW: u64 = 1024;
-
-impl Default for MetricsCollector {
-    fn default() -> Self {
-        Self::new(DEFAULT_WINDOW)
-    }
-}
-
 impl MetricsCollector {
-    /// Creates a collector with the given throughput-window length.
-    pub fn new(window: u64) -> Self {
-        MetricsCollector {
-            window: window.max(1),
-            cur: Vec::new(),
-            states: BTreeMap::new(),
-            managers: BTreeMap::new(),
-            windows: Vec::new(),
-            cycles: 0,
-            transitions: 0,
-            completions: 0,
-            stall_charges: 0,
-            restarts: 0,
-        }
-    }
-
-    /// Completed control steps observed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Token denials observed (equals
-    /// [`crate::Stats::condition_failures`] when installed for a whole run).
-    pub fn denials(&self) -> u64 {
+    /// [`crate::Stats::condition_failures`] when on for a whole run).
+    fn denials(&self) -> u64 {
         self.managers
             .values()
             .map(|a| a.denied.iter().sum::<u64>())
@@ -446,37 +352,14 @@ impl MetricsCollector {
     }
 
     /// Token grants observed (including later-aborted two-phase grants).
-    pub fn grants(&self) -> u64 {
+    fn grants(&self) -> u64 {
         self.managers
             .values()
             .map(|a| a.granted.iter().sum::<u64>())
             .sum()
     }
 
-    /// Committed transitions observed.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Operation completions observed.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// Stall charges observed (one per stalled OSM per cycle).
-    pub fn stall_charges(&self) -> u64 {
-        self.stall_charges
-    }
-
-    /// Director outer-loop restart events observed (equals
-    /// [`crate::Stats::restarts`] when installed for a whole run).
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-}
-
-impl Observer for MetricsCollector {
-    fn on_token_op(&mut self, ev: &TokenEvent) {
+    fn token(&mut self, ev: &TokenEvent) {
         let a = self.managers.entry(ev.manager).or_default();
         let k = ev.op.index();
         match ev.outcome {
@@ -500,7 +383,7 @@ impl Observer for MetricsCollector {
         }
     }
 
-    fn on_transition(&mut self, ev: &TransitionEvent) {
+    fn transition(&mut self, ev: &TransitionEvent) {
         if self.cur.len() <= ev.osm.index() {
             self.cur.resize(ev.osm.index() + 1, None);
         }
@@ -519,7 +402,7 @@ impl Observer for MetricsCollector {
         self.transitions += 1;
         if ev.completed {
             self.completions += 1;
-            let w = (ev.cycle / self.window) as usize;
+            let w = (ev.cycle / WINDOW) as usize;
             if self.windows.len() <= w {
                 self.windows.resize(w + 1, 0);
             }
@@ -527,37 +410,68 @@ impl Observer for MetricsCollector {
         }
     }
 
-    fn on_stall(&mut self, _ev: &StallEvent) {
-        self.stall_charges += 1;
-    }
-
-    fn on_cycle_end(&mut self, _cycle: u64, _transitions: u32, _completions: u32, restarts: u32) {
+    /// Closes one control step; `restarts` is its number of Fig. 3
+    /// outer-loop restarts (summed over a run, [`crate::Stats::restarts`]).
+    pub(crate) fn end_cycle(&mut self, restarts: u32) {
         self.cycles += 1;
         self.restarts += u64::from(restarts);
         for a in self.managers.values_mut() {
-            held_area_add(a);
+            if a.outstanding > 0 {
+                a.held_area += a.outstanding as u64;
+            }
         }
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
+/// The machine's observability sinks, in one record: everything the
+/// director reports to. Each sink stays off (`None`) until the machine
+/// enables it.
+///
+/// The three sinks only the tracked director feeds are boxed, so a
+/// machine with them off stays small: 160 more bytes of inline `Option`s
+/// in every `Machine` measured about 3% off the untracked SA-1100
+/// director's speed (`perf`, `sim_kcps`).
+#[derive(Debug, Default)]
+pub(crate) struct Sinks {
+    /// The transition trace; both director instantiations fold every
+    /// commit into it.
+    pub(crate) trace: Option<Trace>,
+    /// Stall-cause attribution.
+    pub(crate) stalls: Option<Box<StallTracker>>,
+    /// The full event stream.
+    pub(crate) log: Option<Box<EventLog>>,
+    /// Derived metrics.
+    pub(crate) metrics: Option<Box<MetricsCollector>>,
+}
+
+impl Sinks {
+    /// True while an event sink (the log or the metrics) is on; events are
+    /// built only then.
+    pub(crate) fn events(&self) -> bool {
+        self.log.is_some() || self.metrics.is_some()
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+
+    /// True while the director must run its tracked instantiation.
+    pub(crate) fn tracking(&self) -> bool {
+        self.stalls.is_some() || self.events()
     }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+
+    /// Delivers one event to the log and the metrics.
+    pub(crate) fn record(&mut self, ev: ObservedEvent) {
+        if let Some(m) = &mut self.metrics {
+            match &ev {
+                ObservedEvent::Token(t) => m.token(t),
+                ObservedEvent::Transition(t) => m.transition(t),
+                ObservedEvent::Stall(_) => {}
+            }
+        }
+        if let Some(log) = &mut self.log {
+            log.push(ev);
+        }
     }
 }
 
-#[inline]
-fn held_area_add(a: &mut ManagerAccum) {
-    if a.outstanding > 0 {
-        a.held_area += a.outstanding as u64;
-    }
-}
-
-/// Machine-owned stall-cause attribution (enable with
+/// Stall-cause attribution (enable with
 /// [`crate::Machine::enable_stall_attribution`]).
 ///
 /// Every control step, each OSM that failed to leave its state charges one
@@ -744,8 +658,7 @@ pub struct ManagerUtilization {
     pub avg_held: f64,
 }
 
-/// Structured metrics rendered from a [`MetricsCollector`] by
-/// [`crate::Machine::metrics_report`].
+/// Structured metrics rendered by [`crate::Machine::metrics_report`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// Control steps covered.
@@ -828,11 +741,9 @@ impl MetricsReport {
             restarts: collector.restarts,
             states,
             managers,
-            window: collector.window,
+            window: WINDOW,
             throughput: collector.windows.clone(),
-            stalls: machine
-                .stall_attribution()
-                .map(|t| t.histogram(&machine.managers)),
+            stalls: machine.stall_histogram(),
         }
     }
 }
@@ -901,7 +812,11 @@ mod tests {
     fn event_log_ring_keeps_most_recent() {
         let mut log = EventLog::with_capacity(3);
         for c in 0..5 {
-            log.on_token_op(&tok(c, TokenOpKind::Allocate, TokenOutcome::Granted));
+            log.push(ObservedEvent::Token(tok(
+                c,
+                TokenOpKind::Allocate,
+                TokenOutcome::Granted,
+            )));
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.total(), 5);
@@ -914,7 +829,11 @@ mod tests {
     fn event_log_unbounded_keeps_everything() {
         let mut log = EventLog::new();
         for c in 0..5 {
-            log.on_token_op(&tok(c, TokenOpKind::Inquire, TokenOutcome::Denied));
+            log.push(ObservedEvent::Token(tok(
+                c,
+                TokenOpKind::Inquire,
+                TokenOutcome::Denied,
+            )));
         }
         assert_eq!(log.len(), 5);
         assert_eq!(log.dropped(), 0);
@@ -924,17 +843,17 @@ mod tests {
 
     #[test]
     fn metrics_collector_counts_outcomes_and_outstanding() {
-        let mut m = MetricsCollector::new(16);
-        m.on_token_op(&tok(0, TokenOpKind::Allocate, TokenOutcome::Granted));
-        m.on_token_op(&tok(0, TokenOpKind::Inquire, TokenOutcome::Denied));
-        m.on_cycle_end(0, 0, 0, 0);
+        let mut m = MetricsCollector::default();
+        m.token(&tok(0, TokenOpKind::Allocate, TokenOutcome::Granted));
+        m.token(&tok(0, TokenOpKind::Inquire, TokenOutcome::Denied));
+        m.end_cycle(0);
         assert_eq!(m.grants(), 1);
         assert_eq!(m.denials(), 1);
         let a = m.managers[&ManagerId(0)];
         assert_eq!(a.outstanding, 1);
         assert_eq!(a.held_area, 1);
         // A rollback returns the token.
-        m.on_token_op(&tok(1, TokenOpKind::Allocate, TokenOutcome::Aborted));
+        m.token(&tok(1, TokenOpKind::Allocate, TokenOutcome::Aborted));
         assert_eq!(m.managers[&ManagerId(0)].outstanding, 0);
     }
 

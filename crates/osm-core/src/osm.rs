@@ -184,7 +184,7 @@ impl<S> Osm<S> {
     }
 
     /// Index of the spec in the machine's spec table (matches the `spec`
-    /// field of observer events).
+    /// field of observed events).
     pub fn spec_index(&self) -> u32 {
         self.spec_idx
     }

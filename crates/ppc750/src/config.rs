@@ -115,6 +115,9 @@ pub struct PpcResult {
     pub icache_misses: u64,
     /// D-cache misses.
     pub dcache_misses: u64,
+    /// Why the ISS refused the instruction that stopped the program (an
+    /// undecodable word or an unknown syscall), if it refused one.
+    pub error: Option<String>,
 }
 
 impl PpcResult {
@@ -158,6 +161,7 @@ mod tests {
             output: Vec::new(),
             icache_misses: 0,
             dcache_misses: 0,
+            error: None,
         };
         assert!((r.cpi() - 1.25).abs() < 1e-12);
     }

@@ -31,10 +31,10 @@ use crate::rename::{RenameFile, ResultBus};
 use memsys::MemSystem;
 use minirisc::{decode, encode, Instr, InstrClass, Iss, Memory, Program, SparseMemory};
 use osm_core::{
-    export, Behavior, ByteReader, ByteWriter, CountingPool, Edge, ExclusivePool, FaultHandle,
+    Behavior, ByteReader, ByteWriter, CountingPool, Edge, ExclusivePool, FaultHandle,
     FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable,
-    MetricsReport, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder,
-    StallHistogram, StateMachineSpec, TokenIdent, TransitionCtx,
+    ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder, StateMachineSpec,
+    TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -828,12 +828,14 @@ impl PpcOsmSim {
         PpcOsmSim { machine, ids, spec }
     }
 
-    /// The underlying machine.
+    /// The underlying machine (stats, the metrics and stall reports;
+    /// `osm_core::export` renders its event log).
     pub fn machine(&self) -> &Machine<PpcShared> {
         &self.machine
     }
 
-    /// Mutable access to the machine.
+    /// Mutable access to the machine (scheduler mode, the observability
+    /// switches such as [`Machine::enable_observability`]).
     pub fn machine_mut(&mut self) -> &mut Machine<PpcShared> {
         &mut self.machine
     }
@@ -897,41 +899,6 @@ impl PpcOsmSim {
         self.machine.set_stall_limit(cycles);
     }
 
-    /// Turns on the full observability stack: token-event log, derived
-    /// metrics, and stall-cause attribution. Call before the first step for
-    /// reports that reconcile exactly with [`osm_core::Stats`].
-    pub fn enable_observability(&mut self) {
-        self.machine.enable_event_log();
-        self.machine.enable_metrics();
-        self.machine.enable_stall_attribution();
-    }
-
-    /// Structured metrics (state occupancy, manager utilization, throughput
-    /// windows), if metrics are enabled.
-    pub fn metrics_report(&self) -> Option<MetricsReport> {
-        self.machine.metrics_report()
-    }
-
-    /// Stall-cause histogram (where the stall cycles went), if stall
-    /// attribution is enabled.
-    pub fn stall_histogram(&self) -> Option<StallHistogram> {
-        self.machine
-            .stall_attribution()
-            .map(|t| t.histogram(&self.machine.managers))
-    }
-
-    /// Chrome `chrome://tracing` / Perfetto JSON of the recorded event log,
-    /// if the event log is enabled.
-    pub fn chrome_trace(&self) -> Option<String> {
-        export::chrome_trace_for(&self.machine)
-    }
-
-    /// Textual per-cycle pipeline diagram of cycles `[from, to)`, if the
-    /// event log is enabled.
-    pub fn pipeline_diagram(&self, from: u64, to: u64) -> Option<String> {
-        export::pipeline_diagram_for(&self.machine, from, to)
-    }
-
     /// One-line scheduler state dump (for model-diff debugging).
     #[doc(hidden)]
     pub fn debug_state(&self) -> String {
@@ -958,6 +925,7 @@ impl PpcOsmSim {
             output: s.oracle.output.clone(),
             icache_misses: s.memsys.icache.stats.misses,
             dcache_misses: s.memsys.dcache.stats.misses,
+            error: s.error.clone(),
         }
     }
 }

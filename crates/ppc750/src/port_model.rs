@@ -134,6 +134,8 @@ struct FrontEnd {
     fetch_seq: u64,
     now: u64,
     squashed: u64,
+    /// First right-path error, in the ISS's words.
+    error: Option<String>,
 }
 
 impl FrontEnd {
@@ -151,6 +153,9 @@ impl FrontEnd {
             op.instr = decode(word).unwrap_or(Instr::NOP);
         } else {
             let f = fetch_right_path(&mut self.oracle, &mut self.bht);
+            if let Some(e) = f.error {
+                self.error.get_or_insert_with(|| e.to_string());
+            }
             op.pc = f.pc;
             op.instr = f.instr;
             op.next_pc = f.next_pc;
@@ -788,6 +793,7 @@ impl PpcPortSim {
             fetch_seq: 0,
             now: 0,
             squashed: 0,
+            error: None,
         });
         kernel.add_module(Dispatcher {
             w,
@@ -911,6 +917,7 @@ impl PpcPortSim {
                 .as_ref()
                 .map(|(c, _)| c.stats.misses)
                 .unwrap_or(0),
+            error: front.error.clone(),
         }
     }
 }

@@ -21,10 +21,9 @@ use minirisc::{
     decode, encode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory,
 };
 use osm_core::{
-    export, Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector,
-    FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, MetricsReport,
-    ModelError, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder, StallHistogram,
-    StateMachineSpec, TokenIdent, TransitionCtx,
+    Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector, FaultPlan,
+    HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, ModelError, OsmView, ResetManager,
+    RestartPolicy, SlotId, SpecBuilder, StateMachineSpec, TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -532,12 +531,16 @@ impl SaOsmSim {
         SaOsmSim { machine, ids, spec }
     }
 
-    /// The underlying machine (for tracing, stats, manager inspection).
+    /// The underlying machine (for tracing, stats, manager inspection, and
+    /// the metrics and stall reports; `osm_core::export` renders its event
+    /// log).
     pub fn machine(&self) -> &Machine<SaShared> {
         &self.machine
     }
 
-    /// Mutable access to the underlying machine.
+    /// Mutable access to the underlying machine (scheduler mode, the
+    /// observability switches such as
+    /// [`Machine::enable_observability`]).
     pub fn machine_mut(&mut self) -> &mut Machine<SaShared> {
         &mut self.machine
     }
@@ -609,41 +612,6 @@ impl SaOsmSim {
     /// stepping fails with a diagnosed [`ModelError::Stalled`].
     pub fn set_stall_limit(&mut self, cycles: Option<u64>) {
         self.machine.set_stall_limit(cycles);
-    }
-
-    /// Turns on the full observability stack: token-event log, derived
-    /// metrics, and stall-cause attribution. Call before the first step for
-    /// reports that reconcile exactly with [`osm_core::Stats`].
-    pub fn enable_observability(&mut self) {
-        self.machine.enable_event_log();
-        self.machine.enable_metrics();
-        self.machine.enable_stall_attribution();
-    }
-
-    /// Structured metrics (state occupancy, manager utilization, throughput
-    /// windows), if metrics are enabled.
-    pub fn metrics_report(&self) -> Option<MetricsReport> {
-        self.machine.metrics_report()
-    }
-
-    /// Stall-cause histogram (where the stall cycles went), if stall
-    /// attribution is enabled.
-    pub fn stall_histogram(&self) -> Option<StallHistogram> {
-        self.machine
-            .stall_attribution()
-            .map(|t| t.histogram(&self.machine.managers))
-    }
-
-    /// Chrome `chrome://tracing` / Perfetto JSON of the recorded event log,
-    /// if the event log is enabled.
-    pub fn chrome_trace(&self) -> Option<String> {
-        export::chrome_trace_for(&self.machine)
-    }
-
-    /// Textual per-cycle pipeline diagram of cycles `[from, to)`, if the
-    /// event log is enabled.
-    pub fn pipeline_diagram(&self, from: u64, to: u64) -> Option<String> {
-        export::pipeline_diagram_for(&self.machine, from, to)
     }
 
     /// Snapshot of the current result counters.

@@ -39,6 +39,8 @@ struct ThreadState {
     young: Vec<OsmId>,
     retired: u64,
     squashed: u64,
+    /// First error: an unknown syscall, in the ISS's words.
+    error: Option<String>,
 }
 
 impl ThreadState {
@@ -53,6 +55,17 @@ impl ThreadState {
             young: Vec::new(),
             retired: 0,
             squashed: 0,
+            error: None,
+        }
+    }
+
+    fn result(&self) -> SmtThreadResult {
+        SmtThreadResult {
+            retired: self.retired,
+            squashed: self.squashed,
+            exit_code: self.exit_code,
+            output: self.output.clone(),
+            error: self.error.clone(),
         }
     }
 }
@@ -166,7 +179,11 @@ impl Behavior<SmtShared> for SmtOp {
                 match retired.flow {
                     Flow::Next => {}
                     Flow::Taken(target) => thread.next_fetch_pc = target,
-                    Flow::Halt | Flow::Fault(_) => self.is_halting = true,
+                    Flow::Halt => self.is_halting = true,
+                    Flow::Fault(e) => {
+                        self.is_halting = true;
+                        thread.error.get_or_insert_with(|| e.to_string());
+                    }
                     Flow::Exit(code) => {
                         self.is_halting = true;
                         thread.exit_code = code;
@@ -242,6 +259,9 @@ pub struct SmtThreadResult {
     pub exit_code: u32,
     /// Output bytes.
     pub output: Vec<u8>,
+    /// Why the ISS refused the instruction that stopped the thread (an
+    /// unknown syscall), if it refused one.
+    pub error: Option<String>,
 }
 
 /// Result of an SMT run.
@@ -332,7 +352,7 @@ impl SmtSim {
     }
 
     /// Mutable access to the underlying machine (scheduler-mode selection,
-    /// observer installation, A/B experiments).
+    /// observability switches, A/B experiments).
     pub fn machine_mut(&mut self) -> &mut Machine<SmtShared> {
         &mut self.machine
     }
@@ -350,20 +370,7 @@ impl SmtSim {
         let t = &self.machine.shared.threads;
         Ok(SmtResult {
             cycles: self.machine.cycle(),
-            threads: [
-                SmtThreadResult {
-                    retired: t[0].retired,
-                    squashed: t[0].squashed,
-                    exit_code: t[0].exit_code,
-                    output: t[0].output.clone(),
-                },
-                SmtThreadResult {
-                    retired: t[1].retired,
-                    squashed: t[1].squashed,
-                    exit_code: t[1].exit_code,
-                    output: t[1].output.clone(),
-                },
-            ],
+            threads: [t[0].result(), t[1].result()],
         })
     }
 }

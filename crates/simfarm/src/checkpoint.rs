@@ -162,7 +162,7 @@ pub struct CheckpointCtl {
 impl CheckpointCtl {
     /// A controller for job `index` writing under `dir`, or `None` when the
     /// job did not opt in (`checkpoint_every == 0`) or asked for
-    /// observability (the event log and metrics are not part of a machine
+    /// observability (metrics and stall attribution are not part of a machine
     /// checkpoint, so a restored observability job would report different
     /// metrics than an uninterrupted one — checkpointing such jobs is
     /// refused rather than silently wrong).

@@ -219,8 +219,9 @@ pub struct SimJob {
     pub max_cycles: u64,
     /// Director scheduling mode (OSM models; ignored by the ISS).
     pub scheduler: SchedulerMode,
-    /// Enable the full observability stack (event log, metrics, stall
-    /// attribution) and attach the [`MetricsReport`] to the result.
+    /// Enable metrics and stall attribution and attach the
+    /// [`MetricsReport`] to the result. No event log is recorded: the
+    /// result carries only the report.
     pub observability: bool,
     /// Optional fault plan, installed in front of the model's fetch-side
     /// manager (SA-1100: fetch stage; PPC-750: fetch queue; VLIW: fetch
@@ -255,7 +256,7 @@ pub struct SimJob {
     /// deliberately excluded from [`crate::journal::jobs_digest`], so
     /// changing the cadence neither orphans a journal nor a checkpoint.
     /// Ignored (with a warning at manifest level) for observability jobs:
-    /// event logs and metrics are not part of a machine checkpoint.
+    /// metrics and stall attribution are not part of a machine checkpoint.
     pub checkpoint_every: u64,
 }
 
@@ -790,7 +791,6 @@ impl<S: OsmModel> Simulator for Machine<S> {
         machine.set_scheduler_mode(job.scheduler);
         machine.set_stall_limit(job.stall_budget);
         if job.observability {
-            machine.enable_event_log();
             machine.enable_metrics();
             machine.enable_stall_attribution();
         }
@@ -1120,6 +1120,26 @@ mod tests {
         // Fault plans are deterministic too.
         let r2 = run_job(&job);
         assert_eq!(r.digest, r2.digest);
+    }
+
+    /// A job result carries only the metrics report, so an observability
+    /// job must not grow an event log nobody reads.
+    #[test]
+    fn observability_jobs_record_metrics_but_no_event_log() {
+        let mut job = SimJob::new(
+            ModelKind::Sa1100,
+            WorkloadSpec::Named("specint".into()),
+            2_000,
+        );
+        job.observability = true;
+        let (mut machine, _) = <Machine<SaShared> as Simulator>::build(&job).expect("builds");
+        assert!(machine.event_log().is_none(), "an event log was recorded");
+        assert!(machine.stall_attribution().is_some());
+        machine.advance(job.max_cycles).expect("runs");
+        let (_, _, metrics) = machine.finish();
+        let metrics = metrics.expect("metrics enabled");
+        assert_eq!(metrics.cycles, job.max_cycles);
+        assert!(metrics.stalls.is_some(), "stall attribution rides along");
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub struct Manifest {
     /// [`crate::FarmObserver`] to the sweep (worker telemetry, job spans,
     /// farm-trace export). Off by default — the disabled farm reads no
     /// clock. Distinct from per-job
-    /// `"observability"`, which enables the *machine*-level event log and
-    /// metrics inside each job.
+    /// `"observability"`, which enables the *machine*-level metrics and
+    /// stall attribution inside each job.
     pub farm_observability: bool,
     /// Top-level `"isolation"` knob: how workers execute job attempts
     /// (CLI flags override). [`IsolationMode::InProcess`] by default.

@@ -122,6 +122,17 @@ pub fn interpret(program: &VliwProgram, max_bundles: u64) -> VliwResult {
     }
 }
 
+/// What each edge of the spec means (precomputed so the hot path never
+/// string-matches edge names).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VliwEdgeKind {
+    Fetch,
+    ResetF,
+    Exec,
+    Wb,
+    Retire,
+}
+
 /// Shared hardware state of the VLIW model.
 #[derive(Debug, Clone)]
 pub struct VliwShared {
@@ -150,6 +161,8 @@ pub struct VliwShared {
     fetch_timer: u32,
     exec_timer: u32,
     ids: VliwManagers,
+    /// Kind of each spec edge, by `EdgeId` index.
+    edge_kinds: Vec<VliwEdgeKind>,
 }
 
 /// Manager handles (exposed for fault injection and inspection).
@@ -263,6 +276,20 @@ fn build_spec(ids: VliwManagers) -> Arc<StateMachineSpec> {
     b.build().expect("static spec is valid")
 }
 
+/// Classifies the spec's edges once, by `EdgeId` index.
+fn classify_edges(spec: &StateMachineSpec) -> Vec<VliwEdgeKind> {
+    spec.edges()
+        .map(|e| match e.name.as_str() {
+            "fetch" => VliwEdgeKind::Fetch,
+            "reset_f" => VliwEdgeKind::ResetF,
+            "exec" => VliwEdgeKind::Exec,
+            "wb" => VliwEdgeKind::Wb,
+            "retire" => VliwEdgeKind::Retire,
+            other => unreachable!("unknown edge `{other}`"),
+        })
+        .collect()
+}
+
 #[derive(Debug, Default)]
 struct BundleOp {
     idx: usize,
@@ -362,13 +389,13 @@ impl Behavior<VliwShared> for BundleOp {
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &VliwShared) -> bool {
-        edge.name != "fetch"
+        shared.edge_kinds[edge.id.index()] != VliwEdgeKind::Fetch
             || (!shared.stop_fetch && shared.next_bundle < shared.program.bundles.len())
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, VliwShared>) {
-        match edge.name.as_str() {
-            "fetch" => {
+        match ctx.shared.edge_kinds[edge.id.index()] {
+            VliwEdgeKind::Fetch => {
                 self.idx = ctx.shared.next_bundle;
                 self.is_halting = false;
                 self.redirect = None;
@@ -379,7 +406,7 @@ impl Behavior<VliwShared> for BundleOp {
                 let penalty = ctx.shared.memsys.fetch_penalty(addr);
                 ctx.shared.fetch_timer = penalty;
             }
-            "exec" => {
+            VliwEdgeKind::Exec => {
                 let osm = ctx.osm;
                 ctx.shared.young.retain(|o| *o != osm);
                 let bundle: Bundle = ctx.shared.program.bundles[self.idx];
@@ -388,7 +415,7 @@ impl Behavior<VliwShared> for BundleOp {
                     self.run_slot(1, bundle.slots[1], ctx);
                 }
             }
-            "wb" => {
+            VliwEdgeKind::Wb => {
                 // Late control resolution: redirects and the halt take
                 // effect one stage after execute, squashing the wrong-path
                 // bundle that entered the pipe in the window.
@@ -401,14 +428,14 @@ impl Behavior<VliwShared> for BundleOp {
                     squash_young(ctx);
                 }
             }
-            "retire" => {
+            VliwEdgeKind::Retire => {
                 ctx.shared.retired_ops += self.ops;
                 ctx.shared.retired_bundles += 1;
                 if self.is_halting {
                     ctx.shared.halted = true;
                 }
             }
-            "reset_f" => {
+            VliwEdgeKind::ResetF => {
                 let osm = ctx.osm;
                 ctx.shared.young.retain(|o| *o != osm);
                 ctx.shared.squashed += 1;
@@ -418,7 +445,6 @@ impl Behavior<VliwShared> for BundleOp {
                 let reset: &mut ResetManager = ctx.managers.downcast_mut(ctx.shared.ids.reset);
                 reset.disarm(osm);
             }
-            other => unreachable!("unknown edge `{other}`"),
         }
     }
 }
@@ -466,6 +492,7 @@ impl VliwSim {
                 mw: ManagerId(u32::MAX),
                 reset: ManagerId(u32::MAX),
             },
+            edge_kinds: Vec::new(),
         };
         let mut machine = Machine::new(shared);
         let ids = VliwManagers {
@@ -476,6 +503,7 @@ impl VliwSim {
         };
         machine.shared.ids = ids;
         let spec = build_spec(ids);
+        machine.shared.edge_kinds = classify_edges(&spec);
         for _ in 0..cfg.osm_count.max(4) {
             let op = BundleOp {
                 bundles: program.bundles.len(),
@@ -493,7 +521,7 @@ impl VliwSim {
     }
 
     /// Mutable access to the underlying machine (scheduler-mode selection,
-    /// observer installation, A/B experiments).
+    /// observability switches, A/B experiments).
     pub fn machine_mut(&mut self) -> &mut Machine<VliwShared> {
         &mut self.machine
     }

@@ -113,11 +113,14 @@ fn main() {
     };
     println!("\ninstrumented run: {}", w.name);
     let mut sim = SaOsmSim::new(cfg, &w.program());
-    sim.enable_observability();
+    sim.machine_mut().enable_observability();
     sim.run_to_halt(100_000_000).expect("no deadlock");
 
     let stats = &sim.machine().stats;
-    let hist = sim.stall_histogram().expect("attribution enabled");
+    let hist = sim
+        .machine()
+        .stall_histogram()
+        .expect("attribution enabled");
     println!(
         "observed {} token events total; stall charges {}, idle steps {} (Stats::idle_steps {})",
         sim.machine().event_log().map_or(0, |l| l.total()),
@@ -128,18 +131,18 @@ fn main() {
     println!("{hist}");
 
     if let Some(n) = args.pipeview {
-        match sim.pipeline_diagram(0, n) {
+        match osm_core::export::pipeline_diagram_for(sim.machine(), 0, n) {
             Some(d) => print!("{d}"),
             None => println!("(no event log)"),
         }
     }
     if let Some(path) = &args.trace_out {
-        let json = sim.chrome_trace().expect("event log enabled");
+        let json = osm_core::export::chrome_trace_for(sim.machine()).expect("event log enabled");
         std::fs::write(path, &json).expect("write trace file");
         println!("wrote Chrome trace to {path} ({} bytes); load it in chrome://tracing or ui.perfetto.dev", json.len());
     }
     if let Some(path) = &args.metrics_out {
-        let report = sim.metrics_report().expect("metrics enabled");
+        let report = sim.machine().metrics_report().expect("metrics enabled");
         let json = osm_core::export::metrics_json(&report);
         std::fs::write(path, &json).expect("write metrics file");
         println!("wrote metrics JSON to {path}");

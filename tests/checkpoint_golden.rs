@@ -82,7 +82,7 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
     restored.restore(&ckpt).expect("restore");
     assert_eq!(restored.machine().cycle(), cut, "restore rewinds the clock");
     restored.machine_mut().enable_trace_with(Trace::digest_only());
-    restored.enable_observability();
+    restored.machine_mut().enable_observability();
     let rest_result = restored.run_to_halt(MAX).expect("restored run completes");
     assert!(restored.machine().shared.halted, "restored run must halt");
 
@@ -101,7 +101,10 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
         "both runs halt on the same cycle"
     );
     // The late-attached metrics cover exactly the continuation.
-    let metrics = restored.metrics_report().expect("observability enabled");
+    let metrics = restored
+        .machine()
+        .metrics_report()
+        .expect("observability enabled");
     assert_eq!(metrics.transitions, rest_trace.total());
 }
 

@@ -183,6 +183,14 @@ fn unknown_syscall_halts_every_executor_with_the_iss_error() {
     assert_eq!(sa_osm.machine().shared.error, message, "sa-osm error");
     assert_eq!(sa_ref.error, message, "sa-ref error");
     assert_eq!(ppc_osm.machine().shared.error, message, "ppc-osm error");
+    for (what, reported) in [
+        ("ppc-osm result", &po.error),
+        ("ppc-port", &pp.error),
+        ("smt thread 0", &smt.threads[0].error),
+    ] {
+        assert_eq!(reported, &message, "{what} error");
+    }
+    assert_eq!(smt.threads[1].error, None, "smt thread 1 exited cleanly");
     // VLIW code lives at its bundle addresses: the message is the ISS's for
     // the faulting syscall's bundle.
     let bundle = (0..bundles.bundles.len())

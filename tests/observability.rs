@@ -1,9 +1,11 @@
 //! Integration tests of the observability layer: golden-file exporter
-//! output on a small deterministic pipeline, a property test that the
+//! output on a small deterministic pipeline, metrics goldens of the
+//! tracked director on the contended ADL machine under both schedulers and
+//! on SA-1100 and PPC-750 running `gsm/dec`, a property test that the
 //! recorded token-event stream replays to the same `Stats` the director
-//! counted live, proof that attaching observers never changes which
-//! transitions commit, and a check that the machine-owned transition trace
-//! records exactly what the observer bus reports.
+//! counted live, proof that turning the sinks on never changes which
+//! transitions commit, and a check that the transition trace records
+//! exactly what the event log reports.
 //!
 //! Regenerate the golden files after an intentional exporter change with:
 //! `BLESS=1 cargo test --test observability`
@@ -18,7 +20,7 @@ use osm_repro::ppc750::{PpcConfig, PpcOsmSim};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 use osm_repro::simfarm::{AttemptSpan, FarmSchedule, JobSpan, JobTiming, WorkerTelemetry};
 use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
-use osm_repro::workloads::random_program;
+use osm_repro::workloads::{mediabench, random_program};
 use proptest::prelude::*;
 
 mod common;
@@ -116,6 +118,64 @@ fn contended_seed_metrics_json_matches_golden_file() {
     assert_golden(
         &osm_core::export::metrics_json(&report),
         "contended_seed_metrics.json",
+    );
+}
+
+/// The `Fast` counterpart of the Seed golden above, on the same machine.
+/// It also pins the stall charges that skipped OSMs take from their
+/// sensitivity records.
+#[test]
+fn contended_fast_metrics_json_matches_golden_file() {
+    let mut machine = common::contended_machine(SchedulerMode::Fast);
+    machine.enable_metrics();
+    machine.enable_stall_attribution();
+    machine.run(500).expect("no deadlock");
+    let report = machine.metrics_report().expect("metrics enabled");
+    assert_golden(
+        &osm_core::export::metrics_json(&report),
+        "contended_fast_metrics.json",
+    );
+}
+
+/// The MediaBench `gsm/dec` kernel, the named models' golden workload.
+fn gsm_dec() -> osm_repro::minirisc::Program {
+    mediabench()
+        .into_iter()
+        .find(|w| w.name == "gsm/dec")
+        .expect("gsm/dec workload")
+        .program()
+}
+
+/// Cycles the named models run for their metrics goldens.
+const NAMED_MODEL_CYCLES: u64 = 3_000;
+
+/// SA-1100's token stream on a real kernel: `gsm/dec` with every sink on.
+#[test]
+fn sa1100_metrics_json_matches_golden_file() {
+    let mut sim = SaOsmSim::new(SaConfig::paper(), &gsm_dec());
+    sim.machine_mut().enable_observability();
+    sim.machine_mut()
+        .run(NAMED_MODEL_CYCLES)
+        .expect("no deadlock");
+    let report = sim.machine().metrics_report().expect("metrics enabled");
+    assert_golden(
+        &osm_core::export::metrics_json(&report),
+        "sa1100_metrics.json",
+    );
+}
+
+/// PPC-750's token stream on a real kernel: `gsm/dec` with every sink on.
+#[test]
+fn ppc750_metrics_json_matches_golden_file() {
+    let mut sim = PpcOsmSim::new(PpcConfig::paper(), &gsm_dec());
+    sim.machine_mut().enable_observability();
+    sim.machine_mut()
+        .run(NAMED_MODEL_CYCLES)
+        .expect("no deadlock");
+    let report = sim.machine().metrics_report().expect("metrics enabled");
+    assert_golden(
+        &osm_core::export::metrics_json(&report),
+        "ppc750_metrics.json",
     );
 }
 
@@ -375,7 +435,7 @@ proptest! {
 
         let mut observed = SaOsmSim::new(cfg, &program);
         observed.machine_mut().enable_trace();
-        observed.enable_observability();
+        observed.machine_mut().enable_observability();
         let observed_result = observed.run_to_halt(30_000).expect("no deadlock");
 
         prop_assert_eq!(plain_result.cycles, observed_result.cycles);
@@ -412,12 +472,13 @@ fn digest_trace_mode_agrees_with_full_mode() {
 }
 
 /// Transitions are recorded in two places: the director folds each commit
-/// into the machine-owned trace, and emits a `TransitionEvent` to the
-/// observers. On one model under both scheduler modes this checks that
-/// a full trace equals, event for event, the transitions of an event log
-/// on the same run; that a digest-traced run ends exactly like an untraced
-/// one (statistics, cycle count, `result`); and that a digest trace is not
-/// an observer, so the run stays on the uninstrumented director.
+/// into the trace, and records a `TransitionEvent` into the event log. On
+/// one model under both scheduler modes this checks that a full trace
+/// equals, event for event, the transitions of an event log on the same
+/// run; that a digest-traced run ends exactly like an untraced one
+/// (statistics, cycle count, `result`); and that a digest trace turns on
+/// no event sink (`has_observers` stays false), so the run stays on the
+/// uninstrumented director.
 fn check_recording_paths<T, S: 'static, R: std::fmt::Debug + PartialEq>(
     model: &str,
     build: impl Fn() -> T,
