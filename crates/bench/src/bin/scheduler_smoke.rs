@@ -48,7 +48,7 @@ use sa1100::{SaConfig, SaOsmSim};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-use vliw::{schedule, VliwConfig, VliwIr, VliwSim};
+use vliw::{ilp_loop, schedule, VliwConfig, VliwSim};
 use workloads::mediabench;
 
 const SPARSE_WAITERS: usize = 256;
@@ -200,41 +200,6 @@ fn run_contended(mode: SchedulerMode) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn vliw_program() -> vliw::VliwProgram {
-    use minirisc::{AluOp, BranchCond, Instr, Reg};
-    let addi = |rd: u8, rs1: u8, imm: i32| Instr::AluImm {
-        op: AluOp::Add,
-        rd: Reg(rd),
-        rs1: Reg(rs1),
-        imm,
-    };
-    let mut ir = VliwIr::new();
-    ir.push(addi(1, 0, 40));
-    let top = ir.instrs.len();
-    for k in 0..6usize {
-        ir.push(addi(2 + (k % 6) as u8, 0, k as i32));
-    }
-    ir.push(addi(1, 1, -1));
-    ir.branch(
-        Instr::Branch {
-            cond: BranchCond::Ne,
-            rs1: Reg(1),
-            rs2: Reg(0),
-            offset: 0,
-        },
-        top,
-    );
-    ir.push(addi(10, 0, 0));
-    ir.push(Instr::Alu {
-        op: AluOp::Add,
-        rd: Reg(11),
-        rs1: Reg(1),
-        rs2: Reg(0),
-    });
-    ir.push(Instr::Syscall);
-    schedule(&ir, vec![])
-}
-
 struct DigestCheck {
     name: &'static str,
     tracked: bool,
@@ -275,7 +240,7 @@ fn main() -> ExitCode {
         sim.run_to_halt(u64::MAX).expect("runs");
         sim.machine_mut().take_trace().expect("trace on").digest()
     };
-    let vprog = vliw_program();
+    let vprog = schedule(&ilp_loop(40, 6), vec![]);
     let vl = |mode: SchedulerMode, tracked: bool| {
         let mut sim = VliwSim::new(VliwConfig::default(), &vprog);
         sim.machine_mut().set_scheduler_mode(mode);

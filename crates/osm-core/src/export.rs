@@ -263,9 +263,14 @@ pub fn chrome_trace_for<S: 'static>(machine: &Machine<S>) -> Option<String> {
 /// lowercase its continued occupancy, `.` the idle (initial) state and `?`
 /// cycles before the OSM's first recorded transition. A legend maps letters
 /// back to state names.
+///
+/// OSMs in `lanes` get a lane even if the log holds no transition of them:
+/// a log that covers only the diagrammed cycles misses the OSMs that first
+/// move after them, which a log of the whole run would show as all `?`.
 pub fn pipeline_diagram(
     log: &EventLog,
     specs: &[Arc<StateMachineSpec>],
+    lanes: &[OsmId],
     from: u64,
     to: u64,
 ) -> String {
@@ -279,7 +284,8 @@ pub fn pipeline_diagram(
     };
 
     // Lane per OSM: start unknown ('?') until the first transition is seen.
-    let mut lanes: BTreeMap<OsmId, Vec<char>> = BTreeMap::new();
+    let mut lanes: BTreeMap<OsmId, Vec<char>> =
+        lanes.iter().map(|&osm| (osm, vec!['?'; width])).collect();
     let mut cur: BTreeMap<OsmId, (u32, Option<crate::ids::StateId>, u64)> = BTreeMap::new();
     let mut legend: BTreeMap<char, String> = BTreeMap::new();
     let fill = |lane: &mut Vec<char>, spec: u32, state: Option<crate::ids::StateId>,
@@ -336,7 +342,7 @@ pub fn pipeline_diagram(
 pub fn pipeline_diagram_for<S: 'static>(machine: &Machine<S>, from: u64, to: u64) -> Option<String> {
     machine
         .event_log()
-        .map(|log| pipeline_diagram(log, machine.specs(), from, to))
+        .map(|log| pipeline_diagram(log, machine.specs(), &[], from, to))
 }
 
 fn json_u64_array(vals: &[u64]) -> String {

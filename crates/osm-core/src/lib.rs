@@ -108,5 +108,5 @@ pub use pools::{CountingPool, ExclusivePool, RegScoreboard, ResetManager};
 pub use spec::{Edge, EdgeHandle, SpecBuilder, StateMachineSpec};
 pub use stats::Stats;
 pub use token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};
-pub use trace::{Trace, TraceEvent, TraceMode};
+pub use trace::{Trace, TraceEvent};
 pub use verify::{verify_spec, SpecIssue};

@@ -96,14 +96,12 @@ pub struct Machine<S> {
     age_ranking: bool,
     sched_mode: SchedulerMode,
     restart: RestartPolicy,
-    deadlock_check: bool,
     cycle: u64,
     age_counter: u64,
     /// Stall watchdog bound (`None` = off); see [`Machine::set_stall_limit`].
     stall_limit: Option<u64>,
     last_transition_cycle: u64,
     last_completion_cycle: u64,
-    leak_audit: bool,
     /// Scheduler statistics.
     pub stats: Stats,
     /// The observability sinks; all off = the zero-cost untracked director.
@@ -113,7 +111,8 @@ pub struct Machine<S> {
 
 impl<S: 'static> Machine<S> {
     /// Creates a machine around the given shared state, with the paper's
-    /// defaults: age ranking, Fig. 3 restart semantics, deadlock detection on.
+    /// defaults: age ranking and Fig. 3 restart semantics. Deadlock
+    /// detection is always on.
     pub fn new(shared: S) -> Self {
         Machine {
             managers: ManagerTable::new(),
@@ -124,13 +123,11 @@ impl<S: 'static> Machine<S> {
             age_ranking: true,
             sched_mode: SchedulerMode::default(),
             restart: RestartPolicy::Restart,
-            deadlock_check: true,
             cycle: 0,
             age_counter: 0,
             stall_limit: None,
             last_transition_cycle: 0,
             last_completion_cycle: 0,
-            leak_audit: true,
             stats: Stats::new(),
             sinks: Sinks::default(),
             scratch: Scratch::default(),
@@ -213,31 +210,12 @@ impl<S: 'static> Machine<S> {
         Ok(id)
     }
 
-    /// Instantiates `count` OSMs of the same class, one behavior each.
-    pub fn add_osm_pool<B, F>(
-        &mut self,
-        spec: &Arc<StateMachineSpec>,
-        count: usize,
-        mut factory: F,
-    ) -> Vec<OsmId>
-    where
-        B: Behavior<S>,
-        F: FnMut(usize) -> B,
-    {
-        (0..count).map(|k| self.add_osm(spec, factory(k))).collect()
-    }
-
     /// Borrows an OSM.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn osm(&self, id: OsmId) -> &Osm<S> {
         &self.osms[id.index()]
-    }
-
-    /// Borrows an OSM, or `None` if `id` is out of range.
-    pub fn try_osm(&self, id: OsmId) -> Option<&Osm<S>> {
-        self.osms.get(id.index())
     }
 
     /// Number of OSM instances.
@@ -266,11 +244,6 @@ impl<S: 'static> Machine<S> {
         self.restart = policy;
     }
 
-    /// The current restart policy.
-    pub fn restart_policy(&self) -> RestartPolicy {
-        self.restart
-    }
-
     /// Selects the scheduling implementation (see [`SchedulerMode`]);
     /// [`SchedulerMode::Fast`] is the default.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
@@ -283,15 +256,6 @@ impl<S: 'static> Machine<S> {
     /// The current scheduling implementation.
     pub fn scheduler_mode(&self) -> SchedulerMode {
         self.sched_mode
-    }
-
-    /// Enables or disables wait-for-cycle deadlock detection.
-    pub fn set_deadlock_check(&mut self, on: bool) {
-        self.deadlock_check = on;
-        // The fast path's "diagnostic scan already proved this quiescent
-        // state acyclic" watermark is only meaningful while the check stays
-        // continuously enabled.
-        self.scratch.invalidate_schedule();
     }
 
     /// Arms (or with `None` disarms) the stall watchdog: if no qualifying
@@ -320,29 +284,26 @@ impl<S: 'static> Machine<S> {
         self.stall_limit
     }
 
-    /// Enables or disables the end-of-run token-leak audit (debug builds
-    /// only; on by default). See [`Machine::run`].
-    pub fn set_leak_audit(&mut self, on: bool) {
-        self.leak_audit = on;
-    }
-
     /// True if the event log or the metrics are on: the sinks that receive
     /// token, transition and stall events.
     pub fn has_observers(&self) -> bool {
         self.sinks.events()
     }
 
-    /// Starts recording every committed transition into a full [`Trace`].
+    /// Starts folding every committed transition into a fresh [`Trace`]
+    /// digest. The list of transitions is the event log's
+    /// ([`Machine::enable_event_log`]).
     ///
     /// The director folds each commit into the trace on the commit path of
     /// both its instantiations, so a traced machine still runs the
     /// untracked director and [`Machine::has_observers`] stays false.
     pub fn enable_trace(&mut self) {
-        self.enable_trace_with(Trace::new());
+        self.enable_trace_with(Trace::digest_only());
     }
 
-    /// Starts recording transitions into the given (possibly ring- or
-    /// digest-mode) [`Trace`]. No-op if a trace is already being recorded.
+    /// Starts folding transitions into the given [`Trace`], e.g. one
+    /// resumed from a checkpoint ([`Trace::digest_only_resumed`]). No-op if
+    /// a trace is already being recorded.
     pub fn enable_trace_with(&mut self, trace: Trace) {
         self.sinks.trace.get_or_insert(trace);
     }
@@ -546,8 +507,8 @@ impl<S: 'static> Machine<S> {
     /// close the step unless it deadlocked.
     ///
     /// # Errors
-    /// Returns [`ModelError::Deadlock`] if deadlock detection is on, no OSM
-    /// transitioned, and the blocked OSMs form a wait-for cycle.
+    /// Returns [`ModelError::Deadlock`] if no OSM transitioned and the
+    /// blocked OSMs form a wait-for cycle.
     pub fn control_step(&mut self) -> Result<StepOutcome, ModelError> {
         // One branch per cycle picks the monomorphized director: the
         // TRACKING=false instantiation carries no observability code at all.
@@ -582,17 +543,15 @@ impl<S: 'static> Machine<S> {
             if let Some(t) = &mut self.sinks.stalls {
                 t.global_stall_cycles += 1;
             }
-            if self.deadlock_check {
-                director::idle_step_deadlock(
-                    &self.osms,
-                    &self.specs,
-                    &mut self.managers,
-                    &self.shared,
-                    &mut self.scratch,
-                    self.cycle,
-                    work.evaluated,
-                )?;
-            }
+            director::idle_step_deadlock(
+                &self.osms,
+                &self.specs,
+                &mut self.managers,
+                &self.shared,
+                &mut self.scratch,
+                self.cycle,
+                work.evaluated,
+            )?;
         }
         if let Some(m) = &mut self.sinks.metrics {
             m.end_cycle(work.restarts);
@@ -702,7 +661,7 @@ impl<S: 'static> Machine<S> {
     /// Debug-build token-conservation check run at the end of
     /// [`Machine::run`]/[`Machine::run_until`].
     fn leak_check(&self) -> Result<(), ModelError> {
-        if cfg!(debug_assertions) && self.leak_audit {
+        if cfg!(debug_assertions) {
             let problems = self.audit_tokens();
             if !problems.is_empty() {
                 return Err(ModelError::TokenLeak {
@@ -981,8 +940,7 @@ impl<S: HardwareLayer + 'static> Machine<S> {
     }
 
     /// Runs `n` cycles. In debug builds a token-conservation audit runs at
-    /// the end and surfaces any inconsistency as [`ModelError::TokenLeak`]
-    /// (disable with [`Machine::set_leak_audit`]).
+    /// the end and surfaces any inconsistency as [`ModelError::TokenLeak`].
     ///
     /// # Errors
     /// Propagates the first [`ModelError`].
@@ -1177,38 +1135,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_check_can_be_disabled() {
-        let mut m: Machine<()> = Machine::new(());
-        let ma = m.add_manager(ExclusivePool::new("A", 1));
-        let mb = m.add_manager(ExclusivePool::new("B", 1));
-        let spec_ab = {
-            let mut b = SpecBuilder::new("ab");
-            let i = b.state("I");
-            let a = b.state("A");
-            let z = b.state("Z");
-            b.initial(i);
-            b.edge(i, a).allocate(ma, IdentExpr::Const(0));
-            b.edge(a, z).allocate(mb, IdentExpr::Const(0));
-            b.build().unwrap()
-        };
-        let spec_ba = {
-            let mut b = SpecBuilder::new("ba");
-            let i = b.state("I");
-            let a = b.state("B");
-            let z = b.state("Z");
-            b.initial(i);
-            b.edge(i, a).allocate(mb, IdentExpr::Const(0));
-            b.edge(a, z).allocate(ma, IdentExpr::Const(0));
-            b.build().unwrap()
-        };
-        m.add_osm(&spec_ab, InertBehavior);
-        m.add_osm(&spec_ba, InertBehavior);
-        m.set_deadlock_check(false);
-        m.run(5).unwrap(); // stalls forever but never errors
-        assert!(m.stats.idle_steps >= 4);
-    }
-
-    #[test]
     fn behavior_slots_drive_dynamic_identifiers() {
         // An OSM that allocates a register-update token whose register index
         // is decided by the behavior at the previous transition.
@@ -1257,7 +1183,7 @@ mod tests {
         m.enable_trace();
         m.run(3).unwrap();
         let trace = m.take_trace().unwrap();
-        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.total(), 3);
         assert!(m.trace().is_none());
     }
 
@@ -1766,9 +1692,6 @@ mod tests {
             "ranking buffer was dropped on the deadlock return"
         );
         assert!(m.scratch.list.is_empty());
-        // The machine stays usable: disabling the check lets it idle on.
-        m.set_deadlock_check(false);
-        m.run(3).unwrap();
     }
 
     /// Two-state loop with condition-free edges: every OSM transitions every
@@ -1885,7 +1808,6 @@ mod tests {
         };
         let o0 = m.add_osm(&spec, InertBehavior);
         let o1 = m.add_osm(&spec, InertBehavior);
-        m.set_leak_audit(false); // terminal state holds its token by design
         m.step().unwrap();
         assert_eq!(m.osm(o0).state_name(), "A");
         assert_eq!(m.osm(o1).state_name(), "I");
@@ -2465,9 +2387,6 @@ mod tests {
             }
             other => panic!("expected token leak, got {other:?}"),
         }
-        // The audit can be turned off.
-        m.set_leak_audit(false);
-        m.run(1).unwrap();
     }
 
     #[test]

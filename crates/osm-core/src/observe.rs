@@ -20,11 +20,12 @@
 //!   the forward-file inquire".
 //!
 //! The machine owns every sink in one record: the transition
-//! [`crate::Trace`] that determinism and equivalence checks digest, the
-//! [`StallTracker`], the [`EventLog`] and the metrics behind
-//! [`MetricsReport`]. Each is switched on by its own `Machine::enable_*`
-//! method ([`crate::Machine::enable_observability`] turns on all but the
-//! trace). The director folds each committed transition into the trace on
+//! [`crate::Trace`], the digest that determinism and equivalence checks
+//! compare, the [`StallTracker`], the [`EventLog`], the one list of
+//! committed transitions, and the metrics behind [`MetricsReport`]. Each
+//! is switched on by its own `Machine::enable_*` method
+//! ([`crate::Machine::enable_observability`] turns on all but the trace).
+//! The director folds each committed transition into the trace on
 //! the commit path of both of its instantiations, so a traced run pays one
 //! digest fold per commit. It runs its tracked instantiation only while the
 //! stall tracker, the event log or the metrics are on; without them it runs

@@ -112,11 +112,6 @@ pub enum IdentExpr {
 impl IdentExpr {
     /// The constant [`TokenIdent::ANY`] wildcard ("any available token").
     pub const ANY: IdentExpr = IdentExpr::Const(TokenIdent::ANY.0);
-
-    /// Convenience constructor for a constant identifier.
-    pub fn konst(v: u64) -> Self {
-        IdentExpr::Const(v)
-    }
 }
 
 impl fmt::Display for IdentExpr {

@@ -18,9 +18,10 @@
 //! 4. **Checkpoint cuts** — checkpoint at a case-chosen cycle (the sealed
 //!    byte string, the same codec the farm writes to disk), restore it
 //!    into a fresh machine, continue: the continuation must replay the
-//!    uninterrupted run's trace tail bit-for-bit, agree on the mid-run
+//!    trace tail bit-for-bit (the digest the checkpointed machine folds
+//!    from the cut on as it runs to the end), agree on the mid-run
 //!    [`osm_core::Machine::state_fingerprint`] at the cut, and end in the
-//!    identical final state.
+//!    uninterrupted run's final state.
 //!
 //! Legs 1–3 ride the simulation farm (`ModelKind::Adl` jobs), so the
 //! fuzzer exercises the same dispatch path production sweeps use; leg 4
@@ -28,9 +29,7 @@
 //! mid-run cuts.
 
 use crate::gen::FuzzCase;
-use osm_core::{
-    FaultInjector, InertBehavior, Machine, ManagerId, SchedulerMode, Trace, TraceMode,
-};
+use osm_core::{FaultInjector, InertBehavior, Machine, ManagerId, SchedulerMode};
 use simfarm::{run_parallel, run_serial, JobResult, SimJob};
 
 /// One leg's observable result, in comparison form.
@@ -236,16 +235,6 @@ fn drive(machine: &mut Machine<()>, steps: u64) -> Option<String> {
     None
 }
 
-/// Digest of the events at or after `cut` — what a digest-only trace
-/// attached at cycle `cut` would have accumulated.
-fn tail_digest(full: &Trace, cut: u64) -> u64 {
-    let mut tail = Trace::digest_only();
-    for ev in full.events().filter(|ev| ev.cycle >= cut) {
-        tail.push(*ev);
-    }
-    tail.digest()
-}
-
 /// The checkpoint/restore equivalence leg. Returns the cut cycle used
 /// (`None` when the run executed zero cycles and there was nothing to
 /// cut), pushing any divergence found.
@@ -261,26 +250,25 @@ fn checkpoint_leg(
         detail,
     };
 
-    // Reference: uninterrupted, full trace from cycle 0.
+    // Reference: uninterrupted, traced from cycle 0.
     let mut reference = build_machine(case);
-    reference.enable_trace_with(Trace::with_mode(TraceMode::Full));
+    reference.enable_trace();
     let ref_err = drive(&mut reference, case.max_cycles);
     let ref_cycles = reference.cycle();
     let ref_fingerprint = reference.state_fingerprint();
-    let ref_trace = reference.take_trace().expect("trace enabled");
+    let ref_digest = reference.trace_digest().expect("trace enabled");
 
     // Cross-family check: the farm's `adl` runner and the direct driver
     // must agree on the full-run digest whenever both complete healthily.
     if ref_err.is_none()
         && farm_reference.outcome == "budget-exhausted"
-        && farm_reference.digest != ref_trace.digest()
+        && farm_reference.digest != ref_digest
     {
         return Err(diverge(
             "farm/fast",
             format!(
-                "farm digest {:016x} != direct digest {:016x}",
-                farm_reference.digest,
-                ref_trace.digest()
+                "farm digest {:016x} != direct digest {ref_digest:016x}",
+                farm_reference.digest
             ),
         ));
     }
@@ -291,7 +279,8 @@ fn checkpoint_leg(
     // Clamp the requested cut into the cycles that actually executed.
     let cut = 1 + case.cut % ref_cycles;
 
-    // Interrupted: identical machine, checkpointed at the cut, dropped.
+    // Interrupted: identical machine, checkpointed at the cut, then traced
+    // from the cut to the end: its digest is the expected tail.
     let mut interrupted = build_machine(case);
     if let Some(e) = drive(&mut interrupted, cut) {
         return Err(diverge(
@@ -304,7 +293,9 @@ fn checkpoint_leg(
         Ok(c) => c,
         Err(e) => return Err(diverge("interrupted", format!("checkpoint failed: {e}"))),
     };
-    drop(interrupted);
+    interrupted.enable_trace();
+    drive(&mut interrupted, case.max_cycles - cut);
+    let expected_tail = interrupted.trace_digest().expect("trace attached");
 
     // Restored: fresh machine, restore, late-attach a digest trace,
     // continue to the same budget.
@@ -328,7 +319,7 @@ fn checkpoint_leg(
             ),
         ));
     }
-    restored.enable_trace_with(Trace::digest_only());
+    restored.enable_trace();
     let rest_err = drive(&mut restored, case.max_cycles - cut);
 
     if rest_err != ref_err {
@@ -343,7 +334,6 @@ fn checkpoint_leg(
             format!("final cycle {} vs {ref_cycles} (cut {cut})", restored.cycle()),
         ));
     }
-    let expected_tail = tail_digest(&ref_trace, cut);
     let got_tail = restored.trace_digest().expect("trace attached");
     if got_tail != expected_tail {
         divergences.push(diverge(

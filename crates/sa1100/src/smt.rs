@@ -380,6 +380,7 @@ mod tests {
     use super::*;
     use crate::osm_model::SaOsmSim;
     use minirisc::assemble;
+    use osm_core::SchedulerMode;
 
     const LOOP_A: &str = "
         li r1, 60
@@ -462,6 +463,28 @@ mod tests {
         let r = smt.run_to_halt(1_000_000).expect("no deadlock");
         assert_eq!(r.threads[0].exit_code, 1830); // sum 1..60
         assert_ne!(r.threads[0].exit_code, r.threads[1].exit_code);
+    }
+
+    #[test]
+    fn timing_and_digest_are_pinned() {
+        // The only named model on the reference Fig. 3 loop under a custom
+        // ranker, which it runs in both scheduler modes. Its cycles,
+        // per-thread retired and squashed counts and transition digest on
+        // the two loops are pinned, so any change to its timing shows.
+        let (pa, pb) = programs();
+        for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+            let mut smt = SmtSim::new(SaConfig::paper(), [&pa, &pb]);
+            smt.machine_mut().set_scheduler_mode(mode);
+            smt.machine_mut().enable_trace();
+            let r = smt.run_to_halt(1_000_000).expect("no deadlock");
+            let threads = r.threads.each_ref().map(|t| (t.retired, t.squashed));
+            let digest = smt.machine().trace_digest().expect("trace on");
+            assert_eq!(
+                (r.cycles, threads, digest),
+                (629, [(185, 21), (165, 0)], 0xe948_8fb2_018a_471b),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use ppc750::{PpcConfig, PpcOsmSim, PpcShared};
 use sa1100::{SaConfig, SaOsmSim, SaShared};
 use std::fmt;
 use std::time::{Duration, Instant};
-use vliw::{schedule, VliwConfig, VliwIr, VliwProgram, VliwShared, VliwSim};
+use vliw::{ilp_loop, schedule, VliwConfig, VliwShared, VliwSim};
 use workloads::{kernels40, mediabench, random_program, specint_mix, Workload};
 
 /// Default stall budget armed on every OSM job: comfortably above any
@@ -97,8 +97,8 @@ pub enum WorkloadSpec {
         /// Straight-line block length handed to the generator.
         block_len: usize,
     },
-    /// A synthetic VLIW countdown loop with a body of independent adds
-    /// (`"ilp:<iters>:<body>"` in manifests). The only workload form the
+    /// A synthetic VLIW countdown loop with a body of independent adds,
+    /// [`vliw::ilp_loop`] (`"ilp:<iters>:<body>"` in manifests). The only workload form the
     /// VLIW model accepts (it executes bundled IR, not MiniRISC assembly).
     Ilp {
         /// Loop iterations.
@@ -883,7 +883,10 @@ impl OsmModel for VliwShared {
                 job.workload.spelling()
             ));
         };
-        let sim = VliwSim::new(VliwConfig::default(), &ilp_program(iters, body));
+        let sim = VliwSim::new(
+            VliwConfig::default(),
+            &schedule(&ilp_loop(iters, body), vec![]),
+        );
         let fetch = sim.ids().mf;
         Ok((sim.into_machine(), Some(fetch)))
     }
@@ -991,44 +994,6 @@ impl Simulator for IssRun {
     fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
         (self.digest, None, None)
     }
-}
-
-/// Builds the standard ILP workload: a countdown loop whose body is `body`
-/// independent adds (mirrors the VLIW crate's test fixture).
-fn ilp_program(iters: i32, body: usize) -> VliwProgram {
-    use minirisc::{AluOp, BranchCond, Instr, Reg};
-    let addi = |rd: u8, rs1: u8, imm: i32| Instr::AluImm {
-        op: AluOp::Add,
-        rd: Reg(rd),
-        rs1: Reg(rs1),
-        imm,
-    };
-    let mut ir = VliwIr::new();
-    ir.push(addi(1, 0, iters));
-    let top = ir.instrs.len();
-    for k in 0..body {
-        ir.push(addi(2 + (k % 6) as u8, 0, (k % 4096) as i32));
-    }
-    ir.push(addi(1, 1, -1));
-    ir.branch(
-        Instr::Branch {
-            cond: BranchCond::Ne,
-            rs1: Reg(1),
-            rs2: Reg(0),
-            offset: 0,
-        },
-        top,
-    );
-    // Exit syscall reporting r1 (0 on a completed countdown).
-    ir.push(addi(10, 0, 0));
-    ir.push(Instr::Alu {
-        op: AluOp::Add,
-        rd: Reg(11),
-        rs1: Reg(1),
-        rs2: Reg(0),
-    });
-    ir.push(Instr::Syscall);
-    schedule(&ir, vec![])
 }
 
 #[cfg(test)]

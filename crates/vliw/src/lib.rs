@@ -39,7 +39,7 @@ mod schedule;
 pub use model::{
     interpret, VliwConfig, VliwManagers, VliwResult, VliwShared, VliwSim, CODE_BASE, DATA_BASE,
 };
-pub use schedule::{schedule, Bundle, VliwIr, VliwProgram};
+pub use schedule::{ilp_loop, schedule, Bundle, VliwIr, VliwProgram};
 
 #[cfg(test)]
 mod tests {
@@ -64,28 +64,6 @@ mod tests {
             rs2: Reg(0),
         });
         ir.push(Instr::Syscall);
-    }
-
-    /// A countdown loop with a body of independent adds.
-    fn ilp_loop(iters: i32, body: usize) -> VliwIr {
-        let mut ir = VliwIr::new();
-        ir.push(addi(1, 0, iters));
-        let top = ir.instrs.len();
-        for k in 0..body {
-            ir.push(addi(2 + (k % 6) as u8, 0, k as i32));
-        }
-        ir.push(addi(1, 1, -1));
-        ir.branch(
-            Instr::Branch {
-                cond: BranchCond::Ne,
-                rs1: Reg(1),
-                rs2: Reg(0),
-                offset: 0,
-            },
-            top,
-        );
-        exit_with(&mut ir, 1);
-        ir
     }
 
     #[test]
@@ -315,6 +293,46 @@ mod tests {
         fresh.restore(&ckpt).unwrap();
         assert_eq!(fresh.machine().shared.error, error);
         assert_eq!(fresh.run_to_halt(1_000).unwrap(), reference);
+    }
+
+    #[test]
+    fn untargeted_control_transfers_halt_with_an_error() {
+        // A `jalr` jumps to a register value, which names no bundle; a
+        // branch added with `push` has no recorded target either. Each
+        // sits alone in bundle 1, which retires and ends the run.
+        let always = Instr::Branch {
+            cond: BranchCond::Eq,
+            rs1: Reg(0),
+            rs2: Reg(0),
+            offset: 8,
+        };
+        let jalr = Instr::Jalr {
+            rd: Reg(0),
+            rs1: Reg(1),
+            offset: 0,
+        };
+        for transfer in [jalr, always] {
+            let mut ir = VliwIr::new();
+            ir.push(addi(1, 0, 0x40));
+            ir.push(transfer);
+            exit_with(&mut ir, 1);
+            let program = schedule(&ir, vec![]);
+            let expected = Some("at 0x00001008: taken control transfer without a bundle target");
+
+            let golden = interpret(&program, 1_000);
+            assert_eq!(golden.error.as_deref(), expected, "{transfer:?}");
+            assert_eq!((golden.retired_ops, golden.retired_bundles), (2, 2));
+
+            let mut sim = VliwSim::new(VliwConfig::default(), &program);
+            let timed = sim.run_to_halt(1_000).expect("no deadlock");
+            assert!(sim.halted(), "{transfer:?}: the run halts");
+            assert_eq!(timed.error.as_deref(), expected, "{transfer:?}");
+            assert_eq!(
+                (timed.retired_ops, timed.retired_bundles, timed.exit_code),
+                (golden.retired_ops, golden.retired_bundles, golden.exit_code),
+                "{transfer:?}"
+            );
+        }
     }
 
     #[test]

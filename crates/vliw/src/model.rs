@@ -57,6 +57,10 @@ pub struct VliwResult {
     pub exit_code: u32,
     /// Output bytes.
     pub output: Vec<u8>,
+    /// Why the run stopped early: an unknown syscall, in the ISS's words
+    /// at the slot's address in the bundle stream, or a taken control
+    /// transfer without a bundle target.
+    pub error: Option<String>,
 }
 
 impl VliwResult {
@@ -86,6 +90,7 @@ pub fn interpret(program: &VliwProgram, max_bundles: u64) -> VliwResult {
     let mut retired_bundles = 0u64;
     let mut output = Vec::new();
     let mut exit_code = 0u32;
+    let mut error = None;
     let mut steps = 0u64;
     'run: while pc < program.bundles.len() {
         steps += 1;
@@ -97,17 +102,22 @@ pub fn interpret(program: &VliwProgram, max_bundles: u64) -> VliwResult {
                 break;
             }
             retired_ops += 1;
-            match retire(instr, &mut cpu, &mut mem, &mut output).flow {
-                Flow::Next => {}
-                Flow::Taken(_) => next = program.targets[&pc],
-                end => {
-                    if let Flow::Exit(code) = end {
-                        exit_code = code;
+            let flow = retire(instr, &mut cpu, &mut mem, &mut output).flow;
+            match flow {
+                Flow::Next => continue,
+                Flow::Taken(_) => match program.targets.get(&pc) {
+                    Some(&target) => {
+                        next = target;
+                        continue;
                     }
-                    retired_bundles += 1;
-                    break 'run;
-                }
+                    None => error = Some(untargeted(pc)),
+                },
+                Flow::Halt => {}
+                Flow::Exit(code) => exit_code = code,
+                Flow::Fault(e) => error = Some(slot_error(e, pc, slot as u32)),
             }
+            retired_bundles += 1;
+            break 'run;
         }
         retired_bundles += 1;
         pc = next;
@@ -119,7 +129,29 @@ pub fn interpret(program: &VliwProgram, max_bundles: u64) -> VliwResult {
         squashed: 0,
         exit_code,
         output,
+        error,
     }
+}
+
+/// The ISS's error for slot `slot` of bundle `idx`, addressed at the slot
+/// in the bundle stream.
+fn slot_error(mut e: IssError, idx: usize, slot: u32) -> String {
+    if let IssError::BadSyscall { pc, .. } = &mut e {
+        *pc = CODE_BASE + 8 * idx as u32 + 4 * slot;
+    }
+    e.to_string()
+}
+
+/// The error of a taken control transfer in bundle `idx` that the
+/// scheduler recorded no bundle target for: a `jalr` (its register target
+/// is no bundle index) or a branch or `jal` added with [`VliwIr::push`].
+///
+/// [`VliwIr::push`]: crate::VliwIr::push
+fn untargeted(idx: usize) -> String {
+    format!(
+        "at {:#010x}: taken control transfer without a bundle target",
+        CODE_BASE + 8 * idx as u32
+    )
 }
 
 /// What each edge of the spec means (precomputed so the hot path never
@@ -310,21 +342,32 @@ impl BundleOp {
         if let Some(addr) = retired.mem_addr {
             s.exec_timer = s.memsys.data_penalty(addr);
         }
-        match retired.flow {
-            Flow::Next => {}
+        let error = match retired.flow {
+            Flow::Next => None,
             // Control transfers target the bundle the scheduler resolved.
-            Flow::Taken(_) => self.redirect = Some(s.program.targets[&self.idx]),
-            Flow::Halt => self.is_halting = true,
-            Flow::Exit(code) => s.exit_code = code,
-            Flow::Fault(mut e) => {
-                if let IssError::BadSyscall { pc, .. } = &mut e {
-                    *pc = CODE_BASE + 8 * self.idx as u32 + 4 * slot;
+            Flow::Taken(_) => match s.program.targets.get(&self.idx) {
+                Some(&target) => {
+                    self.redirect = Some(target);
+                    None
                 }
-                s.error.get_or_insert_with(|| e.to_string());
+                None => Some(untargeted(self.idx)),
+            },
+            Flow::Halt => {
+                self.is_halting = true;
+                None
             }
+            Flow::Exit(code) => {
+                s.exit_code = code;
+                None
+            }
+            Flow::Fault(e) => Some(slot_error(e, self.idx, slot)),
+        };
+        let stop_now = error.is_some() || matches!(retired.flow, Flow::Exit(_));
+        if let Some(e) = error {
+            s.error.get_or_insert(e);
         }
-        // `halt` stops fetch at writeback; an exit or a fault stops it now.
-        if matches!(retired.flow, Flow::Exit(_) | Flow::Fault(_)) {
+        // `halt` stops fetch at writeback; an exit or an error stops it now.
+        if stop_now {
             self.is_halting = true;
             s.stop_fetch = true;
             squash_young(ctx);
@@ -593,6 +636,7 @@ impl VliwSim {
             squashed: s.squashed,
             exit_code: s.exit_code,
             output: s.output.clone(),
+            error: s.error.clone(),
         })
     }
 }

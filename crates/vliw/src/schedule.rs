@@ -10,7 +10,7 @@
 //! are instruction indices, and data lives in a separate segment the code
 //! addresses absolutely (`li` of [`crate::DATA_BASE`]-relative addresses).
 
-use minirisc::{Instr, InstrClass};
+use minirisc::{AluOp, BranchCond, Instr, InstrClass, Reg};
 use std::collections::BTreeMap;
 
 /// VLIW intermediate representation: straight-line instructions with
@@ -51,6 +51,45 @@ impl VliwIr {
         self.targets.insert(at, target);
         at
     }
+}
+
+/// A countdown loop: `r1` counts `iters` iterations down to zero around a
+/// body of `body` independent adds (into `r2`..`r7` in turn, immediate
+/// `k % 4096` for the `k`-th), then exits through a syscall reporting `r1`
+/// (0 on a completed countdown). The body pairs into full bundles, so the
+/// loop is the workspace's slot-parallel (ILP) VLIW workload.
+pub fn ilp_loop(iters: i32, body: usize) -> VliwIr {
+    let addi = |rd: u8, rs1: u8, imm: i32| Instr::AluImm {
+        op: AluOp::Add,
+        rd: Reg(rd),
+        rs1: Reg(rs1),
+        imm,
+    };
+    let mut ir = VliwIr::new();
+    ir.push(addi(1, 0, iters));
+    let top = ir.instrs.len();
+    for k in 0..body {
+        ir.push(addi(2 + (k % 6) as u8, 0, (k % 4096) as i32));
+    }
+    ir.push(addi(1, 1, -1));
+    ir.branch(
+        Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: Reg(1),
+            rs2: Reg(0),
+            offset: 0,
+        },
+        top,
+    );
+    ir.push(addi(10, 0, 0));
+    ir.push(Instr::Alu {
+        op: AluOp::Add,
+        rd: Reg(11),
+        rs1: Reg(1),
+        rs2: Reg(0),
+    });
+    ir.push(Instr::Syscall);
+    ir
 }
 
 /// One two-slot bundle. Slot 1 is [`Instr::NOP`] when unpaired.

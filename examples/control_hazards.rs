@@ -1,6 +1,6 @@
 //! Control hazards through the reset-manager idiom (paper §4): a branchy
-//! program on the StrongARM model, with the transition trace showing the
-//! speculative wrong-path operation taking its high-priority reset edge.
+//! program on the StrongARM model, with the event log's transitions showing
+//! the speculative wrong-path operation taking its high-priority reset edge.
 //!
 //! Run with: `cargo run --example control_hazards`
 
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-    sim.machine_mut().enable_trace();
+    sim.machine_mut().enable_event_log();
     let result = sim.run_to_halt(1_000_000)?;
 
     println!("exit code: {} (4 odd iterations x 100 + 8 x 1 = 408)", result.exit_code);
@@ -39,12 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.cycles, result.retired, result.squashed
     );
 
-    // Show reset edges firing in the trace.
-    let trace = sim.machine_mut().take_trace().expect("tracing enabled");
-    let spec = sim.spec().clone();
+    // Show reset edges firing among the logged transitions.
+    let log = sim.machine().event_log().expect("event log enabled");
+    let spec = sim.spec();
     println!("reset-edge transitions (speculative operations being killed):");
     let mut shown = 0;
-    for ev in trace.events() {
+    for ev in log.transitions() {
         let edge = spec.edge(ev.edge);
         if edge.name.starts_with("reset") {
             println!(

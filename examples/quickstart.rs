@@ -44,7 +44,7 @@ fn main() -> Result<(), ModelError> {
         machine.add_osm(&spec, InertBehavior);
     }
 
-    machine.enable_trace();
+    machine.enable_event_log();
     println!("cycle | operations in each state");
     println!("------+--------------------------");
     for _ in 0..12 {
@@ -54,10 +54,16 @@ fn main() -> Result<(), ModelError> {
         println!("{:5} | {}", machine.cycle(), names.join(" "));
     }
 
-    let trace = machine.take_trace().expect("tracing enabled");
-    println!("\n{} transitions committed; first five:", trace.len());
-    for ev in trace.events().take(5) {
-        println!("  {ev}");
+    let log = machine.event_log().expect("event log enabled");
+    println!(
+        "\n{} transitions committed; first five:",
+        log.transitions().count()
+    );
+    for ev in log.transitions().take(5) {
+        println!(
+            "  @{} {} {}: {} -> {}",
+            ev.cycle, ev.osm, ev.edge, ev.from, ev.to
+        );
     }
     println!(
         "\nsteady state: one operation per stage, one retiring per cycle \

@@ -12,6 +12,10 @@
 //!   --pipeview <cycles>    print a textual pipeline diagram of the first N
 //!                          cycles
 //!
+//! Metrics and stall attribution cover the whole instrumented run. The
+//! event log does so only with `--trace-out`, which exports all of it;
+//! with `--pipeview` alone it covers just the diagrammed cycles.
+//!
 //! Example: `cargo run --release --example strongarm_pipeline -- \
 //!     --trace-out trace.json --pipeview 60`
 
@@ -113,8 +117,22 @@ fn main() {
     };
     println!("\ninstrumented run: {}", w.name);
     let mut sim = SaOsmSim::new(cfg, &w.program());
-    sim.machine_mut().enable_observability();
+    sim.machine_mut().enable_metrics();
+    sim.machine_mut().enable_stall_attribution();
+    let mut window_log = None;
+    if args.trace_out.is_some() {
+        sim.machine_mut().enable_event_log();
+    } else if let Some(n) = args.pipeview {
+        sim.machine_mut().enable_event_log();
+        sim.run_to_halt(n).expect("no deadlock");
+        window_log = sim.machine_mut().take_event_log();
+    }
     sim.run_to_halt(100_000_000).expect("no deadlock");
+    let events = match (sim.machine().event_log(), &window_log, args.pipeview) {
+        (Some(log), ..) => format!("observed {} events over the whole run", log.total()),
+        (None, Some(log), Some(n)) => format!("observed {} events in cycles 0..{n}", log.total()),
+        _ => "recorded no event log".to_owned(),
+    };
 
     let stats = &sim.machine().stats;
     let hist = sim
@@ -122,19 +140,28 @@ fn main() {
         .stall_histogram()
         .expect("attribution enabled");
     println!(
-        "observed {} token events total; stall charges {}, idle steps {} (Stats::idle_steps {})",
-        sim.machine().event_log().map_or(0, |l| l.total()),
-        hist.charged,
-        hist.global_stall_cycles,
-        stats.idle_steps,
+        "{events}; stall charges {}, idle steps {} (Stats::idle_steps {})",
+        hist.charged, hist.global_stall_cycles, stats.idle_steps,
     );
     println!("{hist}");
 
     if let Some(n) = args.pipeview {
-        match osm_core::export::pipeline_diagram_for(sim.machine(), 0, n) {
-            Some(d) => print!("{d}"),
-            None => println!("(no event log)"),
-        }
+        let machine = sim.machine();
+        let diagram = match &window_log {
+            // The OSMs that first move after the window get their lane too.
+            Some(log) => {
+                let later: Vec<_> = machine
+                    .osms()
+                    .filter(|osm| osm.last_move_cycle() >= n)
+                    .map(|osm| osm.id())
+                    .collect();
+                osm_core::export::pipeline_diagram(log, machine.specs(), &later, 0, n)
+            }
+            None => {
+                osm_core::export::pipeline_diagram_for(machine, 0, n).expect("event log enabled")
+            }
+        };
+        print!("{diagram}");
     }
     if let Some(path) = &args.trace_out {
         let json = osm_core::export::chrome_trace_for(sim.machine()).expect("event log enabled");

@@ -1,13 +1,13 @@
 //! Golden checkpoint test: checkpoint → restore → **continue with
 //! observability** must replay the uninterrupted run's tail exactly.
 //!
-//! The reference run records a full trace from cycle 0. A second identical
-//! run is checkpointed mid-flight and discarded; a third simulator restores
-//! the checkpoint, only *then* enables tracing (plus the rest of the
-//! observability stack), and runs to halt. Its digest must equal the digest
-//! of the reference trace's tail — every transition at or after the
-//! checkpoint cycle. This pins down two properties at once: restore is
-//! exact, and late-attached observers see the identical event stream a
+//! A run is checkpointed mid-flight and then runs on to halt with a digest
+//! trace attached right after the checkpoint: that digest covers exactly
+//! the transitions at or after the cut, the expected tail. A second
+//! simulator restores the checkpoint, only *then* enables tracing (plus the
+//! rest of the observability stack), and runs to halt. Its digest must
+//! equal the expected tail. This pins down two properties at once: restore
+//! is exact, and late-attached observers see the identical event stream a
 //! from-boot observer would have seen for those cycles.
 //!
 //! A second check pins the checkpoint encoding itself: the sealed bytes of
@@ -17,86 +17,73 @@
 //! `tests/golden/checkpoint_bytes.txt`, so files written by earlier builds
 //! stay readable.
 
-use osm_repro::minirisc::{AluOp, BranchCond, Instr, Program, Reg};
+use osm_repro::minirisc::Program;
 use osm_repro::osm_core::persist::fnv;
-use osm_repro::osm_core::{FaultPlan, SchedulerMode, Trace, TraceMode};
+use osm_repro::osm_core::{FaultPlan, SchedulerMode};
 use osm_repro::ppc750::{PpcConfig, PpcOsmSim};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
-use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
+use osm_repro::vliw::{ilp_loop, schedule, VliwConfig, VliwSim};
 use osm_repro::workloads::{mediabench, random_program, specint_mix};
 
 mod common;
 
 const MAX: u64 = 200_000;
 
-/// Digest of the events at or after `cut` — what a digest-only trace
-/// attached at cycle `cut` would have accumulated.
-fn tail_digest(full: &Trace, cut: u64) -> u64 {
-    let mut tail = Trace::digest_only();
-    for ev in full.events().filter(|ev| ev.cycle >= cut) {
-        tail.push(*ev);
-    }
-    tail.digest()
-}
-
 fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode: SchedulerMode) {
-    // Reference: uninterrupted, full trace from boot.
-    let mut reference = SaOsmSim::new(SaConfig::paper(), program);
-    reference.machine_mut().set_scheduler_mode(mode);
-    reference
-        .machine_mut()
-        .enable_trace_with(Trace::with_mode(TraceMode::Full));
-    let target = reference.ids.mf;
-    if let Some(plan) = &faults {
-        reference.inject_faults(target, plan.clone());
+    let build = || {
+        let mut sim = SaOsmSim::new(SaConfig::paper(), program);
+        sim.machine_mut().set_scheduler_mode(mode);
+        if let Some(plan) = &faults {
+            let target = sim.ids.mf;
+            sim.inject_faults(target, plan.clone());
+        }
+        sim
+    };
+
+    // Uninterrupted: checkpointed mid-flight (which leaves the run as it
+    // is), then traced from the cut to halt.
+    let mut uninterrupted = build();
+    for _ in 0..ckpt_at {
+        assert!(
+            !uninterrupted.machine().shared.halted,
+            "checkpoint too late"
+        );
+        uninterrupted.step().expect("pre-checkpoint step");
     }
-    let ref_result = reference.run_to_halt(MAX).expect("reference run completes");
-    assert!(reference.machine().shared.halted, "reference must halt");
-    let ref_trace = reference
+    let cut = uninterrupted.machine().cycle();
+    let ckpt = uninterrupted.checkpoint().expect("checkpoint");
+    uninterrupted.machine_mut().enable_trace();
+    let ref_result = uninterrupted
+        .run_to_halt(MAX)
+        .expect("uninterrupted run completes");
+    assert!(
+        uninterrupted.machine().shared.halted,
+        "uninterrupted run must halt"
+    );
+    let tail = uninterrupted
         .machine_mut()
         .take_trace()
-        .expect("trace was enabled");
-
-    // Interrupted: identical run, checkpointed mid-flight, then dropped.
-    let mut interrupted = SaOsmSim::new(SaConfig::paper(), program);
-    interrupted.machine_mut().set_scheduler_mode(mode);
-    if let Some(plan) = &faults {
-        let target = interrupted.ids.mf;
-        interrupted.inject_faults(target, plan.clone());
-    }
-    for _ in 0..ckpt_at {
-        assert!(!interrupted.machine().shared.halted, "checkpoint too late");
-        interrupted.step().expect("pre-checkpoint step");
-    }
-    let cut = interrupted.machine().cycle();
-    let ckpt = interrupted.checkpoint().expect("checkpoint");
-    drop(interrupted);
+        .expect("trace attached");
 
     // Restored: fresh sim, restore, and only now attach observability.
-    let mut restored = SaOsmSim::new(SaConfig::paper(), program);
-    restored.machine_mut().set_scheduler_mode(mode);
-    if let Some(plan) = &faults {
-        let target = restored.ids.mf;
-        restored.inject_faults(target, plan.clone());
-    }
+    let mut restored = build();
     restored.restore(&ckpt).expect("restore");
     assert_eq!(restored.machine().cycle(), cut, "restore rewinds the clock");
-    restored.machine_mut().enable_trace_with(Trace::digest_only());
+    restored.machine_mut().enable_trace();
     restored.machine_mut().enable_observability();
     let rest_result = restored.run_to_halt(MAX).expect("restored run completes");
     assert!(restored.machine().shared.halted, "restored run must halt");
 
-    // The continuation's digest is the reference tail's digest, bit for bit.
+    // The continuation's digest is the uninterrupted tail's, bit for bit.
     let rest_trace = restored.machine_mut().take_trace().unwrap();
     assert_eq!(
-        rest_trace.digest(),
-        tail_digest(&ref_trace, cut),
+        rest_trace, tail,
         "restored-run trace must equal the uninterrupted run's tail (cut at cycle {cut})"
     );
     // And the architectural outcome is unchanged.
     assert_eq!(rest_result.exit_code, ref_result.exit_code);
     assert_eq!(
-        reference.machine().cycle(),
+        uninterrupted.machine().cycle(),
         restored.machine().cycle(),
         "both runs halt on the same cycle"
     );
@@ -138,41 +125,6 @@ fn restored_random_program_runs_match_tails_at_many_cut_points() {
             SchedulerMode::Fast,
         );
     }
-}
-
-/// A VLIW countdown loop: 40 iterations of six independent adds.
-fn vliw_ilp_program() -> osm_repro::vliw::VliwProgram {
-    let addi = |rd: u8, rs1: u8, imm: i32| Instr::AluImm {
-        op: AluOp::Add,
-        rd: Reg(rd),
-        rs1: Reg(rs1),
-        imm,
-    };
-    let mut ir = VliwIr::new();
-    ir.push(addi(1, 0, 40));
-    let top = ir.instrs.len();
-    for k in 0..6u8 {
-        ir.push(addi(2 + k, 0, i32::from(k)));
-    }
-    ir.push(addi(1, 1, -1));
-    ir.branch(
-        Instr::Branch {
-            cond: BranchCond::Ne,
-            rs1: Reg(1),
-            rs2: Reg(0),
-            offset: 0,
-        },
-        top,
-    );
-    ir.push(addi(10, 0, 0));
-    ir.push(Instr::Alu {
-        op: AluOp::Add,
-        rd: Reg(11),
-        rs1: Reg(1),
-        rs2: Reg(0),
-    });
-    ir.push(Instr::Syscall);
-    schedule(&ir, vec![])
 }
 
 /// `case cut_cycle byte_len fnv1a64` for one checkpoint.
@@ -231,7 +183,7 @@ fn checkpoint_bytes_match_the_pinned_golden() {
         .expect("gsm/dec workload")
         .program();
     let (fast, seed) = (SchedulerMode::Fast, SchedulerMode::Seed);
-    let mut vliw = VliwSim::new(VliwConfig::default(), &vliw_ilp_program());
+    let mut vliw = VliwSim::new(VliwConfig::default(), &schedule(&ilp_loop(40, 6), vec![]));
     for _ in 0..50 {
         vliw.machine_mut().step().unwrap();
     }

@@ -4,8 +4,8 @@
 //! on SA-1100 and PPC-750 running `gsm/dec`, a property test that the
 //! recorded token-event stream replays to the same `Stats` the director
 //! counted live, proof that turning the sinks on never changes which
-//! transitions commit, and a check that the transition trace records
-//! exactly what the event log reports.
+//! transitions commit, and a check that the transition trace digests
+//! exactly the transitions the event log reports.
 //!
 //! Regenerate the golden files after an intentional exporter change with:
 //! `BLESS=1 cargo test --test observability`
@@ -455,30 +455,14 @@ proptest! {
     }
 }
 
-#[test]
-fn digest_trace_mode_agrees_with_full_mode() {
-    use osm_repro::osm_core::TraceMode;
-    let run = |trace: Trace| {
-        let mut machine = pipeline_machine(4);
-        machine.enable_trace_with(trace);
-        machine.run(20).expect("no deadlock");
-        machine.take_trace().expect("trace enabled")
-    };
-    let full = run(Trace::new());
-    let digest = run(Trace::with_mode(TraceMode::DigestOnly));
-    assert_eq!(full.digest(), digest.digest());
-    assert_eq!(digest.len(), 0);
-    assert_eq!(full.total(), digest.total());
-}
-
-/// Transitions are recorded in two places: the director folds each commit
-/// into the trace, and records a `TransitionEvent` into the event log. On
-/// one model under both scheduler modes this checks that a full trace
-/// equals, event for event, the transitions of an event log on the same
-/// run; that a digest-traced run ends exactly like an untraced one
-/// (statistics, cycle count, `result`); and that a digest trace turns on
-/// no event sink (`has_observers` stays false), so the run stays on the
-/// uninstrumented director.
+/// The event log is the one record of transitions, and the trace is their
+/// digest: the director folds each commit into the trace where it records
+/// the `TransitionEvent`. On one model under both scheduler modes this
+/// checks that the log's transitions, folded into a fresh trace, give the
+/// digest and count of a trace kept on the same run; that a traced run
+/// ends exactly like an untraced one (statistics, cycle count, `result`);
+/// and that a trace turns on no event sink (`has_observers` stays false),
+/// so the run stays on the uninstrumented director.
 fn check_recording_paths<T, S: 'static, R: std::fmt::Debug + PartialEq>(
     model: &str,
     build: impl Fn() -> T,
@@ -495,10 +479,10 @@ fn check_recording_paths<T, S: 'static, R: std::fmt::Debug + PartialEq>(
 
         let mut plain = prepared(&|_| {});
         let plain_result = run(&mut plain);
-        let mut digest = prepared(&|m| m.enable_trace_with(Trace::digest_only()));
+        let mut digest = prepared(&|m| m.enable_trace());
         assert!(
             !machine(&mut digest).has_observers(),
-            "{model} {mode:?}: a digest trace installed an observer"
+            "{model} {mode:?}: a trace installed an observer"
         );
         let digest_result = run(&mut digest);
         assert_eq!(digest_result, plain_result, "{model} {mode:?}: result");
@@ -518,23 +502,22 @@ fn check_recording_paths<T, S: 'static, R: std::fmt::Debug + PartialEq>(
         let logged = machine(&mut logged);
         let trace = logged.take_trace().expect("trace enabled");
         let log = logged.take_event_log().expect("event log enabled");
-        let from_log: Vec<TraceEvent> = log
-            .transitions()
-            .map(|t| TraceEvent {
+        let mut from_log = Trace::digest_only();
+        for t in log.transitions() {
+            from_log.push(TraceEvent {
                 cycle: t.cycle,
                 osm: t.osm,
                 edge: t.edge,
                 from: t.from,
                 to: t.to,
-            })
-            .collect();
-        let recorded: Vec<TraceEvent> = trace.events().copied().collect();
-        assert!(!recorded.is_empty(), "{model} {mode:?}: nothing committed");
-        assert_eq!(recorded, from_log, "{model} {mode:?}: trace vs event log");
+            });
+        }
+        assert!(from_log.total() > 0, "{model} {mode:?}: nothing committed");
+        assert_eq!(from_log, trace, "{model} {mode:?}: trace vs event log");
         assert_eq!(
-            digest.trace_digest(),
-            Some(trace.digest()),
-            "{model} {mode:?}: digest-only vs full trace"
+            digest.take_trace(),
+            Some(trace),
+            "{model} {mode:?}: trace with vs without the event log"
         );
     }
 }

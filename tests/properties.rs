@@ -19,7 +19,7 @@ use osm_repro::osm_core::{
 };
 use osm_repro::ppc750::{PpcConfig, PpcOsmSim, PpcPortSim};
 use osm_repro::sa1100::{RefSim, SaConfig, SaOsmSim};
-use osm_repro::vliw::{schedule, VliwConfig, VliwIr, VliwSim};
+use osm_repro::vliw::{ilp_loop, schedule, VliwConfig, VliwSim};
 use osm_repro::workloads::random_program;
 use proptest::prelude::*;
 
@@ -239,42 +239,6 @@ mod regressions {
     }
 }
 
-/// A VLIW countdown loop with `body` independent adds per iteration (the
-/// same shape as the vliw crate's own `ilp_loop` fixture).
-fn vliw_ilp_loop(iters: i32, body: usize) -> VliwIr {
-    let addi = |rd: u8, rs1: u8, imm: i32| Instr::AluImm {
-        op: AluOp::Add,
-        rd: Reg(rd),
-        rs1: Reg(rs1),
-        imm,
-    };
-    let mut ir = VliwIr::new();
-    ir.push(addi(1, 0, iters));
-    let top = ir.instrs.len();
-    for k in 0..body {
-        ir.push(addi(2 + (k % 6) as u8, 0, k as i32));
-    }
-    ir.push(addi(1, 1, -1));
-    ir.branch(
-        Instr::Branch {
-            cond: BranchCond::Ne,
-            rs1: Reg(1),
-            rs2: Reg(0),
-            offset: 0,
-        },
-        top,
-    );
-    ir.push(addi(10, 0, 0));
-    ir.push(Instr::Alu {
-        op: AluOp::Add,
-        rd: Reg(11),
-        rs1: Reg(1),
-        rs2: Reg(0),
-    });
-    ir.push(Instr::Syscall);
-    ir
-}
-
 proptest! {
     // Full-simulator cases are expensive; fewer, bigger cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -398,7 +362,7 @@ proptest! {
 
     #[test]
     fn fast_scheduler_is_cycle_exact_on_vliw(iters in 3i32..25, body in 1usize..9) {
-        let ir = vliw_ilp_loop(iters, body);
+        let ir = ilp_loop(iters, body);
         let program = schedule(&ir, vec![]);
         for tracked in [false, true] {
             let run = |mode: SchedulerMode| {
