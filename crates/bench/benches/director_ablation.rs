@@ -6,7 +6,7 @@
 //! a ranking policy change costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use osm_core::{FnRanker, RestartPolicy};
+use osm_core::RestartPolicy;
 use sa1100::{SaConfig, SaOsmSim};
 use std::hint::black_box;
 use workloads::mediabench_scaled;
@@ -35,8 +35,7 @@ fn director_ablation(c: &mut Criterion) {
     group.bench_function("no_restart_fn_rank", |b| {
         b.iter(|| {
             let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-            sim.machine_mut()
-                .set_ranker(FnRanker(Box::new(|view, _| view.age)));
+            sim.machine_mut().set_ranker(|view, _| view.age);
             black_box(sim.run_to_halt(u64::MAX).expect("runs").cycles)
         })
     });

@@ -311,7 +311,7 @@ fn format_primitive(machine: &SynthesizedMachine, prim: &Primitive) -> String {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use osm_core::InertBehavior;
+    use osm_core::{HardwareLayer, InertBehavior};
 
     const PIPE: &str = "
         machine pipe {
@@ -340,6 +340,26 @@ mod tests {
         machine.run(2).unwrap();
         assert_eq!(machine.osm(o0).state_name(), "B");
         assert_eq!(machine.osm(o1).state_name(), "A");
+    }
+
+    #[test]
+    fn synthesized_machine_never_halts_and_runs_its_whole_budget() {
+        // ADL machines carry no program: the unit state's `halted()` stays
+        // false, so a run to halt spends every cycle of its budget, also
+        // when resumed part-way.
+        fn halted<S: HardwareLayer>(machine: &Machine<S>) -> bool {
+            machine.shared.halted()
+        }
+        let decl = parse(PIPE).unwrap();
+        let synth = synthesize(&decl).unwrap();
+        let mut machine: Machine<()> = Machine::new(());
+        synth.install_managers(&mut machine);
+        machine.add_osm(synth.spec("op").unwrap(), InertBehavior);
+        assert_eq!(machine.run_until(7, halted).unwrap(), 7);
+        assert_eq!(machine.run_until(13, halted).unwrap(), 13);
+        assert_eq!(machine.cycle(), 20);
+        assert!(!halted(&machine));
+        assert!(machine.stats.transitions > 0);
     }
 
     #[test]

@@ -56,8 +56,9 @@ pub enum SchedulerMode {
     /// incrementally maintained ready list. On dense stretches, where skip
     /// proofs do not pay for their bookkeeping, the same ready list is
     /// walked with proofs switched off (see `ADAPT_WINDOW` in the director
-    /// source). Requires age ranking (the default policy); with a custom
-    /// [`Ranker`] the director silently runs the reference scheduler.
+    /// source). Requires age ranking (the default policy); under a custom
+    /// ranker ([`crate::Machine::set_ranker`]) the director silently runs
+    /// the reference scheduler.
     #[default]
     Fast,
     /// The literal Fig. 3 reference scheduler (full re-rank, sort and
@@ -66,43 +67,14 @@ pub enum SchedulerMode {
     Seed,
 }
 
-/// Ranks OSMs at the beginning of each control step (paper §3.4).
-///
-/// Smaller rank = served earlier. Ties are broken by [`OsmId`] so the
-/// schedule is always a total order (determinism).
-pub trait Ranker<S>: Send + 'static {
-    /// Computes the rank of one OSM.
-    fn rank(&self, view: &OsmView<'_>, shared: &S) -> u64;
-}
-
-/// The paper's case-study policy: rank by age, i.e. the order in which the
-/// OSMs last left the initial state (seniors first); idle OSMs last.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AgeRanker;
-
-impl<S> Ranker<S> for AgeRanker {
-    fn rank(&self, view: &OsmView<'_>, _shared: &S) -> u64 {
-        view.age
-    }
-}
-
-/// The closure type boxed inside a [`FnRanker`].
-pub type RankFn<S> = dyn Fn(&OsmView<'_>, &S) -> u64 + Send;
-
-/// Rank by a closure (ablation experiments, multithreading policies).
-pub struct FnRanker<S>(pub Box<RankFn<S>>);
-
-impl<S> std::fmt::Debug for FnRanker<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnRanker(..)")
-    }
-}
-
-impl<S: 'static> Ranker<S> for FnRanker<S> {
-    fn rank(&self, view: &OsmView<'_>, shared: &S) -> u64 {
-        (self.0)(view, shared)
-    }
-}
+/// A custom ranking policy (paper §3.4), installed with
+/// [`crate::Machine::set_ranker`]: the rank of one OSM at the beginning of
+/// a control step. Smaller rank = served earlier; ties are broken by
+/// [`OsmId`] so the schedule is always a total order (determinism). Without
+/// one the director ranks by age, the paper's case-study policy: the order
+/// in which the OSMs last left the initial state (seniors first), idle OSMs
+/// last.
+pub(crate) type RankFn<S> = dyn Fn(&OsmView<'_>, &S) -> u64 + Send;
 
 /// Result of one control step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -716,7 +688,7 @@ pub(crate) struct StepWork {
 /// under [`RestartPolicy::Restart`] the scan restarts from the top. This
 /// loop order is all that sets it apart from [`control_step_fast`] (whose
 /// oracle it is); serving, stall charging and the step's end are shared.
-/// Runs under [`SchedulerMode::Seed`] and under any custom [`Ranker`].
+/// Runs under [`SchedulerMode::Seed`] and under any custom ranker.
 ///
 /// Monomorphized over `TRACKING`: callers pass `TRACKING = true` exactly
 /// when stall attribution, the event log or the metrics are on in `sinks`,
@@ -731,8 +703,7 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     specs: &[Arc<StateMachineSpec>],
     managers: &mut ManagerTable,
     shared: &mut S,
-    ranker: &dyn Ranker<S>,
-    age_ranking: bool,
+    ranker: Option<&RankFn<S>>,
     policy: RestartPolicy,
     cycle: u64,
     age_counter: &mut u64,
@@ -748,10 +719,9 @@ pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
     // Rank all OSMs; the paper's age policy is the common case and needs
     // no view. Ids are unique, so sorting by (rank, id) is a total order.
     let mut list = std::mem::take(&mut scratch.list);
-    if age_ranking {
-        list.extend(osms.iter().map(|osm| (osm.age, osm.id)));
-    } else {
-        list.extend(osms.iter().map(|osm| (ranker.rank(&osm.view(), shared), osm.id)));
+    match ranker {
+        None => list.extend(osms.iter().map(|osm| (osm.age, osm.id))),
+        Some(rank) => list.extend(osms.iter().map(|osm| (rank(&osm.view(), shared), osm.id))),
     }
     list.sort_unstable();
 

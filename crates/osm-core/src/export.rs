@@ -261,8 +261,8 @@ pub fn chrome_trace_for<S: 'static>(machine: &Machine<S>) -> Option<String> {
 /// [`EventLog`]: one lane per OSM, one character column per control step in
 /// `[from, to)`. An uppercase letter marks the cycle a state was entered,
 /// lowercase its continued occupancy, `.` the idle (initial) state and `?`
-/// cycles before the OSM's first recorded transition. A legend maps letters
-/// back to state names.
+/// cycles before the OSM's first recorded transition. A legend maps the
+/// letters drawn in `[from, to)` back to state names.
 ///
 /// OSMs in `lanes` get a lane even if the log holds no transition of them:
 /// a log that covers only the diagrammed cycles misses the OSMs that first
@@ -286,11 +286,19 @@ pub fn pipeline_diagram(
     // Lane per OSM: start unknown ('?') until the first transition is seen.
     let mut lanes: BTreeMap<OsmId, Vec<char>> =
         lanes.iter().map(|&osm| (osm, vec!['?'; width])).collect();
-    let mut cur: BTreeMap<OsmId, (u32, Option<crate::ids::StateId>, u64)> = BTreeMap::new();
-    let mut legend: BTreeMap<char, String> = BTreeMap::new();
-    let fill = |lane: &mut Vec<char>, spec: u32, state: Option<crate::ids::StateId>,
-                    since: u64, until: u64| {
+    // Per OSM: spec, current state, the cycle and log position it was
+    // entered at.
+    let mut cur: BTreeMap<OsmId, (u32, Option<crate::ids::StateId>, u64, usize)> =
+        BTreeMap::new();
+    // The states drawn in the window, by the log position of their entry.
+    let mut drawn: Vec<(usize, u32, crate::ids::StateId)> = Vec::new();
+    let mut fill = |lane: &mut Vec<char>,
+                    (spec, state, since, entry): (u32, Option<crate::ids::StateId>, u64, usize),
+                    until: u64| {
         let (a, b) = (since.max(from), until.min(to));
+        if let Some(s) = state.filter(|_| a < b) {
+            drawn.push((entry, spec, s));
+        }
         for c in a..b {
             let i = (c - from) as usize;
             lane[i] = match state {
@@ -306,25 +314,29 @@ pub fn pipeline_diagram(
             };
         }
     };
-    for t in log.transitions() {
+    for (entry, t) in log.transitions().enumerate() {
         let lane = lanes.entry(t.osm).or_insert_with(|| vec!['?'; width]);
-        if let Some((spec, state, since)) = cur.remove(&t.osm) {
-            fill(lane, spec, state, since, t.cycle);
+        if let Some(held) = cur.remove(&t.osm) {
+            fill(lane, held, t.cycle);
         }
         let next = if t.completed { None } else { Some(t.to) };
-        if let Some(s) = next {
-            legend
-                .entry(letter(t.spec, s))
-                .or_insert_with(|| match specs.get(t.spec as usize) {
-                    Some(sp) => format!("{}.{}", sp.name(), sp.state_name(s)),
-                    None => format!("{s}"),
-                });
-        }
-        cur.insert(t.osm, (t.spec, next, t.cycle));
+        cur.insert(t.osm, (t.spec, next, t.cycle, entry));
     }
-    for (osm, (spec, state, since)) in cur {
+    for (osm, held) in cur {
         let lane = lanes.entry(osm).or_insert_with(|| vec!['?'; width]);
-        fill(lane, spec, state, since, to);
+        fill(lane, held, to);
+    }
+    // The legend names each letter drawn after the first state, in log
+    // order, that drew it.
+    drawn.sort_unstable_by_key(|&(entry, ..)| entry);
+    let mut legend: BTreeMap<char, String> = BTreeMap::new();
+    for (_, spec, s) in drawn {
+        legend
+            .entry(letter(spec, s))
+            .or_insert_with(|| match specs.get(spec as usize) {
+                Some(sp) => format!("{}.{}", sp.name(), sp.state_name(s)),
+                None => format!("{s}"),
+            });
     }
 
     let mut out = String::new();

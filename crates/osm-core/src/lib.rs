@@ -86,7 +86,7 @@ mod token;
 mod trace;
 mod verify;
 
-pub use director::{AgeRanker, FnRanker, Ranker, RestartPolicy, SchedulerMode, StepOutcome};
+pub use director::{RestartPolicy, SchedulerMode, StepOutcome};
 pub use error::{BlockedOsm, ModelError, SpecError, StallKind, StallReport, WaitCause};
 pub use fault::{FaultHandle, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use extract::{

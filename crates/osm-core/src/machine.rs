@@ -1,13 +1,11 @@
 //! The machine: managers + OSMs + director configuration + shared hardware state.
 
-use crate::director::{
-    self, AgeRanker, Ranker, RestartPolicy, SchedulerMode, Scratch, StepOutcome, StepWork,
-};
+use crate::director::{self, RankFn, RestartPolicy, SchedulerMode, Scratch, StepOutcome, StepWork};
 use crate::error::{ModelError, StallKind, StallReport};
 use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
 use crate::observe::{EventLog, MetricsReport, Sinks, StallHistogram, StallTracker};
-use crate::osm::{Behavior, Osm};
+use crate::osm::{Behavior, Osm, OsmView};
 use crate::persist::{fnv1a, fnv_mix, unseal, ByteReader, ByteWriter, FNV_OFFSET};
 use crate::spec::StateMachineSpec;
 use crate::stats::Stats;
@@ -23,10 +21,22 @@ use std::sync::Arc;
 /// "hardware modules communicate with one another and exchange information
 /// with their TMIs". Typical work: advance cache-miss timers, unblock stage
 /// releases, update branch predictors.
+///
+/// The state is also where a model keeps its manager handles, and
+/// [`halted`](HardwareLayer::halted) is the one halting predicate every
+/// runner stops on: a model's `run_to_halt` and the farm's chunked runs both
+/// call [`Machine::run_until`] with it.
 pub trait HardwareLayer {
     /// Advances the hardware layer by one clock, with TMI access.
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {
         let _ = (cycle, managers);
+    }
+
+    /// True once the modeled program has run to its end. The default
+    /// `false` suits machines without a program, such as ADL-synthesized
+    /// ones: they run until their cycle budget is spent.
+    fn halted(&self) -> bool {
+        false
     }
 
     /// Writes the state's mutable part as its checkpoint section. Static
@@ -92,8 +102,9 @@ pub struct Machine<S> {
     specs: Vec<Arc<StateMachineSpec>>,
     /// Shared hardware-layer state.
     pub shared: S,
-    ranker: Box<dyn Ranker<S>>,
-    age_ranking: bool,
+    /// The custom ranking policy; `None` is the paper's age ranking, the
+    /// only one [`SchedulerMode::Fast`] serves.
+    ranker: Option<Box<RankFn<S>>>,
     sched_mode: SchedulerMode,
     restart: RestartPolicy,
     cycle: u64,
@@ -119,8 +130,7 @@ impl<S: 'static> Machine<S> {
             osms: Vec::new(),
             specs: Vec::new(),
             shared,
-            ranker: Box::new(AgeRanker),
-            age_ranking: true,
+            ranker: None,
             sched_mode: SchedulerMode::default(),
             restart: RestartPolicy::Restart,
             cycle: 0,
@@ -228,14 +238,18 @@ impl<S: 'static> Machine<S> {
         self.osms.iter()
     }
 
-    /// Replaces the ranking policy.
+    /// Replaces the paper's age ranking with `rank` (paper §3.4): the rank
+    /// of an OSM at the beginning of each control step, smaller served
+    /// earlier, ties broken by [`crate::OsmId`].
     ///
-    /// A non-[`AgeRanker`] policy makes the director fall back to the
-    /// reference scheduler even under [`SchedulerMode::Fast`] — the fast
-    /// path's incremental ready list is only sound for age ranking.
-    pub fn set_ranker<R: Ranker<S>>(&mut self, ranker: R) {
-        self.age_ranking = std::any::TypeId::of::<R>() == std::any::TypeId::of::<AgeRanker>();
-        self.ranker = Box::new(ranker);
+    /// A custom ranker makes the director fall back to the reference
+    /// scheduler even under [`SchedulerMode::Fast`] — the fast path's
+    /// incremental ready list is only sound for age ranking.
+    pub fn set_ranker<F>(&mut self, rank: F)
+    where
+        F: Fn(&OsmView<'_>, &S) -> u64 + Send + 'static,
+    {
+        self.ranker = Some(Box::new(rank));
         self.scratch.invalidate_schedule();
     }
 
@@ -517,7 +531,7 @@ impl<S: 'static> Machine<S> {
         // The fast scheduler requires age ranking; the reference scheduler
         // runs only when asked for or under a custom ranker.
         let tracking = self.sinks.tracking();
-        let work = if self.sched_mode == SchedulerMode::Fast && self.age_ranking {
+        let work = if self.sched_mode == SchedulerMode::Fast && self.ranker.is_none() {
             // Adaptive proofs: after an unproductive skip window the fast
             // path walks its ready list proof-free for a while (see
             // `ADAPT_COOLDOWN` in director.rs). Identical cycle behavior
@@ -569,8 +583,7 @@ impl<S: 'static> Machine<S> {
             &self.specs,
             &mut self.managers,
             &mut self.shared,
-            self.ranker.as_ref(),
-            self.age_ranking,
+            self.ranker.as_deref(),
             self.restart,
             self.cycle,
             &mut self.age_counter,
@@ -953,7 +966,9 @@ impl<S: HardwareLayer + 'static> Machine<S> {
 
     /// Runs until `stop` returns true or `max_cycles` elapse; returns the
     /// number of cycles executed. Ends with the same debug-build leak audit
-    /// as [`Machine::run`].
+    /// as [`Machine::run`]. A run to an absolute cycle `c` passes
+    /// `c.saturating_sub(machine.cycle())` and, to stop at the program's
+    /// end, `|m| m.shared.halted()` ([`HardwareLayer::halted`]).
     ///
     /// # Errors
     /// Propagates the first [`ModelError`].

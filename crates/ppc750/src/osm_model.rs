@@ -31,10 +31,9 @@ use crate::rename::{RenameFile, ResultBus};
 use memsys::MemSystem;
 use minirisc::{decode, encode, Instr, InstrClass, Iss, Memory, Program, SparseMemory};
 use osm_core::{
-    Behavior, ByteReader, ByteWriter, CountingPool, Edge, ExclusivePool, FaultHandle,
-    FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable,
-    ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder, StateMachineSpec,
-    TokenIdent, TransitionCtx,
+    Behavior, ByteReader, ByteWriter, CountingPool, Edge, ExclusivePool, HardwareLayer, IdentExpr,
+    Machine, ManagerId, ManagerTable, ModelError, OsmId, OsmView, ResetManager, RestartPolicy,
+    SlotId, SpecBuilder, StateMachineSpec, TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -190,7 +189,8 @@ pub struct PpcShared {
     /// Mispredictions among them.
     pub mispredicts: u64,
     edge_kinds: Vec<EdgeKind>,
-    ids: PpcManagers,
+    /// Manager handles (fault-injection targets and inspection).
+    pub ids: PpcManagers,
     cfg: PpcConfig,
 }
 
@@ -203,6 +203,10 @@ impl HardwareLayer for PpcShared {
             pool.block_release(0, self.unit_timer[k] > 0);
             self.unit_timer[k] = self.unit_timer[k].saturating_sub(1);
         }
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
     }
 
     /// All mutable shared state. Static wiring (`edge_kinds`, manager
@@ -740,12 +744,13 @@ impl Behavior<PpcShared> for PpcOp {
     }
 }
 
-/// The OSM-based PowerPC-750 simulator.
+/// The OSM-based PowerPC-750 simulator, a model runner of the same shape
+/// as every OSM model's: build it, run it to halt, read the result.
+/// Stepping, checkpoints, fault injection and the stall watchdog are the
+/// [`Machine`]'s; the manager handles are `machine().shared.ids` and the
+/// Fig. 2 spec is `machine().specs()[0]`.
 pub struct PpcOsmSim {
     machine: Machine<PpcShared>,
-    /// Manager handles.
-    pub ids: PpcManagers,
-    spec: Arc<StateMachineSpec>,
 }
 
 impl std::fmt::Debug for PpcOsmSim {
@@ -760,6 +765,22 @@ impl std::fmt::Debug for PpcOsmSim {
 impl PpcOsmSim {
     /// Builds the model and loads `program`.
     pub fn new(cfg: PpcConfig, program: &Program) -> Self {
+        let mut managers = ManagerTable::new();
+        let ids = PpcManagers {
+            fq: managers.add(ExclusivePool::new("fetch-queue", cfg.fetch_queue)),
+            fbw: managers.add(CountingPool::per_cycle("fetch-bw", cfg.fetch_bw)),
+            dbw: managers.add(CountingPool::per_cycle("dispatch-bw", cfg.dispatch_bw)),
+            rbw: managers.add(CountingPool::per_cycle("retire-bw", cfg.retire_bw)),
+            cq: managers.add(ExclusivePool::new("completion-queue", cfg.completion_queue)),
+            gren: managers.add(CountingPool::new("gpr-rename", cfg.gpr_rename)),
+            fren: managers.add(CountingPool::new("fpr-rename", cfg.fpr_rename)),
+            rename: managers.add(RenameFile::new("rename-map", 64)),
+            bus: managers.add(ResultBus::new("result-bus")),
+            units: UNITS.map(|u| managers.add(ExclusivePool::new(format!("unit-{}", u.name()), 1))),
+            rs: UNITS.map(|u| managers.add(ExclusivePool::new(format!("rs-{}", u.name()), 1))),
+            reset: managers.add(ResetManager::new("reset")),
+        };
+        let spec = build_spec(&ids);
         let oracle = Iss::with_program(SparseMemory::new(), program);
         let next_fetch_pc = oracle.cpu.pc;
         let shared = PpcShared {
@@ -782,60 +803,28 @@ impl PpcOsmSim {
             squashed: 0,
             branches: 0,
             mispredicts: 0,
-            edge_kinds: Vec::new(),
-            ids: PpcManagers {
-                fq: ManagerId(u32::MAX),
-                fbw: ManagerId(u32::MAX),
-                dbw: ManagerId(u32::MAX),
-                rbw: ManagerId(u32::MAX),
-                cq: ManagerId(u32::MAX),
-                gren: ManagerId(u32::MAX),
-                fren: ManagerId(u32::MAX),
-                rename: ManagerId(u32::MAX),
-                bus: ManagerId(u32::MAX),
-                units: [ManagerId(u32::MAX); 6],
-                rs: [ManagerId(u32::MAX); 6],
-                reset: ManagerId(u32::MAX),
-            },
+            edge_kinds: classify_edges(&spec),
+            ids,
             cfg,
         };
         let mut machine = Machine::new(shared);
-        let ids = PpcManagers {
-            fq: machine.add_manager(ExclusivePool::new("fetch-queue", cfg.fetch_queue)),
-            fbw: machine.add_manager(CountingPool::per_cycle("fetch-bw", cfg.fetch_bw)),
-            dbw: machine.add_manager(CountingPool::per_cycle("dispatch-bw", cfg.dispatch_bw)),
-            rbw: machine.add_manager(CountingPool::per_cycle("retire-bw", cfg.retire_bw)),
-            cq: machine.add_manager(ExclusivePool::new("completion-queue", cfg.completion_queue)),
-            gren: machine.add_manager(CountingPool::new("gpr-rename", cfg.gpr_rename)),
-            fren: machine.add_manager(CountingPool::new("fpr-rename", cfg.fpr_rename)),
-            rename: machine.add_manager(RenameFile::new("rename-map", 64)),
-            bus: machine.add_manager(ResultBus::new("result-bus")),
-            units: UNITS.map(|u| {
-                machine.add_manager(ExclusivePool::new(format!("unit-{}", u.name()), 1))
-            }),
-            rs: UNITS.map(|u| {
-                machine.add_manager(ExclusivePool::new(format!("rs-{}", u.name()), 1))
-            }),
-            reset: machine.add_manager(ResetManager::new("reset")),
-        };
-        machine.shared.ids = ids;
-        let spec = build_spec(&ids);
-        machine.shared.edge_kinds = classify_edges(&spec);
+        machine.managers = managers;
         for _ in 0..cfg.osm_count.max(cfg.fetch_queue + cfg.completion_queue + 2) {
             machine.add_osm(&spec, PpcOp::default());
         }
         machine.set_restart_policy(RestartPolicy::NoRestart);
-        PpcOsmSim { machine, ids, spec }
+        PpcOsmSim { machine }
     }
 
-    /// The underlying machine (stats, the metrics and stall reports;
-    /// `osm_core::export` renders its event log).
+    /// The underlying machine (stepping, checkpoints, stats, the metrics
+    /// and stall reports; `osm_core::export` renders its event log).
     pub fn machine(&self) -> &Machine<PpcShared> {
         &self.machine
     }
 
-    /// Mutable access to the machine (scheduler mode, the observability
-    /// switches such as [`Machine::enable_observability`]).
+    /// Mutable access to the machine (scheduler mode, the stall watchdog,
+    /// fault injection through its `managers`, checkpoint restore, the
+    /// observability switches such as [`Machine::enable_observability`]).
     pub fn machine_mut(&mut self) -> &mut Machine<PpcShared> {
         &mut self.machine
     }
@@ -846,57 +835,14 @@ impl PpcOsmSim {
         self.machine
     }
 
-    /// Captures a full mid-run checkpoint (machine, managers, ISS,
-    /// memory system, predictor) as sealed bytes (see
-    /// [`osm_core::Machine::checkpoint`]). [`PpcOsmSim::restore`] replays
-    /// the continuation exactly, here or in a freshly built simulator of
-    /// the same construction.
+    /// Runs until halt or until the machine reaches cycle `max_cycles`.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager without checkpoint
-    /// support was installed.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
-        self.machine.checkpoint()
-    }
-
-    /// Rewinds the simulator to bytes written by [`PpcOsmSim::checkpoint`];
-    /// all-or-nothing.
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the bytes are damaged or were
-    /// taken from a differently configured simulator.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        self.machine.restore(bytes)
-    }
-
-    /// Installs a deterministic fault injector in front of manager
-    /// `target` (any of the handles in [`PpcOsmSim::ids`]) and returns the
-    /// operator handle for it.
-    pub fn inject_faults(&mut self, target: ManagerId, plan: FaultPlan) -> FaultHandle {
-        FaultInjector::install(&mut self.machine.managers, target, plan)
-    }
-
-    /// The Fig. 2 spec.
-    pub fn spec(&self) -> &Arc<StateMachineSpec> {
-        &self.spec
-    }
-
-    /// Runs until halt or `max_cycles`.
-    ///
-    /// # Errors
-    /// Propagates [`ModelError`] (deadlock).
+    /// Propagates [`ModelError`] (deadlock, a tripped stall watchdog).
     pub fn run_to_halt(&mut self, max_cycles: u64) -> Result<PpcResult, ModelError> {
-        while !self.machine.shared.halted && self.machine.cycle() < max_cycles {
-            self.machine.step()?;
-        }
+        let budget = max_cycles.saturating_sub(self.machine.cycle());
+        self.machine.run_until(budget, |m| m.shared.halted())?;
         Ok(self.result())
-    }
-
-    /// Arms the stall watchdog: if no OSM makes progress for `cycles`
-    /// consecutive cycles (see [`osm_core::Machine::set_stall_limit`]),
-    /// stepping fails with a diagnosed [`ModelError::Stalled`].
-    pub fn set_stall_limit(&mut self, cycles: Option<u64>) {
-        self.machine.set_stall_limit(cycles);
     }
 
     /// One-line scheduler state dump (for model-diff debugging).
@@ -1150,7 +1096,7 @@ mod tests {
     fn spec_is_figure2_shaped() {
         let p = assemble("halt\n", 0).unwrap();
         let sim = PpcOsmSim::new(PpcConfig::paper(), &p);
-        let spec = sim.spec();
+        let spec = &sim.machine().specs()[0];
         assert_eq!(spec.state_count(), 5);
         // fetch + 4 resets + 6 dispexec + 6 disprs + 6 issue + 6 comp + retire
         assert_eq!(spec.edge_count(), 30);
@@ -1166,12 +1112,10 @@ mod tests {
         // and verify the continuation is identical.
         let p = assemble(SUM_LOOP, 0x1000).unwrap();
         let mut sim = PpcOsmSim::new(PpcConfig::paper(), &p);
-        for _ in 0..25 {
-            sim.machine_mut().step().unwrap();
-        }
-        let ckpt = sim.checkpoint().unwrap();
+        sim.machine_mut().run(25).unwrap();
+        let ckpt = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(100_000).unwrap();
-        sim.restore(&ckpt).unwrap();
+        sim.machine_mut().restore(&ckpt).unwrap();
         assert_eq!(sim.machine().cycle(), 25);
         let replay = sim.run_to_halt(100_000).unwrap();
         assert_eq!(replay, reference);
@@ -1198,15 +1142,13 @@ mod tests {
         ";
         let p = assemble(src, 0x1000).unwrap();
         let mut sim = PpcOsmSim::new(PpcConfig::paper(), &p);
-        for _ in 0..60 {
-            sim.machine_mut().step().unwrap();
-        }
-        let bytes = sim.checkpoint().unwrap();
+        sim.machine_mut().run(60).unwrap();
+        let bytes = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(1_000_000).unwrap();
         drop(sim); // the original is gone — restore must work from bytes alone
 
         let mut fresh = PpcOsmSim::new(PpcConfig::paper(), &p);
-        fresh.restore(&bytes).unwrap();
+        fresh.machine_mut().restore(&bytes).unwrap();
         assert_eq!(fresh.machine().cycle(), 60);
         let replay = fresh.run_to_halt(1_000_000).unwrap();
         assert_eq!(replay, reference);
@@ -1216,7 +1158,7 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         let mut victim = PpcOsmSim::new(PpcConfig::paper(), &p);
-        assert!(victim.restore(&bad).is_err());
+        assert!(victim.machine_mut().restore(&bad).is_err());
 
         // A differently-configured machine refuses the bytes.
         let other_cfg = PpcConfig {
@@ -1224,7 +1166,7 @@ mod tests {
             ..PpcConfig::paper()
         };
         let mut other = PpcOsmSim::new(other_cfg, &p);
-        assert!(other.restore(&bytes).is_err());
+        assert!(other.machine_mut().restore(&bytes).is_err());
     }
 
     #[test]

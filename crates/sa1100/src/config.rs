@@ -76,6 +76,9 @@ pub struct SimResult {
     pub icache_misses: u64,
     /// Data-cache misses.
     pub dcache_misses: u64,
+    /// Why the ISS refused the instruction that stopped the run (an
+    /// unknown syscall), if it refused one.
+    pub error: Option<String>,
 }
 
 impl SimResult {
@@ -108,6 +111,7 @@ mod tests {
             output: Vec::new(),
             icache_misses: 0,
             dcache_misses: 0,
+            error: None,
         };
         assert_eq!(r.cpi(), 0.0);
         let r = SimResult { retired: 5, ..r };

@@ -21,9 +21,9 @@ use minirisc::{
     decode, encode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory,
 };
 use osm_core::{
-    Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector, FaultPlan,
-    HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, ModelError, OsmView, ResetManager,
-    RestartPolicy, SlotId, SpecBuilder, StateMachineSpec, TokenIdent, TransitionCtx,
+    Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, HardwareLayer, IdentExpr, Machine,
+    ManagerId, ManagerTable, ModelError, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder,
+    StateMachineSpec, TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -57,19 +57,51 @@ pub struct SaManagers {
     pub reset: ManagerId,
 }
 
-impl Default for SaManagers {
-    fn default() -> Self {
-        let nil = ManagerId(u32::MAX);
+impl SaManagers {
+    /// Installs the model's managers in `managers`: the five stage pools,
+    /// a register file with forwarding network over `regs` registers, the
+    /// multiplier and the reset manager.
+    pub(crate) fn install(managers: &mut ManagerTable, regs: usize, forwarding: bool) -> Self {
         SaManagers {
-            mf: nil,
-            md: nil,
-            me: nil,
-            mb: nil,
-            mw: nil,
-            rff: nil,
-            mult: nil,
-            reset: nil,
+            mf: managers.add(ExclusivePool::new("fetch", 1)),
+            md: managers.add(ExclusivePool::new("decode", 1)),
+            me: managers.add(ExclusivePool::new("execute", 1)),
+            mb: managers.add(ExclusivePool::new("buffer", 1)),
+            mw: managers.add(ExclusivePool::new("writeback", 1)),
+            rff: managers.add(RegForwardFile::new("regfile+fwd", regs, forwarding)),
+            mult: managers.add(ExclusivePool::new("multiplier", 1)),
+            reset: managers.add(ResetManager::new("reset")),
         }
+    }
+}
+
+/// Variable latency (paper §4): while a timer runs, its stage (or the
+/// multiplier) refuses to release its token.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageTimers {
+    /// Instruction-fetch miss penalty, held by the fetch stage.
+    pub(crate) fetch: u32,
+    /// Data-access miss penalty, held by the buffer stage.
+    pub(crate) bstage: u32,
+    /// Extra multiply/divide cycles, held by the multiplier.
+    pub(crate) mult: u32,
+}
+
+impl StageTimers {
+    /// The hardware-layer clock: applies each timer to its pool, then
+    /// counts it down.
+    pub(crate) fn clock(&mut self, ids: &SaManagers, managers: &mut ManagerTable) {
+        let pool: &mut ExclusivePool = managers.downcast_mut(ids.mf);
+        pool.block_release(0, self.fetch > 0);
+        self.fetch = self.fetch.saturating_sub(1);
+
+        let pool: &mut ExclusivePool = managers.downcast_mut(ids.mb);
+        pool.block_release(0, self.bstage > 0);
+        self.bstage = self.bstage.saturating_sub(1);
+
+        let pool: &mut ExclusivePool = managers.downcast_mut(ids.mult);
+        pool.block_release(0, self.mult > 0);
+        self.mult = self.mult.saturating_sub(1);
     }
 }
 
@@ -117,16 +149,15 @@ pub struct SaShared {
     pub retired: u64,
     /// Squashed wrong-path operations.
     pub squashed: u64,
-    fetch_timer: u32,
-    bstage_timer: u32,
-    mult_timer: u32,
+    timers: StageTimers,
     edge_kinds: Vec<SaEdgeKind>,
-    ids: SaManagers,
+    /// Manager handles (fault-injection targets and inspection).
+    pub ids: SaManagers,
     cfg: SaConfig,
 }
 
 impl SaShared {
-    fn new(cfg: SaConfig, program: &Program) -> Self {
+    fn new(cfg: SaConfig, program: &Program, ids: SaManagers, edge_kinds: Vec<SaEdgeKind>) -> Self {
         let mut mem = SparseMemory::new();
         program.load_into(&mut mem);
         SaShared {
@@ -142,11 +173,9 @@ impl SaShared {
             young: Vec::new(),
             retired: 0,
             squashed: 0,
-            fetch_timer: 0,
-            bstage_timer: 0,
-            mult_timer: 0,
-            edge_kinds: Vec::new(),
-            ids: SaManagers::default(),
+            timers: StageTimers::default(),
+            edge_kinds,
+            ids,
             cfg,
         }
     }
@@ -161,19 +190,11 @@ impl SaShared {
 
 impl HardwareLayer for SaShared {
     fn clock(&mut self, _cycle: u64, managers: &mut ManagerTable) {
-        // Variable latency: while a timer runs, the corresponding stage (or
-        // multiplier) refuses to release its token (paper §4).
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mf);
-        pool.block_release(0, self.fetch_timer > 0);
-        self.fetch_timer = self.fetch_timer.saturating_sub(1);
+        self.timers.clock(&self.ids, managers);
+    }
 
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mb);
-        pool.block_release(0, self.bstage_timer > 0);
-        self.bstage_timer = self.bstage_timer.saturating_sub(1);
-
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mult);
-        pool.block_release(0, self.mult_timer > 0);
-        self.mult_timer = self.mult_timer.saturating_sub(1);
+    fn halted(&self) -> bool {
+        self.halted
     }
 
     /// All mutable hardware-layer state: CPU, memories, fetch redirection,
@@ -199,9 +220,9 @@ impl HardwareLayer for SaShared {
         w.put_seq(&self.young, |w, osm| w.put_u32(osm.0));
         w.put_u64(self.retired);
         w.put_u64(self.squashed);
-        w.put_u32(self.fetch_timer);
-        w.put_u32(self.bstage_timer);
-        w.put_u32(self.mult_timer);
+        w.put_u32(self.timers.fetch);
+        w.put_u32(self.timers.bstage);
+        w.put_u32(self.timers.mult);
         Some(w.into_bytes())
     }
 
@@ -228,9 +249,9 @@ impl HardwareLayer for SaShared {
             s.young = r.take_vec(|r| r.take_u32().map(osm_core::OsmId))?;
             s.retired = r.take_u64()?;
             s.squashed = r.take_u64()?;
-            s.fetch_timer = r.take_u32()?;
-            s.bstage_timer = r.take_u32()?;
-            s.mult_timer = r.take_u32()?;
+            s.timers.fetch = r.take_u32()?;
+            s.timers.bstage = r.take_u32()?;
+            s.timers.mult = r.take_u32()?;
             Some(())
         });
         if parsed.is_some() {
@@ -374,7 +395,7 @@ impl Behavior<SaShared> for SaOp {
                 self.mem_addr = None;
                 ctx.shared.young.push(ctx.osm);
                 let penalty = ctx.shared.memsys.fetch_penalty(self.pc);
-                ctx.shared.fetch_timer = penalty;
+                ctx.shared.timers.fetch = penalty;
             }
             SaEdgeKind::Decode => {
                 let word = ctx.shared.mem.read_u32(self.pc);
@@ -436,8 +457,8 @@ impl Behavior<SaShared> for SaOp {
                     s.squash_young(ctx.managers);
                 }
                 match self.instr.class() {
-                    InstrClass::IntMul => ctx.shared.mult_timer = ctx.shared.cfg.mul_extra,
-                    InstrClass::IntDiv => ctx.shared.mult_timer = ctx.shared.cfg.div_extra,
+                    InstrClass::IntMul => ctx.shared.timers.mult = ctx.shared.cfg.mul_extra,
+                    InstrClass::IntDiv => ctx.shared.timers.mult = ctx.shared.cfg.div_extra,
                     _ => {}
                 }
                 // Non-load results are forwardable as soon as E computes them.
@@ -451,7 +472,7 @@ impl Behavior<SaShared> for SaOp {
             SaEdgeKind::Mem => {
                 if let Some(addr) = self.mem_addr.take() {
                     let penalty = ctx.shared.memsys.data_penalty(addr);
-                    ctx.shared.bstage_timer = penalty;
+                    ctx.shared.timers.bstage = penalty;
                 }
             }
             SaEdgeKind::Wb => {
@@ -476,7 +497,7 @@ impl Behavior<SaShared> for SaOp {
                 ctx.shared.squashed += 1;
                 if kind == SaEdgeKind::ResetF {
                     // Abandon the in-flight instruction fetch.
-                    ctx.shared.fetch_timer = 0;
+                    ctx.shared.timers.fetch = 0;
                     let pool: &mut ExclusivePool = ctx.managers.downcast_mut(ctx.shared.ids.mf);
                     pool.block_release(0, false);
                 }
@@ -488,11 +509,15 @@ impl Behavior<SaShared> for SaOp {
 }
 
 /// The OSM-based StrongARM simulator.
+///
+/// A model runner of the same shape as every other simulator in the
+/// workspace: build it with [`SaOsmSim::new`], run it with
+/// [`SaOsmSim::run_to_halt`], read [`SaOsmSim::result`]. Everything else —
+/// stepping, checkpoints, fault injection, the stall watchdog, the
+/// observability switches — is the [`Machine`]'s; the manager handles are
+/// `machine().shared.ids` and the Fig. 6 spec is `machine().specs()[0]`.
 pub struct SaOsmSim {
     machine: Machine<SaShared>,
-    /// Manager handles (exposed for inspection in tests and examples).
-    pub ids: SaManagers,
-    spec: Arc<StateMachineSpec>,
 }
 
 impl std::fmt::Debug for SaOsmSim {
@@ -507,39 +532,30 @@ impl std::fmt::Debug for SaOsmSim {
 impl SaOsmSim {
     /// Builds the model and loads `program`.
     pub fn new(cfg: SaConfig, program: &Program) -> Self {
-        let shared = SaShared::new(cfg, program);
-        let mut machine = Machine::new(shared);
-        let ids = SaManagers {
-            mf: machine.add_manager(ExclusivePool::new("fetch", 1)),
-            md: machine.add_manager(ExclusivePool::new("decode", 1)),
-            me: machine.add_manager(ExclusivePool::new("execute", 1)),
-            mb: machine.add_manager(ExclusivePool::new("buffer", 1)),
-            mw: machine.add_manager(ExclusivePool::new("writeback", 1)),
-            rff: machine.add_manager(RegForwardFile::new("regfile+fwd", 64, cfg.forwarding)),
-            mult: machine.add_manager(ExclusivePool::new("multiplier", 1)),
-            reset: machine.add_manager(ResetManager::new("reset")),
-        };
-        machine.shared.ids = ids;
+        let mut managers = ManagerTable::new();
+        let ids = SaManagers::install(&mut managers, 64, cfg.forwarding);
         let spec = build_spec(ids);
-        machine.shared.edge_kinds = classify_edges(&spec);
+        let mut machine = Machine::new(SaShared::new(cfg, program, ids, classify_edges(&spec)));
+        machine.managers = managers;
         for _ in 0..cfg.osm_count.max(6) {
             machine.add_osm(&spec, SaOp::default());
         }
         // The paper's case studies rank by age and skip the outer-loop
         // restart (§5): with seniors served first it changes nothing.
         machine.set_restart_policy(RestartPolicy::NoRestart);
-        SaOsmSim { machine, ids, spec }
+        SaOsmSim { machine }
     }
 
-    /// The underlying machine (for tracing, stats, manager inspection, and
-    /// the metrics and stall reports; `osm_core::export` renders its event
-    /// log).
+    /// The underlying machine (stepping, checkpoints, stats, manager
+    /// inspection, the metrics and stall reports; `osm_core::export`
+    /// renders its event log).
     pub fn machine(&self) -> &Machine<SaShared> {
         &self.machine
     }
 
-    /// Mutable access to the underlying machine (scheduler mode, the
-    /// observability switches such as
+    /// Mutable access to the underlying machine (scheduler mode, the stall
+    /// watchdog, fault injection through its `managers`, checkpoint
+    /// restore, the observability switches such as
     /// [`Machine::enable_observability`]).
     pub fn machine_mut(&mut self) -> &mut Machine<SaShared> {
         &mut self.machine
@@ -551,67 +567,18 @@ impl SaOsmSim {
         self.machine
     }
 
-    /// The operation state machine spec (Fig. 6).
-    pub fn spec(&self) -> &Arc<StateMachineSpec> {
-        &self.spec
-    }
-
-    /// Advances one cycle.
+    /// Runs until the program halts or the machine reaches cycle
+    /// `max_cycles` (an absolute cycle, so a restored machine keeps its
+    /// budget).
     ///
     /// # Errors
-    /// Propagates [`ModelError`] (deadlock).
-    pub fn step(&mut self) -> Result<(), ModelError> {
-        self.machine.step().map(|_| ())
-    }
-
-    /// Runs until the program halts or `max_cycles` elapse.
-    ///
-    /// # Errors
-    /// Returns [`ModelError`] on deadlock; reaching `max_cycles` is reported
-    /// through the result's `cycles == max_cycles` with `halted` false in
-    /// the shared state.
+    /// Returns [`ModelError`] on deadlock or a tripped stall watchdog;
+    /// reaching `max_cycles` is reported through the result's
+    /// `cycles == max_cycles` with `halted` false in the shared state.
     pub fn run_to_halt(&mut self, max_cycles: u64) -> Result<SimResult, ModelError> {
-        while !self.machine.shared.halted && self.machine.cycle() < max_cycles {
-            self.machine.step()?;
-        }
+        let budget = max_cycles.saturating_sub(self.machine.cycle());
+        self.machine.run_until(budget, |m| m.shared.halted())?;
         Ok(self.result())
-    }
-
-    /// Captures a full checkpoint of the simulator (OSM states, token
-    /// managers, CPU/memory state, timers) as sealed bytes (see
-    /// [`osm_core::Machine::checkpoint`]). Restoring them with
-    /// [`SaOsmSim::restore`], here or in a freshly built simulator of the
-    /// same construction, replays the continuation cycle-for-cycle.
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager without checkpoint
-    /// support was installed.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
-        self.machine.checkpoint()
-    }
-
-    /// Rewinds the simulator to bytes written by [`SaOsmSim::checkpoint`];
-    /// all-or-nothing.
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the bytes are damaged or were
-    /// taken from a differently configured simulator.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        self.machine.restore(bytes)
-    }
-
-    /// Installs a deterministic fault injector in front of manager
-    /// `target` (any of the handles in [`SaOsmSim::ids`]) and returns the
-    /// operator handle for it.
-    pub fn inject_faults(&mut self, target: ManagerId, plan: FaultPlan) -> FaultHandle {
-        FaultInjector::install(&mut self.machine.managers, target, plan)
-    }
-
-    /// Arms the stall watchdog: if no OSM makes progress for `cycles`
-    /// consecutive cycles (see [`osm_core::Machine::set_stall_limit`]),
-    /// stepping fails with a diagnosed [`ModelError::Stalled`].
-    pub fn set_stall_limit(&mut self, cycles: Option<u64>) {
-        self.machine.set_stall_limit(cycles);
     }
 
     /// Snapshot of the current result counters.
@@ -625,6 +592,7 @@ impl SaOsmSim {
             output: s.output.clone(),
             icache_misses: s.memsys.icache.stats.misses,
             dcache_misses: s.memsys.dcache.stats.misses,
+            error: s.error.clone(),
         }
     }
 }
@@ -633,6 +601,7 @@ impl SaOsmSim {
 mod tests {
     use super::*;
     use minirisc::assemble;
+    use osm_core::{FaultInjector, FaultPlan};
 
     fn run(src: &str, cfg: SaConfig) -> (SimResult, SaOsmSim) {
         let p = assemble(src, 0x1000).expect("assembles");
@@ -852,7 +821,9 @@ mod tests {
 
     #[test]
     fn spec_matches_figure6_shape() {
-        let spec = build_spec(SaManagers::default());
+        let p = assemble("halt\n", 0).unwrap();
+        let sim = SaOsmSim::new(SaConfig::paper(), &p);
+        let spec = &sim.machine().specs()[0];
         assert_eq!(spec.state_count(), 6);
         // 6 normal flow edges + 2 reset edges.
         assert_eq!(spec.edge_count(), 8);
@@ -868,14 +839,12 @@ mod tests {
         let mut sim = SaOsmSim::new(SaConfig::paper(), &p);
         // Run into the middle of the loop, checkpoint with operations in
         // flight in every stage, then finish.
-        for _ in 0..12 {
-            sim.step().unwrap();
-        }
-        let ckpt = sim.checkpoint().unwrap();
+        sim.machine_mut().run(12).unwrap();
+        let ckpt = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(100_000).unwrap();
         assert_eq!(reference.exit_code, 55);
         // Rewind and re-run: bit-identical result, including timing.
-        sim.restore(&ckpt).unwrap();
+        sim.machine_mut().restore(&ckpt).unwrap();
         assert_eq!(sim.machine().cycle(), 12);
         assert!(!sim.machine().shared.halted);
         let replay = sim.run_to_halt(100_000).unwrap();
@@ -891,14 +860,14 @@ mod tests {
         let mut sim = SaOsmSim::new(SaConfig::paper(), &p);
         // Must exceed the worst-case natural stall (cold TLB walk + cache
         // miss + bus is ~60 cycles in the paper configuration).
-        sim.set_stall_limit(Some(200));
+        let machine = sim.machine_mut();
+        machine.set_stall_limit(Some(200));
         // Permanently deny the buffer stage (the D-cache port) from cycle 5:
         // the pipeline wedges and the watchdog must catch it.
-        let handle = sim.inject_faults(
-            sim.ids.mb,
-            FaultPlan::new(0xBAD_5EED).blackhole(5, u64::MAX),
-        );
-        let ckpt = sim.checkpoint().unwrap(); // last known-good state
+        let buffer = machine.shared.ids.mb;
+        let plan = FaultPlan::new(0xBAD_5EED).blackhole(5, u64::MAX);
+        let handle = FaultInjector::install(&mut machine.managers, buffer, plan);
+        let ckpt = machine.checkpoint().unwrap(); // last known-good state
         let err = sim.run_to_halt(100_000).unwrap_err();
         let ModelError::Stalled(report) = err else {
             panic!("expected stall, got other error");
@@ -911,7 +880,7 @@ mod tests {
         // Operator repairs the fault and rewinds to the checkpoint.
         handle.disable();
         assert!(handle.stats().total() > 0);
-        sim.restore(&ckpt).unwrap();
+        sim.machine_mut().restore(&ckpt).unwrap();
         let recovered = sim.run_to_halt(100_000).unwrap();
         assert_eq!(recovered.exit_code, reference.exit_code);
         assert_eq!(recovered.retired, reference.retired);
@@ -922,15 +891,13 @@ mod tests {
     fn checkpoint_restores_into_fresh_sim_replays_exactly() {
         let p = assemble(SUM_LOOP, 0x1000).unwrap();
         let mut sim = SaOsmSim::new(SaConfig::paper(), &p);
-        for _ in 0..12 {
-            sim.step().unwrap();
-        }
-        let bytes = sim.checkpoint().unwrap();
+        sim.machine_mut().run(12).unwrap();
+        let bytes = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(100_000).unwrap();
         drop(sim); // the original is gone — restore must work from bytes alone
 
         let mut fresh = SaOsmSim::new(SaConfig::paper(), &p);
-        fresh.restore(&bytes).unwrap();
+        fresh.machine_mut().restore(&bytes).unwrap();
         assert_eq!(fresh.machine().cycle(), 12);
         let replay = fresh.run_to_halt(100_000).unwrap();
         assert_eq!(replay, reference);
@@ -940,7 +907,7 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         let mut victim = SaOsmSim::new(SaConfig::paper(), &p);
-        assert!(victim.restore(&bad).is_err());
+        assert!(victim.machine_mut().restore(&bad).is_err());
         // A differently-configured machine refuses the checkpoint.
         let mut other = SaOsmSim::new(
             SaConfig {
@@ -949,7 +916,32 @@ mod tests {
             },
             &p,
         );
-        assert!(other.restore(&bytes).is_err());
+        assert!(other.machine_mut().restore(&bytes).is_err());
+    }
+
+    #[test]
+    fn restored_run_stops_at_the_absolute_cycle_budget() {
+        // `run_to_halt` takes an absolute cycle while `Machine::run_until`
+        // counts cycles from where the machine stands: a run resumed from a
+        // checkpoint cut at `cut` must still stop at cycle `stop`.
+        let p = assemble(SUM_LOOP, 0x1000).unwrap();
+        let (cut, stop) = (12, 30);
+        let mut sim = SaOsmSim::new(SaConfig::paper(), &p);
+        sim.machine_mut().run(cut).unwrap();
+        let bytes = sim.machine().checkpoint().unwrap();
+
+        let mut restored = SaOsmSim::new(SaConfig::paper(), &p);
+        restored.machine_mut().restore(&bytes).unwrap();
+        let resumed = restored.run_to_halt(stop).unwrap();
+        assert!(
+            !restored.machine().shared.halted,
+            "the budget ends short of the halt"
+        );
+        assert_eq!(resumed.cycles, stop);
+        let fresh = SaOsmSim::new(SaConfig::paper(), &p)
+            .run_to_halt(stop)
+            .unwrap();
+        assert_eq!(resumed, fresh);
     }
 
     #[test]

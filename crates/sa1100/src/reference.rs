@@ -293,6 +293,7 @@ impl RefSim {
             output: self.output.clone(),
             icache_misses: self.memsys.icache.stats.misses,
             dcache_misses: self.memsys.dcache.stats.misses,
+            error: self.error.clone(),
         }
     }
 }

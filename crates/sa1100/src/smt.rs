@@ -18,13 +18,13 @@
 use crate::config::SaConfig;
 use crate::forward::RegForwardFile;
 use crate::osm_model::{
-    build_spec, classify_edges, SaEdgeKind, SaManagers, S_DEST, S_MULT, S_SRC1, S_SRC2,
+    build_spec, classify_edges, SaEdgeKind, SaManagers, StageTimers, S_DEST, S_MULT, S_SRC1, S_SRC2,
 };
 use memsys::MemSystem;
 use minirisc::{decode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory};
 use osm_core::{
-    Behavior, Edge, ExclusivePool, FnRanker, HardwareLayer, Machine, ManagerTable, ModelError,
-    OsmId, OsmView, ResetManager, RestartPolicy, TokenIdent, TransitionCtx, IDLE_AGE,
+    Behavior, Edge, ExclusivePool, HardwareLayer, Machine, ManagerTable, ModelError, OsmId,
+    OsmView, ResetManager, RestartPolicy, TokenIdent, TransitionCtx, IDLE_AGE,
 };
 
 /// Per-thread architectural and front-end state.
@@ -80,9 +80,7 @@ pub struct SmtShared {
     pub memsys: MemSystem,
     /// Thread preferred by this cycle's fetch arbitration.
     pub preferred: u64,
-    fetch_timer: u32,
-    bstage_timer: u32,
-    mult_timer: u32,
+    timers: StageTimers,
     edge_kinds: Vec<SaEdgeKind>,
     ids: SaManagers,
     cfg: SaConfig,
@@ -91,15 +89,12 @@ pub struct SmtShared {
 impl HardwareLayer for SmtShared {
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {
         self.preferred = cycle % 2;
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mf);
-        pool.block_release(0, self.fetch_timer > 0);
-        self.fetch_timer = self.fetch_timer.saturating_sub(1);
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mb);
-        pool.block_release(0, self.bstage_timer > 0);
-        self.bstage_timer = self.bstage_timer.saturating_sub(1);
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mult);
-        pool.block_release(0, self.mult_timer > 0);
-        self.mult_timer = self.mult_timer.saturating_sub(1);
+        self.timers.clock(&self.ids, managers);
+    }
+
+    /// Halted once both threads are.
+    fn halted(&self) -> bool {
+        self.threads.iter().all(|t| t.halted)
     }
 }
 
@@ -133,7 +128,7 @@ impl Behavior<SmtShared> for SmtOp {
                 self.mem_addr = None;
                 thread.young.push(ctx.osm);
                 let penalty = ctx.shared.memsys.fetch_penalty(self.pc);
-                ctx.shared.fetch_timer = penalty;
+                ctx.shared.timers.fetch = penalty;
             }
             SaEdgeKind::Decode => {
                 let word = ctx.shared.mem.read_u32(self.pc);
@@ -198,8 +193,8 @@ impl Behavior<SmtShared> for SmtOp {
                     }
                 }
                 match self.instr.class() {
-                    InstrClass::IntMul => ctx.shared.mult_timer = ctx.shared.cfg.mul_extra,
-                    InstrClass::IntDiv => ctx.shared.mult_timer = ctx.shared.cfg.div_extra,
+                    InstrClass::IntMul => ctx.shared.timers.mult = ctx.shared.cfg.mul_extra,
+                    InstrClass::IntDiv => ctx.shared.timers.mult = ctx.shared.cfg.div_extra,
                     _ => {}
                 }
                 if self.instr.class() != InstrClass::Load {
@@ -212,7 +207,7 @@ impl Behavior<SmtShared> for SmtOp {
             }
             SaEdgeKind::Mem => {
                 if let Some(addr) = self.mem_addr.take() {
-                    ctx.shared.bstage_timer = ctx.shared.memsys.data_penalty(addr);
+                    ctx.shared.timers.bstage = ctx.shared.memsys.data_penalty(addr);
                 }
             }
             SaEdgeKind::Wb => {
@@ -237,7 +232,7 @@ impl Behavior<SmtShared> for SmtOp {
                 thread.young.retain(|o| *o != osm);
                 thread.squashed += 1;
                 if kind == SaEdgeKind::ResetF {
-                    ctx.shared.fetch_timer = 0;
+                    ctx.shared.timers.fetch = 0;
                     let pool: &mut ExclusivePool = ctx.managers.downcast_mut(ctx.shared.ids.mf);
                     pool.block_release(0, false);
                 }
@@ -273,7 +268,9 @@ pub struct SmtResult {
     pub threads: [SmtThreadResult; 2],
 }
 
-/// The two-thread SMT StrongARM simulator.
+/// The two-thread SMT StrongARM simulator, a model runner of the same
+/// shape as [`crate::SaOsmSim`]: everything beyond building, running and
+/// the result is the [`Machine`]'s.
 pub struct SmtSim {
     machine: Machine<SmtShared>,
 }
@@ -294,36 +291,22 @@ impl SmtSim {
         let mut mem = SparseMemory::new();
         programs[0].load_into(&mut mem);
         programs[1].load_into(&mut mem);
+        let mut managers = ManagerTable::new();
+        // 128 registers: thread tag selects the upper half (§6).
+        let ids = SaManagers::install(&mut managers, 128, cfg.forwarding);
+        let spec = build_spec(ids);
         let shared = SmtShared {
-            threads: [
-                ThreadState::new(programs[0].entry),
-                ThreadState::new(programs[1].entry),
-            ],
+            threads: programs.map(|p| ThreadState::new(p.entry)),
             mem,
             memsys: MemSystem::new(cfg.mem),
             preferred: 0,
-            fetch_timer: 0,
-            bstage_timer: 0,
-            mult_timer: 0,
-            edge_kinds: Vec::new(),
-            ids: SaManagers::default(),
+            timers: StageTimers::default(),
+            edge_kinds: classify_edges(&spec),
+            ids,
             cfg,
         };
         let mut machine = Machine::new(shared);
-        let ids = SaManagers {
-            mf: machine.add_manager(ExclusivePool::new("fetch", 1)),
-            md: machine.add_manager(ExclusivePool::new("decode", 1)),
-            me: machine.add_manager(ExclusivePool::new("execute", 1)),
-            mb: machine.add_manager(ExclusivePool::new("buffer", 1)),
-            mw: machine.add_manager(ExclusivePool::new("writeback", 1)),
-            // 128 registers: thread tag selects the upper half (§6).
-            rff: machine.add_manager(RegForwardFile::new("regfile+fwd", 128, cfg.forwarding)),
-            mult: machine.add_manager(ExclusivePool::new("multiplier", 1)),
-            reset: machine.add_manager(ResetManager::new("reset")),
-        };
-        machine.shared.ids = ids;
-        let spec = build_spec(ids);
-        machine.shared.edge_kinds = classify_edges(&spec);
+        machine.managers = managers;
         for tag in 0..2u64 {
             for _ in 0..cfg.osm_count.max(6) / 2 + 1 {
                 machine.add_osm_tagged(&spec, SmtOp::default(), tag);
@@ -331,17 +314,15 @@ impl SmtSim {
         }
         // Tag-aware ranking: in-flight ops by age; among idle OSMs the
         // preferred thread of the cycle fetches first (round-robin).
-        machine.set_ranker(FnRanker(Box::new(
-            |view: &OsmView<'_>, shared: &SmtShared| {
-                if view.age != IDLE_AGE {
-                    view.age
-                } else if view.tag == shared.preferred {
-                    IDLE_AGE - 1
-                } else {
-                    IDLE_AGE
-                }
-            },
-        )));
+        machine.set_ranker(|view: &OsmView<'_>, shared: &SmtShared| {
+            if view.age != IDLE_AGE {
+                view.age
+            } else if view.tag == shared.preferred {
+                IDLE_AGE - 1
+            } else {
+                IDLE_AGE
+            }
+        });
         machine.set_restart_policy(RestartPolicy::NoRestart);
         SmtSim { machine }
     }
@@ -357,21 +338,33 @@ impl SmtSim {
         &mut self.machine
     }
 
-    /// Runs until both threads halt or `max_cycles` pass.
+    /// Unwraps the underlying machine.
+    pub fn into_machine(self) -> Machine<SmtShared> {
+        self.machine
+    }
+
+    /// Runs until both threads halt or the machine reaches cycle
+    /// `max_cycles`.
     ///
     /// # Errors
     /// Propagates [`ModelError`] (deadlock).
     pub fn run_to_halt(&mut self, max_cycles: u64) -> Result<SmtResult, ModelError> {
-        while !(self.machine.shared.threads[0].halted && self.machine.shared.threads[1].halted)
-            && self.machine.cycle() < max_cycles
-        {
-            self.machine.step()?;
-        }
-        let t = &self.machine.shared.threads;
-        Ok(SmtResult {
+        let budget = max_cycles.saturating_sub(self.machine.cycle());
+        self.machine.run_until(budget, |m| m.shared.halted())?;
+        Ok(self.result())
+    }
+
+    /// Snapshot of the current result counters.
+    pub fn result(&self) -> SmtResult {
+        SmtResult {
             cycles: self.machine.cycle(),
-            threads: [t[0].result(), t[1].result()],
-        })
+            threads: self
+                .machine
+                .shared
+                .threads
+                .each_ref()
+                .map(ThreadState::result),
+        }
     }
 }
 

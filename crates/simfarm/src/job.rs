@@ -764,7 +764,8 @@ trait Simulator: Sized {
 
 /// What the farm needs to know about one OSM model beyond its [`Machine`],
 /// keyed by the model's shared hardware state (which also carries the
-/// state's checkpoint codec, [`HardwareLayer::encode_state`]).
+/// state's checkpoint codec, [`HardwareLayer::encode_state`], and its
+/// halting predicate, [`HardwareLayer::halted`]).
 trait OsmModel: HardwareLayer + Sized + 'static {
     /// See [`Simulator::LIVE_PROGRESS`].
     const LIVE_PROGRESS: bool = false;
@@ -773,11 +774,6 @@ trait OsmModel: HardwareLayer + Sized + 'static {
     /// fetch-side manager a fault plan is installed in front of (`None`
     /// when the machine has no managers).
     fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String>;
-
-    /// True once the program has halted.
-    fn halted(&self) -> bool {
-        false
-    }
 
     /// Instructions retired and the program's exit code so far.
     fn progress(machine: &Machine<Self>) -> (u64, u32);
@@ -842,13 +838,9 @@ impl<S: OsmModel> Simulator for Machine<S> {
 impl OsmModel for SaShared {
     fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String> {
         let program = job.workload.resolve(job.seed)?.program();
-        let sim = SaOsmSim::new(SaConfig::paper(), &program);
-        let fetch = sim.ids.mf;
-        Ok((sim.into_machine(), Some(fetch)))
-    }
-
-    fn halted(&self) -> bool {
-        self.halted
+        let machine = SaOsmSim::new(SaConfig::paper(), &program).into_machine();
+        let fetch = machine.shared.ids.mf;
+        Ok((machine, Some(fetch)))
     }
 
     fn progress(machine: &Machine<Self>) -> (u64, u32) {
@@ -859,13 +851,9 @@ impl OsmModel for SaShared {
 impl OsmModel for PpcShared {
     fn build(job: &SimJob) -> Result<(Machine<Self>, Option<ManagerId>), String> {
         let program = job.workload.resolve(job.seed)?.program();
-        let sim = PpcOsmSim::new(PpcConfig::paper(), &program);
-        let fetch_queue = sim.ids.fq;
-        Ok((sim.into_machine(), Some(fetch_queue)))
-    }
-
-    fn halted(&self) -> bool {
-        self.halted
+        let machine = PpcOsmSim::new(PpcConfig::paper(), &program).into_machine();
+        let fetch_queue = machine.shared.ids.fq;
+        Ok((machine, Some(fetch_queue)))
     }
 
     fn progress(machine: &Machine<Self>) -> (u64, u32) {
@@ -883,16 +871,10 @@ impl OsmModel for VliwShared {
                 job.workload.spelling()
             ));
         };
-        let sim = VliwSim::new(
-            VliwConfig::default(),
-            &schedule(&ilp_loop(iters, body), vec![]),
-        );
-        let fetch = sim.ids().mf;
-        Ok((sim.into_machine(), Some(fetch)))
-    }
-
-    fn halted(&self) -> bool {
-        self.halted
+        let program = schedule(&ilp_loop(iters, body), vec![]);
+        let machine = VliwSim::new(VliwConfig::default(), &program).into_machine();
+        let fetch = machine.shared.ids.mf;
+        Ok((machine, Some(fetch)))
     }
 
     fn progress(machine: &Machine<Self>) -> (u64, u32) {

@@ -164,12 +164,14 @@ fn rejected_machine_checkpoint_runs_the_job_from_the_start() {
             ..SaConfig::paper()
         },
         &program,
-    );
+    )
+    .into_machine();
     for _ in 0..700 {
         foreign.step().expect("foreign run steps");
     }
     let machine = foreign.checkpoint().expect("foreign checkpoint");
     let rejected = SaOsmSim::new(SaConfig::paper(), &program)
+        .into_machine()
         .restore(&machine)
         .expect_err("the job's machine must reject these bytes");
     assert!(rejected.to_string().contains("regfile+fwd"), "{rejected}");

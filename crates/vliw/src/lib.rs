@@ -175,12 +175,12 @@ mod tests {
         for _ in 0..30 {
             sim.machine_mut().step().unwrap();
         }
-        let bytes = sim.checkpoint().unwrap();
+        let bytes = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(1_000_000).unwrap();
         drop(sim);
 
         let mut fresh = VliwSim::new(VliwConfig::default(), &program);
-        fresh.restore(&bytes).unwrap();
+        fresh.machine_mut().restore(&bytes).unwrap();
         assert_eq!(fresh.machine().cycle(), 30);
         let replay = fresh.run_to_halt(1_000_000).unwrap();
         assert_eq!(replay, reference);
@@ -190,7 +190,7 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
         let mut victim = VliwSim::new(VliwConfig::default(), &program);
-        assert!(victim.restore(&bad).is_err());
+        assert!(victim.machine_mut().restore(&bad).is_err());
     }
 
     #[test]
@@ -200,9 +200,9 @@ mod tests {
         for _ in 0..10 {
             sim.machine_mut().step().unwrap();
         }
-        let ckpt = sim.checkpoint().unwrap();
+        let ckpt = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(1_000_000).unwrap();
-        sim.restore(&ckpt).unwrap();
+        sim.machine_mut().restore(&ckpt).unwrap();
         assert_eq!(sim.machine().cycle(), 10);
         let replay = sim.run_to_halt(1_000_000).unwrap();
         assert_eq!(replay, reference);
@@ -248,19 +248,24 @@ mod tests {
         for _ in 0..30 {
             sim.machine_mut().step().unwrap();
         }
-        let good = sim.checkpoint().unwrap();
+        let good = sim.machine().checkpoint().unwrap();
         let reference = VliwSim::new(VliwConfig::default(), &program)
             .run_to_halt(1_000_000)
             .unwrap();
         for idx in [program.bundles.len() as u64, u64::MAX] {
             let err = sim
+                .machine_mut()
                 .restore(&with_bundle_index(&good, idx))
                 .expect_err("a bundle index past the program");
             assert!(
                 matches!(err, osm_core::ModelError::SnapshotMismatch { .. }),
                 "{err:?}"
             );
-            assert_eq!(sim.checkpoint().unwrap(), good, "machine unchanged");
+            assert_eq!(
+                sim.machine().checkpoint().unwrap(),
+                good,
+                "machine unchanged"
+            );
         }
         // The run goes on from where the refused restore found it.
         assert_eq!(sim.run_to_halt(1_000_000).unwrap(), reference);
@@ -280,8 +285,11 @@ mod tests {
         while sim.machine().shared.error.is_none() {
             sim.machine_mut().step().unwrap();
         }
-        assert!(!sim.halted(), "the faulting bundle has not retired yet");
-        let ckpt = sim.checkpoint().unwrap();
+        assert!(
+            !sim.machine().shared.halted,
+            "the faulting bundle has not retired yet"
+        );
+        let ckpt = sim.machine().checkpoint().unwrap();
         let reference = sim.run_to_halt(1_000).unwrap();
         assert_eq!(reference.exit_code, golden.exit_code);
         assert_eq!(reference.retired_bundles, golden.retired_bundles);
@@ -290,7 +298,7 @@ mod tests {
         assert_eq!(error.as_deref(), Some("at 0x00001008: unknown syscall 7"));
 
         let mut fresh = VliwSim::new(VliwConfig::default(), &program);
-        fresh.restore(&ckpt).unwrap();
+        fresh.machine_mut().restore(&ckpt).unwrap();
         assert_eq!(fresh.machine().shared.error, error);
         assert_eq!(fresh.run_to_halt(1_000).unwrap(), reference);
     }
@@ -325,7 +333,7 @@ mod tests {
 
             let mut sim = VliwSim::new(VliwConfig::default(), &program);
             let timed = sim.run_to_halt(1_000).expect("no deadlock");
-            assert!(sim.halted(), "{transfer:?}: the run halts");
+            assert!(sim.machine().shared.halted, "{transfer:?}: the run halts");
             assert_eq!(timed.error.as_deref(), expected, "{transfer:?}");
             assert_eq!(
                 (timed.retired_ops, timed.retired_bundles, timed.exit_code),

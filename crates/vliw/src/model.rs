@@ -13,9 +13,9 @@ use crate::schedule::{Bundle, VliwProgram};
 use memsys::{MemSystem, MemSystemConfig};
 use minirisc::{retire, CpuState, Flow, Instr, IssError, Memory, SparseMemory};
 use osm_core::{
-    Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, FaultHandle, FaultInjector, FaultPlan,
-    HardwareLayer, IdentExpr, Machine, ManagerId, ManagerTable, ModelError, OsmId, OsmView,
-    ResetManager, RestartPolicy, SpecBuilder, StateMachineSpec, TransitionCtx,
+    Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, HardwareLayer, IdentExpr, Machine,
+    ManagerId, ManagerTable, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SpecBuilder,
+    StateMachineSpec, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -192,7 +192,8 @@ pub struct VliwShared {
     squashed: u64,
     fetch_timer: u32,
     exec_timer: u32,
-    ids: VliwManagers,
+    /// Manager handles (fault-injection targets and inspection).
+    pub ids: VliwManagers,
     /// Kind of each spec edge, by `EdgeId` index.
     edge_kinds: Vec<VliwEdgeKind>,
 }
@@ -218,6 +219,10 @@ impl HardwareLayer for VliwShared {
         let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.me);
         pool.block_release(0, self.exec_timer > 0);
         self.exec_timer = self.exec_timer.saturating_sub(1);
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
     }
 
     /// All mutable shared state. The bundle program and manager handles
@@ -492,7 +497,10 @@ impl Behavior<VliwShared> for BundleOp {
     }
 }
 
-/// The OSM-based VLIW simulator.
+/// The OSM-based VLIW simulator, a model runner of the same shape as every
+/// OSM model's: build it, run it to halt, read the result. Stepping,
+/// checkpoints, fault injection and the stall watchdog are the
+/// [`Machine`]'s; the manager handles are `machine().shared.ids`.
 pub struct VliwSim {
     machine: Machine<VliwShared>,
 }
@@ -512,6 +520,14 @@ impl VliwSim {
         for (k, w) in program.data.iter().enumerate() {
             mem.write_u32(DATA_BASE + 4 * k as u32, *w);
         }
+        let mut managers = ManagerTable::new();
+        let ids = VliwManagers {
+            mf: managers.add(ExclusivePool::new("fetch", 1)),
+            me: managers.add(ExclusivePool::new("exec", 1)),
+            mw: managers.add(ExclusivePool::new("writeback", 1)),
+            reset: managers.add(ResetManager::new("reset")),
+        };
+        let spec = build_spec(ids);
         let shared = VliwShared {
             cpu: CpuState::new(0),
             mem,
@@ -529,24 +545,11 @@ impl VliwSim {
             squashed: 0,
             fetch_timer: 0,
             exec_timer: 0,
-            ids: VliwManagers {
-                mf: ManagerId(u32::MAX),
-                me: ManagerId(u32::MAX),
-                mw: ManagerId(u32::MAX),
-                reset: ManagerId(u32::MAX),
-            },
-            edge_kinds: Vec::new(),
+            ids,
+            edge_kinds: classify_edges(&spec),
         };
         let mut machine = Machine::new(shared);
-        let ids = VliwManagers {
-            mf: machine.add_manager(ExclusivePool::new("fetch", 1)),
-            me: machine.add_manager(ExclusivePool::new("exec", 1)),
-            mw: machine.add_manager(ExclusivePool::new("writeback", 1)),
-            reset: machine.add_manager(ResetManager::new("reset")),
-        };
-        machine.shared.ids = ids;
-        let spec = build_spec(ids);
-        machine.shared.edge_kinds = classify_edges(&spec);
+        machine.managers = managers;
         for _ in 0..cfg.osm_count.max(4) {
             let op = BundleOp {
                 bundles: program.bundles.len(),
@@ -558,78 +561,40 @@ impl VliwSim {
         VliwSim { machine }
     }
 
-    /// The underlying machine.
+    /// The underlying machine (stepping, checkpoints, stats, the metrics
+    /// and stall reports).
     pub fn machine(&self) -> &Machine<VliwShared> {
         &self.machine
     }
 
     /// Mutable access to the underlying machine (scheduler-mode selection,
-    /// observability switches, A/B experiments).
+    /// the stall watchdog, fault injection through its `managers`,
+    /// checkpoint restore, observability switches, A/B experiments).
     pub fn machine_mut(&mut self) -> &mut Machine<VliwShared> {
         &mut self.machine
     }
 
-    /// Unwraps the underlying machine.
+    /// Unwraps the underlying machine (manager handles stay in
+    /// `shared.ids`).
     pub fn into_machine(self) -> Machine<VliwShared> {
         self.machine
     }
 
-    /// Manager handles (targets for [`VliwSim::inject_faults`]).
-    pub fn ids(&self) -> VliwManagers {
-        self.machine.shared.ids
-    }
-
-    /// Captures a full mid-run checkpoint as sealed bytes (see
-    /// [`osm_core::Machine::checkpoint`]).
+    /// Runs until the halting bundle retires or the machine reaches cycle
+    /// `max_cycles`.
     ///
     /// # Errors
-    /// [`osm_core::ModelError::SnapshotUnsupported`] if a manager without
-    /// checkpoint support was installed.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, ModelError> {
-        self.machine.checkpoint()
-    }
-
-    /// Rewinds the simulator to bytes written by [`VliwSim::checkpoint`]
-    /// on a simulator built over the same program and configuration;
-    /// all-or-nothing.
-    ///
-    /// # Errors
-    /// [`osm_core::ModelError::SnapshotMismatch`] if the bytes are damaged
-    /// or were taken from a differently configured machine.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        self.machine.restore(bytes)
-    }
-
-    /// Installs a deterministic fault injector in front of manager
-    /// `target` (any of the handles in [`VliwSim::ids`]) and returns the
-    /// operator handle for it.
-    pub fn inject_faults(&mut self, target: ManagerId, plan: FaultPlan) -> FaultHandle {
-        FaultInjector::install(&mut self.machine.managers, target, plan)
-    }
-
-    /// Arms the stall watchdog: if no OSM makes progress for `cycles`
-    /// consecutive cycles (see [`osm_core::Machine::set_stall_limit`]),
-    /// stepping fails with a diagnosed [`osm_core::ModelError::Stalled`].
-    pub fn set_stall_limit(&mut self, cycles: Option<u64>) {
-        self.machine.set_stall_limit(cycles);
-    }
-
-    /// True once the halting bundle has retired (chunked run loops use
-    /// this to distinguish halt from an exhausted per-chunk cycle target).
-    pub fn halted(&self) -> bool {
-        self.machine.shared.halted
-    }
-
-    /// Runs until the halting bundle retires or `max_cycles` pass.
-    ///
-    /// # Errors
-    /// Propagates [`ModelError`] (deadlock).
+    /// Propagates [`ModelError`] (deadlock, a tripped stall watchdog).
     pub fn run_to_halt(&mut self, max_cycles: u64) -> Result<VliwResult, ModelError> {
-        while !self.machine.shared.halted && self.machine.cycle() < max_cycles {
-            self.machine.step()?;
-        }
+        let budget = max_cycles.saturating_sub(self.machine.cycle());
+        self.machine.run_until(budget, |m| m.shared.halted())?;
+        Ok(self.result())
+    }
+
+    /// Snapshot of the current result counters.
+    pub fn result(&self) -> VliwResult {
         let s = &self.machine.shared;
-        Ok(VliwResult {
+        VliwResult {
             cycles: self.machine.cycle(),
             retired_ops: s.retired_ops,
             retired_bundles: s.retired_bundles,
@@ -637,6 +602,6 @@ impl VliwSim {
             exit_code: s.exit_code,
             output: s.output.clone(),
             error: s.error.clone(),
-        })
+        }
     }
 }

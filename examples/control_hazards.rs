@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show reset edges firing among the logged transitions.
     let log = sim.machine().event_log().expect("event log enabled");
-    let spec = sim.spec();
+    let spec = &sim.machine().specs()[0];
     println!("reset-edge transitions (speculative operations being killed):");
     let mut shown = 0;
     for ev in log.transitions() {

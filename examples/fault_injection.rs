@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example fault_injection`
 
-use osm_repro::osm_core::{FaultPlan, ModelError};
+use osm_repro::osm_core::{FaultInjector, FaultPlan, ModelError};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 
 const KERNEL: &str = "
@@ -49,26 +49,27 @@ fn main() {
 
     // Faulty run: blackhole the buffer stage (D-cache port) from cycle 120.
     let mut sim = SaOsmSim::new(cfg, &program);
-    sim.set_stall_limit(Some(STALL_LIMIT));
+    let machine = sim.machine_mut();
+    machine.set_stall_limit(Some(STALL_LIMIT));
     let plan = FaultPlan::new(0x5EED).blackhole(120, u64::MAX);
-    let handle = sim.inject_faults(sim.ids.mb, plan);
+    let handle = FaultInjector::install(&mut machine.managers, machine.shared.ids.mb, plan);
 
     // A checkpoint is the sealed byte string `osm_core::Machine::checkpoint`
     // writes: the same bytes could go to disk and restore a fresh simulator.
-    let mut last_good: Vec<u8> = sim.checkpoint().expect("checkpoint");
+    let mut last_good: Vec<u8> = machine.checkpoint().expect("checkpoint");
     let mut transitions_at_ckpt = 0u64;
     let stall = loop {
-        match sim.step() {
-            Ok(()) if sim.machine().shared.halted => {
+        match machine.step() {
+            Ok(_) if machine.shared.halted => {
                 unreachable!("the injected fault cannot let the run complete")
             }
-            Ok(()) => {
-                let cycle = sim.machine().cycle();
-                let transitions = sim.machine().stats.transitions;
+            Ok(_) => {
+                let cycle = machine.cycle();
+                let transitions = machine.stats.transitions;
                 // Periodic checkpoint, kept only if the pipeline has made
                 // progress since the previous one (i.e. it is known good).
                 if cycle.is_multiple_of(CKPT_PERIOD) && transitions > transitions_at_ckpt {
-                    last_good = sim.checkpoint().expect("checkpoint");
+                    last_good = machine.checkpoint().expect("checkpoint");
                     transitions_at_ckpt = transitions;
                 }
             }
@@ -88,7 +89,9 @@ fn main() {
 
     // Operator repair: disable the injector, rewind, re-run to completion.
     handle.disable();
-    sim.restore(&last_good).expect("restore last good checkpoint");
+    sim.machine_mut()
+        .restore(&last_good)
+        .expect("restore last good checkpoint");
     println!("\nrestored  : cycle {} (last known-good checkpoint)", sim.machine().cycle());
     let recovered = sim.run_to_halt(1_000_000).expect("recovered run completes");
     println!("recovered : {} cycles, {} retired, exit {}", recovered.cycles, recovered.retired, recovered.exit_code);

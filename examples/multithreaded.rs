@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example multithreaded`
 
 use osm_repro::osm_core::{
-    Edge, ExclusivePool, FnRanker, IdentExpr, Machine, OsmView, SpecBuilder, TransitionCtx,
+    Edge, ExclusivePool, IdentExpr, Machine, OsmView, SpecBuilder, TransitionCtx,
 };
 
 /// Shared state: per-thread fetch counters (how many ops each thread issued).
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Ranking: seniors first as usual, but among *idle* OSMs the preferred
     // thread of the cycle wins — round-robin fetch arbitration via tags.
-    machine.set_ranker(FnRanker(Box::new(|view: &OsmView<'_>, shared: &SmtState| {
+    machine.set_ranker(|view: &OsmView<'_>, shared: &SmtState| {
         if view.age != u64::MAX {
             view.age // in-flight: ordinary age ranking
         } else if view.tag == shared.preferred {
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             u64::MAX
         }
-    })));
+    });
 
     machine.run(40)?;
     let s = &machine.shared;

@@ -15,7 +15,7 @@ fn main() {
     // Show the Fig. 2 spec shape once.
     let demo = mediabench().remove(0);
     let sim = PpcOsmSim::new(cfg, &demo.program());
-    let spec = sim.spec();
+    let spec = &sim.machine().specs()[0];
     println!(
         "operation state machine: {} states, {} edges (both the direct Q->E \
          dispatch paths\nand the Q->R->E reservation-station paths of Fig. 2)\n",

@@ -19,7 +19,7 @@
 
 use osm_repro::minirisc::Program;
 use osm_repro::osm_core::persist::fnv;
-use osm_repro::osm_core::{FaultPlan, SchedulerMode};
+use osm_repro::osm_core::{FaultInjector, FaultPlan, SchedulerMode};
 use osm_repro::ppc750::{PpcConfig, PpcOsmSim};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 use osm_repro::vliw::{ilp_loop, schedule, VliwConfig, VliwSim};
@@ -34,8 +34,9 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
         let mut sim = SaOsmSim::new(SaConfig::paper(), program);
         sim.machine_mut().set_scheduler_mode(mode);
         if let Some(plan) = &faults {
-            let target = sim.ids.mf;
-            sim.inject_faults(target, plan.clone());
+            let machine = sim.machine_mut();
+            let target = machine.shared.ids.mf;
+            FaultInjector::install(&mut machine.managers, target, plan.clone());
         }
         sim
     };
@@ -48,10 +49,13 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
             !uninterrupted.machine().shared.halted,
             "checkpoint too late"
         );
-        uninterrupted.step().expect("pre-checkpoint step");
+        uninterrupted
+            .machine_mut()
+            .step()
+            .expect("pre-checkpoint step");
     }
     let cut = uninterrupted.machine().cycle();
-    let ckpt = uninterrupted.checkpoint().expect("checkpoint");
+    let ckpt = uninterrupted.machine().checkpoint().expect("checkpoint");
     uninterrupted.machine_mut().enable_trace();
     let ref_result = uninterrupted
         .run_to_halt(MAX)
@@ -67,7 +71,7 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
 
     // Restored: fresh sim, restore, and only now attach observability.
     let mut restored = build();
-    restored.restore(&ckpt).expect("restore");
+    restored.machine_mut().restore(&ckpt).expect("restore");
     assert_eq!(restored.machine().cycle(), cut, "restore rewinds the clock");
     restored.machine_mut().enable_trace();
     restored.machine_mut().enable_observability();
@@ -140,19 +144,18 @@ const CUT: u64 = 3_000;
 fn sa_line(case: &str, program: &Program, mode: SchedulerMode, faults: bool) -> String {
     let mut sa = SaOsmSim::new(SaConfig::paper(), program);
     sa.machine_mut().set_scheduler_mode(mode);
+    let machine = sa.machine_mut();
     if faults {
-        let fetch = sa.ids.mf;
-        sa.inject_faults(
-            fetch,
-            FaultPlan::new(0xC4E7)
-                .deny_allocate(0.02)
-                .deny_inquire(0.01),
-        );
+        let fetch = machine.shared.ids.mf;
+        let plan = FaultPlan::new(0xC4E7)
+            .deny_allocate(0.02)
+            .deny_inquire(0.01);
+        FaultInjector::install(&mut machine.managers, fetch, plan);
     }
     for _ in 0..CUT {
-        sa.step().unwrap();
+        machine.step().unwrap();
     }
-    golden_line(case, sa.machine().cycle(), &sa.checkpoint().unwrap())
+    golden_line(case, machine.cycle(), &machine.checkpoint().unwrap())
 }
 
 /// PPC-750 on `program` under `mode`, checkpointed after [`CUT`] cycles.
@@ -162,7 +165,11 @@ fn ppc_line(case: &str, program: &Program, mode: SchedulerMode) -> String {
     for _ in 0..CUT {
         ppc.machine_mut().step().unwrap();
     }
-    golden_line(case, ppc.machine().cycle(), &ppc.checkpoint().unwrap())
+    golden_line(
+        case,
+        ppc.machine().cycle(),
+        &ppc.machine().checkpoint().unwrap(),
+    )
 }
 
 /// The contended ADL machine under `mode`, checkpointed after 500 cycles.
@@ -194,7 +201,7 @@ fn checkpoint_bytes_match_the_pinned_golden() {
         golden_line(
             "vliw/ilp-40x6",
             vliw.machine().cycle(),
-            &vliw.checkpoint().unwrap(),
+            &vliw.machine().checkpoint().unwrap(),
         ),
         adl_line("adl/contended-122", fast),
         sa_line("sa1100/gsm-dec+seed", &gsm, seed, false),

@@ -155,7 +155,7 @@ fn unknown_syscall_halts_every_executor_with_the_iss_error() {
     let golden = interpret(&bundles, 1_000);
     let mut vliw_sim = VliwSim::new(VliwConfig::default(), &bundles);
     let vliw = vliw_sim.run_to_halt(10_000).expect("no deadlock");
-    assert!(vliw_sim.halted(), "vliw halts");
+    assert!(vliw_sim.machine().shared.halted, "vliw halts");
 
     for (what, code, out) in [
         ("sa-osm", sa.exit_code, &sa.output),
@@ -180,11 +180,10 @@ fn unknown_syscall_halts_every_executor_with_the_iss_error() {
     }
 
     let message = Some(error.to_string());
-    assert_eq!(sa_osm.machine().shared.error, message, "sa-osm error");
-    assert_eq!(sa_ref.error, message, "sa-ref error");
-    assert_eq!(ppc_osm.machine().shared.error, message, "ppc-osm error");
     for (what, reported) in [
-        ("ppc-osm result", &po.error),
+        ("sa-osm", &sa.error),
+        ("sa-ref", &sr.error),
+        ("ppc-osm", &po.error),
         ("ppc-port", &pp.error),
         ("smt thread 0", &smt.threads[0].error),
     ] {
@@ -198,5 +197,5 @@ fn unknown_syscall_halts_every_executor_with_the_iss_error() {
         .expect("the loop's syscall");
     let pc = CODE_BASE + 8 * bundle as u32;
     let vliw_error = IssError::BadSyscall { pc, number: 7 }.to_string();
-    assert_eq!(vliw_sim.machine().shared.error, Some(vliw_error), "vliw error");
+    assert_eq!(vliw.error, Some(vliw_error), "vliw error");
 }

@@ -94,6 +94,21 @@ fn pipeline_diagram_matches_golden_file() {
     assert_golden(&diagram, "pipeline_diagram.txt");
 }
 
+/// A window narrower than the log: the legend names only the states drawn
+/// in it, not every state the log saw entered.
+#[test]
+fn pipeline_diagram_legend_names_only_the_window_states() {
+    let mut machine = pipeline_machine(3);
+    machine.enable_event_log();
+    machine.run(12).expect("no deadlock");
+    let diagram =
+        osm_core::export::pipeline_diagram_for(&machine, 0, 2).expect("event log enabled");
+    assert_eq!(
+        diagram,
+        "pipeline diagram, cycles 0..2:\n  osm0 |FD|\n  osm1 |?F|\n  osm2 |??|\n   D = op.D\n   F = op.F\n"
+    );
+}
+
 #[test]
 fn metrics_json_matches_golden_file() {
     let mut machine = pipeline_machine(3);

@@ -278,7 +278,7 @@ proptest! {
         let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
         let mut cycles = 0u64;
         while !sim.machine().shared.halted && cycles < 200_000 {
-            sim.step().expect("no deadlock");
+            sim.machine_mut().step().expect("no deadlock");
             cycles += 1;
             if cycles.is_multiple_of(7) {
                 let problems = sim.machine().audit_tokens();

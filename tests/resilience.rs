@@ -4,7 +4,8 @@
 //! checkpoint → restore → re-run reproduces the original continuation
 //! exactly, faults and all.
 
-use osm_repro::osm_core::{FaultKind, FaultPlan, FaultRule, ModelError};
+use osm_repro::minirisc::Program;
+use osm_repro::osm_core::{FaultInjector, FaultKind, FaultPlan, FaultRule, ModelError};
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 use osm_repro::workloads::random_program;
 use proptest::prelude::*;
@@ -48,11 +49,17 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
     })
 }
 
-/// Which manager the injector wraps: any of the five stage pools or the
+/// A simulator of `program` with the stall watchdog armed and `plan`
+/// injected in front of manager `which`: any of the five stage pools or the
 /// multiplier (index into this order).
-fn target_of(sim: &SaOsmSim, which: usize) -> osm_repro::osm_core::ManagerId {
-    let ids = sim.ids;
-    [ids.mf, ids.md, ids.me, ids.mb, ids.mw, ids.mult][which % 6]
+fn faulty_sim(program: &Program, plan: FaultPlan, which: usize) -> SaOsmSim {
+    let mut sim = SaOsmSim::new(SaConfig::paper(), program);
+    let machine = sim.machine_mut();
+    machine.set_stall_limit(Some(STALL_LIMIT));
+    let ids = machine.shared.ids;
+    let target = [ids.mf, ids.md, ids.me, ids.mb, ids.mw, ids.mult][which % 6];
+    FaultInjector::install(&mut machine.managers, target, plan);
+    sim
 }
 
 /// Runs `sim` to halt or the cap and folds the outcome into a comparable,
@@ -95,13 +102,9 @@ proptest! {
         which in 0usize..6,
     ) {
         let program = random_program(seed, 25).program();
-        let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-        sim.set_stall_limit(Some(STALL_LIMIT));
-        let target = target_of(&sim, which);
-        let _handle = sim.inject_faults(target, plan);
         // Any summary is acceptable; producing one means we terminated
         // inside the taxonomy without panicking.
-        let _ = run_summary(sim);
+        let _ = run_summary(faulty_sim(&program, plan, which));
     }
 
     /// The same seed and plan produce bit-identical fault streams: two
@@ -113,13 +116,7 @@ proptest! {
         which in 0usize..6,
     ) {
         let program = random_program(seed, 20).program();
-        let run = || {
-            let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-            sim.set_stall_limit(Some(STALL_LIMIT));
-            let target = target_of(&sim, which);
-            let _handle = sim.inject_faults(target, plan.clone());
-            run_summary(sim)
-        };
+        let run = || run_summary(faulty_sim(&program, plan.clone(), which));
         prop_assert_eq!(run(), run());
     }
 
@@ -137,30 +134,21 @@ proptest! {
         let plan = FaultPlan::new(plan_seed)
             .deny_allocate(deny_p)
             .deny_inquire(deny_p / 2.0);
-        let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
-        sim.set_stall_limit(Some(STALL_LIMIT));
-        let target = target_of(&sim, which);
-        let _handle = sim.inject_faults(target, plan);
+        let mut sim = faulty_sim(&program, plan.clone(), which);
         for _ in 0..ckpt_at {
-            if sim.machine().shared.halted || sim.step().is_err() {
+            if sim.machine().shared.halted || sim.machine_mut().step().is_err() {
                 // Stalled/leaked before the checkpoint point: nothing to
                 // compare, the case degenerates (still panic-free).
                 return Ok(());
             }
         }
-        let ckpt = sim.checkpoint().expect("all managers snapshot");
+        let ckpt = sim.machine().checkpoint().expect("all managers snapshot");
         let first = run_summary(sim);
         // `run_summary` consumed the simulator; rebuild and fast-forward via
         // a fresh run to the same checkpoint is NOT allowed (the plan's RNG
         // stream position matters) — so restore into a new identical sim.
-        let mut replay = SaOsmSim::new(SaConfig::paper(), &program);
-        replay.set_stall_limit(Some(STALL_LIMIT));
-        let target = target_of(&replay, which);
-        let plan2 = FaultPlan::new(plan_seed)
-            .deny_allocate(deny_p)
-            .deny_inquire(deny_p / 2.0);
-        let _h2 = replay.inject_faults(target, plan2);
-        replay.restore(&ckpt).expect("checkpoint restores");
+        let mut replay = faulty_sim(&program, plan, which);
+        replay.machine_mut().restore(&ckpt).expect("checkpoint restores");
         prop_assert_eq!(run_summary(replay), first);
     }
 }
