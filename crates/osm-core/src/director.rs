@@ -12,16 +12,15 @@
 
 use crate::error::{BlockedOsm, ModelError, WaitCause};
 use crate::ids::{EdgeId, ManagerId, OsmId};
+use crate::machine::Machine;
 use crate::manager::ManagerTable;
 use crate::observe::{
     ObservedEvent, Sinks, StallEvent, TokenEvent, TokenOpKind, TokenOutcome, TransitionEvent,
 };
 use crate::osm::{Osm, OsmView, TransitionCtx, IDLE_AGE};
-use crate::spec::{Edge, StateMachineSpec};
-use crate::stats::Stats;
+use crate::spec::Edge;
 use crate::token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};
 use crate::trace::TraceEvent;
-use std::sync::Arc;
 
 /// Whether the director restarts its outer loop after a transition (Fig. 3).
 ///
@@ -399,19 +398,17 @@ fn outcome(granted: bool) -> TokenOutcome {
 /// Evaluates `edge`'s condition for `osm`, tentatively applying
 /// transactions into `scratch` (cleared on entry). Returns true when the
 /// condition is satisfied; on failure every prepared transaction is aborted
-/// and, with `collect_waits`, the blocking owners are appended to
-/// `scratch.wait_edges`.
+/// and `scratch.fail` names the first failing primitive.
 ///
 /// Every manager contact is one token event, and a failed condition emits
 /// exactly one `Denied` event, so denied-event counts reconcile with
-/// [`Stats::condition_failures`]. Only the `TRACKING` instantiation
+/// [`crate::Stats::condition_failures`]. Only the `TRACKING` instantiation
 /// reports to `sinks`.
 fn try_condition<S, const TRACKING: bool>(
     osm: &Osm<S>,
     edge: &Edge,
     managers: &mut ManagerTable,
     scratch: &mut Scratch,
-    collect_waits: bool,
     sinks: &mut Sinks,
     cycle: u64,
 ) -> bool {
@@ -453,9 +450,6 @@ fn try_condition<S, const TRACKING: bool>(
                             token,
                         }),
                         None => {
-                            if collect_waits {
-                                push_wait(osm, manager, id, managers, scratch);
-                            }
                             scratch.fail = Some((*prim, id));
                             break;
                         }
@@ -484,9 +478,6 @@ fn try_condition<S, const TRACKING: bool>(
                         .is_some_and(|m| m.inquire(osm.id, id));
                     emit::<TRACKING>(sinks, at, manager, op, id, None, outcome(ok));
                     if !ok {
-                        if collect_waits {
-                            push_wait(osm, manager, id, managers, scratch);
-                        }
                         scratch.fail = Some((*prim, id));
                         break;
                     }
@@ -543,21 +534,6 @@ fn try_condition<S, const TRACKING: bool>(
     }
     abort_plan::<S, TRACKING>(osm, scratch, managers, sinks, at);
     false
-}
-
-/// Records, for the deadlock scan, that `osm` waits on whichever other OSM
-/// owns the token `ident` of `manager` (if any).
-fn push_wait<S>(
-    osm: &Osm<S>,
-    manager: ManagerId,
-    ident: TokenIdent,
-    managers: &ManagerTable,
-    scratch: &mut Scratch,
-) {
-    let owner = managers.try_get(manager).and_then(|m| m.owner_of(ident));
-    if let Some(owner) = owner.filter(|&o| o != osm.id) {
-        scratch.wait_edges.push((osm.id, owner));
-    }
 }
 
 /// Aborts, newest first, the transactions `try_condition` prepared: on a
@@ -667,112 +643,19 @@ fn commit_plan<S, const TRACKING: bool>(
     }
 }
 
-/// What one scheduling pass did; [`crate::Machine::control_step`] ends the
-/// step from it the same way for both schedulers.
+/// What one scheduling pass did; [`Machine::control_step`] ends the step
+/// from it the same way for both schedulers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StepWork {
     /// Transitions committed.
     pub(crate) transitions: u32,
     /// Of those, returns to the initial state.
     pub(crate) completions: u32,
-    /// Fig. 3 restarts counted ([`Stats::restarts`]).
+    /// Fig. 3 restarts counted ([`crate::Stats::restarts`]).
     pub(crate) restarts: u32,
     /// Whether any OSM's edges were evaluated rather than skipped on a
-    /// proof (see [`idle_step_deadlock`]).
+    /// proof (see [`Machine::idle_step_deadlock`]).
     pub(crate) evaluated: bool,
-}
-
-/// Runs one control step with the reference scheduler: the literal Fig. 3
-/// loop. It ranks every OSM, sorts by `(rank, id)` and serves the list in
-/// order through [`serve_osm`]; an OSM that moves leaves the list, and
-/// under [`RestartPolicy::Restart`] the scan restarts from the top. This
-/// loop order is all that sets it apart from [`control_step_fast`] (whose
-/// oracle it is); serving, stall charging and the step's end are shared.
-/// Runs under [`SchedulerMode::Seed`] and under any custom ranker.
-///
-/// Monomorphized over `TRACKING`: callers pass `TRACKING = true` exactly
-/// when stall attribution, the event log or the metrics are on in `sinks`,
-/// and `TRACKING = false` otherwise. The false instantiation contains no
-/// event-emission or attribution code at all, so an uninstrumented machine
-/// runs the pre-observability hot loop (one branch per cycle picks the
-/// instantiation). The trace in `sinks`, when on, receives every committed
-/// transition in both instantiations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn control_step<S: 'static, const TRACKING: bool>(
-    osms: &mut [Osm<S>],
-    specs: &[Arc<StateMachineSpec>],
-    managers: &mut ManagerTable,
-    shared: &mut S,
-    ranker: Option<&RankFn<S>>,
-    policy: RestartPolicy,
-    cycle: u64,
-    age_counter: &mut u64,
-    stats: &mut Stats,
-    sinks: &mut Sinks,
-    scratch: &mut Scratch,
-) -> StepWork {
-    debug_assert_eq!(TRACKING, sinks.tracking());
-    if TRACKING {
-        scratch.first_fail.clear();
-        scratch.first_fail.resize(osms.len(), None);
-    }
-    // Rank all OSMs; the paper's age policy is the common case and needs
-    // no view. Ids are unique, so sorting by (rank, id) is a total order.
-    let mut list = std::mem::take(&mut scratch.list);
-    match ranker {
-        None => list.extend(osms.iter().map(|osm| (osm.age, osm.id))),
-        Some(rank) => list.extend(osms.iter().map(|osm| (rank(&osm.view(), shared), osm.id))),
-    }
-    list.sort_unstable();
-
-    // The reference loop skips no OSM, so an idle step is always scanned
-    // for deadlock.
-    let mut work = StepWork {
-        evaluated: true,
-        ..StepWork::default()
-    };
-    let mut i = 0;
-    while i < list.len() {
-        let served = serve_osm::<S, TRACKING, false>(
-            osms,
-            list[i].1,
-            specs,
-            managers,
-            shared,
-            cycle,
-            age_counter,
-            stats,
-            sinks,
-            scratch,
-        );
-        if !served.moved {
-            i += 1;
-            continue;
-        }
-        work.transitions += 1;
-        work.completions += u32::from(served.completed);
-        list.remove(i);
-        // Under `Restart` every commit re-enters the outer loop from the
-        // top, and a rescan that happens (OSMs remain unserved) counts once.
-        // Under `NoRestart` the removed OSM's successor slid into place `i`.
-        if policy == RestartPolicy::Restart {
-            if !list.is_empty() {
-                stats.restarts += 1;
-                work.restarts += 1;
-            }
-            i = 0;
-        }
-    }
-
-    // Everything still listed failed to leave its state this step.
-    if TRACKING {
-        for &(_, id) in &list {
-            charge_blocked(osms, id.index(), &scratch.first_fail, sinks, cycle);
-        }
-    }
-    list.clear();
-    scratch.list = list;
-    work
 }
 
 /// Rebuilds the fast scheduler's persistent state from the machine: every
@@ -802,45 +685,7 @@ fn rebuild_schedule<S>(osms: &[Osm<S>], scratch: &mut Scratch) {
     scratch.sched_valid = true;
 }
 
-/// Decides whether a blocked OSM can be skipped without re-evaluating its
-/// edge conditions: its sensitivity record must still describe the current
-/// residence, the behavior veto mask must be unchanged (re-computed here —
-/// vetoes may read time-dependent shared state), and every recorded blocking
-/// manager must still be at its recorded dirty epoch.
-#[inline]
-fn can_skip<S: 'static>(
-    osm: &Osm<S>,
-    spec: &StateMachineSpec,
-    managers: &ManagerTable,
-    shared: &S,
-    sens: &SensEntry,
-) -> bool {
-    if !sens.valid || !sens.skippable || sens.state != osm.state {
-        return false;
-    }
-    // Epochs first: a handful of u64 compares. When the check fails it is
-    // almost always here (a recorded manager got dirtied), so rejecting
-    // before the veto-mask recompute saves its closure calls.
-    for j in 0..sens.n as usize {
-        if managers.epoch(sens.mgrs[j]) != sens.epochs[j] {
-            return false;
-        }
-    }
-    let out = spec.out_edges(osm.state);
-    if out.len() > 64 {
-        return false;
-    }
-    let mut mask: u64 = 0;
-    for (k, &eid) in out.iter().enumerate() {
-        let edge = spec.edge(eid);
-        if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
-            mask |= 1 << k;
-        }
-    }
-    mask == sens.veto_mask
-}
-
-/// What [`serve_osm`] did with one OSM.
+/// What [`Machine::serve_osm`] did with one OSM.
 struct Served {
     moved: bool,
     completed: bool,
@@ -855,595 +700,682 @@ impl Served {
     };
 }
 
-/// Serves the OSM at `id` with skip proofs on: [`serve_osm`] behind a call
-/// boundary.
-// Deliberately NOT inlined into the stepping loop: the inlined body bloats
-// it enough to wreck the codegen of the (far hotter) skip checks — measured
-// ~1.5x on the sparse benchmark. Proof-free steps have no skip checks and
-// call the body inlined instead.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn serve_osm_fast<S: 'static, const TRACKING: bool>(
-    osms: &mut [Osm<S>],
-    id: OsmId,
-    specs: &[Arc<StateMachineSpec>],
-    managers: &mut ManagerTable,
-    shared: &mut S,
-    cycle: u64,
-    age_counter: &mut u64,
-    stats: &mut Stats,
-    sinks: &mut Sinks,
-    scratch: &mut Scratch,
-) -> Served {
-    serve_osm::<S, TRACKING, true>(
-        osms,
-        id,
-        specs,
-        managers,
-        shared,
-        cycle,
-        age_counter,
-        stats,
-        sinks,
-        scratch,
-    )
-}
-
-/// Serves one OSM: the inner loop of Fig. 3 for both schedulers. Evaluates
-/// the current state's out-edges in priority order and commits the first
-/// satisfied one: the plan, the state and age update, `on_transition`, the
-/// trace fold and the [`TransitionEvent`] all happen here and only here.
-/// With `PROOFS`, a transition clears the OSM's sensitivity entry and a
-/// blocked evaluation records it so later steps can skip the OSM; without,
-/// the entries are neither read nor written.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn serve_osm<S: 'static, const TRACKING: bool, const PROOFS: bool>(
-    osms: &mut [Osm<S>],
-    id: OsmId,
-    specs: &[Arc<StateMachineSpec>],
-    managers: &mut ManagerTable,
-    shared: &mut S,
-    cycle: u64,
-    age_counter: &mut u64,
-    stats: &mut Stats,
-    sinks: &mut Sinks,
-    scratch: &mut Scratch,
-) -> Served {
-    let oi = id.index();
-    let osm = &mut osms[oi];
-    let spec_idx = osm.spec_idx;
-    let spec = &specs[spec_idx as usize];
-    if TRACKING {
-        scratch.first_fail[oi] = None;
-    }
-
-    // Record only on the second consecutive blocked evaluation in the same
-    // state (see [`SensEntry::armed`]); the first one just arms.
-    let record = PROOFS && {
-        let e = &scratch.sens[oi];
-        (e.valid || e.armed) && e.state == osm.state
-    };
-
-    let out = spec.out_edges(osm.state);
-    let mut veto_mask: u64 = 0;
-    let mut skippable = out.len() <= 64;
-    let mut mgrs = [ManagerId(0); MAX_SENS];
-    let mut nm: usize = 0;
-    let mut sens_fail: Option<(Primitive, TokenIdent)> = None;
-
-    for (k, &eid) in out.iter().enumerate() {
-        let edge = spec.edge(eid);
-        if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
-            stats.vetoed_edges += 1;
-            if record && k < 64 {
-                veto_mask |= 1 << k;
-            }
-            continue;
-        }
-        if try_condition::<S, TRACKING>(osm, edge, managers, scratch, false, sinks, cycle) {
-            commit_plan::<S, TRACKING>(osm, scratch, managers, sinks, (cycle, id, eid));
-            let from = osm.state;
-            osm.state = edge.dst;
-            let initial = spec.initial();
-            let dispatched = from == initial && edge.dst != initial;
-            let completed = edge.dst == initial;
-            if dispatched {
-                osm.age = *age_counter;
-                *age_counter += 1;
-            } else if completed {
-                osm.age = IDLE_AGE;
-                debug_assert!(
-                    osm.buffer.is_empty(),
-                    "OSM {} returned to initial state still holding tokens: {:?}",
-                    osm.id,
-                    osm.buffer
-                );
-            }
-            osm.last_move_cycle = cycle;
-            let mut ctx = TransitionCtx {
-                osm: osm.id,
-                from,
-                to: edge.dst,
-                cycle,
-                tag: osm.tag,
-                slots: &mut osm.slots,
-                buffer: &osm.buffer,
-                managers,
-                shared,
-            };
-            osm.behavior.on_transition(edge, &mut ctx);
-            if let Some(t) = &mut sinks.trace {
-                t.push(TraceEvent {
-                    cycle,
-                    osm: id,
-                    edge: eid,
-                    from,
-                    to: edge.dst,
-                });
-            }
-            if TRACKING && sinks.events() {
-                sinks.record(ObservedEvent::Transition(TransitionEvent {
-                    cycle,
-                    osm: id,
-                    spec: spec_idx,
-                    edge: eid,
-                    from,
-                    to: edge.dst,
-                    started: dispatched,
-                    completed,
-                }));
-            }
-            stats.transitions += 1;
-            if PROOFS {
-                scratch.sens[oi].valid = false;
-                scratch.sens[oi].armed = false;
-            }
-            return Served {
-                moved: true,
-                completed,
-                dispatched,
-            };
-        }
-        stats.condition_failures += 1;
-        if TRACKING && scratch.first_fail[oi].is_none() {
-            scratch.first_fail[oi] = scratch.fail;
-        }
-        if record {
-            if sens_fail.is_none() {
-                sens_fail = scratch.fail;
-            }
-            match scratch.fail.and_then(|(p, _)| p.manager()) {
-                Some(m) => {
-                    if !mgrs[..nm].contains(&m) {
-                        if nm < MAX_SENS {
-                            mgrs[nm] = m;
-                            nm += 1;
-                        } else {
-                            skippable = false;
-                        }
-                    }
-                }
-                None => skippable = false,
-            }
-        }
-    }
-
-    if !PROOFS {
-        return Served::BLOCKED;
-    }
-    // Blocked. First time in this state: arm only — the record is taken on
-    // the next blocked evaluation, so one-cycle stalls never pay for it.
-    let entry = &mut scratch.sens[oi];
-    if !record {
-        entry.valid = false;
-        entry.armed = true;
-        entry.state = osm.state;
-        return Served::BLOCKED;
-    }
-    // Persist the sensitivity record. Epochs are read after the scan — the
-    // scan itself only probes (prepare/abort), which never bumps an epoch,
-    // so they reflect exactly the state just evaluated.
-    entry.valid = true;
-    entry.armed = true;
-    entry.skippable = skippable;
-    entry.state = osm.state;
-    entry.veto_mask = veto_mask;
-    entry.n = nm as u8;
-    entry.mgrs = mgrs;
-    for (j, &m) in mgrs.iter().enumerate().take(nm) {
-        entry.epochs[j] = managers.epoch(m);
-    }
-    entry.fail = sens_fail;
-    Served::BLOCKED
-}
-
-/// Charges one end-of-step blocked OSM to its first failing (manager,
-/// primitive) pair; both schedulers charge every blocked OSM through it.
-fn charge_blocked<S>(
-    osms: &[Osm<S>],
-    oi: usize,
-    first_fail: &[Option<(Primitive, TokenIdent)>],
-    sinks: &mut Sinks,
-    cycle: u64,
-) {
-    let Some((prim, ident)) = first_fail[oi] else {
-        return;
-    };
-    let Some(manager) = prim.manager() else {
-        return;
-    };
-    let op = prim.kind();
-    let osm = &osms[oi];
-    if let Some(t) = &mut sinks.stalls {
-        t.charge(osm.id, manager, op);
-    }
-    if sinks.events() {
-        sinks.record(ObservedEvent::Stall(StallEvent {
-            cycle,
-            osm: osm.id,
-            spec: osm.spec_idx,
-            state: osm.state,
-            manager,
-            op,
-            ident,
-        }));
-    }
-}
-
-/// Runs one control step with the sensitivity-driven fast scheduler
-/// ([`SchedulerMode::Fast`]); requires age ranking.
-///
-/// Serves OSMs in the same total order as [`control_step`] under age
-/// ranking — in-flight OSMs seniors-first (the incrementally maintained
-/// `active` list), then idle OSMs by id — but skips, without touching their
-/// edge conditions, every blocked OSM whose sensitivity record still proves
-/// it cannot move (see [`SensEntry`]). A skipped OSM contributes no token
-/// events and no effort counters (`condition_failures`, `vetoed_edges`), so
-/// the one-Denied-per-condition-failure reconciliation is preserved; its
-/// stall attribution is charged from the persisted record instead.
-///
-/// Under [`RestartPolicy::Restart`] one cursor walks the service order and
-/// every unmoved OSM below it is proven blocked against the current state.
-/// After a commit, instead of rescanning from the top, the cursor resumes at
-/// the lowest blocked OSM whose proof the commit may have broken, or past
-/// the OSM that moved (see [`Scratch::resume_after_commit`]). That performs
-/// the rescan's evaluations in its order and drops only its repeated skip
-/// proofs, which are still counted as skips for the adaptation window.
-///
-/// With `PROOFS` off (the cooldown after an unproductive [`ADAPT_WINDOW`])
-/// the step walks the same service order but evaluates every unmoved OSM,
-/// reads and writes no sensitivity entry and does no window accounting.
-/// Under `Restart` every blocked OSM is then unproven, so each commit
-/// resumes at the lowest blocked position: Fig. 3's literal rescan, with
-/// exactly the reference scheduler's evaluations and effort counters, but
-/// without its per-step rank sort and per-commit list shift.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn control_step_fast<S: 'static, const TRACKING: bool, const PROOFS: bool>(
-    osms: &mut [Osm<S>],
-    specs: &[std::sync::Arc<crate::spec::StateMachineSpec>],
-    managers: &mut ManagerTable,
-    shared: &mut S,
-    policy: RestartPolicy,
-    cycle: u64,
-    age_counter: &mut u64,
-    stats: &mut Stats,
-    sinks: &mut Sinks,
-    scratch: &mut Scratch,
-) -> StepWork {
-    let n = osms.len();
-    debug_assert_eq!(TRACKING, sinks.tracking());
-    if TRACKING {
-        scratch.first_fail.clear();
-        scratch.first_fail.resize(n, None);
-    }
-
-    if !scratch.sched_valid || scratch.moved.len() != n {
-        rebuild_schedule(osms, scratch);
-    }
-    scratch.step_seq += 1;
-    let seq = scratch.step_seq;
-
-    if scratch.active_dead * 2 > scratch.active.len() {
-        scratch.active.retain(|&id| id != TOMBSTONE);
-        scratch.active_dead = 0;
-    }
-
-    let mut work = StepWork::default();
-    let mut step_skips: u64 = 0;
-    let mut step_evals: u64 = 0;
-
-    // Service positions: `0..in_flight` are the in-flight OSMs, seniors
-    // first (== the reference list's age-ranked prefix); `in_flight + oi`
-    // is idle OSM `oi` (== its IDLE_AGE tail, where ties break by id).
-    // `active` only grows within a step, and what it gains has moved, so a
-    // position names the same OSM for the whole step.
-    let mut active = std::mem::take(&mut scratch.active);
-    let in_flight = active.len();
-    let restart = policy == RestartPolicy::Restart;
-    if restart {
-        scratch.begin_resume(managers);
-    }
-    let mut pos = 0;
-    while pos < in_flight + n {
-        let (id, oi) = if pos < in_flight {
-            let id = active[pos];
-            if id == TOMBSTONE {
-                pos += 1;
-                continue;
-            }
-            (id, id.index())
-        } else {
-            let oi = pos - in_flight;
-            if osms[oi].age != IDLE_AGE {
-                pos += 1;
-                continue;
-            }
-            (osms[oi].id, oi)
-        };
-        if scratch.moved[oi] == seq {
-            pos += 1;
-            continue;
-        }
-        let spec = &specs[osms[oi].spec_idx as usize];
-        if PROOFS && can_skip(&osms[oi], spec, managers, shared, &scratch.sens[oi]) {
-            if TRACKING {
-                scratch.first_fail[oi] = scratch.sens[oi].fail;
-            }
-            step_skips += 1;
-        } else {
-            work.evaluated = true;
-            step_evals += 1;
-            let served = if PROOFS {
-                serve_osm_fast::<S, TRACKING>(
-                    osms,
-                    id,
-                    specs,
-                    managers,
-                    shared,
-                    cycle,
-                    age_counter,
-                    stats,
-                    sinks,
-                    scratch,
-                )
-            } else {
-                serve_osm::<S, TRACKING, false>(
-                    osms,
-                    id,
-                    specs,
-                    managers,
-                    shared,
-                    cycle,
-                    age_counter,
-                    stats,
-                    sinks,
-                    scratch,
-                )
-            };
-            if served.moved {
-                scratch.moved[oi] = seq;
-                work.transitions += 1;
-                debug_assert!(
-                    pos >= in_flight || !served.dispatched,
-                    "in-flight OSM cannot dispatch"
-                );
-                if served.completed {
-                    work.completions += 1;
-                    // An idle OSM completes by an initial-state self-loop,
-                    // without ever joining `active`.
-                    if pos < in_flight {
-                        active[pos] = TOMBSTONE;
-                        scratch.active_dead += 1;
-                    }
-                } else if served.dispatched {
-                    // Joins the in-flight list. Its age is the largest
-                    // assigned so far, so pushing keeps the list sorted.
-                    active.push(id);
-                }
-                if restart {
-                    if (work.transitions as usize) < n {
-                        stats.restarts += 1;
-                        work.restarts += 1;
-                    }
-                    // Fig. 3 rescans from the top here. Every blocked OSM
-                    // below the resume point would pass its skip proof again,
-                    // so the rescan is cut short and they count as skips.
-                    pos = scratch.resume_after_commit(pos, managers);
-                    if PROOFS {
-                        step_skips += scratch.blocked.len() as u64;
-                    }
-                    continue;
-                }
-                pos += 1;
-                continue;
-            }
-        }
-        if restart {
-            if PROOFS {
-                scratch.register_blocked(pos, oi);
-            } else {
-                scratch.unproven = scratch.unproven.min(pos);
-            }
-        }
-        pos += 1;
-    }
-
-    // Everything unmoved is blocked; charge its first blocking (manager,
-    // primitive) pair — for skipped OSMs, from the persisted record — in the
-    // order of the reference scheduler's leftover list.
-    if TRACKING {
-        for &id in active.iter() {
-            if id == TOMBSTONE {
-                continue;
-            }
-            let oi = id.index();
-            if scratch.moved[oi] == seq {
-                continue;
-            }
-            charge_blocked(osms, oi, &scratch.first_fail, sinks, cycle);
-        }
-        for oi in 0..n {
-            if osms[oi].age != IDLE_AGE || scratch.moved[oi] == seq {
-                continue;
-            }
-            charge_blocked(osms, oi, &scratch.first_fail, sinks, cycle);
-        }
-    }
-
-    scratch.active = active;
-
-    // Adaptation: if a whole window of steps produced fewer skips than full
-    // evaluations, the sensitivity bookkeeping costs more than it saves —
-    // switch proofs off and re-probe later. The ready list stays valid; the
-    // records go stale while proof-free steps ignore them, so they are
-    // dropped here. Cycle behavior is unaffected (both ways are exact); only
-    // effort counters can differ.
-    if PROOFS {
-        scratch.adapt_skips += step_skips;
-        scratch.adapt_evals += step_evals;
-        scratch.adapt_steps += 1;
-        if scratch.adapt_steps >= ADAPT_WINDOW {
-            let fall_back = scratch.adapt_skips < scratch.adapt_evals;
-            scratch.adapt_skips = 0;
-            scratch.adapt_evals = 0;
-            scratch.adapt_steps = 0;
-            if fall_back {
-                scratch.sens.fill(SensEntry::default());
-                scratch.adapt_cooldown = ADAPT_COOLDOWN;
-            }
-        }
-    }
-    work
-}
-
-/// The deadlock verdict of a step in which no OSM moved, for both
-/// schedulers: a second evaluation pass over every OSM, this time recording
-/// which OSMs own the blocking tokens (lazy wait-for-graph construction),
-/// and [`ModelError::Deadlock`] if that graph has a cycle.
-///
-/// The pass is elided when the step `evaluated` nothing (the fast scheduler
-/// skipped every OSM on a proof) and no manager epoch moved since the last
-/// pass found no cycle: it would rebuild the same acyclic graph. The
-/// reference scheduler always evaluates, so it always scans.
-///
-/// Conditions all failed in the scheduling pass and nothing has changed, so
-/// they fail again — the pass is side-effect free (with a defensive rollback
-/// for release builds). Runs untracked, reporting to no sink: emitting
-/// events here would break the one-Denied-per-condition-failure
-/// reconciliation.
-pub(crate) fn idle_step_deadlock<S: 'static>(
-    osms: &[Osm<S>],
-    specs: &[Arc<StateMachineSpec>],
-    managers: &mut ManagerTable,
-    shared: &S,
-    scratch: &mut Scratch,
-    cycle: u64,
-    evaluated: bool,
-) -> Result<(), ModelError> {
-    let generation = managers.generation();
-    if !evaluated && generation == scratch.last_diag_generation {
-        return Ok(());
-    }
-    scratch.wait_edges.clear();
-    let none = &mut Sinks::default();
-    for osm in osms {
-        let spec = &specs[osm.spec_idx as usize];
-        for &eid in spec.out_edges(osm.state) {
-            let edge = spec.edge(eid);
-            if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
-                continue;
-            }
-            let satisfied =
-                try_condition::<S, false>(osm, edge, managers, scratch, true, none, cycle);
-            debug_assert!(!satisfied, "idle step re-evaluation succeeded");
-            if satisfied {
-                abort_plan::<S, false>(osm, scratch, managers, none, (cycle, osm.id, eid));
-            }
-        }
-    }
-    match find_wait_cycle(
-        &scratch.wait_edges,
-        &mut scratch.wait_marks,
-        &mut scratch.wait_stack,
-    ) {
-        Some(osms) => Err(ModelError::Deadlock { cycle, osms }),
-        None => {
-            scratch.last_diag_generation = generation;
-            Ok(())
-        }
-    }
-}
-
-/// Probes `edge` for `osm` and reports why it cannot fire right now, or
-/// `None` if it is momentarily satisfiable. Every tentative transaction is
-/// aborted before returning, so the probe is side-effect free on managers
-/// honoring the two-phase protocol.
+/// Probes `edge` for `osm` without reporting to any sink: every tentative
+/// transaction is aborted before returning, so the probe is side-effect
+/// free on managers honoring the two-phase protocol. Returns the edge's
+/// first failing primitive with its resolved identifier, or `None` if the
+/// edge could fire right now.
 fn probe_edge<S>(
     osm: &Osm<S>,
     edge: &Edge,
     managers: &mut ManagerTable,
     scratch: &mut Scratch,
-) -> Option<WaitCause> {
+) -> Option<(Primitive, TokenIdent)> {
     let none = &mut Sinks::default();
-    if try_condition::<S, false>(osm, edge, managers, scratch, false, none, 0) {
+    if try_condition::<S, false>(osm, edge, managers, scratch, none, 0) {
         abort_plan::<S, false>(osm, scratch, managers, none, (0, osm.id, edge.id));
         return None;
     }
-    let (prim, ident) = scratch.fail.take()?;
-    let manager = prim.manager()?;
-    let manager_name = managers
-        .try_get(manager)
-        .map(|m| m.name().to_owned())
-        .unwrap_or_else(|| format!("<unknown {manager}>"));
-    let owner = managers
-        .try_get(manager)
-        .and_then(|m| m.owner_of(ident))
-        .filter(|&o| o != osm.id);
-    Some(WaitCause {
-        manager,
-        manager_name,
-        primitive: prim.to_string(),
-        owner,
-    })
+    scratch.fail.take()
 }
 
-/// Builds the [`BlockedOsm`] diagnostics of a stall report: for every OSM
-/// accepted by `include`, probes each enabled outgoing edge and records the
-/// first failing primitive. Side-effect free (probing prepares then aborts).
-pub(crate) fn diagnose_blocked<S: 'static>(
-    osms: &[Osm<S>],
-    specs: &[Arc<StateMachineSpec>],
-    managers: &mut ManagerTable,
-    shared: &S,
-    scratch: &mut Scratch,
-    include: &mut dyn FnMut(&Osm<S>) -> bool,
-) -> Vec<BlockedOsm> {
-    let mut blocked = Vec::new();
-    for osm in osms {
-        if !include(osm) {
-            continue;
+/// The director's passes over the machine's OSMs, managers and hardware
+/// layer; [`Machine::control_step`] picks the pass and ends the step.
+// The passes and the two blocked-OSM reports stay out of line: inlined, all
+// their instantiations land in `Machine::step`, which grew from about 300
+// to about 3,600 instructions.
+impl<S: 'static> Machine<S> {
+    /// Runs one control step's scheduling pass with the reference
+    /// scheduler: the literal Fig. 3 loop. It ranks every OSM, sorts by
+    /// `(rank, id)` and serves the list in order through
+    /// [`Machine::serve_osm`]; an OSM that moves leaves the list, and under
+    /// [`RestartPolicy::Restart`] the scan restarts from the top. This loop
+    /// order is all that sets it apart from [`Machine::fast_pass`] (whose
+    /// oracle it is); serving, stall charging and the step's end are shared.
+    /// Runs under [`SchedulerMode::Seed`] and under any custom ranker.
+    ///
+    /// Monomorphized over `TRACKING`: [`Machine::control_step`] picks
+    /// `TRACKING = true` exactly when stall attribution, the event log or
+    /// the metrics are on, and `TRACKING = false` otherwise. The false
+    /// instantiation contains no event-emission or attribution code at all,
+    /// so an uninstrumented machine runs the pre-observability hot loop (one
+    /// branch per cycle picks the instantiation). The trace, when on,
+    /// receives every committed transition in both instantiations.
+    #[inline(never)]
+    pub(crate) fn reference_pass<const TRACKING: bool>(&mut self) -> StepWork {
+        debug_assert_eq!(TRACKING, self.sinks.tracking());
+        if TRACKING {
+            self.scratch.first_fail.clear();
+            self.scratch.first_fail.resize(self.osms.len(), None);
         }
-        let spec = &specs[osm.spec_idx as usize];
-        let mut waiting_on = Vec::new();
-        for &eid in spec.out_edges(osm.state) {
-            let edge = spec.edge(eid);
-            if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
+        // Rank all OSMs; the paper's age policy is the common case and needs
+        // no view. Ids are unique, so sorting by (rank, id) is a total order.
+        let mut list = std::mem::take(&mut self.scratch.list);
+        match &self.ranker {
+            None => list.extend(self.osms.iter().map(|osm| (osm.age, osm.id))),
+            Some(rank) => list.extend(
+                self.osms
+                    .iter()
+                    .map(|osm| (rank(&osm.view(), &self.shared), osm.id)),
+            ),
+        }
+        list.sort_unstable();
+
+        // The reference loop skips no OSM, so an idle step is always scanned
+        // for deadlock.
+        let mut work = StepWork {
+            evaluated: true,
+            ..StepWork::default()
+        };
+        let restart = self.restart == RestartPolicy::Restart;
+        let mut i = 0;
+        while i < list.len() {
+            let served = self.serve_osm::<TRACKING, false>(list[i].1);
+            if !served.moved {
+                i += 1;
                 continue;
             }
-            if let Some(cause) = probe_edge(osm, edge, managers, scratch) {
-                waiting_on.push(cause);
+            work.transitions += 1;
+            work.completions += u32::from(served.completed);
+            list.remove(i);
+            // Under `Restart` every commit re-enters the outer loop from the
+            // top, and a rescan that happens (OSMs remain unserved) counts
+            // once. Under `NoRestart` the removed OSM's successor slid into
+            // place `i`.
+            if restart {
+                if !list.is_empty() {
+                    self.stats.restarts += 1;
+                    work.restarts += 1;
+                }
+                i = 0;
             }
         }
-        blocked.push(BlockedOsm {
-            osm: osm.id,
-            spec: spec.name().to_owned(),
-            state: spec.state_name(osm.state).to_owned(),
-            held: osm.buffer.iter().map(|h| h.token).collect(),
-            waiting_on,
-        });
+
+        // Everything still listed failed to leave its state this step.
+        if TRACKING {
+            for &(_, id) in &list {
+                self.charge_blocked(id.index());
+            }
+        }
+        list.clear();
+        self.scratch.list = list;
+        work
     }
-    blocked
+
+    /// Runs one control step's scheduling pass with the sensitivity-driven
+    /// fast scheduler ([`SchedulerMode::Fast`]); requires age ranking.
+    ///
+    /// Serves OSMs in the same total order as [`Machine::reference_pass`]
+    /// under age ranking — in-flight OSMs seniors-first (the incrementally
+    /// maintained `active` list), then idle OSMs by id — but skips, without
+    /// touching their edge conditions, every blocked OSM whose sensitivity
+    /// record still proves it cannot move (see [`SensEntry`]). A skipped OSM
+    /// contributes no token events and no effort counters
+    /// (`condition_failures`, `vetoed_edges`), so the
+    /// one-Denied-per-condition-failure reconciliation is preserved; its
+    /// stall attribution is charged from the persisted record instead.
+    ///
+    /// Under [`RestartPolicy::Restart`] one cursor walks the service order
+    /// and every unmoved OSM below it is proven blocked against the current
+    /// state. After a commit, instead of rescanning from the top, the cursor
+    /// resumes at the lowest blocked OSM whose proof the commit may have
+    /// broken, or past the OSM that moved (see
+    /// [`Scratch::resume_after_commit`]). That performs the rescan's
+    /// evaluations in its order and drops only its repeated skip proofs,
+    /// which are still counted as skips for the adaptation window.
+    ///
+    /// With `PROOFS` off (the cooldown after an unproductive
+    /// [`ADAPT_WINDOW`]) the step walks the same service order but evaluates
+    /// every unmoved OSM, reads and writes no sensitivity entry and does no
+    /// window accounting. Under `Restart` every blocked OSM is then
+    /// unproven, so each commit resumes at the lowest blocked position:
+    /// Fig. 3's literal rescan, with exactly the reference scheduler's
+    /// evaluations and effort counters, but without its per-step rank sort
+    /// and per-commit list shift.
+    #[inline(never)]
+    pub(crate) fn fast_pass<const TRACKING: bool, const PROOFS: bool>(&mut self) -> StepWork {
+        let n = self.osms.len();
+        debug_assert_eq!(TRACKING, self.sinks.tracking());
+        if TRACKING {
+            self.scratch.first_fail.clear();
+            self.scratch.first_fail.resize(n, None);
+        }
+
+        if !self.scratch.sched_valid || self.scratch.moved.len() != n {
+            rebuild_schedule(&self.osms, &mut self.scratch);
+        }
+        self.scratch.step_seq += 1;
+        let seq = self.scratch.step_seq;
+
+        if self.scratch.active_dead * 2 > self.scratch.active.len() {
+            self.scratch.active.retain(|&id| id != TOMBSTONE);
+            self.scratch.active_dead = 0;
+        }
+
+        let mut work = StepWork::default();
+        let mut step_skips: u64 = 0;
+        let mut step_evals: u64 = 0;
+
+        // Service positions: `0..in_flight` are the in-flight OSMs, seniors
+        // first (== the reference list's age-ranked prefix); `in_flight + oi`
+        // is idle OSM `oi` (== its IDLE_AGE tail, where ties break by id).
+        // `active` only grows within a step, and what it gains has moved, so
+        // a position names the same OSM for the whole step.
+        let mut active = std::mem::take(&mut self.scratch.active);
+        let in_flight = active.len();
+        let restart = self.restart == RestartPolicy::Restart;
+        if restart {
+            self.scratch.begin_resume(&self.managers);
+        }
+        let mut pos = 0;
+        while pos < in_flight + n {
+            let (id, oi) = if pos < in_flight {
+                let id = active[pos];
+                if id == TOMBSTONE {
+                    pos += 1;
+                    continue;
+                }
+                (id, id.index())
+            } else {
+                let oi = pos - in_flight;
+                if self.osms[oi].age != IDLE_AGE {
+                    pos += 1;
+                    continue;
+                }
+                (self.osms[oi].id, oi)
+            };
+            if self.scratch.moved[oi] == seq {
+                pos += 1;
+                continue;
+            }
+            if PROOFS && self.can_skip(oi) {
+                if TRACKING {
+                    self.scratch.first_fail[oi] = self.scratch.sens[oi].fail;
+                }
+                step_skips += 1;
+            } else {
+                work.evaluated = true;
+                step_evals += 1;
+                let served = if PROOFS {
+                    self.serve_osm_fast::<TRACKING>(id)
+                } else {
+                    self.serve_osm::<TRACKING, false>(id)
+                };
+                if served.moved {
+                    self.scratch.moved[oi] = seq;
+                    work.transitions += 1;
+                    debug_assert!(
+                        pos >= in_flight || !served.dispatched,
+                        "in-flight OSM cannot dispatch"
+                    );
+                    if served.completed {
+                        work.completions += 1;
+                        // An idle OSM completes by an initial-state self-loop,
+                        // without ever joining `active`.
+                        if pos < in_flight {
+                            active[pos] = TOMBSTONE;
+                            self.scratch.active_dead += 1;
+                        }
+                    } else if served.dispatched {
+                        // Joins the in-flight list. Its age is the largest
+                        // assigned so far, so pushing keeps the list sorted.
+                        active.push(id);
+                    }
+                    if restart {
+                        if (work.transitions as usize) < n {
+                            self.stats.restarts += 1;
+                            work.restarts += 1;
+                        }
+                        // Fig. 3 rescans from the top here. Every blocked OSM
+                        // below the resume point would pass its skip proof
+                        // again, so the rescan is cut short and they count as
+                        // skips.
+                        pos = self.scratch.resume_after_commit(pos, &self.managers);
+                        if PROOFS {
+                            step_skips += self.scratch.blocked.len() as u64;
+                        }
+                        continue;
+                    }
+                    pos += 1;
+                    continue;
+                }
+            }
+            if restart {
+                if PROOFS {
+                    self.scratch.register_blocked(pos, oi);
+                } else {
+                    self.scratch.unproven = self.scratch.unproven.min(pos);
+                }
+            }
+            pos += 1;
+        }
+
+        // Everything unmoved is blocked; charge its first blocking (manager,
+        // primitive) pair — for skipped OSMs, from the persisted record — in
+        // the order of the reference scheduler's leftover list.
+        if TRACKING {
+            for &id in active.iter() {
+                if id == TOMBSTONE || self.scratch.moved[id.index()] == seq {
+                    continue;
+                }
+                self.charge_blocked(id.index());
+            }
+            for oi in 0..n {
+                if self.osms[oi].age != IDLE_AGE || self.scratch.moved[oi] == seq {
+                    continue;
+                }
+                self.charge_blocked(oi);
+            }
+        }
+
+        let scratch = &mut self.scratch;
+        scratch.active = active;
+
+        // Adaptation: if a whole window of steps produced fewer skips than
+        // full evaluations, the sensitivity bookkeeping costs more than it
+        // saves — switch proofs off and re-probe later. The ready list stays
+        // valid; the records go stale while proof-free steps ignore them, so
+        // they are dropped here. Cycle behavior is unaffected (both ways are
+        // exact); only effort counters can differ.
+        if PROOFS {
+            scratch.adapt_skips += step_skips;
+            scratch.adapt_evals += step_evals;
+            scratch.adapt_steps += 1;
+            if scratch.adapt_steps >= ADAPT_WINDOW {
+                let fall_back = scratch.adapt_skips < scratch.adapt_evals;
+                scratch.adapt_skips = 0;
+                scratch.adapt_evals = 0;
+                scratch.adapt_steps = 0;
+                if fall_back {
+                    scratch.sens.fill(SensEntry::default());
+                    scratch.adapt_cooldown = ADAPT_COOLDOWN;
+                }
+            }
+        }
+        work
+    }
+
+    /// Decides whether blocked OSM `oi` can be skipped without re-evaluating
+    /// its edge conditions: its sensitivity record must still describe the
+    /// current residence, the behavior veto mask must be unchanged
+    /// (re-computed here — vetoes may read time-dependent shared state), and
+    /// every recorded blocking manager must still be at its recorded dirty
+    /// epoch.
+    #[inline]
+    fn can_skip(&self, oi: usize) -> bool {
+        let osm = &self.osms[oi];
+        let sens = &self.scratch.sens[oi];
+        if !sens.valid || !sens.skippable || sens.state != osm.state {
+            return false;
+        }
+        // Epochs first: a handful of u64 compares. When the check fails it is
+        // almost always here (a recorded manager got dirtied), so rejecting
+        // before the veto-mask recompute saves its closure calls.
+        for j in 0..sens.n as usize {
+            if self.managers.epoch(sens.mgrs[j]) != sens.epochs[j] {
+                return false;
+            }
+        }
+        let spec = &self.specs[osm.spec_idx as usize];
+        let out = spec.out_edges(osm.state);
+        if out.len() > 64 {
+            return false;
+        }
+        let mut mask: u64 = 0;
+        for (k, &eid) in out.iter().enumerate() {
+            let edge = spec.edge(eid);
+            if !osm.behavior.edge_enabled(edge, &osm.view(), &self.shared) {
+                mask |= 1 << k;
+            }
+        }
+        mask == sens.veto_mask
+    }
+
+    /// Serves the OSM at `id` with skip proofs on: [`Machine::serve_osm`]
+    /// behind a call boundary.
+    // Deliberately NOT inlined into the stepping loop: the inlined body
+    // bloats it enough to wreck the codegen of the (far hotter) skip checks
+    // — measured ~1.5x on the sparse benchmark. Proof-free steps have no
+    // skip checks and call the body inlined instead.
+    #[inline(never)]
+    fn serve_osm_fast<const TRACKING: bool>(&mut self, id: OsmId) -> Served {
+        self.serve_osm::<TRACKING, true>(id)
+    }
+
+    /// Serves one OSM: the inner loop of Fig. 3 for both schedulers.
+    /// Evaluates the current state's out-edges in priority order and commits
+    /// the first satisfied one: the plan, the state and age update,
+    /// `on_transition`, the trace fold and the [`TransitionEvent`] all happen
+    /// here and only here. With `PROOFS`, a transition clears the OSM's
+    /// sensitivity entry and a blocked evaluation records it so later steps
+    /// can skip the OSM; without, the entries are neither read nor written.
+    #[inline(always)]
+    fn serve_osm<const TRACKING: bool, const PROOFS: bool>(&mut self, id: OsmId) -> Served {
+        let Machine {
+            osms,
+            specs,
+            managers,
+            shared,
+            cycle,
+            age_counter,
+            stats,
+            sinks,
+            scratch,
+            ..
+        } = self;
+        let cycle = *cycle;
+        let oi = id.index();
+        let osm = &mut osms[oi];
+        let spec_idx = osm.spec_idx;
+        let spec = &specs[spec_idx as usize];
+        if TRACKING {
+            scratch.first_fail[oi] = None;
+        }
+
+        // Record only on the second consecutive blocked evaluation in the same
+        // state (see [`SensEntry::armed`]); the first one just arms.
+        let record = PROOFS && {
+            let e = &scratch.sens[oi];
+            (e.valid || e.armed) && e.state == osm.state
+        };
+
+        let out = spec.out_edges(osm.state);
+        let mut veto_mask: u64 = 0;
+        let mut skippable = out.len() <= 64;
+        let mut mgrs = [ManagerId(0); MAX_SENS];
+        let mut nm: usize = 0;
+        let mut sens_fail: Option<(Primitive, TokenIdent)> = None;
+
+        for (k, &eid) in out.iter().enumerate() {
+            let edge = spec.edge(eid);
+            if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
+                stats.vetoed_edges += 1;
+                if record && k < 64 {
+                    veto_mask |= 1 << k;
+                }
+                continue;
+            }
+            if try_condition::<S, TRACKING>(osm, edge, managers, scratch, sinks, cycle) {
+                commit_plan::<S, TRACKING>(osm, scratch, managers, sinks, (cycle, id, eid));
+                let from = osm.state;
+                osm.state = edge.dst;
+                let initial = spec.initial();
+                let dispatched = from == initial && edge.dst != initial;
+                let completed = edge.dst == initial;
+                if dispatched {
+                    osm.age = *age_counter;
+                    *age_counter += 1;
+                } else if completed {
+                    osm.age = IDLE_AGE;
+                    debug_assert!(
+                        osm.buffer.is_empty(),
+                        "OSM {} returned to initial state still holding tokens: {:?}",
+                        osm.id,
+                        osm.buffer
+                    );
+                }
+                osm.last_move_cycle = cycle;
+                let mut ctx = TransitionCtx {
+                    osm: osm.id,
+                    from,
+                    to: edge.dst,
+                    cycle,
+                    tag: osm.tag,
+                    slots: &mut osm.slots,
+                    buffer: &osm.buffer,
+                    managers,
+                    shared,
+                };
+                osm.behavior.on_transition(edge, &mut ctx);
+                if let Some(t) = &mut sinks.trace {
+                    t.push(TraceEvent {
+                        cycle,
+                        osm: id,
+                        edge: eid,
+                        from,
+                        to: edge.dst,
+                    });
+                }
+                if TRACKING && sinks.events() {
+                    sinks.record(ObservedEvent::Transition(TransitionEvent {
+                        cycle,
+                        osm: id,
+                        spec: spec_idx,
+                        edge: eid,
+                        from,
+                        to: edge.dst,
+                        started: dispatched,
+                        completed,
+                    }));
+                }
+                stats.transitions += 1;
+                if PROOFS {
+                    scratch.sens[oi].valid = false;
+                    scratch.sens[oi].armed = false;
+                }
+                return Served {
+                    moved: true,
+                    completed,
+                    dispatched,
+                };
+            }
+            stats.condition_failures += 1;
+            if TRACKING && scratch.first_fail[oi].is_none() {
+                scratch.first_fail[oi] = scratch.fail;
+            }
+            if record {
+                if sens_fail.is_none() {
+                    sens_fail = scratch.fail;
+                }
+                match scratch.fail.and_then(|(p, _)| p.manager()) {
+                    Some(m) => {
+                        if !mgrs[..nm].contains(&m) {
+                            if nm < MAX_SENS {
+                                mgrs[nm] = m;
+                                nm += 1;
+                            } else {
+                                skippable = false;
+                            }
+                        }
+                    }
+                    None => skippable = false,
+                }
+            }
+        }
+
+        if !PROOFS {
+            return Served::BLOCKED;
+        }
+        // Blocked. First time in this state: arm only — the record is taken on
+        // the next blocked evaluation, so one-cycle stalls never pay for it.
+        let entry = &mut scratch.sens[oi];
+        if !record {
+            entry.valid = false;
+            entry.armed = true;
+            entry.state = osm.state;
+            return Served::BLOCKED;
+        }
+        // Persist the sensitivity record. Epochs are read after the scan — the
+        // scan itself only probes (prepare/abort), which never bumps an epoch,
+        // so they reflect exactly the state just evaluated.
+        entry.valid = true;
+        entry.armed = true;
+        entry.skippable = skippable;
+        entry.state = osm.state;
+        entry.veto_mask = veto_mask;
+        entry.n = nm as u8;
+        entry.mgrs = mgrs;
+        for (j, &m) in mgrs.iter().enumerate().take(nm) {
+            entry.epochs[j] = managers.epoch(m);
+        }
+        entry.fail = sens_fail;
+        Served::BLOCKED
+    }
+
+    /// Charges OSM `oi`, blocked at the end of the step, to its first
+    /// failing (manager, primitive) pair; both schedulers charge every
+    /// blocked OSM through it.
+    fn charge_blocked(&mut self, oi: usize) {
+        let Some((prim, ident)) = self.scratch.first_fail[oi] else {
+            return;
+        };
+        let Some(manager) = prim.manager() else {
+            return;
+        };
+        let op = prim.kind();
+        let osm = &self.osms[oi];
+        if let Some(t) = &mut self.sinks.stalls {
+            t.charge(osm.id, manager, op);
+        }
+        if self.sinks.events() {
+            self.sinks.record(ObservedEvent::Stall(StallEvent {
+                cycle: self.cycle,
+                osm: osm.id,
+                spec: osm.spec_idx,
+                state: osm.state,
+                manager,
+                op,
+                ident,
+            }));
+        }
+    }
+
+    /// The deadlock verdict of a step in which no OSM moved, for both
+    /// schedulers: a second evaluation pass over every OSM through
+    /// [`Machine::probe_osm`], recording which OSMs own the blocking tokens
+    /// (lazy wait-for-graph construction), and [`ModelError::Deadlock`] if
+    /// that graph has a cycle. Only a denied allocate or inquire names an
+    /// owner to wait on.
+    ///
+    /// The pass is elided when the step `evaluated` nothing (the fast
+    /// scheduler skipped every OSM on a proof) and no manager epoch moved
+    /// since the last pass found no cycle: it would rebuild the same acyclic
+    /// graph. The reference scheduler always evaluates, so it always scans.
+    ///
+    /// Conditions all failed in the scheduling pass and nothing has changed,
+    /// so they fail again — the pass is side-effect free (the probe rolls
+    /// back even a satisfied condition). It reports to no sink: emitting
+    /// events here would break the one-Denied-per-condition-failure
+    /// reconciliation.
+    #[inline(never)]
+    pub(crate) fn idle_step_deadlock(&mut self, evaluated: bool) -> Result<(), ModelError> {
+        let generation = self.managers.generation();
+        if !evaluated && generation == self.scratch.last_diag_generation {
+            return Ok(());
+        }
+        let mut waits = std::mem::take(&mut self.scratch.wait_edges);
+        waits.clear();
+        for oi in 0..self.osms.len() {
+            let waiter = self.osms[oi].id;
+            self.probe_osm(oi, |managers, fail| {
+                debug_assert!(fail.is_some(), "idle step re-evaluation succeeded");
+                // Only a denied allocate or inquire of a resolved identifier
+                // names the owner it waits on.
+                let Some((
+                    Primitive::Allocate { manager, .. } | Primitive::Inquire { manager, .. },
+                    ident,
+                )) = fail.filter(|&(_, ident)| !ident.is_none())
+                else {
+                    return;
+                };
+                let owner = managers.try_get(manager).and_then(|m| m.owner_of(ident));
+                if let Some(owner) = owner.filter(|&o| o != waiter) {
+                    waits.push((waiter, owner));
+                }
+            });
+        }
+        let scratch = &mut self.scratch;
+        let found = find_wait_cycle(&waits, &mut scratch.wait_marks, &mut scratch.wait_stack);
+        scratch.wait_edges = waits;
+        match found {
+            Some(osms) => Err(ModelError::Deadlock {
+                cycle: self.cycle,
+                osms,
+            }),
+            None => {
+                scratch.last_diag_generation = generation;
+                Ok(())
+            }
+        }
+    }
+
+    /// The one probe walk behind both blocked-OSM reports (the deadlock
+    /// scan and the stall diagnosis): probes each enabled out-edge of OSM
+    /// `oi` in priority order with [`probe_edge`] and hands `blocked` the
+    /// edge's first failing primitive and identifier, or `None` if the edge
+    /// could fire.
+    fn probe_osm(
+        &mut self,
+        oi: usize,
+        mut blocked: impl FnMut(&ManagerTable, Option<(Primitive, TokenIdent)>),
+    ) {
+        let Machine {
+            osms,
+            specs,
+            managers,
+            shared,
+            scratch,
+            ..
+        } = self;
+        let osm = &osms[oi];
+        let spec = &specs[osm.spec_idx as usize];
+        for &eid in spec.out_edges(osm.state) {
+            let edge = spec.edge(eid);
+            if osm.behavior.edge_enabled(edge, &osm.view(), shared) {
+                let fail = probe_edge(osm, edge, managers, scratch);
+                blocked(managers, fail);
+            }
+        }
+    }
+
+    /// Builds the [`BlockedOsm`] diagnostics of a stall report: for every
+    /// OSM accepted by `include`, the first failing primitive of each
+    /// enabled outgoing edge ([`Machine::probe_osm`]), with the manager's
+    /// name and the token's other owner, if any. Side-effect free (probing
+    /// prepares then aborts).
+    #[inline(never)]
+    pub(crate) fn diagnose_blocked(
+        &mut self,
+        mut include: impl FnMut(&Osm<S>) -> bool,
+    ) -> Vec<BlockedOsm> {
+        let mut blocked = Vec::new();
+        for oi in 0..self.osms.len() {
+            if !include(&self.osms[oi]) {
+                continue;
+            }
+            let waiter = self.osms[oi].id;
+            let mut waiting_on = Vec::new();
+            self.probe_osm(oi, |managers, fail| {
+                let Some((prim, ident)) = fail else {
+                    return;
+                };
+                let Some(manager) = prim.manager() else {
+                    return;
+                };
+                let found = managers.try_get(manager);
+                waiting_on.push(WaitCause {
+                    manager,
+                    manager_name: found
+                        .map(|m| m.name().to_owned())
+                        .unwrap_or_else(|| format!("<unknown {manager}>")),
+                    primitive: prim.to_string(),
+                    owner: found
+                        .and_then(|m| m.owner_of(ident))
+                        .filter(|&o| o != waiter),
+                });
+            });
+            let osm = &self.osms[oi];
+            let spec = &self.specs[osm.spec_idx as usize];
+            blocked.push(BlockedOsm {
+                osm: osm.id,
+                spec: spec.name().to_owned(),
+                state: spec.state_name(osm.state).to_owned(),
+                held: osm.buffer.iter().map(|h| h.token).collect(),
+                waiting_on,
+            });
+        }
+        blocked
+    }
 }
 
 /// Mark bytes of the wait-for cycle search.

@@ -1,6 +1,6 @@
 //! The machine: managers + OSMs + director configuration + shared hardware state.
 
-use crate::director::{self, RankFn, RestartPolicy, SchedulerMode, Scratch, StepOutcome, StepWork};
+use crate::director::{RankFn, RestartPolicy, SchedulerMode, Scratch, StepOutcome};
 use crate::error::{ModelError, StallKind, StallReport};
 use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerSnapshot, ManagerTable, TokenManager};
@@ -98,26 +98,27 @@ impl HardwareLayer for () {
 pub struct Machine<S> {
     /// The token managers (public for hardware-layer data access).
     pub managers: ManagerTable,
-    osms: Vec<Osm<S>>,
-    specs: Vec<Arc<StateMachineSpec>>,
+    pub(crate) osms: Vec<Osm<S>>,
+    pub(crate) specs: Vec<Arc<StateMachineSpec>>,
     /// Shared hardware-layer state.
     pub shared: S,
     /// The custom ranking policy; `None` is the paper's age ranking, the
     /// only one [`SchedulerMode::Fast`] serves.
-    ranker: Option<Box<RankFn<S>>>,
-    sched_mode: SchedulerMode,
-    restart: RestartPolicy,
-    cycle: u64,
-    age_counter: u64,
+    pub(crate) ranker: Option<Box<RankFn<S>>>,
+    pub(crate) sched_mode: SchedulerMode,
+    pub(crate) restart: RestartPolicy,
+    pub(crate) cycle: u64,
+    pub(crate) age_counter: u64,
     /// Stall watchdog bound (`None` = off); see [`Machine::set_stall_limit`].
-    stall_limit: Option<u64>,
-    last_transition_cycle: u64,
-    last_completion_cycle: u64,
+    pub(crate) stall_limit: Option<u64>,
+    pub(crate) last_transition_cycle: u64,
+    pub(crate) last_completion_cycle: u64,
     /// Scheduler statistics.
     pub stats: Stats,
     /// The observability sinks; all off = the zero-cost untracked director.
-    sinks: Sinks,
-    scratch: Scratch,
+    pub(crate) sinks: Sinks,
+    /// The director's reusable buffers and persistent fast-scheduler state.
+    pub(crate) scratch: Scratch,
 }
 
 impl<S: 'static> Machine<S> {
@@ -542,30 +543,22 @@ impl<S: 'static> Machine<S> {
                 self.scratch.adapt_cooldown -= 1;
             }
             match (tracking, proofs) {
-                (false, true) => self.control_step_fast::<false, true>(),
-                (false, false) => self.control_step_fast::<false, false>(),
-                (true, true) => self.control_step_fast::<true, true>(),
-                (true, false) => self.control_step_fast::<true, false>(),
+                (false, true) => self.fast_pass::<false, true>(),
+                (false, false) => self.fast_pass::<false, false>(),
+                (true, true) => self.fast_pass::<true, true>(),
+                (true, false) => self.fast_pass::<true, false>(),
             }
         } else if tracking {
-            self.control_step_seed::<true>()
+            self.reference_pass::<true>()
         } else {
-            self.control_step_seed::<false>()
+            self.reference_pass::<false>()
         };
         if work.transitions == 0 {
             self.stats.idle_steps += 1;
             if let Some(t) = &mut self.sinks.stalls {
                 t.global_stall_cycles += 1;
             }
-            director::idle_step_deadlock(
-                &self.osms,
-                &self.specs,
-                &mut self.managers,
-                &self.shared,
-                &mut self.scratch,
-                self.cycle,
-                work.evaluated,
-            )?;
+            self.idle_step_deadlock(work.evaluated)?;
         }
         if let Some(m) = &mut self.sinks.metrics {
             m.end_cycle(work.restarts);
@@ -574,39 +567,6 @@ impl<S: 'static> Machine<S> {
             transitions: work.transitions,
             completions: work.completions,
         })
-    }
-
-    /// One reference-scheduler pass through the given instantiation.
-    fn control_step_seed<const TRACKING: bool>(&mut self) -> StepWork {
-        director::control_step::<S, TRACKING>(
-            &mut self.osms,
-            &self.specs,
-            &mut self.managers,
-            &mut self.shared,
-            self.ranker.as_deref(),
-            self.restart,
-            self.cycle,
-            &mut self.age_counter,
-            &mut self.stats,
-            &mut self.sinks,
-            &mut self.scratch,
-        )
-    }
-
-    /// One [`SchedulerMode::Fast`] pass through the given instantiation.
-    fn control_step_fast<const TRACKING: bool, const PROOFS: bool>(&mut self) -> StepWork {
-        director::control_step_fast::<S, TRACKING, PROOFS>(
-            &mut self.osms,
-            &self.specs,
-            &mut self.managers,
-            &mut self.shared,
-            self.restart,
-            self.cycle,
-            &mut self.age_counter,
-            &mut self.stats,
-            &mut self.sinks,
-            &mut self.scratch,
-        )
     }
 
     /// Feeds one step's outcome into the watchdog trackers and, if armed,
@@ -644,21 +604,14 @@ impl<S: 'static> Machine<S> {
             }
             (StallKind::Starvation, worst_pin)
         };
-        let blocked = director::diagnose_blocked(
-            &self.osms,
-            &self.specs,
-            &mut self.managers,
-            &self.shared,
-            &mut self.scratch,
-            &mut |o: &Osm<S>| match kind {
-                // Starvation singles out the pinned OSMs; the other kinds
-                // report every in-flight OSM.
-                StallKind::Starvation => {
-                    !o.is_idle() && now.saturating_sub(o.last_move_cycle()) >= limit
-                }
-                StallKind::Wedged | StallKind::Livelock => !o.is_idle(),
-            },
-        );
+        let blocked = self.diagnose_blocked(|o| match kind {
+            // Starvation singles out the pinned OSMs; the other kinds report
+            // every in-flight OSM.
+            StallKind::Starvation => {
+                !o.is_idle() && now.saturating_sub(o.last_move_cycle()) >= limit
+            }
+            StallKind::Wedged | StallKind::Livelock => !o.is_idle(),
+        });
         Err(ModelError::Stalled(Box::new(StallReport {
             kind,
             cycle: now,

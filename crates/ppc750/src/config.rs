@@ -2,6 +2,7 @@
 //! port/signal baseline model.
 
 use memsys::MemSystemConfig;
+use minirisc::InstrClass;
 
 /// Per-class execute latencies (cycles of unit occupancy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +25,24 @@ pub struct Latencies {
     pub sru: u32,
     /// Branch processing unit.
     pub bpu: u32,
+}
+
+impl Latencies {
+    /// The execute latency of an instruction class: the one lookup both
+    /// PPC-750 models charge, so their timing cannot drift apart.
+    pub fn of(&self, class: InstrClass) -> u32 {
+        match class {
+            InstrClass::IntAlu => self.alu,
+            InstrClass::IntMul => self.mul,
+            InstrClass::IntDiv => self.div,
+            InstrClass::FpAdd => self.fadd,
+            InstrClass::FpMul => self.fmul,
+            InstrClass::FpDiv => self.fdiv,
+            InstrClass::Load | InstrClass::Store => self.lsu,
+            InstrClass::System => self.sru,
+            InstrClass::Branch | InstrClass::Jump => self.bpu,
+        }
+    }
 }
 
 impl Default for Latencies {

@@ -455,26 +455,11 @@ struct PpcOp {
 }
 
 impl PpcOp {
-    fn latency(&self, shared: &PpcShared) -> u32 {
-        let lat = &shared.cfg.lat;
-        match self.instr.class() {
-            InstrClass::IntAlu => lat.alu,
-            InstrClass::IntMul => lat.mul,
-            InstrClass::IntDiv => lat.div,
-            InstrClass::FpAdd => lat.fadd,
-            InstrClass::FpMul => lat.fmul,
-            InstrClass::FpDiv => lat.fdiv,
-            InstrClass::Load | InstrClass::Store => lat.lsu,
-            InstrClass::System => lat.sru,
-            InstrClass::Branch | InstrClass::Jump => lat.bpu,
-        }
-    }
-
     /// Starts execution in `unit`: charges the unit's latency (plus D-cache
     /// penalty for right-path memory operations) to the unit release timer.
     fn start_execute(&mut self, unit: Unit, ctx: &mut TransitionCtx<'_, PpcShared>) {
         self.unit = Some(unit);
-        let mut extra = self.latency(ctx.shared).saturating_sub(1);
+        let mut extra = ctx.shared.cfg.lat.of(self.instr.class()).saturating_sub(1);
         if let Some(addr) = self.mem_addr {
             extra += ctx.shared.memsys.data_penalty(addr);
         }

@@ -365,23 +365,8 @@ struct ExecUnit {
 }
 
 impl ExecUnit {
-    fn latency(&self, op: &PortOp) -> u32 {
-        let lat = &self.cfg.lat;
-        match op.instr.class() {
-            InstrClass::IntAlu => lat.alu,
-            InstrClass::IntMul => lat.mul,
-            InstrClass::IntDiv => lat.div,
-            InstrClass::FpAdd => lat.fadd,
-            InstrClass::FpMul => lat.fmul,
-            InstrClass::FpDiv => lat.fdiv,
-            InstrClass::Load | InstrClass::Store => lat.lsu,
-            InstrClass::System => lat.sru,
-            InstrClass::Branch | InstrClass::Jump => lat.bpu,
-        }
-    }
-
     fn start(&mut self, op: PortOp) {
-        let mut extra = self.latency(&op).saturating_sub(1);
+        let mut extra = self.cfg.lat.of(op.instr.class()).saturating_sub(1);
         if let (Some((cache, tlb)), Some(addr)) = (self.dcache.as_mut(), op.mem_addr) {
             let t = tlb.access(addr);
             let c = match cache.access(addr) {

@@ -37,7 +37,9 @@ use std::time::{Duration, Instant};
 /// `--run-one` children parse the exact same jobs. Job 0 is the kill
 /// victim: long enough (several seconds of simulated VLIW ILP) that the
 /// killer thread always lands mid-job, checkpointing every 50k cycles so
-/// the post-kill retry restores instead of starting over.
+/// the post-kill retry restores instead of starting over. The observed job
+/// puts its stall causes in the canonical report, so the gates also cover
+/// the fleet stall roll-up read back from journal frames.
 const MANIFEST: &str = r#"{
   "workers": 2,
   "defaults": { "max_cycles": 50000000 },
@@ -46,7 +48,9 @@ const MANIFEST: &str = r#"{
       "retries": 2, "checkpoint_every": 50000 },
     { "name": "crash/healthy-sa", "model": "sa1100", "workload": "specint" },
     { "name": "crash/healthy-iss", "model": "minirisc", "workload": "random:64", "seed": 5 },
-    { "name": "crash/healthy-ppc", "model": "ppc750", "workload": "specint" }
+    { "name": "crash/healthy-ppc", "model": "ppc750", "workload": "specint" },
+    { "name": "crash/observed-sa", "model": "sa1100", "workload": "specint",
+      "observability": true }
   ]
 }"#;
 

@@ -10,6 +10,7 @@
 
 use crate::checkpoint::{CheckpointCtl, JobCheckpoint};
 use crate::observe::JobTiming;
+use crate::report::FleetStallCause;
 use minirisc::{Iss, SparseMemory};
 use osm_core::persist::{fnv, fnv_mix, FNV_OFFSET};
 use osm_core::{
@@ -219,9 +220,9 @@ pub struct SimJob {
     pub max_cycles: u64,
     /// Director scheduling mode (OSM models; ignored by the ISS).
     pub scheduler: SchedulerMode,
-    /// Enable metrics and stall attribution and attach the
-    /// [`MetricsReport`] to the result. No event log is recorded: the
-    /// result carries only the report.
+    /// Enable metrics and stall attribution and attach what the farm keeps
+    /// of them, [`JobMetrics`], to the result. No event log is recorded:
+    /// the result carries only that record.
     pub observability: bool,
     /// Optional fault plan, installed in front of the model's fetch-side
     /// manager (SA-1100: fetch stage; PPC-750: fetch queue; VLIW: fetch
@@ -488,10 +489,49 @@ pub struct JobResult {
     pub restored_from: Option<u64>,
     /// Scheduler statistics (OSM models only).
     pub stats: Option<Stats>,
-    /// Derived metrics, when the job asked for observability.
-    pub metrics: Option<MetricsReport>,
+    /// The job's observability record, when it asked for observability:
+    /// the farm's own record, written to the journal and read back whole.
+    pub metrics: Option<JobMetrics>,
     /// Injected-fault counters, when the job carried a fault plan.
     pub fault_stats: Option<FaultStats>,
+}
+
+/// What the farm keeps of a job's metrics and stall attribution: the
+/// counters the farm report renders and the stall cycles its fleet roll-up
+/// folds. The journal carries the whole record, so a resumed or
+/// process-isolated sweep renders exactly what the in-process one does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobMetrics {
+    /// Operation completions (returns to the initial state).
+    pub completions: u64,
+    /// Token grants (including later-aborted two-phase grants).
+    pub token_grants: u64,
+    /// Token denials.
+    pub token_denials: u64,
+    /// Stall cycles by `(manager, primitive)`, in the machine's
+    /// `(manager id, primitive)` order.
+    pub stalls: Vec<FleetStallCause>,
+}
+
+impl JobMetrics {
+    /// Keeps the farm's part of a machine's metrics report.
+    fn of(report: MetricsReport) -> JobMetrics {
+        JobMetrics {
+            completions: report.completions,
+            token_grants: report.token_grants,
+            token_denials: report.token_denials,
+            stalls: report
+                .stalls
+                .into_iter()
+                .flat_map(|h| h.by_manager)
+                .map(|c| FleetStallCause {
+                    manager: c.manager_name,
+                    op: c.op.to_string(),
+                    cycles: c.cycles,
+                })
+                .collect(),
+        }
+    }
 }
 
 impl JobResult {
@@ -759,7 +799,7 @@ trait Simulator: Sized {
     fn snapshot(&self) -> Option<(u64, u64, Vec<u8>)>;
 
     /// Ends the run: the final digest, scheduler stats and metrics.
-    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>);
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<JobMetrics>);
 }
 
 /// What the farm needs to know about one OSM model beyond its [`Machine`],
@@ -829,9 +869,10 @@ impl<S: OsmModel> Simulator for Machine<S> {
         Some((trace.digest(), trace.total(), machine))
     }
 
-    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<JobMetrics>) {
         let digest = self.take_trace().map_or(0, |t| t.digest());
-        (digest, Some(self.stats.clone()), self.metrics_report())
+        let metrics = self.metrics_report().map(JobMetrics::of);
+        (digest, Some(self.stats.clone()), metrics)
     }
 }
 
@@ -973,7 +1014,7 @@ impl Simulator for IssRun {
         Some((self.digest, self.iss.retired, self.iss.export_state()))
     }
 
-    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<JobMetrics>) {
         (self.digest, None, None)
     }
 }
@@ -1069,7 +1110,7 @@ mod tests {
         assert_eq!(r.digest, r2.digest);
     }
 
-    /// A job result carries only the metrics report, so an observability
+    /// A job result carries only its metrics record, so an observability
     /// job must not grow an event log nobody reads.
     #[test]
     fn observability_jobs_record_metrics_but_no_event_log() {
@@ -1085,8 +1126,8 @@ mod tests {
         machine.advance(job.max_cycles).expect("runs");
         let (_, _, metrics) = machine.finish();
         let metrics = metrics.expect("metrics enabled");
-        assert_eq!(metrics.cycles, job.max_cycles);
-        assert!(metrics.stalls.is_some(), "stall attribution rides along");
+        assert!(metrics.completions > 0);
+        assert!(!metrics.stalls.is_empty(), "stall attribution rides along");
     }
 
     #[test]

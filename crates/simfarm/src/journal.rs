@@ -28,8 +28,8 @@
 //!   with [`JournalError::ManifestMismatch`].
 //!
 //! The payload preserves every field the farm report renders or folds
-//! (outcome taxonomy in full, scheduler [`Stats`], the rendered metrics
-//! fields, fault totals), which is what makes a
+//! (outcome taxonomy in full, scheduler [`Stats`], the whole [`JobMetrics`]
+//! record with its stall cycles, fault totals), which is what makes a
 //! resumed sweep's consolidated report byte-identical to an uninterrupted
 //! run's.
 //!
@@ -47,10 +47,11 @@
 //! farm moves on.
 
 use crate::error::JournalError;
-use crate::job::{JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
+use crate::job::{JobMetrics, JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
+use crate::report::FleetStallCause;
 use bench::json::{parse, Json};
 use osm_core::persist::{fnv, ByteReader, ByteWriter};
-use osm_core::{FaultStats, MetricsReport, StallKind, Stats};
+use osm_core::{FaultStats, StallKind, Stats};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -444,30 +445,52 @@ fn stats_from_json(j: &Json) -> Result<Stats, String> {
     Ok(stats)
 }
 
-/// Only the metrics fields the farm report renders survive the journal;
-/// the full per-state/per-manager breakdowns are recomputable by re-running
-/// the job and are deliberately not persisted.
-fn metrics_to_json(m: &MetricsReport) -> Json {
+/// The whole [`JobMetrics`] record: its counters and its stall cycles by
+/// `(manager, primitive)`.
+fn metrics_to_json(m: &JobMetrics) -> Json {
+    let stalls = m
+        .stalls
+        .iter()
+        .map(|c| {
+            let mut obj = BTreeMap::new();
+            obj.insert("manager".into(), Json::Str(c.manager.clone()));
+            obj.insert("op".into(), Json::Str(c.op.clone()));
+            obj.insert("cycles".into(), num(c.cycles));
+            Json::Obj(obj)
+        })
+        .collect();
     let mut obj = BTreeMap::new();
     obj.insert("completions".into(), num(m.completions));
     obj.insert("token_grants".into(), num(m.token_grants));
     obj.insert("token_denials".into(), num(m.token_denials));
+    obj.insert("stalls".into(), Json::Arr(stalls));
     Json::Obj(obj)
 }
 
-fn metrics_from_json(j: &Json) -> Result<MetricsReport, String> {
-    Ok(MetricsReport {
-        cycles: 0,
-        transitions: 0,
+/// Reads a [`metrics_to_json`] record back. A record written before the
+/// stall list was journaled replays with no stall causes.
+fn metrics_from_json(j: &Json) -> Result<JobMetrics, String> {
+    let stall = |c: &Json| {
+        Ok(FleetStallCause {
+            manager: get_str(c, "manager")?.to_owned(),
+            op: get_str(c, "op")?.to_owned(),
+            cycles: get_u64(c, "cycles")?,
+        })
+    };
+    let stalls = match j.get("stalls") {
+        None => Vec::new(),
+        Some(list) => list
+            .as_arr()
+            .ok_or("non-array `stalls`")?
+            .iter()
+            .map(stall)
+            .collect::<Result<_, String>>()?,
+    };
+    Ok(JobMetrics {
         completions: get_u64(j, "completions")?,
         token_grants: get_u64(j, "token_grants")?,
         token_denials: get_u64(j, "token_denials")?,
-        restarts: 0,
-        states: Vec::new(),
-        managers: Vec::new(),
-        window: 0,
-        throughput: Vec::new(),
-        stalls: None,
+        stalls,
     })
 }
 
@@ -555,7 +578,14 @@ fn result_from_json(j: &Json, jobs: &[SimJob]) -> Result<(usize, JobResult), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::run_job;
+    use crate::job::{run_job, WorkloadSpec};
+    use crate::report::FarmReport;
+
+    /// One exclusive stage: an ADL machine whose OSMs, when there are
+    /// several, queue for it and charge stall cycles.
+    const ONE_STAGE: &str = "machine m { manager s : exclusive(1); \
+        osm op { states I, S; initial I; edge go : I -> S { allocate s[0]; } \
+        edge back : S -> I { release s[held]; } } }";
 
     fn sample_jobs() -> Vec<SimJob> {
         (0..3)
@@ -683,6 +713,16 @@ mod tests {
         let mut stats = Stats::new();
         stats.transitions = big;
         result.stats = Some(stats);
+        result.metrics = Some(JobMetrics {
+            completions: big,
+            token_grants: big,
+            token_denials: big,
+            stalls: vec![FleetStallCause {
+                manager: "fetch".into(),
+                op: "alloc".into(),
+                cycles: big,
+            }],
+        });
         let mut bytes = header_bytes(&jobs).unwrap();
         bytes.extend_from_slice(&record_bytes(0, &result).unwrap());
         let (completed, _) = parse_bytes(&bytes, &jobs).unwrap();
@@ -690,10 +730,75 @@ mod tests {
         assert_eq!(replayed.cycles, big);
         assert_eq!(replayed.retired, big);
         assert_eq!(replayed.stats.as_ref().map(|s| s.transitions), Some(big));
+        assert_eq!(replayed.metrics, result.metrics);
         // The spelling in the payload is the 0x-hex fallback, not a
         // rounded number.
         let payload = String::from_utf8_lossy(&bytes);
         assert!(payload.contains(&format!("\"0x{big:x}\"")), "{payload}");
+    }
+
+    /// A resumed sweep and one under process isolation read their jobs back
+    /// from journal frames. For observability jobs on every OSM model kind
+    /// the replayed results consolidate to the in-process report, fleet
+    /// stall causes included.
+    #[test]
+    fn observability_results_replay_to_the_in_process_report() {
+        let specint = || WorkloadSpec::Named("specint".into());
+        let mut jobs = vec![
+            SimJob::new(ModelKind::Sa1100, specint(), 5_000),
+            SimJob::new(ModelKind::Ppc750, specint(), 5_000),
+            SimJob::new(
+                ModelKind::Vliw,
+                WorkloadSpec::Ilp { iters: 50, body: 6 },
+                100_000,
+            ),
+            SimJob::adl("adl/observed", ONE_STAGE, 3, 1_000),
+        ];
+        for job in &mut jobs {
+            job.observability = true;
+        }
+        let results: Vec<JobResult> = jobs.iter().map(run_job).collect();
+        for r in &results {
+            let stalls = r.metrics.as_ref().map_or(0, |m| m.stalls.len());
+            assert!(stalls > 0, "{} charged no stall cycles", r.name);
+        }
+        let mut bytes = header_bytes(&jobs).unwrap();
+        for (i, r) in results.iter().enumerate() {
+            bytes.extend_from_slice(&record_bytes(i, r).unwrap());
+        }
+        let (replayed, _) = parse_bytes(&bytes, &jobs).unwrap();
+        let journaled = FarmReport::consolidate(replayed.into_values().collect(), 1, 0.0);
+        let in_process = FarmReport::consolidate(results, 1, 0.0);
+        assert_eq!(journaled.canonical_text(), in_process.canonical_text());
+        assert_eq!(journaled.canonical_json(), in_process.canonical_json());
+    }
+
+    /// A metrics record written before the stall list was journaled still
+    /// replays, with no stall causes.
+    #[test]
+    fn metrics_records_without_a_stall_list_replay_without_stall_causes() {
+        let mut job = SimJob::adl("adl/observed", ONE_STAGE, 3, 1_000);
+        job.observability = true;
+        let jobs = vec![job];
+        let result = run_job(&jobs[0]);
+        let mut payload = result_to_json(0, &result);
+        let Json::Obj(fields) = &mut payload else {
+            panic!("a record is a JSON object");
+        };
+        let Some(Json::Obj(metrics)) = fields.get_mut("metrics") else {
+            panic!("an observability record carries metrics");
+        };
+        assert!(metrics.remove("stalls").is_some());
+        let mut w = ByteWriter::new();
+        w.put_raw(&header_bytes(&jobs).unwrap());
+        w.put_frame(payload.to_string().as_bytes(), fnv);
+        let (completed, _) = parse_bytes(&w.into_bytes(), &jobs).unwrap();
+        let replayed = completed[&0].metrics.clone().expect("metrics replay");
+        let original = result.metrics.expect("metrics enabled");
+        assert!(!original.stalls.is_empty());
+        assert!(replayed.stalls.is_empty());
+        assert_eq!(replayed.completions, original.completions);
+        assert_eq!(replayed.token_denials, original.token_denials);
     }
 
     /// `Stats` keeps no named counters: a record still writes the empty

@@ -34,9 +34,9 @@
 //!   [`JobOutcome::Killed`] and feed the ordinary retry/quarantine ladder
 //!   instead of taking the coordinator down;
 //! * [`FarmReport`] — deterministic aggregation: per-job FNV trace digests,
-//!   [`osm_core::Stats`] and [`osm_core::MetricsReport`]s merged in
-//!   **job-index order**, regardless of completion order, plus a fleet
-//!   stall-cause roll-up folded from the per-job metrics;
+//!   [`osm_core::Stats`] and [`JobMetrics`] merged in **job-index order**,
+//!   regardless of completion order, plus a fleet stall-cause roll-up
+//!   folded from the per-job metrics;
 //! * [`FarmObserver`] / [`FarmSchedule`] — opt-in farm-scope observability:
 //!   per-job lifecycle spans (worker, steal, attempts, setup/simulate/
 //!   teardown split) and per-worker telemetry, exportable as a
@@ -100,8 +100,8 @@ pub use checkpoint::{CheckpointCtl, JobCheckpoint};
 pub use error::{FarmError, JournalError};
 pub use exec::{IsolationMode, ProcessIsolation};
 pub use job::{
-    run_job, run_job_with, JobOutcome, JobResult, ModelKind, SimJob, StallSummary, WorkloadSpec,
-    DEFAULT_RETRIES, DEFAULT_STALL_BUDGET,
+    run_job, run_job_with, JobMetrics, JobOutcome, JobResult, ModelKind, SimJob, StallSummary,
+    WorkloadSpec, DEFAULT_RETRIES, DEFAULT_STALL_BUDGET,
 };
 pub use journal::{read_journal, JournalWriter};
 pub use manifest::{parse_manifest, Manifest, ManifestError};

@@ -23,11 +23,12 @@ use osm_core::Stats;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One fleet-wide stall cause: cycles charged to a `(manager, primitive)`
-/// pair, summed across every job that carried a [`osm_core::MetricsReport`]
-/// with stall attribution. A pure fold of per-job results in job-index
-/// order, so it is deterministic and **canonical-safe** (unlike the
-/// wall-clock material in [`FarmReport::timing_json`]).
+/// Stall cycles charged to a `(manager, primitive)` pair: one job's in
+/// [`crate::JobMetrics::stalls`], and in [`FarmReport::stall_causes`] the
+/// sum across every job that ran with observability. The sum is a pure fold
+/// of per-job results in job-index order, so it is deterministic and
+/// **canonical-safe** (unlike the wall-clock material in
+/// [`FarmReport::timing_json`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetStallCause {
     /// Manager name as the model registered it.
@@ -126,12 +127,10 @@ impl FarmReport {
                 total_stats.idle_steps += stats.idle_steps;
                 total_stats.restarts += stats.restarts;
             }
-            if let Some(stalls) = job.metrics.as_ref().and_then(|m| m.stalls.as_ref()) {
-                for cause in &stalls.by_manager {
-                    *causes
-                        .entry((cause.manager_name.clone(), cause.op.to_string()))
-                        .or_insert(0) += cause.cycles;
-                }
+            for cause in job.metrics.iter().flat_map(|m| &m.stalls) {
+                *causes
+                    .entry((cause.manager.clone(), cause.op.clone()))
+                    .or_insert(0) += cause.cycles;
             }
         }
         let stall_causes = causes
@@ -700,7 +699,7 @@ mod tests {
         );
         job.observability = true;
         let r = run_job(&job);
-        assert!(r.metrics.as_ref().and_then(|m| m.stalls.as_ref()).is_some());
+        assert!(r.metrics.as_ref().is_some_and(|m| !m.stalls.is_empty()));
         let single = FarmReport::consolidate(vec![r.clone()], 1, 0.0);
         let double = FarmReport::consolidate(vec![r.clone(), r], 1, 0.0);
         assert!(!single.stall_causes.is_empty(), "specint on SA-1100 stalls");

@@ -1,8 +1,9 @@
 //! Golden pin of every model's `JobResult`: a fixed job set — healthy jobs
 //! on all five model kinds, fault-injected, stalled, budget-exhausted and
-//! failing jobs, and checkpointed jobs restored mid-run — rendered as the
-//! sweep journal's record payload JSON, one line per job, and compared
-//! byte-for-byte against `tests/golden/job_results.jsonl`.
+//! failing jobs, checkpointed jobs restored mid-run, and a deadlocked
+//! machine — rendered as the sweep journal's record payload JSON, one line
+//! per job, and compared byte-for-byte against
+//! `tests/golden/job_results.jsonl`.
 //!
 //! Regenerate after an intentional change to a model or to the journal
 //! encoding with: `BLESS=1 cargo test -p simfarm --test job_results`
@@ -114,6 +115,22 @@ fn checkpointed_jobs() -> Vec<SimJob> {
     vec![sa, iss, adl]
 }
 
+/// Crossed allocations: each OSM holds one stage and waits for the other's,
+/// so the director fails the job with its deadlock report, which names the
+/// wait-for cycle. Pinned last, so the lines above keep their indices.
+fn deadlock_job() -> SimJob {
+    SimJob::adl(
+        "chaos/deadlock",
+        "machine dl { manager a : exclusive(1); manager b : exclusive(1); \
+         osm ab { states I, A, Z; initial I; \
+         edge take : I -> A { allocate a[0]; } edge want : A -> Z { allocate b[0]; } } \
+         osm ba { states I, B, Z; initial I; \
+         edge take : I -> B { allocate b[0]; } edge want : B -> Z { allocate a[0]; } } }",
+        2,
+        1_000,
+    )
+}
+
 /// A fresh scratch directory under the system temp dir, removed on drop.
 struct Scratch(PathBuf);
 
@@ -162,6 +179,7 @@ fn job_results_match_golden_file() {
     for (k, job) in checkpointed_jobs().iter().enumerate() {
         lines.push(payload(offset + k, &restored_run(job, k, &scratch.0)));
     }
+    lines.push(payload(lines.len(), &run_job(&deadlock_job())));
     let actual = lines.join("\n") + "\n";
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/job_results.jsonl");
