@@ -8,7 +8,7 @@
 use crate::ast::{AdlIdent, AdlPrimitive, MachineDecl, ManagerKind};
 use osm_core::{
     CountingPool, ExclusivePool, IdentExpr, Machine, ManagerId, Primitive, RegScoreboard,
-    ResetManager, SlotId, SpecBuilder, StateMachineSpec,
+    ResetManager, SlotId, SpecBuilder, SpecError, StateMachineSpec,
 };
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -49,7 +49,7 @@ pub enum SynthError {
         state: String,
     },
     /// The spec failed to build (propagated from `osm-core`).
-    Spec(String),
+    Spec(SpecError),
 }
 
 impl fmt::Display for SynthError {
@@ -218,7 +218,7 @@ pub fn synthesize(decl: &MachineDecl) -> Result<SynthesizedMachine, SynthError> 
             }
             let _ = handle;
         }
-        let spec = b.build().map_err(|e| SynthError::Spec(e.to_string()))?;
+        let spec = b.build().map_err(SynthError::Spec)?;
         specs.push((osm.name.clone(), spec));
     }
 
@@ -424,6 +424,55 @@ mod tests {
         ";
         let e = synthesize(&parse(src).unwrap()).unwrap_err();
         assert!(matches!(e, SynthError::UnknownState { .. }));
+    }
+
+    #[test]
+    fn held_in_an_allocate_or_inquire_fails_to_load() {
+        for op in ["allocate", "inquire"] {
+            let src = format!(
+                "machine m {{
+                    manager s : exclusive(1);
+                    osm op {{
+                        states I, S;
+                        initial I;
+                        edge go : I -> S {{ {op} s[held]; }}
+                        edge back : S -> I {{ release s[held]; }}
+                    }}
+                }}"
+            );
+            let e = crate::load(&src).unwrap_err();
+            assert!(
+                matches!(
+                    &e,
+                    crate::LoadError::Synth(SynthError::Spec(SpecError::HeldRequest { edge, .. }))
+                        if edge == "go"
+                ),
+                "{op}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_state_with_more_than_64_out_edges_fails_to_load() {
+        let src = |n: usize| {
+            let edges: String = (0..n)
+                .map(|k| format!("edge e{k} : I -> I {{ }}\n"))
+                .collect();
+            format!("machine m {{ osm op {{ states I; initial I; {edges} }} }}")
+        };
+        assert!(crate::load(&src(64)).is_ok());
+        let e = crate::load(&src(65)).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "spec error: spec `op` state `I` has 65 out-edges, more than 64"
+        );
+        assert!(matches!(
+            e,
+            crate::LoadError::Synth(SynthError::Spec(SpecError::TooManyOutEdges {
+                count: 65,
+                ..
+            }))
+        ));
     }
 
     #[test]

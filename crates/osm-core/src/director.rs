@@ -123,10 +123,11 @@ const TOMBSTONE: OsmId = OsmId(u32::MAX);
 ///
 /// The record is sound to skip on because a failed edge evaluation is a pure
 /// function of (a) the OSM's state, slots and buffer — which only change on
-/// the OSM's own transitions, invalidating the record, (b) the behavior veto
-/// mask — re-checked cheaply on every skip test, and (c) the internal state
-/// of the managers contacted up to the first failing primitive of each
-/// enabled edge — guarded by the recorded dirty epochs.
+/// the OSM's own transitions, invalidating the record, (b) the behavior's
+/// enabled-edge mask — re-checked with one hook call on every skip test,
+/// and (c) the internal state of the managers contacted up to the first
+/// failing primitive of each enabled edge — guarded by the recorded dirty
+/// epochs.
 #[derive(Debug, Clone, Copy, Default)]
 struct SensEntry {
     /// Record reflects a real evaluation of the current residence in
@@ -139,12 +140,13 @@ struct SensEntry {
     /// amortize it over a long skip run anyway.
     armed: bool,
     /// False when the record cannot justify skipping (more than [`MAX_SENS`]
-    /// blocking managers, a manager-less failing primitive, >64 out-edges).
+    /// blocking managers, or a manager-less failing primitive).
     skippable: bool,
     /// The state the OSM was blocked in when the record was taken.
     state: crate::ids::StateId,
-    /// Behavior veto bitmap over the state's out-edges (bit k = edge k
-    /// vetoed) at record time.
+    /// The clear bits of the behavior's [`crate::Behavior::enabled_edges`]
+    /// answer at record time, over the state's out-edges (bit k = edge k
+    /// vetoed).
     veto_mask: u64,
     /// Number of live entries in `mgrs`/`epochs`.
     n: u8,
@@ -338,6 +340,8 @@ enum Resolved {
     Ident(TokenIdent),
     /// Slot holds [`TokenIdent::NONE`]: the primitive is vacuous.
     Vacuous,
+    /// `held`, which only a release or a discard names
+    /// ([`crate::SpecBuilder::build`] refuses it in a request).
     AnyHeld,
 }
 
@@ -420,22 +424,11 @@ fn try_condition<S, const TRACKING: bool>(
     for prim in &edge.condition {
         let op = prim.kind();
         match *prim {
+            // `SpecBuilder::build` refuses `held` in an allocate or inquire.
+            // The request arms stay `match`es: as `let ... else`, they turned
+            // this match into a jump table, ~4% slower on ADL machines.
             Primitive::Allocate { manager, ident } => match resolve(ident, &osm.slots) {
-                Resolved::Vacuous => {}
-                Resolved::AnyHeld => {
-                    debug_assert!(false, "allocate cannot use AnyHeld");
-                    emit::<TRACKING>(
-                        sinks,
-                        at,
-                        manager,
-                        op,
-                        TokenIdent::NONE,
-                        None,
-                        TokenOutcome::Denied,
-                    );
-                    scratch.fail = Some((*prim, TokenIdent::NONE));
-                    break;
-                }
+                Resolved::Vacuous | Resolved::AnyHeld => {}
                 Resolved::Ident(id) => {
                     // A dangling manager id in the spec is a modeling error;
                     // it surfaces as a never-satisfied condition, not a panic.
@@ -457,21 +450,7 @@ fn try_condition<S, const TRACKING: bool>(
                 }
             },
             Primitive::Inquire { manager, ident } => match resolve(ident, &osm.slots) {
-                Resolved::Vacuous => {}
-                Resolved::AnyHeld => {
-                    debug_assert!(false, "inquire cannot use AnyHeld");
-                    emit::<TRACKING>(
-                        sinks,
-                        at,
-                        manager,
-                        op,
-                        TokenIdent::NONE,
-                        None,
-                        TokenOutcome::Denied,
-                    );
-                    scratch.fail = Some((*prim, TokenIdent::NONE));
-                    break;
-                }
+                Resolved::Vacuous | Resolved::AnyHeld => {}
                 Resolved::Ident(id) => {
                     let ok = managers
                         .try_get(manager)
@@ -683,6 +662,27 @@ fn rebuild_schedule<S>(osms: &[Osm<S>], scratch: &mut Scratch) {
     scratch.active.extend(scratch.list.iter().map(|&(_, id)| id));
     scratch.list.clear();
     scratch.sched_valid = true;
+}
+
+/// The bits of the first `n` out-edges of a state (`n` ≤
+/// [`crate::StateMachineSpec::MAX_OUT_EDGES`]), the ones an enabled-edge
+/// mask speaks for.
+#[inline]
+fn first_bits(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+}
+
+/// The indices of `mask`'s set bits, lowest first: the out-edges an
+/// enabled-edge mask leaves open, in priority order.
+#[inline]
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let k = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            k
+        })
+    })
 }
 
 /// What [`Machine::serve_osm`] did with one OSM.
@@ -997,8 +997,8 @@ impl<S: 'static> Machine<S> {
 
     /// Decides whether blocked OSM `oi` can be skipped without re-evaluating
     /// its edge conditions: its sensitivity record must still describe the
-    /// current residence, the behavior veto mask must be unchanged
-    /// (re-computed here — vetoes may read time-dependent shared state), and
+    /// current residence, the behavior's veto mask must be unchanged
+    /// (re-asked here — vetoes may read time-dependent shared state), and
     /// every recorded blocking manager must still be at its recorded dirty
     /// epoch.
     #[inline]
@@ -1010,25 +1010,15 @@ impl<S: 'static> Machine<S> {
         }
         // Epochs first: a handful of u64 compares. When the check fails it is
         // almost always here (a recorded manager got dirtied), so rejecting
-        // before the veto-mask recompute saves its closure calls.
+        // before the veto hook saves its call.
         for j in 0..sens.n as usize {
             if self.managers.epoch(sens.mgrs[j]) != sens.epochs[j] {
                 return false;
             }
         }
         let spec = &self.specs[osm.spec_idx as usize];
-        let out = spec.out_edges(osm.state);
-        if out.len() > 64 {
-            return false;
-        }
-        let mut mask: u64 = 0;
-        for (k, &eid) in out.iter().enumerate() {
-            let edge = spec.edge(eid);
-            if !osm.behavior.edge_enabled(edge, &osm.view(), &self.shared) {
-                mask |= 1 << k;
-            }
-        }
-        mask == sens.veto_mask
+        let enabled = osm.behavior.enabled_edges(spec, &osm.view(), &self.shared);
+        first_bits(spec.out_edges(osm.state).len()) & !enabled == sens.veto_mask
     }
 
     /// Serves the OSM at `id` with skip proofs on: [`Machine::serve_osm`]
@@ -1079,23 +1069,22 @@ impl<S: 'static> Machine<S> {
             (e.valid || e.armed) && e.state == osm.state
         };
 
+        // One veto call; the scan walks the edges it leaves enabled, and the
+        // vetoed edges it passes over count as `vetoed_edges`.
         let out = spec.out_edges(osm.state);
-        let mut veto_mask: u64 = 0;
-        let mut skippable = out.len() <= 64;
+        let all = first_bits(out.len());
+        let enabled = osm.behavior.enabled_edges(spec, &osm.view(), shared) & all;
+        let veto_mask = all & !enabled;
+        let mut skippable = true;
         let mut mgrs = [ManagerId(0); MAX_SENS];
         let mut nm: usize = 0;
         let mut sens_fail: Option<(Primitive, TokenIdent)> = None;
 
-        for (k, &eid) in out.iter().enumerate() {
+        for k in set_bits(enabled) {
+            let eid = out[k];
             let edge = spec.edge(eid);
-            if !osm.behavior.edge_enabled(edge, &osm.view(), shared) {
-                stats.vetoed_edges += 1;
-                if record && k < 64 {
-                    veto_mask |= 1 << k;
-                }
-                continue;
-            }
             if try_condition::<S, TRACKING>(osm, edge, managers, scratch, sinks, cycle) {
+                stats.vetoed_edges += u64::from((veto_mask & ((1 << k) - 1)).count_ones());
                 commit_plan::<S, TRACKING>(osm, scratch, managers, sinks, (cycle, id, eid));
                 let from = osm.state;
                 osm.state = edge.dst;
@@ -1183,6 +1172,7 @@ impl<S: 'static> Machine<S> {
             }
         }
 
+        stats.vetoed_edges += u64::from(veto_mask.count_ones());
         if !PROOFS {
             return Served::BLOCKED;
         }
@@ -1269,12 +1259,12 @@ impl<S: 'static> Machine<S> {
             let waiter = self.osms[oi].id;
             self.probe_osm(oi, |managers, fail| {
                 debug_assert!(fail.is_some(), "idle step re-evaluation succeeded");
-                // Only a denied allocate or inquire of a resolved identifier
-                // names the owner it waits on.
+                // Only a denied allocate or inquire names the owner it waits
+                // on.
                 let Some((
                     Primitive::Allocate { manager, .. } | Primitive::Inquire { manager, .. },
                     ident,
-                )) = fail.filter(|&(_, ident)| !ident.is_none())
+                )) = fail
                 else {
                     return;
                 };
@@ -1300,10 +1290,10 @@ impl<S: 'static> Machine<S> {
     }
 
     /// The one probe walk behind both blocked-OSM reports (the deadlock
-    /// scan and the stall diagnosis): probes each enabled out-edge of OSM
-    /// `oi` in priority order with [`probe_edge`] and hands `blocked` the
-    /// edge's first failing primitive and identifier, or `None` if the edge
-    /// could fire.
+    /// scan and the stall diagnosis): probes each out-edge of OSM `oi` that
+    /// its behavior enables, in priority order, with [`probe_edge`] and
+    /// hands `blocked` the edge's first failing primitive and identifier,
+    /// or `None` if the edge could fire.
     fn probe_osm(
         &mut self,
         oi: usize,
@@ -1319,12 +1309,11 @@ impl<S: 'static> Machine<S> {
         } = self;
         let osm = &osms[oi];
         let spec = &specs[osm.spec_idx as usize];
-        for &eid in spec.out_edges(osm.state) {
-            let edge = spec.edge(eid);
-            if osm.behavior.edge_enabled(edge, &osm.view(), shared) {
-                let fail = probe_edge(osm, edge, managers, scratch);
-                blocked(managers, fail);
-            }
+        let out = spec.out_edges(osm.state);
+        let enabled = osm.behavior.enabled_edges(spec, &osm.view(), shared);
+        for k in set_bits(enabled & first_bits(out.len())) {
+            let fail = probe_edge(osm, spec.edge(out[k]), managers, scratch);
+            blocked(managers, fail);
         }
     }
 

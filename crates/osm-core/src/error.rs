@@ -2,7 +2,7 @@
 
 use crate::ids::{ManagerId, OsmId, StateId};
 use crate::observe::StallHistogram;
-use crate::token::Token;
+use crate::token::{Primitive, Token};
 use std::error::Error;
 use std::fmt;
 
@@ -26,6 +26,27 @@ pub enum SpecError {
         /// The out-of-range state id.
         state: StateId,
     },
+    /// An allocate or inquire names [`crate::IdentExpr::AnyHeld`]: `held`
+    /// picks among the tokens an OSM holds, which only a release or a
+    /// discard can do.
+    HeldRequest {
+        /// Spec name.
+        spec: String,
+        /// Name of the offending edge.
+        edge: String,
+        /// The offending primitive.
+        primitive: Primitive,
+    },
+    /// A state has more out-edges than
+    /// [`crate::StateMachineSpec::MAX_OUT_EDGES`].
+    TooManyOutEdges {
+        /// Spec name.
+        spec: String,
+        /// Name of the state.
+        state: String,
+        /// Its number of out-edges.
+        count: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -38,6 +59,20 @@ impl fmt::Display for SpecError {
             SpecError::UnknownState { spec, state } => {
                 write!(f, "spec `{spec}` references unknown state {state}")
             }
+            SpecError::HeldRequest {
+                spec,
+                edge,
+                primitive,
+            } => write!(
+                f,
+                "spec `{spec}` edge `{edge}`: {primitive} names `held`, \
+                 which only a release or a discard can"
+            ),
+            SpecError::TooManyOutEdges { spec, state, count } => write!(
+                f,
+                "spec `{spec}` state `{state}` has {count} out-edges, more than {}",
+                crate::StateMachineSpec::MAX_OUT_EDGES
+            ),
         }
     }
 }

@@ -347,9 +347,15 @@ impl FaultInjector {
             .map_or(raw, |&(_, r)| r)
     }
 
+    /// Drops one translation of the corrupted `raw`, the newest. A manager
+    /// that mints one raw many times (a `CountingPool`) can have the same
+    /// alias out more than once, and aborting the prepare that made the
+    /// newest must leave the older ones, as they were before it.
     fn forget_corrupt(&mut self, raw: u64) {
         if raw & CORRUPT_MASK != 0 {
-            self.corrupt_map.retain(|(c, _)| *c != raw);
+            if let Some(i) = self.corrupt_map.iter().rposition(|(c, _)| *c == raw) {
+                self.corrupt_map.remove(i);
+            }
         }
     }
 }

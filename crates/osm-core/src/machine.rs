@@ -1918,6 +1918,78 @@ mod tests {
     }
 
     #[test]
+    fn vetoed_edges_counts_the_clear_bits_the_scan_passes() {
+        // `op` waits in `W`, whose out-edges in priority order are `high`,
+        // `mid` (which needs the pool) and `low`. Its mask enables only
+        // `mid`: a blocked scan passes both vetoes, a commit of `mid` only
+        // the one above it. Mask bits past the out-degree count for nothing,
+        // set or clear.
+        struct EnableIn(StateId, u64);
+        impl Behavior<()> for EnableIn {
+            fn enabled_edges(
+                &self,
+                _: &StateMachineSpec,
+                view: &crate::osm::OsmView<'_>,
+                _: &(),
+            ) -> u64 {
+                if view.state == self.0 {
+                    self.1
+                } else {
+                    u64::MAX
+                }
+            }
+            fn on_transition(&mut self, _: &Edge, _: &mut TransitionCtx<'_, ()>) {}
+        }
+        for mask in [0b010, !0b101] {
+            for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+                let mut m: Machine<()> = Machine::new(());
+                m.set_scheduler_mode(mode);
+                let pool = m.add_manager(ExclusivePool::new("P", 1));
+                // Holds the pool for cycles 1 and 2, releasing it in 3.
+                let holder = {
+                    let mut b = SpecBuilder::new("holder");
+                    let i = b.state("I");
+                    let h1 = b.state("H1");
+                    let h2 = b.state("H2");
+                    b.initial(i);
+                    b.edge(i, h1).allocate(pool, IdentExpr::Const(0));
+                    b.edge(h1, h2);
+                    b.edge(h2, i).release(pool, IdentExpr::AnyHeld);
+                    b.build().unwrap()
+                };
+                let op = {
+                    let mut b = SpecBuilder::new("op");
+                    let i = b.state("I");
+                    let w = b.state("W");
+                    let d = b.state("D");
+                    b.initial(i);
+                    b.edge(i, w);
+                    b.edge(w, i).named("low");
+                    b.edge(w, d)
+                        .named("mid")
+                        .priority(1)
+                        .allocate(pool, IdentExpr::Const(0));
+                    b.edge(w, i).named("high").priority(2);
+                    b.edge(d, i).release(pool, IdentExpr::AnyHeld);
+                    b.build().unwrap()
+                };
+                let w = op.find_state("W").unwrap();
+                m.add_osm(&holder, InertBehavior);
+                let x = m.add_osm(&op, EnableIn(w, mask));
+                let mut step = |expect_state: &str| {
+                    let before = m.stats.vetoed_edges;
+                    m.step().unwrap();
+                    assert_eq!(m.osm(x).state_name(), expect_state, "{mode:?} {mask:#x}");
+                    m.stats.vetoed_edges - before
+                };
+                assert_eq!(step("W"), 0, "{mode:?} {mask:#x}: entering W");
+                assert_eq!(step("W"), 2, "{mode:?} {mask:#x}: blocked in W");
+                assert_eq!(step("D"), 1, "{mode:?} {mask:#x}: `mid` commits");
+            }
+        }
+    }
+
+    #[test]
     fn restart_wakes_senior_whose_veto_a_junior_lifted() {
         // The senior's only way on is vetoed until a shared flag is set,
         // which the junior's `open` transition does. No manager epoch moves,
@@ -1929,13 +2001,13 @@ mod tests {
         impl HardwareLayer for Flag {}
         struct Gated;
         impl Behavior<Flag> for Gated {
-            fn edge_enabled(
+            fn enabled_edges(
                 &self,
-                edge: &Edge,
-                _: &crate::osm::OsmView<'_>,
+                spec: &StateMachineSpec,
+                view: &crate::osm::OsmView<'_>,
                 shared: &Flag,
-            ) -> bool {
-                edge.name != "go" || shared.open
+            ) -> u64 {
+                spec.edge_mask(view.state, |edge| edge.name != "go" || shared.open)
             }
             fn on_transition(&mut self, _: &Edge, _: &mut TransitionCtx<'_, Flag>) {}
         }
@@ -2078,13 +2150,14 @@ mod tests {
     /// one picked rotating with each commit.
     struct RotatingVeto;
     impl Behavior<Commits> for RotatingVeto {
-        fn edge_enabled(
+        fn enabled_edges(
             &self,
-            edge: &Edge,
+            spec: &StateMachineSpec,
             view: &crate::osm::OsmView<'_>,
             shared: &Commits,
-        ) -> bool {
-            edge.name != "issue" || !(u64::from(view.id.0) + shared.0).is_multiple_of(5)
+        ) -> u64 {
+            let vetoed = (u64::from(view.id.0) + shared.0).is_multiple_of(5);
+            spec.edge_mask(view.state, |edge| edge.name != "issue" || !vetoed)
         }
         fn on_transition(&mut self, _: &Edge, ctx: &mut TransitionCtx<'_, Commits>) {
             ctx.shared.0 += 1;
@@ -2200,17 +2273,17 @@ mod tests {
         impl HardwareLayer for Gates {}
         struct Gated;
         impl Behavior<Gates> for Gated {
-            fn edge_enabled(
+            fn enabled_edges(
                 &self,
-                edge: &Edge,
-                _: &crate::osm::OsmView<'_>,
+                spec: &StateMachineSpec,
+                view: &crate::osm::OsmView<'_>,
                 gates: &Gates,
-            ) -> bool {
-                match edge.name.as_str() {
+            ) -> u64 {
+                spec.edge_mask(view.state, |edge| match edge.name.as_str() {
                     "bail" => gates.bail,
                     "grab" => !gates.grab_vetoed,
                     _ => true,
-                }
+                })
             }
             fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, Gates>) {
                 if edge.name == "enter" {

@@ -20,12 +20,22 @@ pub const IDLE_AGE: u64 = u64::MAX;
 /// The generic parameter `S` is the machine's shared hardware-layer state
 /// (memory system, program counter logic, statistic counters, ...).
 pub trait Behavior<S>: Send + 'static {
-    /// Veto hook evaluated *before* the edge's token condition: lets one
-    /// spec serve several instruction kinds (e.g. only multiply operations
-    /// attempt the multiplier-allocating edge). Defaults to enabled.
-    fn edge_enabled(&self, edge: &Edge, view: &OsmView<'_>, shared: &S) -> bool {
-        let _ = (edge, view, shared);
-        true
+    /// Veto hook: which out-edges of the OSM's current state may be tried.
+    /// Lets one spec serve several instruction kinds (e.g. only multiply
+    /// operations attempt the multiplier-allocating edge). Bit k enables
+    /// `spec.out_edges(view.state)[k]`, the k-th edge in priority order
+    /// ([`StateMachineSpec::edge_mask`] builds such masks); a clear bit
+    /// vetoes the edge before its token condition is evaluated. Bits at or
+    /// above the state's out-degree are ignored. The default enables every
+    /// edge.
+    ///
+    /// The director calls it once per OSM it serves in a control step, and
+    /// once per skip test and blocked-OSM probe. It must be a pure function
+    /// of `self`, `view` and `shared`: the director may call it again, or
+    /// not at all, without changing the run.
+    fn enabled_edges(&self, spec: &StateMachineSpec, view: &OsmView<'_>, shared: &S) -> u64 {
+        let _ = (spec, view, shared);
+        u64::MAX
     }
 
     /// Invoked after `edge` committed (all primitives succeeded and were

@@ -62,6 +62,11 @@ pub struct StateMachineSpec {
 }
 
 impl StateMachineSpec {
+    /// Most out-edges one state may have: a behavior's veto answer
+    /// ([`crate::Behavior::enabled_edges`]) is one bit per out-edge of a
+    /// `u64`.
+    pub const MAX_OUT_EDGES: usize = 64;
+
     /// The spec's (class) name.
     pub fn name(&self) -> &str {
         &self.name
@@ -111,6 +116,17 @@ impl StateMachineSpec {
     /// Outgoing edges of `s`, sorted by descending static priority.
     pub fn out_edges(&self, s: StateId) -> &[EdgeId] {
         &self.out_edges[s.index()]
+    }
+
+    /// The out-edges of `s` that `pick` accepts, as a mask in the layout of
+    /// [`crate::Behavior::enabled_edges`]: bit k stands for
+    /// `out_edges(s)[k]`. Models build their veto tables with it.
+    pub fn edge_mask(&self, s: StateId, mut pick: impl FnMut(&Edge) -> bool) -> u64 {
+        self.out_edges(s)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &e)| pick(self.edge(e)))
+            .fold(0, |mask, (k, _)| mask | 1 << k)
     }
 
     /// Iterates over all edges.
@@ -194,7 +210,9 @@ impl SpecBuilder {
     ///
     /// # Errors
     /// Returns [`SpecError`] if no state exists, the initial state was not
-    /// declared, or an edge references an out-of-range state.
+    /// declared, an edge references an out-of-range state, an allocate or
+    /// inquire names [`IdentExpr::AnyHeld`], or a state has more than
+    /// [`StateMachineSpec::MAX_OUT_EDGES`] out-edges.
     pub fn build(self) -> Result<Arc<StateMachineSpec>, SpecError> {
         if self.states.is_empty() {
             return Err(SpecError::NoStates {
@@ -219,12 +237,40 @@ impl SpecBuilder {
                     });
                 }
             }
+            // `held` picks among the tokens an OSM holds: a release or a
+            // discard can name it, a request cannot.
+            let held_request = e.condition.iter().find(|p| {
+                matches!(
+                    p,
+                    Primitive::Allocate {
+                        ident: IdentExpr::AnyHeld,
+                        ..
+                    } | Primitive::Inquire {
+                        ident: IdentExpr::AnyHeld,
+                        ..
+                    }
+                )
+            });
+            if let Some(&primitive) = held_request {
+                return Err(SpecError::HeldRequest {
+                    spec: self.name.clone(),
+                    edge: e.name.clone(),
+                    primitive,
+                });
+            }
         }
         let mut out_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); self.states.len()];
         for e in &self.edges {
             out_edges[e.src.index()].push(e.id);
         }
-        for list in &mut out_edges {
+        for (s, list) in out_edges.iter_mut().enumerate() {
+            if list.len() > StateMachineSpec::MAX_OUT_EDGES {
+                return Err(SpecError::TooManyOutEdges {
+                    spec: self.name.clone(),
+                    state: self.states[s].clone(),
+                    count: list.len(),
+                });
+            }
             // Stable: equal priorities keep declaration order.
             list.sort_by_key(|id| std::cmp::Reverse(self.edges[id.index()].priority));
         }
@@ -392,6 +438,73 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn build_refuses_held_in_an_allocate_or_inquire() {
+        for primitive in [
+            Primitive::Allocate {
+                manager: ManagerId(0),
+                ident: IdentExpr::AnyHeld,
+            },
+            Primitive::Inquire {
+                manager: ManagerId(0),
+                ident: IdentExpr::AnyHeld,
+            },
+        ] {
+            let mut b = SpecBuilder::new("x");
+            let a = b.state("A");
+            let z = b.state("Z");
+            b.initial(a);
+            b.edge(a, z).named("go").primitive(primitive);
+            b.edge(z, a).release(ManagerId(0), IdentExpr::AnyHeld);
+            assert_eq!(
+                b.build().unwrap_err(),
+                SpecError::HeldRequest {
+                    spec: "x".into(),
+                    edge: "go".into(),
+                    primitive,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn build_caps_a_state_at_64_out_edges() {
+        let spec = |n: usize| {
+            let mut b = SpecBuilder::new("x");
+            let a = b.state("A");
+            b.initial(a);
+            for _ in 0..n {
+                b.edge(a, a);
+            }
+            b.build()
+        };
+        assert_eq!(spec(64).unwrap().out_edges(StateId(0)).len(), 64);
+        assert_eq!(
+            spec(65).unwrap_err(),
+            SpecError::TooManyOutEdges {
+                spec: "x".into(),
+                state: "A".into(),
+                count: 65,
+            }
+        );
+    }
+
+    #[test]
+    fn edge_mask_sets_the_bits_of_the_picked_out_edges() {
+        let mut b = SpecBuilder::new("x");
+        let a = b.state("A");
+        let z = b.state("Z");
+        b.initial(a);
+        b.edge(a, z).named("low");
+        b.edge(a, z).named("high").priority(5);
+        b.edge(a, a).named("loop");
+        let spec = b.build().unwrap();
+        // Out-edges in priority order: high, low, loop.
+        assert_eq!(spec.edge_mask(a, |e| e.name == "low"), 0b010);
+        assert_eq!(spec.edge_mask(a, |e| e.dst == z), 0b011);
+        assert_eq!(spec.edge_mask(z, |_| true), 0);
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub fn units_for(class: InstrClass) -> &'static [Unit] {
     }
 }
 
-/// What an edge of the spec means (precomputed for fast vetoes).
+/// What an edge of the spec means (precomputed so the hot path never
+/// string-matches edge names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EdgeKind {
     Fetch,
@@ -114,6 +115,52 @@ enum EdgeKind {
     Issue(Unit),
     Comp(Unit),
     Retire,
+}
+
+/// One state's out-edges grouped by what can veto them, each group a mask
+/// in the layout of [`Behavior::enabled_edges`] (bit k is the state's k-th
+/// out-edge in priority order). Built once per model, so the veto hook is a
+/// few ORs.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeBits {
+    /// Reset edges: never vetoed.
+    reset: u64,
+    /// Fetch: open while fetch runs and no I-cache miss stalls it.
+    fetch: u64,
+    /// Retirement: open to the right-path operation next in program order.
+    retire: u64,
+    /// Per unit: dispatch into it, directly or through its reservation
+    /// station. Open to the operation next in program order, once it is
+    /// ready, if its class runs on the unit.
+    dispatch: [u64; 6],
+    /// Per unit: issue from its reservation station and completion. Open
+    /// to the operation dispatched to the unit.
+    unit: [u64; 6],
+}
+
+impl EdgeBits {
+    /// Groups each state's out-edges of `spec` by their `kinds`.
+    fn of(spec: &StateMachineSpec, kinds: &[EdgeKind]) -> Vec<EdgeBits> {
+        spec.states()
+            .map(|s| {
+                let mut b = EdgeBits::default();
+                for (k, e) in spec.out_edges(s).iter().enumerate() {
+                    let bit = 1 << k;
+                    match kinds[e.index()] {
+                        EdgeKind::Fetch => b.fetch |= bit,
+                        EdgeKind::ResetQ
+                        | EdgeKind::ResetR
+                        | EdgeKind::ResetE
+                        | EdgeKind::ResetC => b.reset |= bit,
+                        EdgeKind::DispExec(u) | EdgeKind::DispRs(u) => b.dispatch[u.index()] |= bit,
+                        EdgeKind::Issue(u) | EdgeKind::Comp(u) => b.unit[u.index()] |= bit,
+                        EdgeKind::Retire => b.retire |= bit,
+                    }
+                }
+                b
+            })
+            .collect()
+    }
 }
 
 /// Handles to the model's token managers ("19 TMI-enabled modules", §5.2 —
@@ -189,6 +236,8 @@ pub struct PpcShared {
     /// Mispredictions among them.
     pub mispredicts: u64,
     edge_kinds: Vec<EdgeKind>,
+    /// Per state: its out-edges grouped by what can veto them.
+    edge_bits: Vec<EdgeBits>,
     /// Manager handles (fault-injection targets and inspection).
     pub ids: PpcManagers,
     cfg: PpcConfig,
@@ -209,8 +258,8 @@ impl HardwareLayer for PpcShared {
         self.halted
     }
 
-    /// All mutable shared state. Static wiring (`edge_kinds`, manager
-    /// handles, configuration) stays with the machine.
+    /// All mutable shared state. Static wiring (`edge_kinds`, `edge_bits`,
+    /// manager handles, configuration) stays with the machine.
     fn encode_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
         w.put_bytes(&self.encode_oracle());
@@ -570,18 +619,24 @@ impl Behavior<PpcShared> for PpcOp {
         true
     }
 
-    fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &PpcShared) -> bool {
-        match shared.edge_kinds[edge.id.index()] {
-            EdgeKind::Fetch => !shared.stop_fetch && shared.fetch_stall == 0,
-            EdgeKind::DispExec(u) | EdgeKind::DispRs(u) => {
-                self.seq == shared.next_dispatch_seq
-                    && shared.now >= self.ready_at
-                    && units_for(self.instr.class()).contains(&u)
-            }
-            EdgeKind::Issue(u) | EdgeKind::Comp(u) => self.unit == Some(u),
-            EdgeKind::Retire => !self.phantom && self.seq == shared.next_retire_seq,
-            EdgeKind::ResetQ | EdgeKind::ResetR | EdgeKind::ResetE | EdgeKind::ResetC => true,
+    fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &PpcShared) -> u64 {
+        let bits = &shared.edge_bits[view.state.index()];
+        let mut enabled = bits.reset;
+        if !shared.stop_fetch && shared.fetch_stall == 0 {
+            enabled |= bits.fetch;
         }
+        if self.seq == shared.next_dispatch_seq && shared.now >= self.ready_at {
+            for u in units_for(self.instr.class()) {
+                enabled |= bits.dispatch[u.index()];
+            }
+        }
+        if let Some(u) = self.unit {
+            enabled |= bits.unit[u.index()];
+        }
+        if !self.phantom && self.seq == shared.next_retire_seq {
+            enabled |= bits.retire;
+        }
+        enabled
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, PpcShared>) {
@@ -766,6 +821,7 @@ impl PpcOsmSim {
             reset: managers.add(ResetManager::new("reset")),
         };
         let spec = build_spec(&ids);
+        let edge_kinds = classify_edges(&spec);
         let oracle = Iss::with_program(SparseMemory::new(), program);
         let next_fetch_pc = oracle.cpu.pc;
         let shared = PpcShared {
@@ -788,7 +844,8 @@ impl PpcOsmSim {
             squashed: 0,
             branches: 0,
             mispredicts: 0,
-            edge_kinds: classify_edges(&spec),
+            edge_bits: EdgeBits::of(&spec, &edge_kinds),
+            edge_kinds,
             ids,
             cfg,
         };
@@ -1075,6 +1132,90 @@ mod tests {
         let a = run(SUM_LOOP);
         let b = run(SUM_LOOP);
         assert_eq!(a, b);
+    }
+
+    impl PpcOp {
+        /// The veto rule one edge at a time: the oracle `enabled_edges`
+        /// answers for a whole state at once.
+        fn edge_rule(&self, kind: EdgeKind, shared: &PpcShared) -> bool {
+            match kind {
+                EdgeKind::Fetch => !shared.stop_fetch && shared.fetch_stall == 0,
+                EdgeKind::DispExec(u) | EdgeKind::DispRs(u) => {
+                    self.seq == shared.next_dispatch_seq
+                        && shared.now >= self.ready_at
+                        && units_for(self.instr.class()).contains(&u)
+                }
+                EdgeKind::Issue(u) | EdgeKind::Comp(u) => self.unit == Some(u),
+                EdgeKind::Retire => !self.phantom && self.seq == shared.next_retire_seq,
+                EdgeKind::ResetQ | EdgeKind::ResetR | EdgeKind::ResetE | EdgeKind::ResetC => true,
+            }
+        }
+    }
+
+    #[test]
+    fn enabled_edges_match_the_per_edge_rule_everywhere() {
+        // One instruction of every class.
+        let p = assemble(
+            "add r1, r2, r3\n mul r1, r2, r3\n div r1, r2, r3\n lw r1, 0(r2)\n \
+             sw r1, 0(r2)\n x: beq r1, r2, x\n jal r31, x\n fadd f1, f2, f3\n \
+             fmul f1, f2, f3\n fdiv f1, f2, f3\n syscall\n",
+            0x1000,
+        )
+        .unwrap();
+        let instrs: Vec<Instr> = p.words.iter().map(|&w| decode(w).unwrap()).collect();
+        let classes: std::collections::BTreeSet<String> =
+            instrs.iter().map(|i| format!("{:?}", i.class())).collect();
+        assert_eq!(classes.len(), 11, "{classes:?}");
+
+        let sim = PpcOsmSim::new(PpcConfig::paper(), &p);
+        let spec = Arc::clone(&sim.machine().specs()[0]);
+        let mut shared = sim.into_machine().shared;
+        shared.now = 10;
+        let mut checked = 0;
+        // Every value the rule tells apart: fetch stopped or stalled, the
+        // op (`seq` 7) next to dispatch or retire or not, a phantom or not,
+        // `ready_at` before, at or after `now`.
+        for case in 0..96u64 {
+            let bit = |k: u32| case >> k & 1 == 1;
+            shared.stop_fetch = bit(0);
+            shared.fetch_stall = u32::from(bit(1));
+            shared.next_dispatch_seq = 7 + u64::from(bit(2));
+            shared.next_retire_seq = 7 + u64::from(bit(3));
+            for unit in std::iter::once(None).chain(UNITS.map(Some)) {
+                for &instr in &instrs {
+                    let op = PpcOp {
+                        seq: 7,
+                        phantom: bit(4),
+                        ready_at: 9 + (case >> 5),
+                        unit,
+                        instr,
+                        ..PpcOp::default()
+                    };
+                    for state in spec.states() {
+                        let view = OsmView {
+                            id: OsmId(0),
+                            state,
+                            age: 0,
+                            tag: 0,
+                            slots: &[],
+                            buffer: &[],
+                        };
+                        let rule = spec.edge_mask(state, |e| {
+                            op.edge_rule(shared.edge_kinds[e.id.index()], &shared)
+                        });
+                        assert_eq!(
+                            op.enabled_edges(&spec, &view, &shared),
+                            rule,
+                            "case {case} state {} unit {unit:?} class {:?}",
+                            spec.state_name(state),
+                            instr.class(),
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 96 * 7 * 11 * 5);
     }
 
     #[test]

@@ -151,13 +151,16 @@ pub struct SaShared {
     pub squashed: u64,
     timers: StageTimers,
     edge_kinds: Vec<SaEdgeKind>,
+    /// Per state: the bits of its fetch edges ([`fetch_bits`]).
+    fetch_bits: Vec<u64>,
     /// Manager handles (fault-injection targets and inspection).
     pub ids: SaManagers,
     cfg: SaConfig,
 }
 
 impl SaShared {
-    fn new(cfg: SaConfig, program: &Program, ids: SaManagers, edge_kinds: Vec<SaEdgeKind>) -> Self {
+    fn new(cfg: SaConfig, program: &Program, ids: SaManagers, spec: &StateMachineSpec) -> Self {
+        let edge_kinds = classify_edges(spec);
         let mut mem = SparseMemory::new();
         program.load_into(&mut mem);
         SaShared {
@@ -174,6 +177,7 @@ impl SaShared {
             retired: 0,
             squashed: 0,
             timers: StageTimers::default(),
+            fetch_bits: fetch_bits(spec, &edge_kinds),
             edge_kinds,
             ids,
             cfg,
@@ -199,7 +203,7 @@ impl HardwareLayer for SaShared {
 
     /// All mutable hardware-layer state: CPU, memories, fetch redirection,
     /// timers, result counters. Static configuration (manager ids, edge
-    /// classification, `SaConfig`) stays with the machine.
+    /// classification and fetch bits, `SaConfig`) stays with the machine.
     fn encode_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
         w.put_bytes(&self.cpu.export_state());
@@ -338,6 +342,15 @@ pub(crate) fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
         .collect()
 }
 
+/// Per state of `spec`: the bits of its fetch edges, in the layout of
+/// [`Behavior::enabled_edges`]. Fetch is the only edge a stopped front end
+/// vetoes.
+pub(crate) fn fetch_bits(spec: &StateMachineSpec, kinds: &[SaEdgeKind]) -> Vec<u64> {
+    spec.states()
+        .map(|s| spec.edge_mask(s, |e| kinds[e.id.index()] == SaEdgeKind::Fetch))
+        .collect()
+}
+
 impl Behavior<SaShared> for SaOp {
     fn snapshot(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
@@ -381,9 +394,13 @@ impl Behavior<SaShared> for SaOp {
         true
     }
 
-    fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &SaShared) -> bool {
+    fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &SaShared) -> u64 {
         // Fetch stops once the halting operation has executed.
-        shared.edge_kinds[edge.id.index()] != SaEdgeKind::Fetch || !shared.stop_fetch
+        if shared.stop_fetch {
+            !shared.fetch_bits[view.state.index()]
+        } else {
+            u64::MAX
+        }
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, SaShared>) {
@@ -535,7 +552,7 @@ impl SaOsmSim {
         let mut managers = ManagerTable::new();
         let ids = SaManagers::install(&mut managers, 64, cfg.forwarding);
         let spec = build_spec(ids);
-        let mut machine = Machine::new(SaShared::new(cfg, program, ids, classify_edges(&spec)));
+        let mut machine = Machine::new(SaShared::new(cfg, program, ids, &spec));
         machine.managers = managers;
         for _ in 0..cfg.osm_count.max(6) {
             machine.add_osm(&spec, SaOp::default());
@@ -598,10 +615,59 @@ impl SaOsmSim {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use minirisc::assemble;
     use osm_core::{FaultInjector, FaultPlan};
+
+    /// The veto rule one edge at a time, for a front end that has stopped or
+    /// not: the oracle of the fetch-bit masks.
+    fn fetch_edge_rule(kind: SaEdgeKind, stop_fetch: bool) -> bool {
+        kind != SaEdgeKind::Fetch || !stop_fetch
+    }
+
+    /// The masks `enabled_edges` answers with, in every state, against the
+    /// per-edge rule, for both values of the fetch gate.
+    pub(crate) fn assert_fetch_masks_match_the_rule(
+        spec: &StateMachineSpec,
+        kinds: &[SaEdgeKind],
+        mut enabled: impl FnMut(osm_core::StateId, bool) -> u64,
+    ) {
+        for state in spec.states() {
+            let all = spec.edge_mask(state, |_| true);
+            for stop_fetch in [false, true] {
+                let rule =
+                    spec.edge_mask(state, |e| fetch_edge_rule(kinds[e.id.index()], stop_fetch));
+                assert_eq!(
+                    enabled(state, stop_fetch) & all,
+                    rule,
+                    "state {} stop_fetch {stop_fetch}",
+                    spec.state_name(state)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn enabled_edges_match_the_per_edge_rule_everywhere() {
+        let p = assemble("halt\n", 0x1000).unwrap();
+        let mut sim = SaOsmSim::new(SaConfig::paper(), &p);
+        let spec = Arc::clone(&sim.machine.specs()[0]);
+        let kinds = sim.machine.shared.edge_kinds.clone();
+        let shared = &mut sim.machine.shared;
+        assert_fetch_masks_match_the_rule(&spec, &kinds, |state, stop_fetch| {
+            shared.stop_fetch = stop_fetch;
+            let view = OsmView {
+                id: osm_core::OsmId(0),
+                state,
+                age: 0,
+                tag: 0,
+                slots: &[],
+                buffer: &[],
+            };
+            SaOp::default().enabled_edges(&spec, &view, shared)
+        });
+    }
 
     fn run(src: &str, cfg: SaConfig) -> (SimResult, SaOsmSim) {
         let p = assemble(src, 0x1000).expect("assembles");

@@ -18,13 +18,14 @@
 use crate::config::SaConfig;
 use crate::forward::RegForwardFile;
 use crate::osm_model::{
-    build_spec, classify_edges, SaEdgeKind, SaManagers, StageTimers, S_DEST, S_MULT, S_SRC1, S_SRC2,
+    build_spec, classify_edges, fetch_bits, SaEdgeKind, SaManagers, StageTimers, S_DEST, S_MULT,
+    S_SRC1, S_SRC2,
 };
 use memsys::MemSystem;
 use minirisc::{decode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory};
 use osm_core::{
     Behavior, Edge, ExclusivePool, HardwareLayer, Machine, ManagerTable, ModelError, OsmId,
-    OsmView, ResetManager, RestartPolicy, TokenIdent, TransitionCtx, IDLE_AGE,
+    OsmView, ResetManager, RestartPolicy, StateMachineSpec, TokenIdent, TransitionCtx, IDLE_AGE,
 };
 
 /// Per-thread architectural and front-end state.
@@ -82,6 +83,8 @@ pub struct SmtShared {
     pub preferred: u64,
     timers: StageTimers,
     edge_kinds: Vec<SaEdgeKind>,
+    /// Per state: the bits of its fetch edges.
+    fetch_bits: Vec<u64>,
     ids: SaManagers,
     cfg: SaConfig,
 }
@@ -112,9 +115,13 @@ struct SmtOp {
 }
 
 impl Behavior<SmtShared> for SmtOp {
-    fn edge_enabled(&self, edge: &Edge, view: &OsmView<'_>, shared: &SmtShared) -> bool {
-        shared.edge_kinds[edge.id.index()] != SaEdgeKind::Fetch
-            || !shared.threads[view.tag as usize].stop_fetch
+    fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &SmtShared) -> u64 {
+        // Each thread's fetch stops once its halting operation has executed.
+        if shared.threads[view.tag as usize].stop_fetch {
+            !shared.fetch_bits[view.state.index()]
+        } else {
+            u64::MAX
+        }
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, SmtShared>) {
@@ -295,13 +302,15 @@ impl SmtSim {
         // 128 registers: thread tag selects the upper half (§6).
         let ids = SaManagers::install(&mut managers, 128, cfg.forwarding);
         let spec = build_spec(ids);
+        let edge_kinds = classify_edges(&spec);
         let shared = SmtShared {
             threads: programs.map(|p| ThreadState::new(p.entry)),
             mem,
             memsys: MemSystem::new(cfg.mem),
             preferred: 0,
             timers: StageTimers::default(),
-            edge_kinds: classify_edges(&spec),
+            fetch_bits: fetch_bits(&spec, &edge_kinds),
+            edge_kinds,
             ids,
             cfg,
         };
@@ -405,6 +414,33 @@ mod tests {
             assemble(LOOP_A, 0x1000).unwrap(),
             assemble(LOOP_B, 0x4000).unwrap(),
         )
+    }
+
+    #[test]
+    fn enabled_edges_match_the_per_edge_rule_everywhere() {
+        use crate::osm_model::tests::assert_fetch_masks_match_the_rule;
+        let (pa, pb) = programs();
+        let mut smt = SmtSim::new(SaConfig::paper(), [&pa, &pb]);
+        let spec = smt.machine().specs()[0].clone();
+        let shared = &mut smt.machine_mut().shared;
+        let kinds = shared.edge_kinds.clone();
+        for tag in 0..2 {
+            assert_fetch_masks_match_the_rule(&spec, &kinds, |state, stop| {
+                // The other thread's gate reads the opposite: only the
+                // OSM's own thread counts.
+                shared.threads[tag].stop_fetch = stop;
+                shared.threads[1 - tag].stop_fetch = !stop;
+                let view = OsmView {
+                    id: OsmId(0),
+                    state,
+                    age: 0,
+                    tag: tag as u64,
+                    slots: &[],
+                    buffer: &[],
+                };
+                SmtOp::default().enabled_edges(&spec, &view, shared)
+            });
+        }
     }
 
     #[test]

@@ -196,6 +196,9 @@ pub struct VliwShared {
     pub ids: VliwManagers,
     /// Kind of each spec edge, by `EdgeId` index.
     edge_kinds: Vec<VliwEdgeKind>,
+    /// Per state: the bits of its fetch edges, in the layout of
+    /// [`Behavior::enabled_edges`]. Fetch is the only edge the model vetoes.
+    fetch_bits: Vec<u64>,
 }
 
 /// Manager handles (exposed for fault injection and inspection).
@@ -225,8 +228,8 @@ impl HardwareLayer for VliwShared {
         self.halted
     }
 
-    /// All mutable shared state. The bundle program and manager handles
-    /// stay with the machine.
+    /// All mutable shared state. The bundle program, manager handles and
+    /// edge tables stay with the machine.
     fn encode_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
         w.put_bytes(&self.cpu.export_state());
@@ -436,9 +439,13 @@ impl Behavior<VliwShared> for BundleOp {
         true
     }
 
-    fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &VliwShared) -> bool {
-        shared.edge_kinds[edge.id.index()] != VliwEdgeKind::Fetch
-            || (!shared.stop_fetch && shared.next_bundle < shared.program.bundles.len())
+    fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &VliwShared) -> u64 {
+        // Fetch stops at the halting bundle and at the end of the stream.
+        if !shared.stop_fetch && shared.next_bundle < shared.program.bundles.len() {
+            u64::MAX
+        } else {
+            !shared.fetch_bits[view.state.index()]
+        }
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, VliwShared>) {
@@ -528,6 +535,11 @@ impl VliwSim {
             reset: managers.add(ResetManager::new("reset")),
         };
         let spec = build_spec(ids);
+        let edge_kinds = classify_edges(&spec);
+        let fetch_bits = spec
+            .states()
+            .map(|s| spec.edge_mask(s, |e| edge_kinds[e.id.index()] == VliwEdgeKind::Fetch))
+            .collect();
         let shared = VliwShared {
             cpu: CpuState::new(0),
             mem,
@@ -546,7 +558,8 @@ impl VliwSim {
             fetch_timer: 0,
             exec_timer: 0,
             ids,
-            edge_kinds: classify_edges(&spec),
+            edge_kinds,
+            fetch_bits,
         };
         let mut machine = Machine::new(shared);
         machine.managers = managers;
@@ -602,6 +615,51 @@ impl VliwSim {
             exit_code: s.exit_code,
             output: s.output.clone(),
             error: s.error.clone(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schedule::{ilp_loop, schedule};
+
+    /// The veto rule one edge at a time: the oracle of the fetch-bit masks.
+    fn fetch_edge_rule(kind: VliwEdgeKind, shared: &VliwShared) -> bool {
+        kind != VliwEdgeKind::Fetch
+            || (!shared.stop_fetch && shared.next_bundle < shared.program.bundles.len())
+    }
+
+    #[test]
+    fn enabled_edges_match_the_per_edge_rule_everywhere() {
+        let program = schedule(&ilp_loop(2, 2), vec![]);
+        let n = program.bundles.len();
+        let mut sim = VliwSim::new(VliwConfig::default(), &program);
+        let spec = Arc::clone(&sim.machine.specs()[0]);
+        let shared = &mut sim.machine.shared;
+        for (stop_fetch, next_bundle) in [(false, 0), (false, n - 1), (false, n), (true, 0)] {
+            shared.stop_fetch = stop_fetch;
+            shared.next_bundle = next_bundle;
+            for state in spec.states() {
+                let view = OsmView {
+                    id: OsmId(0),
+                    state,
+                    age: 0,
+                    tag: 0,
+                    slots: &[],
+                    buffer: &[],
+                };
+                let all = spec.edge_mask(state, |_| true);
+                let rule = spec.edge_mask(state, |e| {
+                    fetch_edge_rule(shared.edge_kinds[e.id.index()], shared)
+                });
+                assert_eq!(
+                    BundleOp::default().enabled_edges(&spec, &view, shared) & all,
+                    rule,
+                    "state {} stop_fetch {stop_fetch} next_bundle {next_bundle} of {n}",
+                    spec.state_name(state)
+                );
+            }
         }
     }
 }
