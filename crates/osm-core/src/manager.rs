@@ -110,8 +110,10 @@ pub trait TokenManager: Any + Send {
     /// ([`crate::SchedulerMode::Fast`]) skips re-evaluating OSMs blocked on
     /// managers that reported no change, so returning `false` after a
     /// decision-relevant mutation makes blocked OSMs oversleep. The default
-    /// no-op returns `false`; when in doubt, return `true` (always correct,
-    /// merely slower).
+    /// no-op returns `false`. Returning `true` without a change is allowed
+    /// and never changes a run, but it is not free: it breaks every skip
+    /// proof that rests on this manager, so each OSM blocked on it is
+    /// re-evaluated that cycle.
     fn clock(&mut self, cycle: u64) -> bool {
         let _ = cycle;
         false

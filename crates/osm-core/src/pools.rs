@@ -385,15 +385,14 @@ impl TokenManager for CountingPool {
         }
     }
 
+    /// A per-cycle pool refills here, and is dirty only when the refill
+    /// changed `available`: a full pool's waiters keep their skip proofs.
     fn clock(&mut self, _cycle: u64) -> bool {
-        if self.refill_each_cycle {
-            // Report dirty even when already full: cheap, and conservatively
-            // correct for the sensitivity scheduler.
+        let refilled = self.refill_each_cycle && self.available != self.capacity;
+        if refilled {
             self.available = self.capacity;
-            true
-        } else {
-            false
         }
+        refilled
     }
 
     fn snapshot_state(&self) -> Option<ManagerSnapshot> {
@@ -883,6 +882,30 @@ mod tests {
         assert_eq!(p.available(), 0);
         p.clock(1);
         assert_eq!(p.available(), 2);
+    }
+
+    #[test]
+    fn counting_pool_clock_is_dirty_only_on_a_real_refill() {
+        let mut p = attach(CountingPool::per_cycle("dispatch", 2), 0);
+        assert!(!p.clock(1), "a full pool reported a refill");
+        let a = p.prepare_allocate(OsmId(1), TokenIdent::ANY).unwrap();
+        p.abort_allocate(OsmId(1), a);
+        assert!(!p.clock(2), "an aborted grant left the pool full");
+        let a = p.prepare_allocate(OsmId(1), TokenIdent::ANY).unwrap();
+        p.commit_allocate(OsmId(1), a);
+        assert!(p.clock(3), "the refill after a grant reported clean");
+        assert!(!p.clock(4));
+
+        let mut q = attach(CountingPool::new("ports", 2), 0);
+        for cycle in 1..4 {
+            assert!(!q.clock(cycle), "a pool that never refills reported dirty");
+            let t = q.prepare_allocate(OsmId(1), TokenIdent::ANY).unwrap();
+            q.commit_allocate(OsmId(1), t);
+            if cycle % 2 == 0 {
+                q.commit_release(OsmId(1), t);
+            }
+        }
+        assert!(!q.clock(4));
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //!
 //! 1. A prepare the manager refuses, or one followed by its abort, leaves
 //!    the bytes unchanged: probing is free of side effects.
-//! 2. A `clock` that changes the bytes returns `true`: a blocked OSM whose
-//!    proof rests on the manager is re-evaluated.
+//! 2. A `clock` returns `true` exactly when it changes the bytes. Soundness:
+//!    a changing clock reports dirty, so a blocked OSM whose proof rests on
+//!    the manager is re-evaluated. Precision: a clock that changes nothing
+//!    reports clean, so those proofs survive it.
 //!
-//! The converse of 2 ("dirty only when the bytes changed") is not checked:
-//! a per-cycle `CountingPool` reports dirty at every clock, refill or not.
+//! Clocks come with strictly increasing cycles, as the machine gives them;
+//! a `FaultInjector` writes its cycle into its bytes, so each of its clocks
+//! changes them.
 
 use osm_repro::osm_core::{
     CountingPool, ExclusivePool, FaultInjector, FaultPlan, OsmId, RegScoreboard, ResetManager,
@@ -123,9 +126,14 @@ fn check_contract<M: TokenManager>(
             Op::Clock => {
                 cycle += 1;
                 let dirty = m.clock(cycle);
+                let changed = bytes(&m) != before;
                 prop_assert!(
-                    dirty || bytes(&m) == before,
+                    dirty || !changed,
                     "{name}, op {at}: a clock changed the checkpoint bytes but reported clean"
+                );
+                prop_assert!(
+                    changed || !dirty,
+                    "{name}, op {at}: a clock reported dirty but left the checkpoint bytes unchanged"
                 );
             }
             Op::Poke(v) => poke(&mut m, v),
