@@ -18,7 +18,7 @@ use crate::observe::{
     ObservedEvent, Sinks, StallEvent, TokenEvent, TokenOpKind, TokenOutcome, TransitionEvent,
 };
 use crate::osm::{Osm, OsmView, TransitionCtx, IDLE_AGE};
-use crate::spec::Edge;
+use crate::spec::{Edge, StateMachineSpec};
 use crate::token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};
 use crate::trace::TraceEvent;
 
@@ -109,6 +109,43 @@ enum DiscardSpec {
     One(ManagerId, TokenIdent),
 }
 
+/// A set of token-buffer positions: a bitmask for the first 64, and a
+/// list for the rest (a buffer of more than 64 tokens is rare).
+#[derive(Debug, Default)]
+struct Positions {
+    low: u64,
+    high: Vec<usize>,
+}
+
+impl Positions {
+    fn clear(&mut self) {
+        self.low = 0;
+        self.high.clear();
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        if i < 64 {
+            self.low >> i & 1 != 0
+        } else {
+            self.high.contains(&i)
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        if i < 64 {
+            self.low |= 1 << i;
+        } else {
+            self.high.push(i);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_empty()
+    }
+}
+
 /// Maximum number of distinct blocking managers a [`SensEntry`] can track;
 /// an OSM blocked on more is simply re-evaluated every step.
 const MAX_SENS: usize = 4;
@@ -124,8 +161,8 @@ const TOMBSTONE: OsmId = OsmId(u32::MAX);
 /// The record is sound to skip on because a failed edge evaluation is a pure
 /// function of (a) the OSM's state, slots and buffer — which only change on
 /// the OSM's own transitions, invalidating the record, (b) the behavior's
-/// enabled-edge mask — re-checked with one hook call on every skip test,
-/// and (c) the internal state of the managers contacted up to the first
+/// enabled-edge mask — re-checked on every skip test, with one hook call in
+/// a state with a vetoable edge, and (c) the internal state of the managers contacted up to the first
 /// failing primitive of each enabled edge — guarded by the recorded dirty
 /// epochs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -168,8 +205,8 @@ pub(crate) struct Scratch {
     pub(crate) list: Vec<(u64, OsmId)>,
     ops: Vec<PreparedOp>,
     discards: Vec<DiscardSpec>,
-    used: Vec<usize>,
-    removed: Vec<usize>,
+    /// Buffer positions the prepared plan releases.
+    released: Positions,
     /// Wait-for edges (waiter, owner) of the idle-step diagnostic scan.
     wait_edges: Vec<(OsmId, OsmId)>,
     /// Per-OSM mark byte of the wait-for cycle search.
@@ -418,7 +455,7 @@ fn try_condition<S, const TRACKING: bool>(
 ) -> bool {
     scratch.ops.clear();
     scratch.discards.clear();
-    scratch.used.clear();
+    scratch.released.clear();
     scratch.fail = None;
     let at = (cycle, osm.id, edge.id);
     for prim in &edge.condition {
@@ -469,7 +506,7 @@ fn try_condition<S, const TRACKING: bool>(
                     Resolved::Ident(id) => Some(id),
                 };
                 let found = osm.buffer.iter().enumerate().position(|(i, held)| {
-                    !scratch.used.contains(&i)
+                    !scratch.released.contains(i)
                         && held.token.manager == manager
                         && target.is_none_or(|id| held.ident == id)
                 });
@@ -491,7 +528,7 @@ fn try_condition<S, const TRACKING: bool>(
                     scratch.fail = Some((*prim, held.ident));
                     break;
                 }
-                scratch.used.push(i);
+                scratch.released.insert(i);
                 scratch.ops.push(PreparedOp::Release {
                     manager,
                     buffer_index: i,
@@ -560,15 +597,16 @@ fn abort_plan<S, const TRACKING: bool>(
 }
 
 /// Commits the satisfied plan held in `scratch`: finalizes transactions and
-/// updates the buffer.
+/// updates the buffer. Released tokens leave the buffer, and so do
+/// discarded ones, each in one order-preserving pass.
 fn commit_plan<S, const TRACKING: bool>(
     osm: &mut Osm<S>,
-    scratch: &mut Scratch,
+    scratch: &Scratch,
     managers: &mut ManagerTable,
     sinks: &mut Sinks,
     at: (u64, OsmId, EdgeId),
 ) {
-    scratch.removed.clear();
+    let id = osm.id;
     for op in &scratch.ops {
         match *op {
             PreparedOp::Alloc {
@@ -576,35 +614,33 @@ fn commit_plan<S, const TRACKING: bool>(
                 ident,
                 token,
             } => {
-                managers.get_mut(manager).commit_allocate(osm.id, token);
+                managers.get_mut(manager).commit_allocate(id, token);
                 osm.buffer.push(HeldToken { ident, token });
             }
-            PreparedOp::Release {
-                manager,
-                buffer_index,
-                token,
-            } => {
-                managers.get_mut(manager).commit_release(osm.id, token);
-                scratch.removed.push(buffer_index);
+            PreparedOp::Release { manager, token, .. } => {
+                managers.get_mut(manager).commit_release(id, token);
             }
         }
     }
-    scratch.removed.sort_unstable_by(|a, b| b.cmp(a));
-    for &i in &scratch.removed {
-        osm.buffer.remove(i);
+    // Released positions index the buffer as it was before the plan's
+    // allocations were appended.
+    if !scratch.released.is_empty() {
+        let mut i = 0;
+        osm.buffer.retain(|_| {
+            i += 1;
+            !scratch.released.contains(i - 1)
+        });
     }
     for spec in &scratch.discards {
-        let mut i = 0;
-        while i < osm.buffer.len() {
-            let held = osm.buffer[i];
+        osm.buffer.retain(|held| {
             let matches = match *spec {
                 DiscardSpec::All(None) => true,
                 DiscardSpec::All(Some(m)) => held.token.manager == m,
-                DiscardSpec::One(m, id) => held.token.manager == m && held.ident == id,
+                DiscardSpec::One(m, ident) => held.token.manager == m && held.ident == ident,
             };
             if matches {
                 let manager = held.token.manager;
-                managers.get_mut(manager).discard(osm.id, held.token);
+                managers.get_mut(manager).discard(id, held.token);
                 emit::<TRACKING>(
                     sinks,
                     at,
@@ -614,11 +650,9 @@ fn commit_plan<S, const TRACKING: bool>(
                     Some(held.token),
                     TokenOutcome::Granted,
                 );
-                osm.buffer.remove(i);
-            } else {
-                i += 1;
             }
-        }
+            !matches
+        });
     }
 }
 
@@ -683,6 +717,34 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
             k
         })
     })
+}
+
+/// The out-edges of `osm`'s current state, within `all` (the state's
+/// [`first_bits`]), that its behavior leaves enabled. `declared` is the
+/// state's entry in the machine's veto table: the behavior is asked only
+/// when it is nonzero, and the bits outside it count as enabled.
+#[inline]
+fn enabled_edges<S: 'static>(
+    osm: &Osm<S>,
+    spec: &StateMachineSpec,
+    shared: &S,
+    declared: u64,
+    all: u64,
+) -> u64 {
+    if declared == 0 {
+        return all;
+    }
+    let answer = osm.behavior.enabled_edges(spec, &osm.view(), shared);
+    debug_assert!(
+        all & !answer & !declared == 0,
+        "{} vetoed out-edges {:#x} of `{}` in state `{}`, which it did not declare vetoable ({:#x})",
+        osm.id,
+        all & !answer & !declared,
+        spec.name(),
+        spec.state_name(osm.state),
+        declared
+    );
+    (answer | !declared) & all
 }
 
 /// What [`Machine::serve_osm`] did with one OSM.
@@ -1000,7 +1062,7 @@ impl<S: 'static> Machine<S> {
     /// current residence, the behavior's veto mask must be unchanged
     /// (re-asked here — vetoes may read time-dependent shared state), and
     /// every recorded blocking manager must still be at its recorded dirty
-    /// epoch.
+    /// epoch. Only a state with a vetoable edge costs a hook call.
     #[inline]
     fn can_skip(&self, oi: usize) -> bool {
         let osm = &self.osms[oi];
@@ -1017,8 +1079,9 @@ impl<S: 'static> Machine<S> {
             }
         }
         let spec = &self.specs[osm.spec_idx as usize];
-        let enabled = osm.behavior.enabled_edges(spec, &osm.view(), &self.shared);
-        first_bits(spec.out_edges(osm.state).len()) & !enabled == sens.veto_mask
+        let all = first_bits(spec.out_edges(osm.state).len());
+        let declared = self.vetoable[osm.spec_idx as usize][osm.state.index()];
+        all & !enabled_edges(osm, spec, &self.shared, declared, all) == sens.veto_mask
     }
 
     /// Serves the OSM at `id` with skip proofs on: [`Machine::serve_osm`]
@@ -1044,6 +1107,7 @@ impl<S: 'static> Machine<S> {
         let Machine {
             osms,
             specs,
+            vetoable,
             managers,
             shared,
             cycle,
@@ -1069,11 +1133,13 @@ impl<S: 'static> Machine<S> {
             (e.valid || e.armed) && e.state == osm.state
         };
 
-        // One veto call; the scan walks the edges it leaves enabled, and the
-        // vetoed edges it passes over count as `vetoed_edges`.
+        // At most one veto call, in a state with a vetoable edge; the scan
+        // walks the edges left enabled, and the vetoed edges it passes over
+        // count as `vetoed_edges`.
         let out = spec.out_edges(osm.state);
         let all = first_bits(out.len());
-        let enabled = osm.behavior.enabled_edges(spec, &osm.view(), shared) & all;
+        let declared = vetoable[spec_idx as usize][osm.state.index()];
+        let enabled = enabled_edges(osm, spec, shared, declared, all);
         let veto_mask = all & !enabled;
         let mut skippable = true;
         let mut mgrs = [ManagerId(0); MAX_SENS];
@@ -1083,9 +1149,17 @@ impl<S: 'static> Machine<S> {
         for k in set_bits(enabled) {
             let eid = out[k];
             let edge = spec.edge(eid);
-            if try_condition::<S, TRACKING>(osm, edge, managers, scratch, sinks, cycle) {
+            // An empty condition holds and commits nothing: no primitive to
+            // try, no plan to commit.
+            let fires = edge.condition.is_empty() || {
+                let ok = try_condition::<S, TRACKING>(osm, edge, managers, scratch, sinks, cycle);
+                if ok {
+                    commit_plan::<S, TRACKING>(osm, scratch, managers, sinks, (cycle, id, eid));
+                }
+                ok
+            };
+            if fires {
                 stats.vetoed_edges += u64::from((veto_mask & ((1 << k) - 1)).count_ones());
-                commit_plan::<S, TRACKING>(osm, scratch, managers, sinks, (cycle, id, eid));
                 let from = osm.state;
                 osm.state = edge.dst;
                 let initial = spec.initial();
@@ -1302,6 +1376,7 @@ impl<S: 'static> Machine<S> {
         let Machine {
             osms,
             specs,
+            vetoable,
             managers,
             shared,
             scratch,
@@ -1310,8 +1385,9 @@ impl<S: 'static> Machine<S> {
         let osm = &osms[oi];
         let spec = &specs[osm.spec_idx as usize];
         let out = spec.out_edges(osm.state);
-        let enabled = osm.behavior.enabled_edges(spec, &osm.view(), shared);
-        for k in set_bits(enabled & first_bits(out.len())) {
+        let declared = vetoable[osm.spec_idx as usize][osm.state.index()];
+        let enabled = enabled_edges(osm, spec, shared, declared, first_bits(out.len()));
+        for k in set_bits(enabled) {
             let fail = probe_edge(osm, spec.edge(out[k]), managers, scratch);
             blocked(managers, fail);
         }
@@ -1438,8 +1514,264 @@ fn find_wait_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::StateId;
+    use crate::machine::HardwareLayer;
+    use crate::osm::{Behavior, InertBehavior};
+    use crate::pools::ExclusivePool;
+    use crate::spec::SpecBuilder;
+    use crate::trace::Trace;
+    use crate::SchedulerMode;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex};
+
+    /// Shared state of the veto machines: `go` is open on two cycles in
+    /// three.
+    #[derive(Default)]
+    struct Gate {
+        open: bool,
+    }
+    impl HardwareLayer for Gate {
+        fn clock(&mut self, cycle: u64, _: &mut ManagerTable) {
+            self.open = !cycle.is_multiple_of(3);
+        }
+    }
+
+    /// Vetoes `go` while the gate is shut and logs the state of every
+    /// `enabled_edges` call. With `DECLARED` it declares only `go`
+    /// vetoable; without, it keeps the default declaration, every edge.
+    struct Counted<const DECLARED: bool>(Arc<Mutex<Vec<StateId>>>);
+    impl<const DECLARED: bool> Behavior<Gate> for Counted<DECLARED> {
+        fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
+            if DECLARED {
+                spec.edge_mask(state, |e| e.name == "go")
+            } else {
+                u64::MAX
+            }
+        }
+        fn enabled_edges(&self, spec: &StateMachineSpec, view: &OsmView<'_>, gate: &Gate) -> u64 {
+            self.0.lock().unwrap().push(view.state);
+            spec.edge_mask(view.state, |e| e.name != "go" || gate.open)
+        }
+        fn on_transition(&mut self, _: &Edge, _: &mut TransitionCtx<'_, Gate>) {}
+    }
+
+    /// Four OSMs contend for one pool unit: `enter` (I -> W, empty), `go`
+    /// (W -> D, takes the unit, vetoed while the gate is shut) and `leave`
+    /// (D -> I, returns it). Only `W` has a vetoable edge.
+    fn counted_machine<const DECLARED: bool>(
+        mode: SchedulerMode,
+        calls: &Arc<Mutex<Vec<StateId>>>,
+    ) -> Machine<Gate> {
+        let mut m: Machine<Gate> = Machine::new(Gate::default());
+        m.set_scheduler_mode(mode);
+        let unit = m.add_manager(ExclusivePool::new("unit", 1));
+        let mut b = SpecBuilder::new("op");
+        let i = b.state("I");
+        let w = b.state("W");
+        let d = b.state("D");
+        b.initial(i);
+        b.edge(i, w).named("enter");
+        b.edge(w, d).named("go").allocate(unit, IdentExpr::Const(0));
+        b.edge(d, i)
+            .named("leave")
+            .release(unit, IdentExpr::AnyHeld);
+        let spec = b.build().unwrap();
+        for _ in 0..4 {
+            m.add_osm(&spec, Counted::<DECLARED>(Arc::clone(calls)));
+        }
+        m
+    }
+
+    /// What a run of `m` shows: vetoed edges, condition failures, token
+    /// events (tracked runs only) and the trace digest.
+    fn veto_run(mut m: Machine<Gate>, tracked: bool) -> (u64, u64, Vec<TokenEvent>, u64) {
+        m.enable_trace_with(Trace::digest_only());
+        if tracked {
+            m.enable_event_log();
+        }
+        m.run(60).unwrap();
+        let events = m
+            .event_log()
+            .map(|log| log.token_events().copied().collect())
+            .unwrap_or_default();
+        let digest = m.trace_digest().unwrap();
+        let stats = &m.stats;
+        (stats.vetoed_edges, stats.condition_failures, events, digest)
+    }
+
+    #[test]
+    fn a_behavior_is_asked_only_in_states_with_a_declared_edge() {
+        for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+            for tracked in [false, true] {
+                let (declared_calls, default_calls) = (Arc::default(), Arc::default());
+                let declared = veto_run(counted_machine::<true>(mode, &declared_calls), tracked);
+                let default = veto_run(counted_machine::<false>(mode, &default_calls), tracked);
+                assert_eq!(declared, default, "{mode:?} tracked={tracked}");
+                assert!(declared.0 > 0, "{mode:?}: the gate never vetoed");
+                assert_eq!(tracked, !declared.2.is_empty());
+                let w = StateId(1);
+                let declared_calls = declared_calls.lock().unwrap();
+                assert!(declared_calls.contains(&w), "{mode:?}: never asked in W");
+                assert!(
+                    declared_calls.iter().all(|&s| s == w),
+                    "{mode:?}: asked outside W"
+                );
+                let default_calls = default_calls.lock().unwrap();
+                assert!(
+                    default_calls.iter().any(|&s| s != w),
+                    "{mode:?}: the default declaration was asked only in W"
+                );
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "which it did not declare vetoable")]
+    fn a_veto_of_an_undeclared_edge_trips_the_debug_assertion() {
+        /// Declares `go` vetoable, but vetoes `other`.
+        struct Liar;
+        impl Behavior<()> for Liar {
+            fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
+                spec.edge_mask(state, |e| e.name == "go")
+            }
+            fn enabled_edges(&self, spec: &StateMachineSpec, view: &OsmView<'_>, _: &()) -> u64 {
+                spec.edge_mask(view.state, |e| e.name != "other")
+            }
+            fn on_transition(&mut self, _: &Edge, _: &mut TransitionCtx<'_, ()>) {}
+        }
+        let mut m: Machine<()> = Machine::new(());
+        let mut b = SpecBuilder::new("op");
+        let i = b.state("I");
+        let d = b.state("D");
+        b.initial(i);
+        b.edge(i, d).named("go");
+        b.edge(i, d).named("other");
+        b.edge(d, i);
+        m.add_osm(&b.build().unwrap(), Liar);
+        m.step().unwrap();
+    }
+
+    #[test]
+    fn an_osm_holding_more_than_64_tokens_releases_and_discards_in_order() {
+        let p_idents = |skip: &[u64]| (0..64).filter(|k| !skip.contains(k)).collect::<Vec<_>>();
+        for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+            let mut m: Machine<()> = Machine::new(());
+            m.set_scheduler_mode(mode);
+            let p = m.add_manager(ExclusivePool::new("P", 64));
+            let q = m.add_manager(ExclusivePool::new("Q", 8));
+            let mut b = SpecBuilder::new("hoard");
+            let i = b.state("I");
+            let h = b.state("H");
+            let j = b.state("J");
+            b.initial(i);
+            // Buffer positions 0..64 hold P0..P63, and 64..70 hold Q0..Q5.
+            let mut grab = b.edge(i, h).named("grab");
+            for k in 0..64 {
+                grab = grab.allocate(p, IdentExpr::Const(k));
+            }
+            for k in 0..6 {
+                grab = grab.allocate(q, IdentExpr::Const(k));
+            }
+            // The second `Q[held]` must pass over position 64, which the
+            // first one took.
+            b.edge(h, j)
+                .named("drop")
+                .release(q, IdentExpr::AnyHeld)
+                .release(q, IdentExpr::AnyHeld)
+                .release(p, IdentExpr::Const(3))
+                .release(q, IdentExpr::Const(4))
+                .discard(q, IdentExpr::Const(5));
+            b.edge(j, i).named("done").discard_all();
+            let spec = b.build().unwrap();
+            let op = m.add_osm(&spec, InertBehavior);
+            let held = |m: &Machine<()>| {
+                let idents = |manager: ManagerId| {
+                    let buffer = m.osm(op).buffer().iter();
+                    buffer
+                        .filter(|h| h.token.manager == manager)
+                        .map(|h| h.ident.0)
+                        .collect::<Vec<_>>()
+                };
+                (idents(p), idents(q))
+            };
+            m.step().unwrap();
+            assert_eq!(held(&m), (p_idents(&[]), (0..6).collect()), "{mode:?}");
+            m.step().unwrap();
+            assert_eq!(held(&m), (p_idents(&[3]), vec![2, 3]), "{mode:?}");
+            let managers = m.osm(op).buffer().iter().map(|h| h.token.manager);
+            assert!(managers.is_sorted(), "{mode:?}: the buffer lost its order");
+            let pool = |id| m.managers.downcast::<ExclusivePool>(id);
+            assert_eq!(pool(p).free_count(), 1, "{mode:?}");
+            assert_eq!(pool(q).free_count(), 6, "{mode:?}");
+            m.step().unwrap();
+            assert!(m.osm(op).buffer().is_empty(), "{mode:?}");
+            let pool = |id| m.managers.downcast::<ExclusivePool>(id);
+            assert_eq!((pool(p).free_count(), pool(q).free_count()), (64, 8));
+            assert!(m.audit_tokens().is_empty(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn an_empty_guard_commits_with_its_transition_event_and_no_token_event() {
+        for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+            let mut m: Machine<()> = Machine::new(());
+            m.set_scheduler_mode(mode);
+            m.enable_event_log();
+            let unit = m.add_manager(ExclusivePool::new("unit", 1));
+            let mut b = SpecBuilder::new("op");
+            let i = b.state("I");
+            let w = b.state("W");
+            b.initial(i);
+            let enter = b.edge(i, w).named("enter").id();
+            // `go` is denied (the holder has the unit), so the empty `back`
+            // below it commits after a failed condition.
+            let go = b
+                .edge(w, i)
+                .named("go")
+                .priority(1)
+                .allocate(unit, IdentExpr::Const(0))
+                .id();
+            let back = b.edge(w, i).named("back").id();
+            let spec = b.build().unwrap();
+            let mut b = SpecBuilder::new("holder");
+            let i = b.state("I");
+            let h = b.state("H");
+            b.initial(i);
+            b.edge(i, h).allocate(unit, IdentExpr::Const(0));
+            let holder = b.build().unwrap();
+            m.add_osm(&holder, InertBehavior);
+            let op = m.add_osm(&spec, InertBehavior);
+            m.run(2).unwrap();
+            let log = m.event_log().unwrap();
+            let moves: Vec<_> = log.transitions().filter(|t| t.osm == op).copied().collect();
+            let event = |cycle, edge, from, to, started, completed| TransitionEvent {
+                cycle,
+                osm: op,
+                spec: 1,
+                edge,
+                from,
+                to,
+                started,
+                completed,
+            };
+            assert_eq!(
+                moves,
+                [
+                    event(0, enter, i, w, true, false),
+                    event(1, back, w, i, false, true)
+                ],
+                "{mode:?}"
+            );
+            let tokens: Vec<_> = log.token_events().filter(|t| t.osm == op).collect();
+            assert_eq!(tokens.len(), 1, "{mode:?}: {tokens:?}");
+            assert_eq!(
+                (tokens[0].edge, tokens[0].outcome),
+                (go, TokenOutcome::Denied)
+            );
+        }
+    }
 
     /// [`find_wait_cycle`] with fresh scratch.
     fn wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {

@@ -11,6 +11,7 @@ use crate::spec::StateMachineSpec;
 use crate::stats::Stats;
 use crate::token::{HeldToken, Token, TokenIdent};
 use crate::trace::Trace;
+use std::any::TypeId;
 use std::sync::Arc;
 
 /// The hardware layer of a processor model (paper §4).
@@ -100,6 +101,14 @@ pub struct Machine<S> {
     pub managers: ManagerTable,
     pub(crate) osms: Vec<Osm<S>>,
     pub(crate) specs: Vec<Arc<StateMachineSpec>>,
+    /// Per spec (parallel to `specs`), per state: the out-edges some
+    /// behavior type installed on the spec declared vetoable
+    /// ([`Behavior::vetoable_edges`]). The director asks a behavior's
+    /// `enabled_edges` only where this is nonzero.
+    pub(crate) vetoable: Vec<Box<[u64]>>,
+    /// The (spec index, behavior type) pairs already folded into
+    /// `vetoable`.
+    folded: Vec<(u32, TypeId)>,
     /// Shared hardware-layer state.
     pub shared: S,
     /// The custom ranking policy; `None` is the paper's age ranking, the
@@ -130,6 +139,8 @@ impl<S: 'static> Machine<S> {
             managers: ManagerTable::new(),
             osms: Vec::new(),
             specs: Vec::new(),
+            vetoable: Vec::new(),
+            folded: Vec::new(),
             shared,
             ranker: None,
             sched_mode: SchedulerMode::default(),
@@ -167,7 +178,10 @@ impl<S: 'static> Machine<S> {
         self.managers.try_add(manager)
     }
 
-    /// Instantiates one OSM of class `spec` with the given behavior.
+    /// Instantiates one OSM of class `spec` with the given behavior. The
+    /// first OSM of each behavior type on a spec folds the type's
+    /// [`Behavior::vetoable_edges`] declaration into the machine's veto
+    /// table.
     ///
     /// # Panics
     /// Panics if the 32-bit OSM or spec id space is exhausted; use
@@ -213,9 +227,17 @@ impl<S: 'static> Machine<S> {
             None => {
                 let idx = crate::ids::checked_id(self.specs.len(), "state-machine spec")?;
                 self.specs.push(spec.clone());
+                self.vetoable.push(vec![0; spec.state_count()].into());
                 idx
             }
         };
+        if !self.folded.contains(&(spec_idx, TypeId::of::<B>())) {
+            self.folded.push((spec_idx, TypeId::of::<B>()));
+            let masks = &mut self.vetoable[spec_idx as usize];
+            for (mask, state) in masks.iter_mut().zip(spec.states()) {
+                *mask |= B::vetoable_edges(spec, state) & spec.edge_mask(state, |_| true);
+            }
+        }
         self.osms
             .push(Osm::new(id, spec.clone(), spec_idx, tag, Box::new(behavior)));
         Ok(id)

@@ -29,12 +29,34 @@ pub trait Behavior<S>: Send + 'static {
     /// above the state's out-degree are ignored. The default enables every
     /// edge.
     ///
-    /// The director calls it once per OSM it serves in a control step, and
-    /// once per skip test and blocked-OSM probe. It must be a pure function
-    /// of `self`, `view` and `shared`: the director may call it again, or
-    /// not at all, without changing the run.
+    /// The director calls it at most once per OSM it serves in a control
+    /// step, and once per skip test and blocked-OSM probe, and only in
+    /// states where [`Behavior::vetoable_edges`] declared a bit. It must be
+    /// a pure function of `self`, `view` and `shared`, and may clear only
+    /// declared bits: the director may call it again, or not at all,
+    /// without changing the run. Debug builds assert the second rule.
     fn enabled_edges(&self, spec: &StateMachineSpec, view: &OsmView<'_>, shared: &S) -> u64 {
         let _ = (spec, view, shared);
+        u64::MAX
+    }
+
+    /// The static half of the veto hook: the out-edges of `state` that
+    /// [`Behavior::enabled_edges`] can ever clear, in its layout. The
+    /// answer is a property of the behavior type, not of one behavior or
+    /// of the run, so it reads only `spec` and `state`; `enabled_edges` may
+    /// clear only the bits declared here.
+    ///
+    /// [`crate::Machine::add_osm`] asks it once per spec and behavior type,
+    /// for every state, and folds the answers of every type installed on
+    /// a spec into one mask per state. The director calls `enabled_edges`
+    /// only where that mask is nonzero and treats the bits outside it as
+    /// enabled. The default declares every edge; [`InertBehavior`] declares
+    /// none.
+    fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64
+    where
+        Self: Sized,
+    {
+        let _ = (spec, state);
         u64::MAX
     }
 
@@ -66,6 +88,11 @@ pub trait Behavior<S>: Send + 'static {
 pub struct InertBehavior;
 
 impl<S> Behavior<S> for InertBehavior {
+    /// Never vetoes: the director never asks it.
+    fn vetoable_edges(_: &StateMachineSpec, _: StateId) -> u64 {
+        0
+    }
+
     fn on_transition(&mut self, _edge: &Edge, _ctx: &mut TransitionCtx<'_, S>) {}
 }
 
@@ -251,7 +278,6 @@ impl<S> Osm<S> {
             buffer: &self.buffer,
         }
     }
-
 }
 
 impl<S> std::fmt::Debug for Osm<S> {

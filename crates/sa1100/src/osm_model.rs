@@ -23,7 +23,7 @@ use minirisc::{
 use osm_core::{
     Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, HardwareLayer, IdentExpr, Machine,
     ManagerId, ManagerTable, ModelError, OsmView, ResetManager, RestartPolicy, SlotId, SpecBuilder,
-    StateMachineSpec, TokenIdent, TransitionCtx,
+    StateId, StateMachineSpec, TokenIdent, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -177,7 +177,7 @@ impl SaShared {
             retired: 0,
             squashed: 0,
             timers: StageTimers::default(),
-            fetch_bits: fetch_bits(spec, &edge_kinds),
+            fetch_bits: spec.states().map(|s| fetch_bits(spec, s)).collect(),
             edge_kinds,
             ids,
             cfg,
@@ -326,29 +326,30 @@ struct SaOp {
     is_halting: bool,
 }
 
-pub(crate) fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
-    spec.edges()
-        .map(|e| match e.name.as_str() {
-            "fetch" => SaEdgeKind::Fetch,
-            "reset_f" => SaEdgeKind::ResetF,
-            "reset_d" => SaEdgeKind::ResetD,
-            "decode" => SaEdgeKind::Decode,
-            "issue" => SaEdgeKind::Issue,
-            "mem" => SaEdgeKind::Mem,
-            "wb" => SaEdgeKind::Wb,
-            "retire" => SaEdgeKind::Retire,
-            other => unreachable!("unknown edge `{other}`"),
-        })
-        .collect()
+fn edge_kind(edge: &Edge) -> SaEdgeKind {
+    match edge.name.as_str() {
+        "fetch" => SaEdgeKind::Fetch,
+        "reset_f" => SaEdgeKind::ResetF,
+        "reset_d" => SaEdgeKind::ResetD,
+        "decode" => SaEdgeKind::Decode,
+        "issue" => SaEdgeKind::Issue,
+        "mem" => SaEdgeKind::Mem,
+        "wb" => SaEdgeKind::Wb,
+        "retire" => SaEdgeKind::Retire,
+        other => unreachable!("unknown edge `{other}`"),
+    }
 }
 
-/// Per state of `spec`: the bits of its fetch edges, in the layout of
+pub(crate) fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
+    spec.edges().map(edge_kind).collect()
+}
+
+/// The bits of `state`'s fetch edges, in the layout of
 /// [`Behavior::enabled_edges`]. Fetch is the only edge a stopped front end
-/// vetoes.
-pub(crate) fn fetch_bits(spec: &StateMachineSpec, kinds: &[SaEdgeKind]) -> Vec<u64> {
-    spec.states()
-        .map(|s| spec.edge_mask(s, |e| kinds[e.id.index()] == SaEdgeKind::Fetch))
-        .collect()
+/// vetoes, so these are the edges the SA-1100 and SMT operations declare
+/// vetoable.
+pub(crate) fn fetch_bits(spec: &StateMachineSpec, state: StateId) -> u64 {
+    spec.edge_mask(state, |e| edge_kind(e) == SaEdgeKind::Fetch)
 }
 
 impl Behavior<SaShared> for SaOp {
@@ -392,6 +393,10 @@ impl Behavior<SaShared> for SaOp {
         };
         *self = op;
         true
+    }
+
+    fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
+        fetch_bits(spec, state)
     }
 
     fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &SaShared) -> u64 {
@@ -627,22 +632,26 @@ pub(crate) mod tests {
     }
 
     /// The masks `enabled_edges` answers with, in every state, against the
-    /// per-edge rule, for both values of the fetch gate.
+    /// per-edge rule, for both values of the fetch gate; and every answer
+    /// clears only bits the behavior `declared` vetoable.
     pub(crate) fn assert_fetch_masks_match_the_rule(
         spec: &StateMachineSpec,
         kinds: &[SaEdgeKind],
-        mut enabled: impl FnMut(osm_core::StateId, bool) -> u64,
+        declared: impl Fn(StateId) -> u64,
+        mut enabled: impl FnMut(StateId, bool) -> u64,
     ) {
         for state in spec.states() {
             let all = spec.edge_mask(state, |_| true);
             for stop_fetch in [false, true] {
                 let rule =
                     spec.edge_mask(state, |e| fetch_edge_rule(kinds[e.id.index()], stop_fetch));
+                let answer = enabled(state, stop_fetch) & all;
+                let name = spec.state_name(state);
+                assert_eq!(answer, rule, "state {name} stop_fetch {stop_fetch}");
                 assert_eq!(
-                    enabled(state, stop_fetch) & all,
-                    rule,
-                    "state {} stop_fetch {stop_fetch}",
-                    spec.state_name(state)
+                    all & !answer & !declared(state),
+                    0,
+                    "state {name} stop_fetch {stop_fetch}: an undeclared veto"
                 );
             }
         }
@@ -655,7 +664,8 @@ pub(crate) mod tests {
         let spec = Arc::clone(&sim.machine.specs()[0]);
         let kinds = sim.machine.shared.edge_kinds.clone();
         let shared = &mut sim.machine.shared;
-        assert_fetch_masks_match_the_rule(&spec, &kinds, |state, stop_fetch| {
+        let declared = |state| SaOp::vetoable_edges(&spec, state);
+        assert_fetch_masks_match_the_rule(&spec, &kinds, declared, |state, stop_fetch| {
             shared.stop_fetch = stop_fetch;
             let view = OsmView {
                 id: osm_core::OsmId(0),

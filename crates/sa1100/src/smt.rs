@@ -25,7 +25,8 @@ use memsys::MemSystem;
 use minirisc::{decode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory};
 use osm_core::{
     Behavior, Edge, ExclusivePool, HardwareLayer, Machine, ManagerTable, ModelError, OsmId,
-    OsmView, ResetManager, RestartPolicy, StateMachineSpec, TokenIdent, TransitionCtx, IDLE_AGE,
+    OsmView, ResetManager, RestartPolicy, StateId, StateMachineSpec, TokenIdent, TransitionCtx,
+    IDLE_AGE,
 };
 
 /// Per-thread architectural and front-end state.
@@ -115,6 +116,10 @@ struct SmtOp {
 }
 
 impl Behavior<SmtShared> for SmtOp {
+    fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
+        fetch_bits(spec, state)
+    }
+
     fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &SmtShared) -> u64 {
         // Each thread's fetch stops once its halting operation has executed.
         if shared.threads[view.tag as usize].stop_fetch {
@@ -309,7 +314,7 @@ impl SmtSim {
             memsys: MemSystem::new(cfg.mem),
             preferred: 0,
             timers: StageTimers::default(),
-            fetch_bits: fetch_bits(&spec, &edge_kinds),
+            fetch_bits: spec.states().map(|s| fetch_bits(&spec, s)).collect(),
             edge_kinds,
             ids,
             cfg,
@@ -424,8 +429,9 @@ mod tests {
         let spec = smt.machine().specs()[0].clone();
         let shared = &mut smt.machine_mut().shared;
         let kinds = shared.edge_kinds.clone();
+        let declared = |state| SmtOp::vetoable_edges(&spec, state);
         for tag in 0..2 {
-            assert_fetch_masks_match_the_rule(&spec, &kinds, |state, stop| {
+            assert_fetch_masks_match_the_rule(&spec, &kinds, declared, |state, stop| {
                 // The other thread's gate reads the opposite: only the
                 // OSM's own thread counts.
                 shared.threads[tag].stop_fetch = stop;

@@ -15,7 +15,7 @@ use minirisc::{retire, CpuState, Flow, Instr, IssError, Memory, SparseMemory};
 use osm_core::{
     Behavior, ByteReader, ByteWriter, Edge, ExclusivePool, HardwareLayer, IdentExpr, Machine,
     ManagerId, ManagerTable, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SpecBuilder,
-    StateMachineSpec, TransitionCtx,
+    StateId, StateMachineSpec, TransitionCtx,
 };
 use std::sync::Arc;
 
@@ -316,18 +316,27 @@ fn build_spec(ids: VliwManagers) -> Arc<StateMachineSpec> {
     b.build().expect("static spec is valid")
 }
 
+fn edge_kind(edge: &Edge) -> VliwEdgeKind {
+    match edge.name.as_str() {
+        "fetch" => VliwEdgeKind::Fetch,
+        "reset_f" => VliwEdgeKind::ResetF,
+        "exec" => VliwEdgeKind::Exec,
+        "wb" => VliwEdgeKind::Wb,
+        "retire" => VliwEdgeKind::Retire,
+        other => unreachable!("unknown edge `{other}`"),
+    }
+}
+
 /// Classifies the spec's edges once, by `EdgeId` index.
 fn classify_edges(spec: &StateMachineSpec) -> Vec<VliwEdgeKind> {
-    spec.edges()
-        .map(|e| match e.name.as_str() {
-            "fetch" => VliwEdgeKind::Fetch,
-            "reset_f" => VliwEdgeKind::ResetF,
-            "exec" => VliwEdgeKind::Exec,
-            "wb" => VliwEdgeKind::Wb,
-            "retire" => VliwEdgeKind::Retire,
-            other => unreachable!("unknown edge `{other}`"),
-        })
-        .collect()
+    spec.edges().map(edge_kind).collect()
+}
+
+/// The bits of `state`'s fetch edges, in the layout of
+/// [`Behavior::enabled_edges`]: the only edges [`BundleOp`] declares
+/// vetoable.
+fn fetch_bits(spec: &StateMachineSpec, state: StateId) -> u64 {
+    spec.edge_mask(state, |e| edge_kind(e) == VliwEdgeKind::Fetch)
 }
 
 #[derive(Debug, Default)]
@@ -439,6 +448,10 @@ impl Behavior<VliwShared> for BundleOp {
         true
     }
 
+    fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
+        fetch_bits(spec, state)
+    }
+
     fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &VliwShared) -> u64 {
         // Fetch stops at the halting bundle and at the end of the stream.
         if !shared.stop_fetch && shared.next_bundle < shared.program.bundles.len() {
@@ -536,10 +549,7 @@ impl VliwSim {
         };
         let spec = build_spec(ids);
         let edge_kinds = classify_edges(&spec);
-        let fetch_bits = spec
-            .states()
-            .map(|s| spec.edge_mask(s, |e| edge_kinds[e.id.index()] == VliwEdgeKind::Fetch))
-            .collect();
+        let fetch_bits = spec.states().map(|s| fetch_bits(&spec, s)).collect();
         let shared = VliwShared {
             cpu: CpuState::new(0),
             mem,
@@ -653,12 +663,14 @@ mod tests {
                 let rule = spec.edge_mask(state, |e| {
                     fetch_edge_rule(shared.edge_kinds[e.id.index()], shared)
                 });
-                assert_eq!(
-                    BundleOp::default().enabled_edges(&spec, &view, shared) & all,
-                    rule,
+                let answer = BundleOp::default().enabled_edges(&spec, &view, shared) & all;
+                let at = format!(
                     "state {} stop_fetch {stop_fetch} next_bundle {next_bundle} of {n}",
                     spec.state_name(state)
                 );
+                assert_eq!(answer, rule, "{at}");
+                let declared = BundleOp::vetoable_edges(&spec, state);
+                assert_eq!(all & !answer & !declared, 0, "{at}: an undeclared veto");
             }
         }
     }
