@@ -15,8 +15,8 @@
 //!    (the costliest of `perf`'s `adl_contended` suite), and a dense
 //!    `Restart` machine whose skip proofs do not pay, so after its first
 //!    adaptation window the fast path runs proof-free.
-//! 2. **No performance regression** — measured two ways on the sparse
-//!    workload:
+//! 2. **No performance regression** — measured on the sparse and the
+//!    contended workloads:
 //!    * *Deterministic effort gate*: the number of edge evaluations the
 //!      fast scheduler performs (`Stats::condition_failures` — exactly the
 //!      work the sensitivity skip eliminates) is cycle-deterministic and
@@ -26,17 +26,23 @@
 //!      clock) must stay above the 1.5x acceptance floor. Wall-clock
 //!      ratios on shared CI hosts are ~15% noisy, which is why the 2%
 //!      regression gate rides on the deterministic counter instead.
-//!    * *Contended floor*: on the contended machine, where every cycle
-//!      commits 61 transitions under Fig. 3 restarts, the seed/fast
-//!      speedup (minimum-of-N) must stay above 4x.
+//!    * *Contended effort gate*: on the contended machine, where every
+//!      cycle commits 61 transitions under Fig. 3 restarts, the fast
+//!      scheduler's condition failures over its 5,000 cycles must stay
+//!      below one per cycle. Its 61 wedged `op1`s wait on per-cycle pools
+//!      that never change, so their skip proofs hold; a pool clock that
+//!      reports dirty without a change wakes all of them every cycle
+//!      (~61 failures per cycle). Deterministic, like the sparse gate.
+//!    * *Contended floor*: on the same machine the seed/fast speedup
+//!      (minimum-of-N) must stay above 4x.
 //!
 //! Run with: `cargo run --release -p bench --bin scheduler_smoke`
 //! Flags:    `-- --bless` rewrites `BENCH_3.json` from this machine.
 //! Env:      `SCHEDULER_SMOKE_TOLERANCE` overrides the relative tolerance
 //!           on the effort gate (default 0.02, fail on >2% regression).
 //!
-//! Exits non-zero on digest mismatch, effort regression, or a speedup
-//! below the floor.
+//! Exits non-zero on digest mismatch, an effort regression on either
+//! workload, or a speedup below the floor.
 
 use bench::json::parse;
 use osm_core::{
@@ -192,12 +198,13 @@ fn fingerprint_divergence(source: &str, osms: usize, cycles: u64) -> Option<u64>
     None
 }
 
-/// Wall seconds for `CONTENDED_CYCLES` cycles of the contended machine.
-fn run_contended(mode: SchedulerMode) -> f64 {
+/// Wall seconds for `CONTENDED_CYCLES` cycles of the contended machine,
+/// and the condition failures it counted.
+fn run_contended(mode: SchedulerMode) -> (f64, u64) {
     let mut m = adl_machine(CONTENDED_SOURCE, CONTENDED_OSMS, mode);
     let start = Instant::now();
     m.run(CONTENDED_CYCLES).expect("no deadlock");
-    start.elapsed().as_secs_f64()
+    (start.elapsed().as_secs_f64(), m.stats.condition_failures)
 }
 
 struct DigestCheck {
@@ -357,9 +364,12 @@ fn main() -> ExitCode {
         speedup
     );
     let (mut contended_fast, mut contended_seed) = (f64::INFINITY, f64::INFINITY);
+    let mut contended_failures = 0;
     for _ in 0..TIMING_REPS {
-        contended_fast = contended_fast.min(run_contended(SchedulerMode::Fast));
-        contended_seed = contended_seed.min(run_contended(SchedulerMode::Seed));
+        let (fast, failures) = run_contended(SchedulerMode::Fast);
+        contended_fast = contended_fast.min(fast);
+        contended_failures = failures;
+        contended_seed = contended_seed.min(run_contended(SchedulerMode::Seed).0);
     }
     let contended_speedup = contended_seed / contended_fast;
     println!(
@@ -446,6 +456,21 @@ fn main() -> ExitCode {
             "scheduler_smoke: FAIL — fast scheduler performed {fast_evals} edge \
              evaluations, a >{:.0}% regression vs the committed {base_fast_evals:.0}",
             tolerance * 100.0
+        );
+        return ExitCode::FAILURE;
+    }
+
+    // Contended effort: a skip proof resting on a pool that did not change
+    // must survive the clock.
+    println!(
+        "contended effort gate: fast condition failures {contended_failures} over \
+         {CONTENDED_CYCLES} cycles (bar: fewer than one per cycle)"
+    );
+    if contended_failures >= CONTENDED_CYCLES {
+        eprintln!(
+            "scheduler_smoke: FAIL — the contended machine's fast scheduler counted \
+             {contended_failures} condition failures in {CONTENDED_CYCLES} cycles: \
+             its wedged OSMs are re-evaluated instead of skipped"
         );
         return ExitCode::FAILURE;
     }

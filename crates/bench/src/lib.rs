@@ -128,15 +128,28 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Counts lines of code in a source string: non-blank, non-comment-only
-/// lines, excluding everything from the `#[cfg(test)]` marker on (matching
-/// the paper's "does not include comments and blank lines").
+/// lines (matching the paper's "does not include comments and blank
+/// lines"), excluding every item marked `#[cfg(test)]`. An item runs from
+/// its marker to the `;` or `}` that ends it, so the lines after a
+/// test-only item still count.
 pub fn count_loc(source: &str) -> usize {
     let mut in_block_comment = false;
+    let mut test_item: Option<TestItem> = None;
     let mut count = 0;
     for line in source.lines() {
         let t = line.trim();
-        if t.starts_with("#[cfg(test)]") {
-            break;
+        if let Some(item) = &mut test_item {
+            if item.ends_in(line) {
+                test_item = None;
+            }
+            continue;
+        }
+        if let Some(rest) = t.strip_prefix("#[cfg(test)]") {
+            let mut item = TestItem::default();
+            if !item.ends_in(rest) {
+                test_item = Some(item);
+            }
+            continue;
         }
         if in_block_comment {
             if t.contains("*/") {
@@ -158,6 +171,108 @@ pub fn count_loc(source: &str) -> usize {
     count
 }
 
+/// The scan of one `#[cfg(test)]` item for its end, line by line: bracket
+/// depth outside comments, string literals and character literals.
+#[derive(Debug, Default)]
+struct TestItem {
+    /// Open `(`, `[` and `{` since the marker.
+    depth: i64,
+    /// Open `/* */` comments (they nest).
+    block_comments: usize,
+    /// Inside a string literal: `Some(None)` for a plain one, `Some(Some(n))`
+    /// for a raw one closed by `"` and `n` hashes.
+    string: Option<Option<usize>>,
+}
+
+impl TestItem {
+    /// Feeds the next line; true if the item ends in it: at a `;` outside
+    /// any bracket, or at the `}` that closes its body (or the enclosing
+    /// one, for an item such as a field that has neither).
+    fn ends_in(&mut self, line: &str) -> bool {
+        let c: Vec<char> = line.chars().collect();
+        let at = |i: usize| c.get(i).copied();
+        let word_start = |i: usize| i == 0 || !(c[i - 1].is_alphanumeric() || c[i - 1] == '_');
+        let mut i = 0;
+        while i < c.len() {
+            if self.block_comments > 0 {
+                match (c[i], at(i + 1)) {
+                    ('*', Some('/')) => self.block_comments -= 1,
+                    ('/', Some('*')) => self.block_comments += 1,
+                    _ => {
+                        i += 1;
+                        continue;
+                    }
+                }
+                i += 2;
+                continue;
+            }
+            match self.string {
+                Some(None) => {
+                    match c[i] {
+                        '\\' => i += 1,
+                        '"' => self.string = None,
+                        _ => {}
+                    }
+                    i += 1;
+                    continue;
+                }
+                Some(Some(hashes)) => {
+                    let closes = c[i] == '"' && (1..=hashes).all(|k| at(i + k) == Some('#'));
+                    if closes {
+                        self.string = None;
+                        i += hashes;
+                    }
+                    i += 1;
+                    continue;
+                }
+                None => {}
+            }
+            match c[i] {
+                '/' if at(i + 1) == Some('/') => return false,
+                '/' if at(i + 1) == Some('*') => {
+                    self.block_comments = 1;
+                    i += 1;
+                }
+                '"' => self.string = Some(None),
+                // `r"…"`, `r#"…"#`, `br"…"`.
+                'r' if word_start(i) || (c[i - 1] == 'b' && word_start(i - 1)) => {
+                    let hashes = c[i + 1..].iter().take_while(|&&h| h == '#').count();
+                    if at(i + 1 + hashes) == Some('"') {
+                        self.string = Some(Some(hashes));
+                        i += 1 + hashes;
+                    }
+                }
+                // A character literal; any other quote starts a lifetime or
+                // a label.
+                '\'' if at(i + 1) == Some('\\') => {
+                    i += 3;
+                    while i < c.len() && c[i] != '\'' {
+                        i += 1;
+                    }
+                }
+                '\'' if at(i + 2) == Some('\'') => i += 2,
+                '(' | '[' | '{' => self.depth += 1,
+                ')' | ']' => {
+                    self.depth -= 1;
+                    if self.depth < 0 {
+                        return true;
+                    }
+                }
+                '}' => {
+                    self.depth -= 1;
+                    if self.depth <= 0 {
+                        return true;
+                    }
+                }
+                ';' if self.depth == 0 => return true,
+                _ => {}
+            }
+            i += 1;
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +281,35 @@ mod tests {
     fn loc_counts_code_only() {
         let src = "\n// comment\nfn f() {\n    let x = 1; // trailing\n\n}\n/* block\n   comment */\nstruct S;\n#[cfg(test)]\nmod tests { fn never_counted() {} }\n";
         assert_eq!(count_loc(src), 4); // fn f() {, let, }, struct S;
+    }
+
+    #[test]
+    fn loc_skips_a_test_only_impl_and_counts_the_code_after_it() {
+        let src = "struct S;\n#[cfg(test)]\nimpl S {\n    fn probe(&self) -> u32 {\n        1\n    }\n}\nimpl S {\n    fn real(&self) {}\n}\n";
+        assert_eq!(count_loc(src), 4); // struct S;, impl S {, fn real, }
+    }
+
+    #[test]
+    fn loc_skips_a_test_only_module_declaration() {
+        let src = "#[cfg(test)]\nmod tests;\nfn f() {}\n    #[cfg(test)] mod more;\nstruct T;\n";
+        assert_eq!(count_loc(src), 2); // fn f() {}, struct T;
+    }
+
+    #[test]
+    fn loc_finds_a_test_item_end_past_brackets_in_literals_and_comments() {
+        let src = concat!(
+            "#[cfg(test)]\n",
+            "mod t {\n",
+            "    const S: &str = \"} \\\" }\";\n",
+            "    const R: &str = r#\"say \"}\" ]\"#;\n",
+            "    const C: [char; 3] = ['{', '\\'', '\\u{7d}'];\n",
+            "    fn f<'a>(x: &'a str) -> &'a str { x } // }\n",
+            "    /* } /* nested } */ } */\n",
+            "    const M: &str = \"{\n}}\n\";\n",
+            "}\n",
+            "fn after() {}\n",
+        );
+        assert_eq!(count_loc(src), 1); // fn after() {}
     }
 
     #[test]
