@@ -162,9 +162,9 @@ const TOMBSTONE: OsmId = OsmId(u32::MAX);
 /// function of (a) the OSM's state, slots and buffer — which only change on
 /// the OSM's own transitions, invalidating the record, (b) the behavior's
 /// enabled-edge mask — re-checked on every skip test, with one hook call in
-/// a state with a vetoable edge, and (c) the internal state of the managers contacted up to the first
-/// failing primitive of each enabled edge — guarded by the recorded dirty
-/// epochs.
+/// a state with a vetoable edge, and (c) the internal state of the managers
+/// contacted up to the first failing primitive of each enabled edge —
+/// guarded by the recorded dirty epochs.
 #[derive(Debug, Clone, Copy, Default)]
 struct SensEntry {
     /// Record reflects a real evaluation of the current residence in

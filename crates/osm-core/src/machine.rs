@@ -2129,9 +2129,10 @@ mod tests {
     #[test]
     fn dense_machine_switches_skip_proofs_off_on_its_ready_list() {
         use crate::pools::CountingPool;
-        // One dispatch per cycle through a per-cycle pool: the refill at
-        // every clock invalidates each waiter's record, so every waiter is
-        // evaluated every cycle and the skip machinery cannot pay for itself.
+        // One dispatch per cycle through a per-cycle pool: the refill after
+        // every cycle's grant invalidates each waiter's record, so every
+        // waiter is evaluated every cycle and the skip machinery cannot pay
+        // for itself.
         let mut m: Machine<()> = Machine::new(());
         let bw = m.add_manager(CountingPool::per_cycle("bw", 1));
         let spec = {
