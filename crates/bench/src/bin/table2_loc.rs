@@ -21,7 +21,7 @@ fn loc(path: &str) -> usize {
     let full = root.join(path);
     let src = fs::read_to_string(&full)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", full.display()));
-    count_loc(&src)
+    count_loc(&src).unwrap_or_else(|e| panic!("{}: {e}", full.display()))
 }
 
 fn sum(paths: &[&str]) -> usize {

@@ -128,28 +128,21 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Counts lines of code in a source string: non-blank, non-comment-only
-/// lines (matching the paper's "does not include comments and blank
-/// lines"), excluding every item marked `#[cfg(test)]`. An item runs from
-/// its marker to the `;` or `}` that ends it, so the lines after a
-/// test-only item still count.
-pub fn count_loc(source: &str) -> usize {
+/// lines, excluding everything from the `#[cfg(test)]` marker on (matching
+/// the paper's "does not include comments and blank lines").
+///
+/// # Errors
+/// The marker must open the file's trailing test module. Code after it (a
+/// test-only item above production code) is an error rather than lines
+/// silently left out of the count.
+pub fn count_loc(source: &str) -> Result<usize, String> {
     let mut in_block_comment = false;
-    let mut test_item: Option<TestItem> = None;
     let mut count = 0;
-    for line in source.lines() {
+    let mut lines = source.lines();
+    while let Some(line) = lines.next() {
         let t = line.trim();
-        if let Some(item) = &mut test_item {
-            if item.ends_in(line) {
-                test_item = None;
-            }
-            continue;
-        }
         if let Some(rest) = t.strip_prefix("#[cfg(test)]") {
-            let mut item = TestItem::default();
-            if !item.ends_in(rest) {
-                test_item = Some(item);
-            }
-            continue;
+            return trailing_test_module(rest, lines).map(|()| count);
         }
         if in_block_comment {
             if t.contains("*/") {
@@ -168,108 +161,39 @@ pub fn count_loc(source: &str) -> usize {
         }
         count += 1;
     }
-    count
+    Ok(count)
 }
 
-/// The scan of one `#[cfg(test)]` item for its end, line by line: bracket
-/// depth outside comments, string literals and character literals.
-#[derive(Debug, Default)]
-struct TestItem {
-    /// Open `(`, `[` and `{` since the marker.
-    depth: i64,
-    /// Open `/* */` comments (they nest).
-    block_comments: usize,
-    /// Inside a string literal: `Some(None)` for a plain one, `Some(Some(n))`
-    /// for a raw one closed by `"` and `n` hashes.
-    string: Option<Option<usize>>,
-}
-
-impl TestItem {
-    /// Feeds the next line; true if the item ends in it: at a `;` outside
-    /// any bracket, or at the `}` that closes its body (or the enclosing
-    /// one, for an item such as a field that has neither).
-    fn ends_in(&mut self, line: &str) -> bool {
-        let c: Vec<char> = line.chars().collect();
-        let at = |i: usize| c.get(i).copied();
-        let word_start = |i: usize| i == 0 || !(c[i - 1].is_alphanumeric() || c[i - 1] == '_');
-        let mut i = 0;
-        while i < c.len() {
-            if self.block_comments > 0 {
-                match (c[i], at(i + 1)) {
-                    ('*', Some('/')) => self.block_comments -= 1,
-                    ('/', Some('*')) => self.block_comments += 1,
-                    _ => {
-                        i += 1;
-                        continue;
-                    }
-                }
-                i += 2;
-                continue;
-            }
-            match self.string {
-                Some(None) => {
-                    match c[i] {
-                        '\\' => i += 1,
-                        '"' => self.string = None,
-                        _ => {}
-                    }
-                    i += 1;
-                    continue;
-                }
-                Some(Some(hashes)) => {
-                    let closes = c[i] == '"' && (1..=hashes).all(|k| at(i + k) == Some('#'));
-                    if closes {
-                        self.string = None;
-                        i += hashes;
-                    }
-                    i += 1;
-                    continue;
-                }
-                None => {}
-            }
-            match c[i] {
-                '/' if at(i + 1) == Some('/') => return false,
-                '/' if at(i + 1) == Some('*') => {
-                    self.block_comments = 1;
-                    i += 1;
-                }
-                '"' => self.string = Some(None),
-                // `r"…"`, `r#"…"#`, `br"…"`.
-                'r' if word_start(i) || (c[i - 1] == 'b' && word_start(i - 1)) => {
-                    let hashes = c[i + 1..].iter().take_while(|&&h| h == '#').count();
-                    if at(i + 1 + hashes) == Some('"') {
-                        self.string = Some(Some(hashes));
-                        i += 1 + hashes;
-                    }
-                }
-                // A character literal; any other quote starts a lifetime or
-                // a label.
-                '\'' if at(i + 1) == Some('\\') => {
-                    i += 3;
-                    while i < c.len() && c[i] != '\'' {
-                        i += 1;
-                    }
-                }
-                '\'' if at(i + 2) == Some('\'') => i += 2,
-                '(' | '[' | '{' => self.depth += 1,
-                ')' | ']' => {
-                    self.depth -= 1;
-                    if self.depth < 0 {
-                        return true;
-                    }
-                }
-                '}' => {
-                    self.depth -= 1;
-                    if self.depth <= 0 {
-                        return true;
-                    }
-                }
-                ';' if self.depth == 0 => return true,
-                _ => {}
-            }
-            i += 1;
-        }
-        false
+/// Checks that the item a `#[cfg(test)]` marker starts (the rest of the
+/// marker's line, then `lines`) is a module that ends the file: rustfmt
+/// indents the module's body, so its top-level code lines are the opener
+/// and, for a body in braces, the closing `}`.
+fn trailing_test_module<'a>(
+    rest: &'a str,
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<(), String> {
+    let top = lines.filter(|l| !l.starts_with(char::is_whitespace));
+    let mut top = std::iter::once(rest)
+        .chain(top)
+        .map(str::trim)
+        .filter(|t| !t.is_empty() && !t.starts_with("//"));
+    let opener = top.next().unwrap_or_default();
+    let is_mod = opener
+        .trim_start_matches("pub(crate) ")
+        .trim_start_matches("pub ")
+        .starts_with("mod ");
+    let ends_the_file = match opener.chars().last() {
+        Some(';' | '}') => top.next().is_none(),
+        Some('{') => top.next() == Some("}") && top.next().is_none(),
+        _ => false,
+    };
+    if is_mod && ends_the_file {
+        Ok(())
+    } else {
+        Err(format!(
+            "the `#[cfg(test)]` item at `{opener}` is not the trailing test module: \
+             code after it would go uncounted"
+        ))
     }
 }
 
@@ -280,36 +204,31 @@ mod tests {
     #[test]
     fn loc_counts_code_only() {
         let src = "\n// comment\nfn f() {\n    let x = 1; // trailing\n\n}\n/* block\n   comment */\nstruct S;\n#[cfg(test)]\nmod tests { fn never_counted() {} }\n";
-        assert_eq!(count_loc(src), 4); // fn f() {, let, }, struct S;
+        assert_eq!(count_loc(src), Ok(4)); // fn f() {, let, }, struct S;
     }
 
     #[test]
-    fn loc_skips_a_test_only_impl_and_counts_the_code_after_it() {
+    fn loc_refuses_a_test_only_impl_above_production_code() {
         let src = "struct S;\n#[cfg(test)]\nimpl S {\n    fn probe(&self) -> u32 {\n        1\n    }\n}\nimpl S {\n    fn real(&self) {}\n}\n";
-        assert_eq!(count_loc(src), 4); // struct S;, impl S {, fn real, }
+        assert!(count_loc(src).is_err());
+        let src = "impl S {\n    #[cfg(test)]\n    fn probe(&self) {}\n    fn real(&self) {}\n}\n";
+        assert!(count_loc(src).is_err());
     }
 
     #[test]
-    fn loc_skips_a_test_only_module_declaration() {
-        let src = "#[cfg(test)]\nmod tests;\nfn f() {}\n    #[cfg(test)] mod more;\nstruct T;\n";
-        assert_eq!(count_loc(src), 2); // fn f() {}, struct T;
+    fn loc_accepts_a_test_module_declaration_only_at_the_end() {
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests;\n";
+        assert_eq!(count_loc(src), Ok(1));
+        let src = "#[cfg(test)]\nmod tests;\nfn f() {}\n";
+        assert!(count_loc(src).is_err());
     }
 
     #[test]
-    fn loc_finds_a_test_item_end_past_brackets_in_literals_and_comments() {
-        let src = concat!(
-            "#[cfg(test)]\n",
-            "mod t {\n",
-            "    const S: &str = \"} \\\" }\";\n",
-            "    const R: &str = r#\"say \"}\" ]\"#;\n",
-            "    const C: [char; 3] = ['{', '\\'', '\\u{7d}'];\n",
-            "    fn f<'a>(x: &'a str) -> &'a str { x } // }\n",
-            "    /* } /* nested } */ } */\n",
-            "    const M: &str = \"{\n}}\n\";\n",
-            "}\n",
-            "fn after() {}\n",
-        );
-        assert_eq!(count_loc(src), 1); // fn after() {}
+    fn loc_accepts_a_trailing_test_module() {
+        let src = "fn f() {}\n\n#[cfg(test)]\npub(crate) mod tests {\n    use super::*;\n\n    #[test]\n    fn t() {}\n}\n// end\n";
+        assert_eq!(count_loc(src), Ok(1));
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn g() {}\n";
+        assert!(count_loc(src).is_err());
     }
 
     #[test]

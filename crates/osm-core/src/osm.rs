@@ -31,10 +31,10 @@ pub trait Behavior<S>: Send + 'static {
     ///
     /// The director calls it at most once per OSM it serves in a control
     /// step, and once per skip test and blocked-OSM probe, and only in
-    /// states where [`Behavior::vetoable_edges`] declared a bit. It must be
-    /// a pure function of `self`, `view` and `shared`, and may clear only
-    /// declared bits: the director may call it again, or not at all,
-    /// without changing the run. Debug builds assert the second rule.
+    /// states where [`Behavior::vetoable_edges`] declared a bit; it reads
+    /// the answer only at the declared bits. It must be a pure function of
+    /// `self`, `view` and `shared`: the director may call it again, or not
+    /// at all, without changing the run.
     fn enabled_edges(&self, spec: &StateMachineSpec, view: &OsmView<'_>, shared: &S) -> u64 {
         let _ = (spec, view, shared);
         u64::MAX
@@ -43,15 +43,17 @@ pub trait Behavior<S>: Send + 'static {
     /// The static half of the veto hook: the out-edges of `state` that
     /// [`Behavior::enabled_edges`] can ever clear, in its layout. The
     /// answer is a property of the behavior type, not of one behavior or
-    /// of the run, so it reads only `spec` and `state`; `enabled_edges` may
-    /// clear only the bits declared here.
+    /// of the run, so it reads only `spec` and `state`.
     ///
     /// [`crate::Machine::add_osm`] asks it once per spec and behavior type,
     /// for every state, and folds the answers of every type installed on
     /// a spec into one mask per state. The director calls `enabled_edges`
-    /// only where that mask is nonzero and treats the bits outside it as
-    /// enabled. The default declares every edge; [`InertBehavior`] declares
-    /// none.
+    /// only where that mask is nonzero, reads the answer only at its bits
+    /// and treats the others as enabled. An answer must therefore be right
+    /// at every bit declared by any type on its spec, and may leave the
+    /// rest in any state: a behavior alone on its spec may answer `0` to
+    /// veto each edge it declared. The default declares every edge;
+    /// [`InertBehavior`] declares none.
     fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64
     where
         Self: Sized,

@@ -84,8 +84,6 @@ pub struct SmtShared {
     pub preferred: u64,
     timers: StageTimers,
     edge_kinds: Vec<SaEdgeKind>,
-    /// Per state: the bits of its fetch edges.
-    fetch_bits: Vec<u64>,
     ids: SaManagers,
     cfg: SaConfig,
 }
@@ -121,9 +119,10 @@ impl Behavior<SmtShared> for SmtOp {
     }
 
     fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &SmtShared) -> u64 {
-        // Each thread's fetch stops once its halting operation has executed.
+        // Each thread's fetch stops once its halting operation has executed:
+        // every declared edge, the fetch edges, is vetoed.
         if shared.threads[view.tag as usize].stop_fetch {
-            !shared.fetch_bits[view.state.index()]
+            0
         } else {
             u64::MAX
         }
@@ -314,7 +313,6 @@ impl SmtSim {
             memsys: MemSystem::new(cfg.mem),
             preferred: 0,
             timers: StageTimers::default(),
-            fetch_bits: spec.states().map(|s| fetch_bits(&spec, s)).collect(),
             edge_kinds,
             ids,
             cfg,
