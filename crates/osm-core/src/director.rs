@@ -1297,28 +1297,52 @@ impl<S: 'static> Machine<S> {
     }
 
     /// The deadlock verdict of a step in which no OSM moved, for both
-    /// schedulers: a second evaluation pass over every OSM through
-    /// [`Machine::probe_osm`], recording which OSMs own the blocking tokens
-    /// (lazy wait-for-graph construction), and [`ModelError::Deadlock`] if
-    /// that graph has a cycle. Only a denied allocate or inquire names an
-    /// owner to wait on.
+    /// schedulers: [`ModelError::Deadlock`] if [`Machine::find_deadlock`]
+    /// finds a wait cycle.
     ///
-    /// The pass is elided when the step `evaluated` nothing (the fast
+    /// The scan is elided when the step `evaluated` nothing (the fast
     /// scheduler skipped every OSM on a proof) and no manager epoch moved
-    /// since the last pass found no cycle: it would rebuild the same acyclic
+    /// since the last scan found no cycle: it would rebuild the same acyclic
     /// graph. The reference scheduler always evaluates, so it always scans.
+    /// Debug builds audit every elision by scanning anyway and asserting
+    /// that no cycle is found. A manager that changes without reporting it
+    /// fails that assertion; a fault-injected one reports a change on every
+    /// clock, so its steps are never elided and the audit never probes it.
+    #[inline(never)]
+    pub(crate) fn idle_step_deadlock(&mut self, evaluated: bool) -> Result<(), ModelError> {
+        let generation = self.managers.generation();
+        if !evaluated && generation == self.scratch.last_diag_generation {
+            debug_assert_eq!(
+                self.find_deadlock(),
+                None,
+                "an elided deadlock scan finds a cycle"
+            );
+            return Ok(());
+        }
+        match self.find_deadlock() {
+            Some(osms) => Err(ModelError::Deadlock {
+                cycle: self.cycle,
+                osms,
+            }),
+            None => {
+                self.scratch.last_diag_generation = generation;
+                Ok(())
+            }
+        }
+    }
+
+    /// The deadlock scan: a second evaluation pass over every OSM through
+    /// [`Machine::probe_osm`], recording which OSMs own the blocking tokens
+    /// (lazy wait-for-graph construction), and the graph's first cycle, if
+    /// it has one. Only a denied allocate or inquire names an owner to wait
+    /// on.
     ///
     /// Conditions all failed in the scheduling pass and nothing has changed,
     /// so they fail again — the pass is side-effect free (the probe rolls
     /// back even a satisfied condition). It reports to no sink: emitting
     /// events here would break the one-Denied-per-condition-failure
     /// reconciliation.
-    #[inline(never)]
-    pub(crate) fn idle_step_deadlock(&mut self, evaluated: bool) -> Result<(), ModelError> {
-        let generation = self.managers.generation();
-        if !evaluated && generation == self.scratch.last_diag_generation {
-            return Ok(());
-        }
+    fn find_deadlock(&mut self) -> Option<Vec<OsmId>> {
         let mut waits = std::mem::take(&mut self.scratch.wait_edges);
         waits.clear();
         for oi in 0..self.osms.len() {
@@ -1343,16 +1367,7 @@ impl<S: 'static> Machine<S> {
         let scratch = &mut self.scratch;
         let found = find_wait_cycle(&waits, &mut scratch.wait_marks, &mut scratch.wait_stack);
         scratch.wait_edges = waits;
-        match found {
-            Some(osms) => Err(ModelError::Deadlock {
-                cycle: self.cycle,
-                osms,
-            }),
-            None => {
-                scratch.last_diag_generation = generation;
-                Ok(())
-            }
-        }
+        found
     }
 
     /// The one probe walk behind both blocked-OSM reports (the deadlock
@@ -1736,6 +1751,70 @@ mod tests {
                 (go, TokenOutcome::Denied)
             );
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "an elided deadlock scan finds a cycle")]
+    fn an_elided_deadlock_scan_is_audited_in_debug_builds() {
+        use crate::manager::TokenManager;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Denies every allocation, and once `crossed` is set names the other
+        // of the two OSMs as the owner of each identifier, without reporting
+        // the change: it breaks the protocol the elision rests on.
+        struct CrossedOwners {
+            crossed: Arc<AtomicBool>,
+        }
+        impl TokenManager for CrossedOwners {
+            fn name(&self) -> &str {
+                "crossed-owners"
+            }
+            fn prepare_allocate(&mut self, _: OsmId, _: TokenIdent) -> Option<Token> {
+                None
+            }
+            fn inquire(&self, _: OsmId, _: TokenIdent) -> bool {
+                false
+            }
+            fn prepare_release(&mut self, _: OsmId, _: Token) -> bool {
+                false
+            }
+            fn commit_allocate(&mut self, _: OsmId, _: Token) {}
+            fn abort_allocate(&mut self, _: OsmId, _: Token) {}
+            fn commit_release(&mut self, _: OsmId, _: Token) {}
+            fn abort_release(&mut self, _: OsmId, _: Token) {}
+            fn discard(&mut self, _: OsmId, _: Token) {}
+            fn owner_of(&self, ident: TokenIdent) -> Option<OsmId> {
+                let other = OsmId(1 - ident.0 as u32);
+                self.crossed.load(Ordering::Relaxed).then_some(other)
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let crossed = Arc::new(AtomicBool::new(false));
+        let mut m: Machine<()> = Machine::new(());
+        let owners = m.add_manager(CrossedOwners {
+            crossed: Arc::clone(&crossed),
+        });
+        // OSM k waits on identifier k.
+        for ident in 0..2 {
+            let mut b = SpecBuilder::new("wait");
+            let i = b.state("I");
+            let a = b.state("A");
+            b.initial(i);
+            b.edge(i, a).allocate(owners, IdentExpr::Const(ident));
+            m.add_osm(&b.build().unwrap(), InertBehavior);
+        }
+        // Blocked without a wait cycle: the first idle step scans, and the
+        // skip proofs elide the scans of the steps after it.
+        m.run(5).unwrap();
+        crossed.store(true, Ordering::Relaxed);
+        // The two OSMs now wait on each other, but no epoch moved, so the
+        // step elides its scan; only the audit finds the cycle.
+        let _ = m.step();
     }
 
     /// [`find_wait_cycle`] with fresh scratch.

@@ -17,9 +17,11 @@
 //! the paper does.
 //!
 //! [`SmtSim`] extends the OSM model to two hardware threads (paper §6) on
-//! the same spec ([`build_spec`]) and managers ([`SaManagers`]): thread
-//! tags become part of the register-token identifiers and drive the
-//! fetch-arbitration ranking.
+//! the same spec ([`build_spec`]), managers ([`SaManagers`]), shared state
+//! ([`SaShared`]) and operation: thread tags become part of the
+//! register-token identifiers and drive the fetch-arbitration ranking, and
+//! the thread that is not running keeps its context parked beside the
+//! shared state.
 //!
 //! ```
 //! use minirisc::assemble;

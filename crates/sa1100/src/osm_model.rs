@@ -144,20 +144,25 @@ pub struct SaShared {
     /// (undecodable words decode as NOPs and are not errors).
     pub error: Option<String>,
     /// Operations currently in F or D (squashable on a control transfer).
-    young: Vec<osm_core::OsmId>,
+    pub(crate) young: Vec<osm_core::OsmId>,
     /// Retired instructions.
     pub retired: u64,
     /// Squashed wrong-path operations.
     pub squashed: u64,
-    timers: StageTimers,
-    edge_kinds: Vec<SaEdgeKind>,
+    pub(crate) timers: StageTimers,
+    pub(crate) edge_kinds: Vec<SaEdgeKind>,
     /// Manager handles (fault-injection targets and inspection).
     pub ids: SaManagers,
-    cfg: SaConfig,
+    pub(crate) cfg: SaConfig,
 }
 
 impl SaShared {
-    fn new(cfg: SaConfig, program: &Program, ids: SaManagers, spec: &StateMachineSpec) -> Self {
+    pub(crate) fn new(
+        cfg: SaConfig,
+        program: &Program,
+        ids: SaManagers,
+        spec: &StateMachineSpec,
+    ) -> Self {
         let edge_kinds = classify_edges(spec);
         let mut mem = SparseMemory::new();
         program.load_into(&mut mem);
@@ -313,10 +318,19 @@ pub fn build_spec(ids: SaManagers) -> Arc<StateMachineSpec> {
     b.build().expect("static spec is valid")
 }
 
+/// The tag is part of every register-token identifier (§6): thread `tag`'s
+/// register `r` is identifier `tag * 64 + r`, so at the single-threaded
+/// model's tag 0 it is `r` itself.
+fn thread_reg(tag: u64, r: usize) -> usize {
+    tag as usize * 64 + r
+}
+
 /// Per-operation behavior: decodes, initializes token identifiers, executes
-/// semantics at E, and drives the hazard idioms.
+/// semantics at E, and drives the hazard idioms. It reads and writes the
+/// architectural state of its own thread, which is the one in `SaShared`
+/// whenever it runs (the SMT core swaps it in first).
 #[derive(Debug, Default)]
-struct SaOp {
+pub(crate) struct SaOp {
     pc: u32,
     instr: Instr,
     mem_addr: Option<u32>,
@@ -339,14 +353,6 @@ fn edge_kind(edge: &Edge) -> SaEdgeKind {
 
 pub(crate) fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
     spec.edges().map(edge_kind).collect()
-}
-
-/// The bits of `state`'s fetch edges, in the layout of
-/// [`Behavior::enabled_edges`]. Fetch is the only edge a stopped front end
-/// vetoes, so these are the edges the SA-1100 and SMT operations declare
-/// vetoable.
-pub(crate) fn fetch_bits(spec: &StateMachineSpec, state: StateId) -> u64 {
-    spec.edge_mask(state, |e| edge_kind(e) == SaEdgeKind::Fetch)
 }
 
 impl Behavior<SaShared> for SaOp {
@@ -392,8 +398,10 @@ impl Behavior<SaShared> for SaOp {
         true
     }
 
+    /// The bits of `state`'s fetch edges: fetch is the only edge a stopped
+    /// front end vetoes.
     fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
-        fetch_bits(spec, state)
+        spec.edge_mask(state, |e| edge_kind(e) == SaEdgeKind::Fetch)
     }
 
     fn enabled_edges(&self, _: &StateMachineSpec, _: &OsmView<'_>, shared: &SaShared) -> u64 {
@@ -421,11 +429,11 @@ impl Behavior<SaShared> for SaOp {
                 let word = ctx.shared.mem.read_u32(self.pc);
                 self.instr = decode(word).unwrap_or(Instr::NOP);
                 // Initialize all allocation and inquiry identifiers (§4).
-                let sources = self.instr.sources();
+                let (tag, sources) = (ctx.tag, self.instr.sources());
                 let src_ident = |k: usize| {
                     sources
                         .get(k)
-                        .map(|r| RegForwardFile::value_ident(r.flat_index()))
+                        .map(|r| RegForwardFile::value_ident(thread_reg(tag, r.flat_index())))
                         .unwrap_or(TokenIdent::NONE)
                 };
                 ctx.set_slot(S_SRC1, src_ident(0));
@@ -434,7 +442,7 @@ impl Behavior<SaShared> for SaOp {
                     S_DEST,
                     self.instr
                         .dest()
-                        .map(|r| RegForwardFile::update_ident(r.flat_index()))
+                        .map(|r| RegForwardFile::update_ident(thread_reg(tag, r.flat_index())))
                         .unwrap_or(TokenIdent::NONE),
                 );
                 let uses_mult = matches!(
@@ -485,7 +493,7 @@ impl Behavior<SaShared> for SaOp {
                 if self.instr.class() != InstrClass::Load {
                     if let Some(dest) = self.instr.dest() {
                         let rff: &mut RegForwardFile = ctx.managers.downcast_mut(ctx.shared.ids.rff);
-                        rff.mark_ready(dest.flat_index());
+                        rff.mark_ready(thread_reg(ctx.tag, dest.flat_index()));
                     }
                 }
             }
@@ -501,7 +509,7 @@ impl Behavior<SaShared> for SaOp {
                 if self.instr.class() == InstrClass::Load {
                     if let Some(dest) = self.instr.dest() {
                         let rff: &mut RegForwardFile = ctx.managers.downcast_mut(ctx.shared.ids.rff);
-                        rff.mark_ready(dest.flat_index());
+                        rff.mark_ready(thread_reg(ctx.tag, dest.flat_index()));
                     }
                 }
             }

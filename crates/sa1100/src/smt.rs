@@ -3,125 +3,145 @@
 //! thread that it belongs to. The tags are used as part of the identifiers
 //! for token transactions and may contribute to the ranking of the OSMs."
 //!
-//! Both points are taken literally:
+//! Both points are taken literally, on the single-threaded model's own
+//! operation:
 //!
-//! * one [`RegForwardFile`] serves both threads; thread `t`'s register `r`
-//!   is identifier `t * 64 + r` — the tag is part of the token identifier;
+//! * one [`RegForwardFile`](crate::RegForwardFile) serves both threads;
+//!   thread `t`'s register `r` is identifier `t * 64 + r`, since the
+//!   StrongARM operation names every register through its OSM's tag;
 //! * fetch arbitration is a tag-aware ranking policy: among idle OSMs the
 //!   cycle's preferred thread ranks first (round-robin), while in-flight
 //!   operations keep ordinary age order.
 //!
 //! The pipeline stages, multiplier and caches are *shared* (true SMT): one
 //! thread's bubbles (taken-branch squashes, data-hazard stalls) are filled
-//! by the other thread's operations.
+//! by the other thread's operations. The shared state is the StrongARM's
+//! [`SaShared`], which holds the running thread's context in place, plus
+//! the other thread's context, parked. An operation of the parked thread
+//! swaps the two contexts before it transitions, so the one StrongARM
+//! operation serves both threads unchanged.
 
 use crate::config::SaConfig;
-use crate::forward::RegForwardFile;
-use crate::osm_model::{
-    build_spec, classify_edges, fetch_bits, SaEdgeKind, SaManagers, StageTimers, S_DEST, S_MULT,
-    S_SRC1, S_SRC2,
-};
-use memsys::MemSystem;
-use minirisc::{decode, retire, CpuState, Flow, Instr, InstrClass, Memory, Program, SparseMemory};
+use crate::osm_model::{build_spec, SaManagers, SaOp, SaShared};
+use minirisc::{CpuState, Program};
 use osm_core::{
-    Behavior, Edge, ExclusivePool, HardwareLayer, Machine, ManagerTable, ModelError, OsmId,
-    OsmView, ResetManager, RestartPolicy, StateId, StateMachineSpec, TokenIdent, TransitionCtx,
-    IDLE_AGE,
+    Behavior, Edge, HardwareLayer, Machine, ManagerTable, ModelError, OsmId, OsmView,
+    RestartPolicy, StateId, StateMachineSpec, TransitionCtx, IDLE_AGE,
 };
 
-/// Per-thread architectural and front-end state.
+/// The per-thread fields of [`SaShared`]: a parked thread's architectural
+/// and front-end state.
 #[derive(Debug)]
-struct ThreadState {
+struct ThreadContext {
     cpu: CpuState,
     next_fetch_pc: u32,
     stop_fetch: bool,
     halted: bool,
     exit_code: u32,
     output: Vec<u8>,
+    error: Option<String>,
     young: Vec<OsmId>,
     retired: u64,
     squashed: u64,
-    /// First error: an unknown syscall, in the ISS's words.
-    error: Option<String>,
 }
 
-impl ThreadState {
+impl ThreadContext {
     fn new(entry: u32) -> Self {
-        ThreadState {
+        ThreadContext {
             cpu: CpuState::new(entry),
             next_fetch_pc: entry,
             stop_fetch: false,
             halted: false,
             exit_code: 0,
             output: Vec::new(),
+            error: None,
             young: Vec::new(),
             retired: 0,
             squashed: 0,
-            error: None,
         }
     }
 
-    fn result(&self) -> SmtThreadResult {
-        SmtThreadResult {
-            retired: self.retired,
-            squashed: self.squashed,
-            exit_code: self.exit_code,
-            output: self.output.clone(),
-            error: self.error.clone(),
-        }
+    /// Exchanges this context with the one running in `core`. Every field
+    /// of `SaShared` is named here: one added later fails to compile until
+    /// it is sorted into per-thread (swapped) or shared (`_`).
+    fn swap_with(&mut self, core: &mut SaShared) {
+        let SaShared {
+            cpu,
+            mem: _,
+            memsys: _,
+            next_fetch_pc,
+            stop_fetch,
+            halted,
+            exit_code,
+            output,
+            error,
+            young,
+            retired,
+            squashed,
+            timers: _,
+            edge_kinds: _,
+            ids: _,
+            cfg: _,
+        } = core;
+        std::mem::swap(cpu, &mut self.cpu);
+        std::mem::swap(next_fetch_pc, &mut self.next_fetch_pc);
+        std::mem::swap(stop_fetch, &mut self.stop_fetch);
+        std::mem::swap(halted, &mut self.halted);
+        std::mem::swap(exit_code, &mut self.exit_code);
+        std::mem::swap(output, &mut self.output);
+        std::mem::swap(error, &mut self.error);
+        std::mem::swap(young, &mut self.young);
+        std::mem::swap(retired, &mut self.retired);
+        std::mem::swap(squashed, &mut self.squashed);
     }
 }
 
-/// Shared hardware state of the SMT core.
+/// Shared hardware state of the SMT core: the StrongARM's shared state,
+/// whose per-thread fields belong to the running thread, and the other
+/// thread's context.
 #[derive(Debug)]
 pub struct SmtShared {
-    threads: [ThreadState; 2],
-    /// Shared functional memory (both programs loaded at distinct bases).
-    pub mem: SparseMemory,
-    /// Shared caches and TLBs.
-    pub memsys: MemSystem,
+    /// Memory, caches, stage timers and manager handles for both threads,
+    /// and the running thread's context.
+    core: SaShared,
+    /// The context of the thread that is not running.
+    parked: ThreadContext,
+    /// Tag of the thread whose context is in `core`.
+    running: u64,
     /// Thread preferred by this cycle's fetch arbitration.
     pub preferred: u64,
-    timers: StageTimers,
-    edge_kinds: Vec<SaEdgeKind>,
-    ids: SaManagers,
-    cfg: SaConfig,
 }
 
 impl HardwareLayer for SmtShared {
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {
         self.preferred = cycle % 2;
-        self.timers.clock(&self.ids, managers);
+        self.core.clock(cycle, managers);
     }
 
     /// Halted once both threads are.
     fn halted(&self) -> bool {
-        self.threads.iter().all(|t| t.halted)
+        self.core.halted && self.parked.halted
     }
 }
 
-/// The tag is part of every register-token identifier (§6).
-fn thread_reg(tag: u64, flat: usize) -> usize {
-    tag as usize * 64 + flat
-}
-
+/// The StrongARM operation on the thread of its OSM's tag.
 #[derive(Debug, Default)]
-struct SmtOp {
-    pc: u32,
-    instr: Instr,
-    mem_addr: Option<u32>,
-    is_halting: bool,
-}
+struct SmtOp(SaOp);
 
 impl Behavior<SmtShared> for SmtOp {
     fn vetoable_edges(spec: &StateMachineSpec, state: StateId) -> u64 {
-        fetch_bits(spec, state)
+        SaOp::vetoable_edges(spec, state)
     }
 
     fn enabled_edges(&self, _: &StateMachineSpec, view: &OsmView<'_>, shared: &SmtShared) -> u64 {
         // Each thread's fetch stops once its halting operation has executed:
         // every declared edge, the fetch edges, is vetoed.
-        if shared.threads[view.tag as usize].stop_fetch {
+        let stop_fetch = if view.tag == shared.running {
+            shared.core.stop_fetch
+        } else {
+            shared.parked.stop_fetch
+        };
+        if stop_fetch {
             0
         } else {
             u64::MAX
@@ -129,128 +149,23 @@ impl Behavior<SmtShared> for SmtOp {
     }
 
     fn on_transition(&mut self, edge: &Edge, ctx: &mut TransitionCtx<'_, SmtShared>) {
-        let tag = ctx.tag as usize;
-        match ctx.shared.edge_kinds[edge.id.index()] {
-            SaEdgeKind::Fetch => {
-                let thread = &mut ctx.shared.threads[tag];
-                self.pc = thread.next_fetch_pc;
-                thread.next_fetch_pc = thread.next_fetch_pc.wrapping_add(4);
-                self.is_halting = false;
-                self.mem_addr = None;
-                thread.young.push(ctx.osm);
-                let penalty = ctx.shared.memsys.fetch_penalty(self.pc);
-                ctx.shared.timers.fetch = penalty;
-            }
-            SaEdgeKind::Decode => {
-                let word = ctx.shared.mem.read_u32(self.pc);
-                self.instr = decode(word).unwrap_or(Instr::NOP);
-                let sources = self.instr.sources();
-                let tag = ctx.tag;
-                let src = |k: usize| {
-                    sources
-                        .get(k)
-                        .map(|r| RegForwardFile::value_ident(thread_reg(tag, r.flat_index())))
-                        .unwrap_or(TokenIdent::NONE)
-                };
-                ctx.set_slot(S_SRC1, src(0));
-                ctx.set_slot(S_SRC2, src(1));
-                let dest = self
-                    .instr
-                    .dest()
-                    .map(|r| RegForwardFile::update_ident(thread_reg(ctx.tag, r.flat_index())))
-                    .unwrap_or(TokenIdent::NONE);
-                ctx.set_slot(S_DEST, dest);
-                let uses_mult = matches!(
-                    self.instr.class(),
-                    InstrClass::IntMul | InstrClass::IntDiv
-                );
-                ctx.set_slot(
-                    S_MULT,
-                    if uses_mult {
-                        TokenIdent(0)
-                    } else {
-                        TokenIdent::NONE
-                    },
-                );
-            }
-            SaEdgeKind::Issue => {
-                let osm = ctx.osm;
-                // Execute against this thread's architectural state.
-                let (threads, mem) = (&mut ctx.shared.threads, &mut ctx.shared.mem);
-                let thread = &mut threads[tag];
-                thread.young.retain(|o| *o != osm);
-                thread.cpu.pc = self.pc;
-                let retired = retire(self.instr, &mut thread.cpu, mem, &mut thread.output);
-                self.mem_addr = retired.mem_addr;
-                match retired.flow {
-                    Flow::Next => {}
-                    Flow::Taken(target) => thread.next_fetch_pc = target,
-                    Flow::Halt => self.is_halting = true,
-                    Flow::Fault(e) => {
-                        self.is_halting = true;
-                        thread.error.get_or_insert_with(|| e.to_string());
-                    }
-                    Flow::Exit(code) => {
-                        self.is_halting = true;
-                        thread.exit_code = code;
-                    }
-                }
-                // A redirect or the thread's end squashes its front end.
-                if retired.flow != Flow::Next {
-                    thread.stop_fetch |= self.is_halting;
-                    let reset: &mut ResetManager = ctx.managers.downcast_mut(ctx.shared.ids.reset);
-                    for &osm in &thread.young {
-                        reset.arm(osm);
-                    }
-                }
-                match self.instr.class() {
-                    InstrClass::IntMul => ctx.shared.timers.mult = ctx.shared.cfg.mul_extra,
-                    InstrClass::IntDiv => ctx.shared.timers.mult = ctx.shared.cfg.div_extra,
-                    _ => {}
-                }
-                if self.instr.class() != InstrClass::Load {
-                    if let Some(dest) = self.instr.dest() {
-                        let rff: &mut RegForwardFile =
-                            ctx.managers.downcast_mut(ctx.shared.ids.rff);
-                        rff.mark_ready(thread_reg(ctx.tag, dest.flat_index()));
-                    }
-                }
-            }
-            SaEdgeKind::Mem => {
-                if let Some(addr) = self.mem_addr.take() {
-                    ctx.shared.timers.bstage = ctx.shared.memsys.data_penalty(addr);
-                }
-            }
-            SaEdgeKind::Wb => {
-                if self.instr.class() == InstrClass::Load {
-                    if let Some(dest) = self.instr.dest() {
-                        let rff: &mut RegForwardFile =
-                            ctx.managers.downcast_mut(ctx.shared.ids.rff);
-                        rff.mark_ready(thread_reg(ctx.tag, dest.flat_index()));
-                    }
-                }
-            }
-            SaEdgeKind::Retire => {
-                let thread = &mut ctx.shared.threads[tag];
-                thread.retired += 1;
-                if self.is_halting {
-                    thread.halted = true;
-                }
-            }
-            kind @ (SaEdgeKind::ResetF | SaEdgeKind::ResetD) => {
-                let osm = ctx.osm;
-                let thread = &mut ctx.shared.threads[tag];
-                thread.young.retain(|o| *o != osm);
-                thread.squashed += 1;
-                if kind == SaEdgeKind::ResetF {
-                    ctx.shared.timers.fetch = 0;
-                    let pool: &mut ExclusivePool = ctx.managers.downcast_mut(ctx.shared.ids.mf);
-                    pool.block_release(0, false);
-                }
-                let reset: &mut ResetManager = ctx.managers.downcast_mut(ctx.shared.ids.reset);
-                reset.disarm(osm);
-            }
+        let shared = &mut *ctx.shared;
+        if shared.running != ctx.tag {
+            shared.parked.swap_with(&mut shared.core);
+            shared.running = ctx.tag;
         }
+        let mut core = TransitionCtx {
+            osm: ctx.osm,
+            from: ctx.from,
+            to: ctx.to,
+            cycle: ctx.cycle,
+            tag: ctx.tag,
+            slots: &mut *ctx.slots,
+            buffer: ctx.buffer,
+            managers: &mut *ctx.managers,
+            shared: &mut shared.core,
+        };
+        self.0.on_transition(edge, &mut core);
     }
 }
 
@@ -299,23 +214,17 @@ impl SmtSim {
     /// occupy disjoint address ranges — both are loaded into the shared
     /// memory).
     pub fn new(cfg: SaConfig, programs: [&Program; 2]) -> Self {
-        let mut mem = SparseMemory::new();
-        programs[0].load_into(&mut mem);
-        programs[1].load_into(&mut mem);
         let mut managers = ManagerTable::new();
         // 128 registers: thread tag selects the upper half (§6).
         let ids = SaManagers::install(&mut managers, 128, cfg.forwarding);
         let spec = build_spec(ids);
-        let edge_kinds = classify_edges(&spec);
+        let mut core = SaShared::new(cfg, programs[0], ids, &spec);
+        programs[1].load_into(&mut core.mem);
         let shared = SmtShared {
-            threads: programs.map(|p| ThreadState::new(p.entry)),
-            mem,
-            memsys: MemSystem::new(cfg.mem),
+            core,
+            parked: ThreadContext::new(programs[1].entry),
+            running: 0,
             preferred: 0,
-            timers: StageTimers::default(),
-            edge_kinds,
-            ids,
-            cfg,
         };
         let mut machine = Machine::new(shared);
         machine.managers = managers;
@@ -368,14 +277,31 @@ impl SmtSim {
 
     /// Snapshot of the current result counters.
     pub fn result(&self) -> SmtResult {
+        let SmtShared {
+            core,
+            parked,
+            running,
+            ..
+        } = &self.machine.shared;
+        let running_thread = SmtThreadResult {
+            retired: core.retired,
+            squashed: core.squashed,
+            exit_code: core.exit_code,
+            output: core.output.clone(),
+            error: core.error.clone(),
+        };
+        let parked_thread = SmtThreadResult {
+            retired: parked.retired,
+            squashed: parked.squashed,
+            exit_code: parked.exit_code,
+            output: parked.output.clone(),
+            error: parked.error.clone(),
+        };
+        let mut threads = [running_thread, parked_thread];
+        threads.rotate_left(*running as usize);
         SmtResult {
             cycles: self.machine.cycle(),
-            threads: self
-                .machine
-                .shared
-                .threads
-                .each_ref()
-                .map(ThreadState::result),
+            threads,
         }
     }
 }
@@ -426,24 +352,28 @@ mod tests {
         let mut smt = SmtSim::new(SaConfig::paper(), [&pa, &pb]);
         let spec = smt.machine().specs()[0].clone();
         let shared = &mut smt.machine_mut().shared;
-        let kinds = shared.edge_kinds.clone();
+        let kinds = shared.core.edge_kinds.clone();
         let declared = |state| SmtOp::vetoable_edges(&spec, state);
-        for tag in 0..2 {
-            assert_fetch_masks_match_the_rule(&spec, &kinds, declared, |state, stop| {
-                // The other thread's gate reads the opposite: only the
-                // OSM's own thread counts.
-                shared.threads[tag].stop_fetch = stop;
-                shared.threads[1 - tag].stop_fetch = !stop;
-                let view = OsmView {
-                    id: OsmId(0),
-                    state,
-                    age: 0,
-                    tag: tag as u64,
-                    slots: &[],
-                    buffer: &[],
-                };
-                SmtOp::default().enabled_edges(&spec, &view, shared)
-            });
+        for running in 0..2 {
+            shared.running = running;
+            for tag in 0..2 {
+                assert_fetch_masks_match_the_rule(&spec, &kinds, declared, |state, stop| {
+                    // The other thread's gate reads the opposite: only the
+                    // OSM's own thread counts, running or parked.
+                    let own_runs = tag == running;
+                    shared.core.stop_fetch = stop == own_runs;
+                    shared.parked.stop_fetch = stop != own_runs;
+                    let view = OsmView {
+                        id: OsmId(0),
+                        state,
+                        age: 0,
+                        tag,
+                        slots: &[],
+                        buffer: &[],
+                    };
+                    SmtOp::default().enabled_edges(&spec, &view, shared)
+                });
+            }
         }
     }
 
@@ -518,6 +448,60 @@ mod tests {
                 "{mode:?}"
             );
         }
+    }
+
+    /// A 40-trip store/load loop through the scratch word at 0x8000.
+    const STORE_LOAD: &str = "
+        li r4, 0
+        li r1, 40
+        li r2, 0x8000
+    loop:
+        sw r1, 0(r2)
+        lw r3, 0(r2)
+        add r4, r4, r3
+        addi r1, r1, -1
+        bne r1, r0, loop
+        li r10, 0
+        add r11, r4, r0
+        syscall
+    ";
+
+    #[test]
+    fn a_faulting_thread_leaves_the_other_running() {
+        // Thread 1 stops on an unknown syscall while thread 0 runs its loop
+        // to the end: each thread ends as it does alone, and only thread 1
+        // carries the ISS's error. Both threads' contexts keep their own
+        // error, front-end gate and squashes across the swaps.
+        let pa = assemble(STORE_LOAD, 0x1000).unwrap();
+        let pb = assemble("li r5, 3\nli r10, 7\nsyscall\n", 0x4000).unwrap();
+        let mut iss = minirisc::Iss::with_program(minirisc::SparseMemory::new(), &pb);
+        let message = iss.run(100).expect_err("syscall 7 is unknown").to_string();
+        let solo = [&pa, &pb].map(|p| {
+            SaOsmSim::new(SaConfig::paper(), p)
+                .run_to_halt(100_000)
+                .expect("runs")
+        });
+        let mut digests = Vec::new();
+        for mode in [SchedulerMode::Seed, SchedulerMode::Fast] {
+            let mut smt = SmtSim::new(SaConfig::paper(), [&pa, &pb]);
+            smt.machine_mut().set_scheduler_mode(mode);
+            smt.machine_mut().enable_trace();
+            let r = smt.run_to_halt(100_000).expect("no deadlock");
+            for (thread, alone) in r.threads.iter().zip(&solo) {
+                assert_eq!(
+                    (thread.exit_code, &thread.output, thread.retired),
+                    (alone.exit_code, &alone.output, alone.retired),
+                    "{mode:?}"
+                );
+                assert_eq!(thread.error, alone.error, "{mode:?}");
+            }
+            assert_eq!(r.threads[0].error, None, "{mode:?}");
+            assert_eq!(r.threads[1].error, Some(message.clone()), "{mode:?}");
+            let threads = r.threads.each_ref().map(|t| (t.retired, t.squashed));
+            assert_eq!((r.cycles, threads), (482, [(207, 40), (3, 0)]), "{mode:?}");
+            digests.push(smt.machine().trace_digest().expect("trace on"));
+        }
+        assert_eq!(digests[0], digests[1], "Seed and Fast digests");
     }
 
     #[test]
